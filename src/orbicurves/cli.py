@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern_index import index_integrality_scan, kawasaki_index
 from .curvecalc import (
+    SCHEMA_VERSION,
     CurveConfig,
     adjunction_report,
     config_truncation,
@@ -41,22 +41,8 @@ from .wps import (
     uniqueness_inequality,
 )
 
-SCHEMA_VERSION = 1
-
 MIN_PRECISION = 8
 MAX_PRECISION = 256
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the command path, input files, and the three
-    global knobs."""
-
-    command: tuple[str, ...]
-    paths: tuple[str, ...]
-    output_format: str
-    precision: int | None
-    seed: int | None
 
 
 def _load_json(path: str) -> dict:
@@ -176,15 +162,9 @@ def _cmd_adjunction(args) -> dict:
     def compute(trunc):
         config = _prepare_config(args.path, trunc)
         report = adjunction_report(config)
-        out = {
-            "schema": SCHEMA_VERSION,
-            "lhs": format_rational(report.lhs),
-            "rhs": format_rational(report.rhs),
-            "holds": report.holds,
-            "contributions": [c.to_json() for c in report.contributions],
-        }
+        out = report.to_json()
         out["verdict"] = (
-            embeddedness_verdict(config).to_json() if report.holds else None
+            embeddedness_verdict(report).to_json() if report.holds else None
         )
         return out
 
@@ -195,14 +175,7 @@ def _cmd_intersect(args) -> dict:
     def compute(trunc):
         first = _prepare_config(args.path_a, trunc)
         second = _prepare_config(args.path_b, trunc)
-        report = intersection_report(first, second)
-        return {
-            "schema": SCHEMA_VERSION,
-            "algebraic": format_rational(report.algebraic),
-            "local_sum": format_rational(report.local_sum),
-            "holds": report.holds,
-            "contributions": [c.to_json() for c in report.contributions],
-        }
+        return intersection_report(first, second).to_json()
 
     return _with_retries(compute, args.precision)
 
@@ -266,7 +239,7 @@ def _sweep_row(p: int, q: int) -> dict:
     model = build_model(p, q, q)
     config = c0_config(model)
     report = adjunction_report(config)
-    verdict = embeddedness_verdict(config) if report.holds else None
+    verdict = embeddedness_verdict(report) if report.holds else None
     index = c0_index(model)
     profile = genus_bound_profile(
         model, sorted({Fraction(1, p), Fraction(1, 2), Fraction(1)})
@@ -290,7 +263,7 @@ def _sweep_row(p: int, q: int) -> dict:
             and partner_report.holds
             and meeting.holds
             and meeting.algebraic == Fraction(1, p + q)
-            and embeddedness_verdict(partner).embedded
+            and embeddedness_verdict(partner_report).embedded
         )
     return {
         "p": p,
@@ -335,14 +308,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
         metavar="N",
         help=f"series truncation override, {MIN_PRECISION}..{MAX_PRECISION}; "
         "doubled automatically while a result is unresolved",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS if leaf else None,
-        metavar="S",
-        help="seed for randomized subcommands (reserved; current commands "
-        "are deterministic)",
     )
 
 
@@ -433,39 +398,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_config(args) -> RunConfig:
-    paths = tuple(
-        getattr(args, name)
-        for name in ("path", "path_a", "path_b")
-        if getattr(args, name, None) is not None
-    )
-    command = tuple(
-        part
-        for part in (args.command, getattr(args, "verb", None))
-        if part is not None
-    )
-    return RunConfig(
-        command=command,
-        paths=paths,
-        output_format=args.output_format,
-        precision=args.precision,
-        seed=args.seed,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = run_config(args)
-    if config.precision is not None and not (
-        MIN_PRECISION <= config.precision <= MAX_PRECISION
+    if args.precision is not None and not (
+        MIN_PRECISION <= args.precision <= MAX_PRECISION
     ):
         print(
             f"error: --precision must be in {MIN_PRECISION}..{MAX_PRECISION}, "
-            f"got {config.precision}",
+            f"got {args.precision}",
             file=sys.stderr,
         )
         return 2
@@ -477,7 +421,7 @@ def main(argv=None) -> int:
     except (OSError, LookupError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(payload, config.output_format))
+    sys.stdout.write(emit_report(payload, args.output_format))
     return 0
 
 

@@ -621,11 +621,11 @@ class EmbeddednessVerdict:
         }
 
 
-def embeddedness_verdict(c: CurveConfig) -> EmbeddednessVerdict:
-    """EmbeddedSuborbifold when every local contribution vanishes (so
-    the virtual genus equals the domain genus); otherwise the defect is
-    the total local contribution rhs - g_Sigma."""
-    report = adjunction_report(c)
+def embeddedness_verdict(report: AdjunctionReport) -> EmbeddednessVerdict:
+    """Verdict read from a configuration's adjunction report:
+    EmbeddedSuborbifold when every local contribution vanishes (so the
+    virtual genus equals the domain genus); otherwise the defect is the
+    total local contribution rhs - g_Sigma."""
     if not report.holds:
         raise AdjunctionViolated(
             f"adjunction fails on this configuration: lhs {report.lhs} != "

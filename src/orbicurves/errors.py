@@ -33,11 +33,6 @@ class DistinctBranchesRequired(InvalidInput):
     branch."""
 
 
-class NotNormalizable(ArithmeticError):
-    """No Gaussian-rational change of parameter brings the first
-    coordinate series to pure monomial form."""
-
-
 class MultiplyCovered(InvalidInput):
     """The parametrization factors through a power of the parameter, so
     it does not describe an irreducible branch."""

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, modular inverses.
+"""Exact scalar arithmetic: rationals, Gaussian rationals, modular
+inverses and the fourth roots of unity.
 
 Everything downstream (lens-space congruences, genus formulas, series
 coefficients) is built on these scalars.  No floating point appears
@@ -176,189 +177,3 @@ FOURTH_ROOTS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
 def fourth_root_power(k: int) -> GaussianRational:
     """i^k as an exact Gaussian rational."""
     return FOURTH_ROOTS[k % 4]
-
-
-def integer_nth_root(x: int, n: int) -> int | None:
-    """Exact n-th root of a nonnegative integer, or None."""
-    if x < 0 or n < 1:
-        raise InvalidInput(f"need x >= 0 and n >= 1, got ({x}, {n})")
-    if x in (0, 1) or n == 1:
-        return x
-    r = int(round(x ** (1.0 / n)))
-    # float seed can be off by a few for large x; correct by search
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r if r**n == x else None
-
-
-def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
-    """Exact rational n-th root, or None.  Negative x allowed for odd n."""
-    x = Fraction(x)
-    if x < 0:
-        if n % 2 == 0:
-            return None
-        r = rational_nth_root(-x, n)
-        return None if r is None else -r
-    num = integer_nth_root(x.numerator, n)
-    den = integer_nth_root(x.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the magnitudes seen here."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization by trial division plus a primality check for
-    the cofactor.  Raises ArithmeticError when the cofactor is a large
-    composite out of reach of trial division."""
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n and f < 1_000_000:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        if not _is_probable_prime(n):
-            raise ArithmeticError(f"cannot factor large composite {n}")
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _gi_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_divmod(a: tuple[int, int], b: tuple[int, int]):
-    """Nearest-lattice-point division in Z[i]; remainder norm < norm(b)."""
-    nb = b[0] * b[0] + b[1] * b[1]
-    num = _gi_mul(a, (b[0], -b[1]))
-    qx = (2 * num[0] + nb) // (2 * nb)
-    qy = (2 * num[1] + nb) // (2 * nb)
-    q = (qx, qy)
-    r = (a[0] - _gi_mul(q, b)[0], a[1] - _gi_mul(q, b)[1])
-    return q, r
-
-
-def _gi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    while b != (0, 0):
-        _, r = _gi_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def _gi_canonical(z: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Canonical associate (x > 0, y >= 0) and the power of i relating
-    z = i^k * canonical."""
-    for k in range(4):
-        x, y = z
-        if x > 0 and y >= 0:
-            return (x, y), k
-        z = (-z[1], z[0])  # multiply by i
-    raise InvalidInput("zero has no canonical associate")
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for a in range(2, p):
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            return pow(a, (p - 1) // 4, p)
-    raise ArithmeticError(f"no square root of -1 mod {p}")
-
-
-def _factor_gaussian(z: tuple[int, int]) -> tuple[int, dict[tuple[int, int], int]]:
-    """Factor a nonzero Gaussian integer as i^k * prod(pi^e) over
-    canonical Gaussian primes."""
-    if z == (0, 0):
-        raise InvalidInput("cannot factor zero")
-    norm = z[0] * z[0] + z[1] * z[1]
-    exps: dict[tuple[int, int], int] = {}
-    for p, _ in sorted(_factor_int(norm).items()):
-        if p == 2:
-            candidates = [(1, 1)]
-        elif p % 4 == 3:
-            candidates = [(p, 0)]
-        else:
-            u = _sqrt_minus_one_mod(p)
-            pi = _gi_canonical(_gi_gcd((p, 0), (u, 1)))[0]
-            candidates = [pi, _gi_canonical((pi[0], -pi[1]))[0]]
-        for pi in candidates:
-            while True:
-                q, r = _gi_divmod(z, pi)
-                if r != (0, 0):
-                    break
-                z = q
-                exps[pi] = exps.get(pi, 0) + 1
-    unit_map = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-    if z not in unit_map:
-        raise ArithmeticError(f"incomplete Gaussian factorization, residue {z}")
-    return unit_map[z], exps
-
-
-def gaussian_nth_root(c: GaussianRational, n: int) -> GaussianRational | None:
-    """Exact n-th root in Q(i), or None when no such root exists.
-
-    Decided by Gaussian-integer factorization: a root exists iff every
-    Gaussian-prime exponent is divisible by n and the leftover unit i^k
-    is an n-th power of a unit.  Raises ArithmeticError when the inputs
-    are too large to factor by trial division.
-    """
-    if n < 1:
-        raise InvalidInput(f"root index must be >= 1, got {n}")
-    if c.is_zero():
-        return GR_ZERO
-    if n == 1:
-        return c
-    if c.is_rational():
-        r = rational_nth_root(c.re, n)
-        if r is not None:
-            return GaussianRational.of(r)
-    den = (c.re.denominator * c.im.denominator) // math.gcd(
-        c.re.denominator, c.im.denominator
-    )
-    num = (int(c.re * den), int(c.im * den))
-    k_num, e_num = _factor_gaussian(num)
-    k_den, e_den = _factor_gaussian((den, 0))
-    exps = dict(e_num)
-    for pi, e in e_den.items():
-        exps[pi] = exps.get(pi, 0) - e
-    k = (k_num - k_den) % 4
-    if any(e % n for e in exps.values()):
-        return None
-    j = next((j for j in range(4) if (j * n) % 4 == k), None)
-    if j is None:
-        return None
-    root = fourth_root_power(j)
-    for (x, y), e in exps.items():
-        root = root * GaussianRational.of(Fraction(x), Fraction(y)) ** (e // n)
-    assert root**n == c, "n-th root reconstruction failed"
-    return root

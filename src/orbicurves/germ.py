@@ -35,7 +35,6 @@ from .errors import (
     EquivarianceViolated,
     InvalidInput,
     MultiplyCovered,
-    NotNormalizable,
     PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
@@ -45,7 +44,6 @@ from .exact import (
     GR_ZERO,
     GaussianRational,
     fourth_root_power,
-    gaussian_nth_root,
     parse_rational,
 )
 from .lens import SingularityType
@@ -638,22 +636,15 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> Pow
     """Rewrite the branch so the first coordinate is exactly t^n and
     return the second coordinate in the new parameter.
 
-    Uses eta(t) = root * t * unit^(1/n) with eta^n = U, then solves
+    The rescaling z1 -> z1/lead is a linear change of coordinates on
+    C^2, so it leaves the characteristic exponents and delta unchanged
+    and no n-th root of lead is needed.
+    Uses eta(t) = t * unit^(1/n) with eta^n = U/lead, then solves
     V = W(eta) for W by a triangular pass; no series reversion needed.
-    Raises NotNormalizable when the leading coefficient has no n-th
-    root in Q(i).
     """
     lead = u.coeff(n)
-    try:
-        root = gaussian_nth_root(lead, n)
-    except ArithmeticError as exc:
-        raise NotNormalizable(f"cannot decide n-th root exactly: {exc}") from exc
-    if root is None:
-        raise NotNormalizable(
-            f"leading coefficient {lead} has no {n}-th root in Q(i)"
-        )
     unit = u.shift(-n).scale(GR_ONE / lead)  # constant term 1
-    eta = unit.nth_root_of_unit_series(n).scale(root).shift(1)
+    eta = unit.nth_root_of_unit_series(n).shift(1)
     # eta is known mod t^(u.trunc - n + 1); the solve cannot see past that
     bound = _tmin(u.trunc - n + 1, v.trunc)
     if bound < 2:
@@ -669,10 +660,9 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> Pow
         c = residual.coeff(k)
         if c.is_zero():
             continue
-        lead_k = eta_pows[k].coeff(k)
-        b_k = c / lead_k
-        out[k] = b_k
-        residual = residual - eta_pows[k].scale(b_k)
+        # eta^k = t^k + O(t^(k+1)), so c is W's k-th coefficient
+        out[k] = c
+        residual = residual - eta_pows[k].scale(c)
     return PowerSeries(out, bound)
 
 
@@ -724,84 +714,13 @@ def _delta_from_characteristic(beta0: int, betas: list[int]) -> int:
     return mu // 2
 
 
-def _delta_semigroup(germ: CurveGerm) -> int:
-    """Fallback delta: count gaps of the value semigroup, detected by
-    exact linear algebra over windows of attained orders."""
-    u, v = germ.U, germ.V
-    if u.is_zero_to_precision() or (
-        not v.is_zero_to_precision() and v.order() < u.order()
-    ):
-        u, v = v, u
-    n = u.order()
-    bound = germ.truncation()
-    window = bound - 1  # orders < bound are the ones the data certifies
-
-    # rows: coefficient vectors of monomials U^a V^b below the window
-    mons: list[PowerSeries] = []
-    pu: list[PowerSeries] = [PowerSeries.const(GR_ONE).with_truncation(bound)]
-    while True:
-        nxt = pu[-1] * u
-        if nxt.is_zero_to_precision() or nxt.order() > window:
-            break
-        pu.append(nxt)
-    for base in pu:
-        cur = base
-        while True:
-            mons.append(cur)
-            cur = cur * v
-            if cur.is_zero_to_precision() or cur.order() > window:
-                break
-
-    attained = _attained_orders(mons, window)
-    # conductor: first point from which n consecutive orders are attained
-    run, start = 0, None
-    for k in range(window + 1):
-        if k in attained:
-            run += 1
-            if run == n:
-                start = k - n + 1
-                break
-        else:
-            run = 0
-    if start is None:
-        raise PrecisionExhausted(
-            "semigroup conductor not reached within the truncation window"
-        )
-    return sum(1 for k in range(start) if k not in attained)
-
-
-def _attained_orders(series_list: list[PowerSeries], window: int) -> set[int]:
-    """Orders attained by the linear span of the given series, found by
-    echelon reduction with lowest-order pivoting."""
-    rows = [dict(s.terms) for s in series_list if s.terms]
-    pivots: dict[int, dict[int, GaussianRational]] = {}
-    for row in rows:
-        while row:
-            o = min(row)
-            if o > window:
-                break
-            if o not in pivots:
-                pivots[o] = row
-                break
-            lead = pivots[o][o]
-            factor = row[o] / lead
-            for e, c in pivots[o].items():
-                acc = row.get(e, GR_ZERO) - factor * c
-                if acc.is_zero():
-                    row.pop(e, None)
-                else:
-                    row[e] = acc
-    return set(pivots)
-
-
 def self_intersection(germ: CurveGerm) -> int:
     """Local self-intersection (delta invariant) of one branch: the
     number of double points concentrated at the singularity.
 
-    Primary path: characteristic exponents of the normalized
-    parametrization.  When the leading coefficient admits no n-th root
-    in Q(i) the exact but slower semigroup-gap computation is used.
-    Twists scale coordinates by units and never change delta.
+    Computed from the characteristic exponents of the normalized
+    parametrization.  Twists scale coordinates by units and never
+    change delta.
     """
     exps = [e for s in (germ.U, germ.V) for e in s.support()]
     g = math.gcd(*exps)
@@ -811,8 +730,5 @@ def self_intersection(germ: CurveGerm) -> int:
         )
     if germ.multiplicity() == 1:
         return 0
-    try:
-        beta0, betas = characteristic_exponents(germ)
-    except NotNormalizable:
-        return _delta_semigroup(germ)
+    beta0, betas = characteristic_exponents(germ)
     return _delta_from_characteristic(beta0, betas)

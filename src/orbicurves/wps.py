@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .chern_index import IndexReport, kawasaki_index
 from .curvecalc import (
+    SCHEMA_VERSION,
     AmbientModel,
     CurveClass,
     CurveConfig,
@@ -30,8 +31,6 @@ from .exact import format_rational
 from .germ import germ_from_polynomials
 from .lens import CongruenceRecord, SingularityType, cobordism_congruence
 from .surface import OrbifoldSurface, orbifold_genus
-
-SCHEMA_VERSION = 1
 
 POINT_X = "x"
 POINT_X_PRIME = "x_prime"
@@ -233,6 +232,7 @@ def dossier(m: WpsModel) -> dict:
     record = m.congruence()
     cases = c0prime_cases(m)
     c0 = c0_config(m)
+    c0_report = adjunction_report(c0)
     index = c0_index(m)
     out = {
         "schema": SCHEMA_VERSION,
@@ -258,8 +258,8 @@ def dossier(m: WpsModel) -> dict:
         "C0": {
             "virtual_genus": format_rational(virtual_genus(c0)),
             "domain_genus": format_rational(orbifold_genus(c0.domain)),
-            "adjunction": adjunction_report(c0).to_json(),
-            "verdict": str(embeddedness_verdict(c0)),
+            "adjunction": c0_report.to_json(),
+            "verdict": str(embeddedness_verdict(c0_report)),
         },
     }
     samples = sorted({Fraction(1, m.p), Fraction(1, 2), Fraction(1)})
@@ -267,14 +267,15 @@ def dossier(m: WpsModel) -> dict:
     out["genus_bound"] = profile.to_json()
     if cases:
         cp = c0prime_config(m)
+        cp_report = adjunction_report(cp)
         out["case"] = cases[0]
         out["C0_prime"] = {
             "class_fraction": format_rational(cp.curve_class.coords[0]),
             "virtual_genus": format_rational(virtual_genus(cp)),
             "domain_genus": format_rational(orbifold_genus(cp.domain)),
             "self_pairing": format_rational(algebraic_intersection(cp, cp)),
-            "adjunction": adjunction_report(cp).to_json(),
-            "verdict": str(embeddedness_verdict(cp)),
+            "adjunction": cp_report.to_json(),
+            "verdict": str(embeddedness_verdict(cp_report)),
         }
         out["intersection_C0_C0_prime"] = intersection_report(c0, cp).to_json()
     else:

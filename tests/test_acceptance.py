@@ -105,13 +105,13 @@ def test_acceptance_2_adjunction_end_to_end():
             rep = adjunction_report(cfg)
             assert rep.holds
             assert rep.lhs == Fraction(1, 2) - Fraction(1, 2 * (p + q))
-            assert embeddedness_verdict(cfg).embedded
+            assert embeddedness_verdict(adjunction_report(cfg)).embedded
             for qprime in allowed_q_set(p, q):
                 prime = c0prime_config(build_model(p, q, qprime))
                 prep = adjunction_report(prime)
                 want = 1 - Fraction(2 * p + q, 2 * p * (p + q))
                 assert prep.holds and prep.lhs == prep.rhs == want
-                assert embeddedness_verdict(prime).embedded
+                assert embeddedness_verdict(adjunction_report(prime)).embedded
 
         def cusp_at(tag, label):
             return station(
@@ -145,7 +145,8 @@ def test_acceptance_2_adjunction_end_to_end():
         for cfg, lhs, defect in plane_corpus:
             rep = adjunction_report(cfg)
             assert rep.holds and rep.lhs == lhs and rep.local_total() == defect
-            assert str(embeddedness_verdict(cfg)) == f"Singular(defect={defect})"
+            verdict = embeddedness_verdict(adjunction_report(cfg))
+            assert str(verdict) == f"Singular(defect={defect})"
 
 
 def test_acceptance_3_intersection_formula():

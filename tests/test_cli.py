@@ -10,10 +10,8 @@ import pytest
 from orbicurves.cli import (
     MAX_PRECISION,
     MIN_PRECISION,
-    RunConfig,
     _build_parser,
     emit_report,
-    run_config,
 )
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
@@ -76,16 +74,15 @@ class TestFlagPlacement:
         args = parser.parse_args(
             ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
         )
-        cfg = run_config(args)
-        assert cfg == RunConfig(
-            command=("intersect",),
-            paths=("a.json", "b.json"),
-            output_format="table",
-            precision=16,
-            seed=None,
+        assert (args.command, args.path_a, args.path_b) == (
+            "intersect",
+            "a.json",
+            "b.json",
         )
+        assert args.output_format == "table"
+        assert args.precision == 16
         args = parser.parse_args(["wps", "report", "5", "2", "2"])
-        assert run_config(args).command == ("wps", "report")
+        assert (args.command, args.verb) == ("wps", "report")
 
 
 class TestPrecisionRetry:

@@ -267,8 +267,8 @@ class TestLocalContributions:
         via_double = plane_curve(3, doubles=[node()])
         assert pair == 1
         assert adjunction_report(via_station).rhs == adjunction_report(via_double).rhs
-        assert str(embeddedness_verdict(via_station)) == str(
-            embeddedness_verdict(via_double)
+        assert str(embeddedness_verdict(adjunction_report(via_station))) == str(
+            embeddedness_verdict(adjunction_report(via_double))
         )
 
 
@@ -277,13 +277,14 @@ class TestAdjunction:
         for d in (1, 2):
             rep = adjunction_report(plane_curve(d))
             assert rep.holds and rep.lhs == 0
-            assert str(embeddedness_verdict(plane_curve(d))) == "EmbeddedSuborbifold"
+            verdict = embeddedness_verdict(adjunction_report(plane_curve(d)))
+            assert str(verdict) == "EmbeddedSuborbifold"
 
     def test_nodal_cubic(self):
         cfg = plane_curve(3, doubles=[node()])
         rep = adjunction_report(cfg)
         assert rep.holds and rep.lhs == 1 and rep.local_total() == 1
-        assert str(embeddedness_verdict(cfg)) == "Singular(defect=1)"
+        assert str(embeddedness_verdict(adjunction_report(cfg))) == "Singular(defect=1)"
 
     def test_cuspidal_cubic(self):
         cfg = plane_curve(3, stations=[cusp_station()])
@@ -291,7 +292,7 @@ class TestAdjunction:
         assert rep.holds and rep.lhs == 1
         kinds = [c.kind for c in rep.contributions]
         assert kinds == ["domain_genus", "point"]
-        assert str(embeddedness_verdict(cfg)) == "Singular(defect=1)"
+        assert str(embeddedness_verdict(adjunction_report(cfg))) == "Singular(defect=1)"
 
     def test_inconsistent_config_fails_adjunction(self):
         # a cubic with no singular points cannot satisfy genus 1 = 0
@@ -299,7 +300,7 @@ class TestAdjunction:
         rep = adjunction_report(cfg)
         assert not rep.holds
         with pytest.raises(AdjunctionViolated):
-            embeddedness_verdict(cfg)
+            embeddedness_verdict(adjunction_report(cfg))
 
     def test_report_json_shape(self):
         data = adjunction_report(plane_curve(3, doubles=[node()])).to_json()
@@ -314,14 +315,14 @@ class TestWeightedModelCurves:
             rep = adjunction_report(cfg)
             assert rep.holds
             assert rep.lhs == Fraction(1, 2) - Fraction(1, 2 * (p + q))
-            assert embeddedness_verdict(cfg).embedded
+            assert embeddedness_verdict(adjunction_report(cfg)).embedded
 
     def test_c0_prime_embedded_and_self_pairing(self):
         m = build_model(5, 2, 2)
         cfg = c0prime_config(m)
         assert algebraic_intersection(cfg, cfg) == Fraction(1, 35)
         assert adjunction_report(cfg).holds
-        assert embeddedness_verdict(cfg).embedded
+        assert embeddedness_verdict(adjunction_report(cfg)).embedded
 
     def test_c0_meets_c0_prime(self):
         m = build_model(5, 2, 2)

@@ -1,5 +1,5 @@
 """Exact arithmetic: rational text form, modular inverses, Gaussian
-rationals, and n-th roots inside the Gaussian rationals."""
+rationals, and the fourth roots of unity."""
 
 from fractions import Fraction
 
@@ -13,12 +13,9 @@ from orbicurves.exact import (
     GaussianRational,
     format_rational,
     fourth_root_power,
-    gaussian_nth_root,
-    integer_nth_root,
     is_integer,
     mod_inverse,
     parse_rational,
-    rational_nth_root,
 )
 
 
@@ -119,42 +116,3 @@ class TestRoots:
         for k in range(8):
             assert fourth_root_power(k) == FOURTH_ROOTS[k % 4]
 
-    def test_integer_nth_root(self):
-        assert integer_nth_root(27, 3) == 3
-        assert integer_nth_root(10, 2) is None
-        with pytest.raises(InvalidInput):
-            integer_nth_root(-27, 3)
-
-    def test_rational_nth_root(self):
-        assert rational_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
-        assert rational_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
-        assert rational_nth_root(Fraction(-1, 4), 2) is None
-        assert rational_nth_root(Fraction(2), 2) is None
-
-    def test_gaussian_square_roots(self):
-        # 2i = (1+i)^2
-        root = gaussian_nth_root(GaussianRational.of(0, 2), 2)
-        assert root is not None and root**2 == GaussianRational.of(0, 2)
-
-    def test_gaussian_root_of_rational(self):
-        root = gaussian_nth_root(GaussianRational.of(-4), 2)
-        assert root is not None and root**2 == GaussianRational.of(-4)
-
-    def test_gaussian_cube_root(self):
-        z = GaussianRational.of(2, 11)  # (2+i)^3
-        root = gaussian_nth_root(z, 3)
-        assert root is not None and root**3 == z
-
-    def test_no_root_in_gaussian_field(self):
-        assert gaussian_nth_root(GaussianRational.of(2), 2) is None
-        assert gaussian_nth_root(GaussianRational.of(0, 1), 2) is None
-
-    def test_root_of_one(self):
-        assert gaussian_nth_root(GR_ONE, 5) == GR_ONE
-
-    def test_unit_obstruction(self):
-        # 4i = 2 (1+i)^2; its square root needs sqrt(2) and must fail
-        assert gaussian_nth_root(GaussianRational.of(0, 4), 2) is None
-        # -4 = (1+i)^4 does have one
-        root = gaussian_nth_root(GaussianRational.of(-4), 2)
-        assert root**2 == GaussianRational.of(-4)

@@ -7,7 +7,6 @@ from orbicurves.errors import (
     EquivarianceViolated,
     InvalidInput,
     MultiplyCovered,
-    NotNormalizable,
     PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
@@ -286,12 +285,17 @@ class TestBranchInvariants:
     def test_smooth_branch_has_delta_zero(self):
         assert self_intersection(germ_from_polynomials({1: 1}, {5: 3})) == 0
 
-    def test_delta_survives_non_gaussian_leading_coefficient(self):
-        # sqrt(2) is not in Q(i): the exponent path fails and the
-        # semigroup fallback must still see one double point
-        g = germ_from_polynomials({2: 2}, {3: 1})
-        with pytest.raises(NotNormalizable):
-            characteristic_exponents(g)
+    @pytest.mark.parametrize(
+        "lead",
+        [2, 2 * (10**33 + 3) * (10**33 + 7), 2 * 10**400 + 1],
+        ids=["two", "large-composite", "beyond-float-range"],
+    )
+    def test_cusp_with_hostile_leading_coefficient(self, lead):
+        # no n-th root of the leading coefficient is taken, so leads
+        # without a root in Q(i), hard to factor, or too large for a
+        # float all give the plain cusp
+        g = germ_from_polynomials({2: lead}, {3: 1})
+        assert characteristic_exponents(g) == (2, [3])
         assert self_intersection(g) == 1
 
     def test_multiple_cover_rejected(self):

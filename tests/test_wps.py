@@ -58,7 +58,7 @@ class TestGeneratingCurve:
             rep = adjunction_report(cfg)
             assert rep.holds
             assert rep.lhs == Fraction(1, 2) - Fraction(1, 2 * (p + q))
-            assert embeddedness_verdict(cfg).embedded
+            assert embeddedness_verdict(adjunction_report(cfg)).embedded
 
     def test_c0_self_pairing_and_c1(self):
         m = build_model(5, 2, 2)
@@ -88,7 +88,7 @@ class TestFractionCurve:
         for case in ("A", "B"):
             cfg = c0prime_config(m, case=case)
             assert adjunction_report(cfg).holds
-            assert embeddedness_verdict(cfg).embedded
+            assert embeddedness_verdict(adjunction_report(cfg)).embedded
 
     def test_disallowed_raises(self):
         with pytest.raises(Disallowed):
@@ -104,7 +104,7 @@ class TestFractionCurve:
                 m = build_model(p, q, qp)
                 cp = c0prime_config(m)
                 assert algebraic_intersection(cp, cp) == Fraction(1, p * (p + q))
-                assert embeddedness_verdict(cp).embedded
+                assert embeddedness_verdict(adjunction_report(cp)).embedded
                 rep = intersection_report(c0_config(m), cp)
                 assert rep.holds and rep.algebraic == Fraction(1, p + q)
 
