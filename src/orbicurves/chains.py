@@ -15,6 +15,7 @@ face omits vertex i and enters the boundary with sign (-1)^i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ def _as_simplex(vertices) -> Simplex:
     vs = tuple(vertices)
     if not vs:
         raise InvalidInput("a simplex needs at least one vertex")
-    if any(not isinstance(v, int) or v < 0 for v in vs):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in vs):
         raise InvalidInput(f"vertices must be non-negative integers: {vs}")
     if len(set(vs)) != len(vs):
         raise InvalidInput(f"repeated vertex in simplex {vs}")
@@ -76,13 +77,15 @@ class WeightedComplex:
                     if f not in closed:
                         closed.add(f)
                         stack.append(f)
+        if not closed:
+            raise InvalidInput("a complex needs at least one simplex")
         ordered = tuple(sorted(closed, key=lambda s: (len(s), s)))
         table = {}
         for key, value in (orders or {}).items():
             s = _as_simplex(key) if not isinstance(key, str) else _parse_simplex_key(key)
             if s not in closed:
                 raise InvalidInput(f"order given for missing simplex {s}")
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidInput(f"order of {s} must be a positive integer, got {value!r}")
             if value != 1:
                 table[s] = value
@@ -221,48 +224,55 @@ def boundary_squared_is_zero(w: WeightedComplex) -> bool:
     return True
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of a sparse integer matrix, one {column: entry} dict
+    per row, by fraction-free column reduction: each row is reduced on
+    its largest column against the pivot row owning that column
+    (row <- a*row - b*pivot with a, b nonzero) and divided by the gcd of
+    its entries.  Scaling a row by a nonzero integer keeps its span over
+    Q, so the number of pivots is the exact rank."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = math.gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
+    return len(pivots)
 
 
-def _boundary_matrix(w: WeightedComplex, r: int) -> list[list[Fraction]]:
-    """Matrix of the weighted boundary from r-simplices to (r-1)-simplices,
-    one row per r-simplex."""
-    source = w.of_dimension(r)
+def _boundary_matrix(w: WeightedComplex, r: int) -> list[dict[int, int]]:
+    """Sparse matrix of the weighted boundary from r-simplices to
+    (r-1)-simplices, one {face index: entry} row per r-simplex.  The
+    entry of the i-th face f of s is (-1)^i |G_f| / |G_s|, a nonzero
+    integer by the divisibility invariant."""
     target = {s: j for j, s in enumerate(w.of_dimension(r - 1))}
     rows = []
-    for s in source:
-        row = [Fraction(0)] * len(target)
-        image = boundary(Chain.of(s), w)
-        for f, c in image.coeffs.items():
-            row[target[f]] = c
-        rows.append(row)
+    for s in w.of_dimension(r):
+        g = w.order(s)
+        rows.append(
+            {target[f]: (-1) ** i * (w.order(f) // g) for i, f in enumerate(faces(s))}
+        )
     return rows
 
 
 def homology_betti(w: WeightedComplex) -> list[int]:
     """Rational Betti numbers of the weighted chain complex, dimension
-    by dimension, via exact elimination."""
+    by dimension, from the ranks of the weighted boundary matrices, taken
+    exactly by sparse fraction-free column reduction."""
     dim = w.dimension()
     ranks = [0] * (dim + 2)
     for r in range(1, dim + 1):
@@ -388,7 +398,9 @@ class GroupComplexFull:
         return self.groups[simplex]
 
     def hom(self, big: Simplex, small: Simplex) -> list[int]:
-        key = _edge_key(big, small)
+        return self._hom(_edge_key(big, small), big, small)
+
+    def _hom(self, key: str, big: Simplex, small: Simplex) -> list[int]:
         if key not in self.homs:
             raise MalformedTable(f"missing homomorphism for face relation {key}")
         images = list(self.homs[key])
@@ -401,6 +413,9 @@ class GroupComplexFull:
 
     def twist(self, big: Simplex, mid: Simplex, small: Simplex) -> int:
         key = f"{_simplex_key(big)}|{_simplex_key(mid)}|{_simplex_key(small)}"
+        return self._twist(key, small)
+
+    def _twist(self, key: str, small: Simplex) -> int:
         value = self.twists.get(key, 0)
         if not isinstance(value, int) or not 0 <= value < self.group(small).order:
             raise MalformedTable(f"twist {key} is out of range")
@@ -424,12 +439,19 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
     cocycle identities hold on all composable pairs and triples.
     Structurally broken tables raise MalformedTable; values that merely
     fail the identities return False.
+
+    The face relations are indexed once as below[big] -> [small, ...],
+    so the composable pairs big > mid > small are the relations (big,
+    mid) followed by below[mid], and the triples extend them by
+    below[small].
     """
     w = g.complex
     relations = _face_relations(w)
+    key = {s: _simplex_key(s) for s in w.simplices}
+    below: dict[Simplex, list[Simplex]] = {s: [] for s in w.simplices}
     psi = {}
     for big, small in relations:
-        images = g.hom(big, small)
+        images = g._hom(f"{key[big]}|{key[small]}", big, small)
         gb, gs = g.group(big), g.group(small)
         if len(set(images)) != len(images):
             return False
@@ -440,35 +462,28 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
                 if images[gb.mul(i, j)] != gs.mul(images[i], images[j]):
                     return False
         psi[(big, small)] = images
-    rel_set = set(relations)
-    chains2 = [
-        (big, mid, small)
-        for big, mid in relations
-        for mid2, small in relations
-        if mid2 == mid and (big, small) in rel_set
-    ]
-    for big, mid, small in chains2:
-        gsm = g.group(small)
-        t = g.twist(big, mid, small)
-        t_inv = gsm.inverse(t)
-        a = psi[(mid, small)]
+        below[big].append(small)
+    twist = {}
+    for big, mid in relations:
         b = psi[(big, mid)]
-        ab = psi[(big, small)]
-        for x in range(g.group(big).order):
-            lhs = gsm.mul(gsm.mul(t, ab[x]), t_inv)
-            rhs = a[b[x]]
-            if lhs != rhs:
-                return False
-    for big, mid, small in chains2:
-        for mid2, tiny in relations:
-            if mid2 != small or (big, tiny) not in rel_set or (mid, tiny) not in rel_set:
-                continue
+        for small in below[mid]:
+            gsm = g.group(small)
+            t = g._twist(f"{key[big]}|{key[mid]}|{key[small]}", small)
+            twist[(big, mid, small)] = t
+            t_inv = gsm.inverse(t)
+            a = psi[(mid, small)]
+            ab = psi[(big, small)]
+            for x in range(g.group(big).order):
+                lhs = gsm.mul(gsm.mul(t, ab[x]), t_inv)
+                rhs = a[b[x]]
+                if lhs != rhs:
+                    return False
+    # every twist of a triple below was range-checked in the pair loop
+    for (big, mid, small), t in twist.items():
+        for tiny in below[small]:
             gt = g.group(tiny)
-            lhs = gt.mul(
-                psi[(small, tiny)][g.twist(big, mid, small)],
-                g.twist(big, small, tiny),
-            )
-            rhs = gt.mul(g.twist(mid, small, tiny), g.twist(big, mid, tiny))
+            lhs = gt.mul(psi[(small, tiny)][t], twist[(big, small, tiny)])
+            rhs = gt.mul(twist[(mid, small, tiny)], twist[(big, mid, tiny)])
             if lhs != rhs:
                 return False
     return True

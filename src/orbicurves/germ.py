@@ -710,7 +710,8 @@ def _delta_from_characteristic(beta0: int, betas: list[int]) -> int:
         e_next = math.gcd(e_prev, beta)
         mu += (e_prev - e_next) * beta
         e_prev = e_next
-    assert mu % 2 == 0, "branch Milnor number must be even"
+    if mu % 2 != 0:
+        raise ArithmeticError("branch Milnor number must be even")
     return mu // 2
 
 

@@ -148,7 +148,8 @@ def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:
     _check_lens_params(p, qprime, name="q'")
     l = mod_inverse(p, p + q)
     num = 1 - l * p
-    assert num % (p + q) == 0, "1 - l*p must be divisible by p+q"
+    if num % (p + q) != 0:
+        raise ArithmeticError("1 - l*p must be divisible by p+q")
     r = num // (p + q)
     lprime = mod_inverse(qprime, p)
 

@@ -31,3 +31,17 @@ def random_weighted_complex(
         s: math.gcd(*(vertex_order[v] for v in s)) for s in simplices
     }
     return WeightedComplex(sorted(simplices), orders)
+
+
+def cone_torus(n: int, cone_order: int) -> WeightedComplex:
+    """The n x n triangulated torus (n >= 3) with a cone point of order
+    ``cone_order`` at vertex 0."""
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a = i * n + j
+            b = (i + 1) % n * n + j
+            c = (i + 1) % n * n + (j + 1) % n
+            d = i * n + (j + 1) % n
+            triangles += [(a, b, c), (a, d, c)]
+    return WeightedComplex(triangles, {(0,): cone_order})

@@ -1,13 +1,18 @@
-"""Independent oracles for branch invariants, used only by tests.
+"""Independent oracles for branch invariants and weighted Betti numbers,
+used only by tests.
 
-Both oracles work from raw polynomial data (exponent -> (re, im) string
-pairs) and recompute the invariants along different routes than the
-package: intersection numbers via implicit equations and substitution,
-delta via the monomial staircase of the value semigroup.  Agreement is
-therefore a cross-check, not a tautology.  sympy does all arithmetic.
+The branch oracles work from raw polynomial data (exponent -> (re, im)
+string pairs) and recompute the invariants along different routes than
+the package: intersection numbers via implicit equations and
+substitution, delta via the monomial staircase of the value semigroup.
+The Betti oracle works from a raw simplex list and order table and takes
+ranks of dense sympy matrices.  Agreement is therefore a cross-check,
+not a tautology.  sympy does all arithmetic.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import sympy
 
@@ -146,3 +151,32 @@ def oracle_delta(u_terms: dict, v_terms: dict, window: int = 48) -> int:
     if conductor is None:
         raise ValueError(f"window {window} too small to close the semigroup")
     return sum(1 for n in range(1, conductor) if n not in pivots)
+
+
+def oracle_betti(simplices, orders: dict) -> list[int]:
+    """Rational Betti numbers of a weighted complex.  The simplex list is
+    closed under faces here; ``orders`` maps sorted vertex tuples to
+    group orders (missing ones are 1).  The i-th face f of a simplex s
+    enters its boundary with coefficient (-1)^i |G_f| / |G_s|, and the
+    ranks are those of dense sympy matrices."""
+    closed = set()
+    for s in simplices:
+        s = tuple(sorted(s))
+        for k in range(1, len(s) + 1):
+            closed.update(combinations(s, k))
+    by_dim: dict[int, list] = {}
+    for s in sorted(closed):
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    top = max(by_dim)
+    ranks = [0] * (top + 2)
+    for r in range(1, top + 1):
+        column = {f: j for j, f in enumerate(by_dim[r - 1])}
+        m = sympy.zeros(len(by_dim[r]), len(column))
+        for row, s in enumerate(by_dim[r]):
+            for i in range(len(s)):
+                f = s[:i] + s[i + 1 :]
+                m[row, column[f]] = (-1) ** i * sympy.Rational(
+                    orders.get(f, 1), orders.get(s, 1)
+                )
+        ranks[r] = m.rank()
+    return [len(by_dim[r]) - ranks[r] - ranks[r + 1] for r in range(top + 1)]

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,9 +23,11 @@ from orbicurves.chains import (
     to_singular,
     validate_group_complex,
 )
+from orbicurves.cli import main
 from orbicurves.errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
-from complex_gen import random_weighted_complex
+from complex_gen import cone_torus, random_weighted_complex
+from oracles import oracle_betti
 
 
 class TestWeightedComplex:
@@ -161,6 +163,20 @@ class TestHomology:
             w = random_weighted_complex(rng, n_vertices=8, n_tops=6)
             assert homology_betti(w) == homology_betti(w.underlying())
 
+    def test_matches_sympy_oracle_on_weighted_complexes(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 20:
+            w = random_weighted_complex(rng)
+            if not w.orders:
+                continue
+            assert homology_betti(w) == oracle_betti(w.simplices, w.orders)
+            checked += 1
+
+    def test_cone_torus_matches_sympy_oracle(self):
+        w = cone_torus(6, 12)
+        assert homology_betti(w) == oracle_betti(w.simplices, w.orders) == [1, 2, 1]
+
 
 class TestSingularComparison:
     def test_rescales_by_order(self):
@@ -284,6 +300,26 @@ class TestGroupComplex:
         )
         assert validate_group_complex(twisted) is False
 
+    def test_corrupted_twist_fails_only_the_triple_identity(self):
+        # every simplex has group Z/2 (the gcd weighting of vertices of
+        # order 2), so conjugation is trivial and the pair identity holds
+        # whatever the twists; the edge 0,1 has a further face, so the
+        # twist on 0,1,2,3 > 0,1,2 > 0,1 enters the triple identity,
+        # which it breaks
+        tetra = (0, 1, 2, 3)
+        w = WeightedComplex(
+            [tetra], {s: 2 for k in range(1, 5) for s in combinations(tetra, k)}
+        )
+        g = cyclic_group_complex(w)
+        assert validate_group_complex(g)
+        twisted = GroupComplexFull(
+            complex=w,
+            groups=g.groups,
+            homs=g.homs,
+            twists={"0,1,2,3|0,1,2|0,1": 1},
+        )
+        assert validate_group_complex(twisted) is False
+
     def test_out_of_range_twist_rejected(self):
         w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
         g = cyclic_group_complex(w)
@@ -363,3 +399,34 @@ class TestNonabelianConjugation:
         }
         g, _ = self.build(tri_to_vertex_fix=True, twists=twists)
         assert validate_group_complex(g)
+
+
+class TestChainsCliInput:
+    """Hostile complex files end in exit 2 with a one-line message."""
+
+    def run(self, tmp_path, capsys, verb, data):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["chains", verb, str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    def test_empty_complex(self, tmp_path, capsys, verb):
+        code, err = self.run(tmp_path, capsys, verb, {"simplices": []})
+        assert code == 2
+        assert err == "error: a complex needs at least one simplex\n"
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    def test_bool_vertex_rejected(self, tmp_path, capsys, verb):
+        code, err = self.run(tmp_path, capsys, verb, {"simplices": [[True, 2]]})
+        assert code == 2
+        assert err == "error: vertices must be non-negative integers: (True, 2)\n"
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    def test_bool_order_rejected(self, tmp_path, capsys, verb):
+        data = {"simplices": [[0, 1]], "orders": {"0": True}}
+        code, err = self.run(tmp_path, capsys, verb, data)
+        assert code == 2
+        assert err == "error: order of (0,) must be a positive integer, got True\n"

@@ -15,6 +15,7 @@ from orbicurves.exact import GR_I, GR_ONE, GaussianRational
 from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
+    _delta_from_characteristic,
     characteristic_exponents,
     germ_from_polynomials,
     germ_orbit,
@@ -302,6 +303,12 @@ class TestBranchInvariants:
         g = germ_from_polynomials({2: 1}, {4: 1})
         with pytest.raises(MultiplyCovered):
             self_intersection(g)
+
+    def test_odd_milnor_number_is_checked(self):
+        # beta0 = 2 with no characteristic exponent gives mu = -1, which
+        # must raise, also under python -O
+        with pytest.raises(ArithmeticError, match="Milnor number must be even"):
+            _delta_from_characteristic(2, [])
 
     def test_matches_independent_delta_oracle_on_sample(self):
         for name in ["cusp", "e6", "e8", "quint_cusp", "two_pair", "mult6"]:

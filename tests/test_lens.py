@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from orbicurves import lens
 from orbicurves.errors import InvalidParameters
 from orbicurves.lens import (
     LensSpace,
@@ -137,6 +138,12 @@ class TestCongruence:
             cobordism_congruence(4, 2, 1)
         with pytest.raises(InvalidParameters):
             cobordism_congruence(5, 2, 5)
+
+    def test_divisibility_invariant_is_checked(self, monkeypatch):
+        # a wrong inverse of p mod p+q must raise, also under python -O
+        monkeypatch.setattr(lens, "mod_inverse", lambda a, m: 2)
+        with pytest.raises(ArithmeticError, match="divisible by p\\+q"):
+            cobordism_congruence(5, 2, 2)
 
 
 class TestAllowedSet:
