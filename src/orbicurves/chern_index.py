@@ -13,10 +13,12 @@ index_integrality_scan reproduces that test purely through the index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameters, WeightOutOfRange
 from .exact import Fraction, is_integer, mod_inverse
+from .lens import _check_lens_params
 
 
 def _reduce_weights(m: int, weights, rank: int) -> tuple[int, ...]:
@@ -125,10 +127,7 @@ def index_integrality_scan(p: int, q: int) -> list[ScanRow]:
     l = p^{-1} mod p+q; at the second the two candidate local forms give
     weights (l', 1) with l' = q'^{-1} mod p (case A) or (1, q') (case B).
     """
-    import math
-
-    if p < 2 or not 0 < q < p or math.gcd(p, q) != 1:
-        raise InvalidParameters(f"need coprime 0 < q < p with p >= 2, got ({p}, {q})")
+    _check_lens_params(p, q)
     l = mod_inverse(p, p + q)
     c1_pair = Fraction(2 * p + q + 1, p * (p + q))
     rows = []

@@ -19,7 +19,6 @@ from .curvecalc import (
     SCHEMA_VERSION,
     CurveConfig,
     adjunction_report,
-    config_truncation,
     embeddedness_verdict,
     intersection_report,
     load_config,
@@ -185,12 +184,20 @@ def _cmd_index_eval(args) -> dict:
     if not isinstance(data, dict):
         raise InvalidInput("index input must be an object")
     try:
-        c1_pair = parse_rational(data["c1_pair"])
-        genus = data["genus"]
-        points = [(int(m), tuple(int(w) for w in ws)) for m, ws in data["points"]]
+        c1_pair, genus = data["c1_pair"], data["genus"]
+        points = [(m, tuple(ws)) for m, ws in data["points"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad index input: {exc}") from exc
-    report = kawasaki_index(c1_pair, genus, points)
+    if not isinstance(c1_pair, str):
+        raise InvalidInput(
+            f"bad index input: c1_pair must be a string, got {c1_pair!r}"
+        )
+    for value in (genus, *(v for m, ws in points for v in (m, *ws))):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInput(
+                f"bad index input: genus, orders and weights must be integers, got {value!r}"
+            )
+    report = kawasaki_index(parse_rational(c1_pair), genus, points)
     return {
         "schema": SCHEMA_VERSION,
         "d": format_rational(report.d),

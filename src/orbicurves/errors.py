@@ -76,7 +76,3 @@ class MalformedTable(InvalidInput):
     """A finite-group multiplication table or homomorphism table is not
     what it claims to be."""
 
-
-# Rational division by zero is ordinary ZeroDivisionError; give it the
-# documented name so the public surface is complete.
-DivisionByZero = ZeroDivisionError

@@ -49,7 +49,6 @@ from .exact import (
 from .lens import SingularityType
 
 DEFAULT_TRUNCATION = 32
-MAX_TRUNCATION = 256
 
 
 def _tmin(*truncs):

@@ -8,8 +8,11 @@ group Z_p acting on C^2 with weights (1, q).
 
 The obstruction computed here answers: for which q' can the standard
 singular symplectic filling machinery connect L(p, q) to L(p, q')?  The
-answer is an integrality test on a rational index (see chern_index for
-the index itself); this module packages the congruence arithmetic.
+answer is an integrality test on a rational index d (chern_index
+evaluates it).  With r = (1 - l*p)/(p+q), so that r = q^{-1} (mod p),
+the two cases give d_A = 2 + (r - l')/p and d_B = 2 + (r - q')/p, hence
+case A holds iff q' = q and case B iff q*q' = 1 (mod p).  This module
+uses that closed form; chern_index.index_integrality_scan is its oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
-from .exact import Fraction, is_integer, mod_inverse
+from .exact import mod_inverse
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +63,6 @@ class SingularityType:
         ):
             raise InvalidParameters(f"singularity type must be [a, b], got {data!r}")
         return SingularityType(data[0], data[1])
-
-
-TRIVIAL_TYPE = SingularityType(1, 0)
 
 
 def _check_lens_params(p: int, q: int, name: str = "q") -> None:
@@ -110,7 +110,9 @@ class CongruenceRecord:
     l is the inverse of p mod p+q, r the exact integer (1 - l*p)/(p+q),
     l' the inverse of q' mod p.  caseA/caseB record integrality of the
     index with the two candidate local weight patterns at the second
-    singular point; allowed means at least one case passes.
+    singular point; allowed means at least one case passes.  Since
+    d_A = 2 + (r - l')/p and d_B = 2 + (r - q')/p with r = q^{-1}
+    (mod p), caseA is q' = q and caseB is q*q' = 1 (mod p).
     """
 
     p: int
@@ -151,22 +153,15 @@ def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:
     if num % (p + q) != 0:
         raise ArithmeticError("1 - l*p must be divisible by p+q")
     r = num // (p + q)
-    lprime = mod_inverse(qprime, p)
-
-    base = (
-        Fraction(2 * p + q + 1, p * (p + q))
-        + 2
-        - Fraction(l + 1, p + q)
-    )
-    case_a = is_integer(base - Fraction(lprime + 1, p))
-    case_b = is_integer(base - Fraction(1 + qprime, p))
+    case_a = qprime == q
+    case_b = (q * qprime) % p == 1
     return CongruenceRecord(
         p=p,
         q=q,
         qprime=qprime,
         l=l,
         r=r,
-        lprime=lprime,
+        lprime=mod_inverse(qprime, p),
         caseA_integral=case_a,
         caseB_integral=case_b,
         allowed=case_a or case_b,
@@ -174,12 +169,7 @@ def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:
 
 
 def allowed_q_set(p: int, q: int) -> list[int]:
-    """All q' in (0, p) passing the congruence test, ascending."""
+    """All q' in (0, p) passing the congruence test, ascending: q and
+    q^{-1} mod p."""
     _check_lens_params(p, q)
-    out = []
-    for qprime in range(1, p):
-        if math.gcd(qprime, p) != 1:
-            continue
-        if cobordism_congruence(p, q, qprime).allowed:
-            out.append(qprime)
-    return out
+    return sorted({q, mod_inverse(q, p)})

@@ -26,10 +26,15 @@ from .curvecalc import (
     station,
     virtual_genus,
 )
-from .errors import Disallowed, InvalidInput, InvalidParameters
+from .errors import Disallowed, InvalidInput
 from .exact import format_rational
 from .germ import germ_from_polynomials
-from .lens import CongruenceRecord, SingularityType, cobordism_congruence
+from .lens import (
+    CongruenceRecord,
+    SingularityType,
+    _check_lens_params,
+    cobordism_congruence,
+)
 from .surface import OrbifoldSurface, orbifold_genus
 
 POINT_X = "x"
@@ -62,15 +67,8 @@ class WpsModel:
 def build_model(p: int, q: int, qprime: int) -> WpsModel:
     """Assemble the cap model; the congruence is not consulted here, so
     disallowed q' still produce a model (only c0prime_config objects)."""
-    import math
-
-    if p < 2:
-        raise InvalidParameters(f"p must be >= 2, got {p}")
-    for name, value in (("q", q), ("q'", qprime)):
-        if not 0 < value < p:
-            raise InvalidParameters(f"{name} must satisfy 0 < {name} < p, got {value}")
-        if math.gcd(p, value) != 1:
-            raise InvalidParameters(f"p and {name} must be coprime, got ({p}, {value})")
+    _check_lens_params(p, q)
+    _check_lens_params(p, qprime, name="q'")
     ambient = AmbientModel(
         h2_rank=1,
         pairing=((Fraction(p, p + q),),),

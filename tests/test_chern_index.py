@@ -14,7 +14,7 @@ from orbicurves.chern_index import (
     kawasaki_index,
 )
 from orbicurves.errors import InvalidParameters, WeightOutOfRange
-from orbicurves.lens import cobordism_congruence
+from orbicurves.lens import allowed_q_set, cobordism_congruence
 from orbicurves.surface import OrbifoldSurface, tangent_c1
 
 
@@ -113,6 +113,16 @@ class TestScan:
                     assert row.allowed == rec.allowed
                     assert row.caseA_integral == rec.caseA_integral
                     assert row.caseB_integral == rec.caseB_integral
+
+    def test_scan_is_the_oracle_for_the_closed_allowed_set(self):
+        # allowed_q_set is {q, q^-1 mod p}; the scan reaches it through
+        # kawasaki_index alone
+        for p in range(2, 61):
+            for q in range(1, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                scanned = [r.qprime for r in index_integrality_scan(p, q) if r.allowed]
+                assert allowed_q_set(p, q) == scanned
 
     def test_scan_skips_non_coprime(self):
         rows = index_integrality_scan(6, 1)

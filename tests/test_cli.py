@@ -148,6 +148,39 @@ class TestExitCodes:
         code, _ = run_command(["lens", "allowed", "7", "3"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"c1_pair": "12/35", "genus": 0.5, "points": [[7.9, [3, 1]]]},
+            {"c1_pair": "12/35", "genus": True, "points": [[7, [3, 1]]]},
+            {"c1_pair": "12/35", "genus": 0, "points": [[7.0, [3, 1]]]},
+            {"c1_pair": "12/35", "genus": 0, "points": [[True, [3, 1]]]},
+            {"c1_pair": "12/35", "genus": 0, "points": [[7, [3.5, 1]]]},
+            {"c1_pair": "12/35", "genus": 0, "points": [[7, [3, False]]]},
+            {"c1_pair": 0.25, "genus": 0, "points": [[7, [3, 1]]]},
+            {"c1_pair": ["12/35"], "genus": 0, "points": []},
+        ],
+        ids=[
+            "float_genus", "bool_genus", "float_order", "bool_order",
+            "float_weight", "bool_weight", "float_c1", "list_c1",
+        ],
+    )
+    def test_index_eval_rejects_non_integer_fields(self, tmp_path, capsys, data):
+        bad = tmp_path / "index.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_command(["index", "eval", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad index input:") and err.count("\n") == 1
+
+
+class TestLensAllowed:
+    def test_huge_p_returns_q_and_its_inverse(self):
+        p = 100000000000000000000000000049
+        code, out = run_command(["lens", "allowed", str(p), "7"])
+        assert code == 0
+        assert json.loads(out)["allowed"] == sorted({7, pow(7, -1, p)})
+
 
 class TestEmitReport:
     def test_json_is_newline_terminated(self):
