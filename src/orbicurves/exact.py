@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, modular
 inverses and the fourth roots of unity.
 
-Everything downstream (lens-space congruences, genus formulas, series
-coefficients) is built on these scalars.  No floating point appears
-anywhere; rationals are stdlib Fractions (arbitrary-precision integers,
-canonical reduced form with positive denominator) and Gaussian rationals
-are pairs of them.
+Everything downstream (lens-space congruences, genus formulas, the
+coefficients of germ series at the API and JSON boundary) is built on
+these scalars; series arithmetic itself runs on integers in germ.py.
+No floating point appears anywhere; rationals are stdlib Fractions
+(arbitrary-precision integers, canonical reduced form with positive
+denominator) and Gaussian rationals are pairs of them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("5")
     Fraction(5, 1)
     """
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise InvalidInput(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -130,9 +131,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:

@@ -1,16 +1,18 @@
 """Parametrized curve germs in a cyclic quotient chart and their exact
 local invariants.
 
-A germ is a pair of truncated power series (U(z), V(z)) with Gaussian
-rational coefficients and zero constant terms, the two coordinates of a
-holomorphic map of a disc into C^2, carried together with the local
-group data: the chart's cyclic action (z1, z2) -> (mu_a z1, mu_a^b z2)
-and the order m of the subgroup of Z_a preserving the image.
+A germ is a pair of truncated power series (U(z), V(z)) over Q(i) with
+zero constant terms, the two coordinates of a holomorphic map of a disc
+into C^2, carried together with the local group data: the chart's cyclic
+action (z1, z2) -> (mu_a z1, mu_a^b z2) and the order m of the subgroup
+of Z_a preserving the image.
 
 Exactness policy: truncation orders are tracked through every
 operation, including the precision cost of divisions; any answer whose
 value is not pinned down below the tracked truncation raises
-PrecisionExhausted instead of guessing.  Coefficients never leave Q(i).
+PrecisionExhausted instead of guessing.  Coefficients never leave Q(i):
+a series stores them as Gaussian-integer numerators over one positive
+integer denominator, so its arithmetic runs on integers.
 Group translates whose coefficients would need other roots of unity
 are kept symbolic (an integer twist on the germ) and materialize only
 when the needed root lies in {1, i, -1, -i}.
@@ -61,196 +63,243 @@ class PowerSeries:
     """Univariate power series over Q(i), either exact polynomial data
     (trunc None) or known only below a finite truncation order.
 
-    Equality compares coefficients below the smaller truncation, which
-    is the only comparison the data supports.
+    Coefficients are Gaussian-integer numerators num[e] = (re, im) over
+    one positive integer denominator den, with the gcd of den and every
+    numerator part divided out; GaussianRational appears only at the
+    boundary (constructor, coeff, JSON, str).  Equality compares
+    coefficients below the smaller truncation, which is the only
+    comparison the data supports.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("num", "den", "trunc", "_inverse")
 
     def __init__(self, terms, trunc=DEFAULT_TRUNCATION):
+        terms = dict(terms)
+        den = math.lcm(*(x.denominator for c in terms.values() for x in (c.re, c.im)))
+        self._set({e: (int(c.re * den), int(c.im * den)) for e, c in terms.items()}, den, trunc)
+
+    def _set(self, num: dict, den: int, trunc) -> None:
+        """Store num/den below trunc: zero terms and terms at or above
+        trunc are dropped and the content gcd is divided out."""
         if trunc is not None and trunc < 1:
             raise InvalidInput(f"truncation must be >= 1, got {trunc}")
         clean = {}
-        for e, c in dict(terms).items():
+        g = den
+        for e, c in num.items():
             if e < 0:
                 raise InvalidInput(f"negative exponent {e}")
-            if (trunc is None or e < trunc) and not c.is_zero():
+            if (trunc is None or e < trunc) and (c[0] or c[1]):
                 clean[e] = c
-        self.terms = clean
-        self.trunc = trunc
+                if g != 1:
+                    g = math.gcd(g, c[0], c[1])
+        if g != 1:  # an empty series ends with den = g // g = 1
+            den //= g
+            clean = {e: (r // g, i // g) for e, (r, i) in clean.items()}
+        self.num, self.den, self.trunc, self._inverse = clean, den, trunc, None
 
     @staticmethod
     def zero(trunc=DEFAULT_TRUNCATION) -> "PowerSeries":
-        return PowerSeries({}, trunc)
+        return _series({}, 1, trunc)
 
     @staticmethod
     def const(c: GaussianRational) -> "PowerSeries":
         return PowerSeries({0: c}, None)
 
-    @staticmethod
-    def monomial(exp: int, coeff=GR_ONE, trunc=DEFAULT_TRUNCATION) -> "PowerSeries":
-        return PowerSeries({exp: coeff}, trunc)
-
     def support(self) -> list[int]:
-        return sorted(self.terms)
+        return sorted(self.num)
 
     def coeff(self, e: int) -> GaussianRational:
-        return self.terms.get(e, GR_ZERO)
+        c = self.num.get(e)
+        if c is None:
+            return GR_ZERO
+        return GaussianRational(Fraction(c[0], self.den), Fraction(c[1], self.den))
 
     def is_zero_to_precision(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def order(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ZeroToPrecision(
                 "series is identically zero"
                 if self.trunc is None
                 else f"series vanishes below truncation {self.trunc}"
             )
-        return min(self.terms)
+        return min(self.num)
 
     def degree(self) -> int:
         """Largest exponent with a nonzero coefficient (data degree)."""
-        if not self.terms:
+        if not self.num:
             raise ZeroToPrecision("series has no terms")
-        return max(self.terms)
+        return max(self.num)
 
     def with_truncation(self, trunc) -> "PowerSeries":
         """Re-truncate.  Raising the truncation asserts the stored terms
         are exact polynomial data (the caller's responsibility)."""
-        return PowerSeries(self.terms, trunc)
+        return _series(self.num, self.den, trunc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         cut = _tmin(self.trunc, other.trunc)
-        a = {e: c for e, c in self.terms.items() if cut is None or e < cut}
-        b = {e: c for e, c in other.terms.items() if cut is None or e < cut}
+        da, db = self.den, other.den
+        a = {e: (r * db, i * db) for e, (r, i) in self.num.items() if cut is None or e < cut}
+        b = {e: (r * da, i * da) for e, (r, i) in other.num.items() if cut is None or e < cut}
         return a == b
 
     __hash__ = None
 
+    def _combine(self, other: "PowerSeries", sign: int) -> "PowerSeries":
+        """self + sign * other over the lcm of the denominators."""
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = {e: (r * fa, i * fa) for e, (r, i) in self.num.items()}
+        for e, (r, i) in other.num.items():
+            if e in out:
+                r0, i0 = out[e]
+                out[e] = (r0 + r * fb, i0 + i * fb)
+            else:
+                out[e] = (r * fb, i * fb)
+        return _series(out, self.den * fa, _tmin(self.trunc, other.trunc))
+
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, GR_ZERO) + c
-        return PowerSeries(out, _tmin(self.trunc, other.trunc))
+        return self._combine(other, 1)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries({e: -c for e, c in self.terms.items()}, self.trunc)
+        return _series({e: (-r, -i) for e, (r, i) in self.num.items()}, self.den, self.trunc)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def _value_floor(self):
         """A lower bound for the order of the full (unknown) series."""
-        if self.terms:
-            return min(self.terms)
+        if self.num:
+            return min(self.num)
         return self.trunc  # None = exactly zero, order infinite
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if (self.trunc is None and not self.terms) or (
-            other.trunc is None and not other.terms
+        if (self.trunc is None and not self.num) or (
+            other.trunc is None and not other.num
         ):
-            return PowerSeries({}, None)
+            return _series({}, 1, None)
         va, vb = self._value_floor(), other._value_floor()
         # error terms: O(t^Na)*g = O(t^(Na+vb)) and f*O(t^Nb) = O(t^(Nb+va))
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc + vb)
-        if other.trunc is not None:
-            cands.append(other.trunc + va)
-        trunc = min(cands) if cands else None
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        trunc = _tmin(
+            None if self.trunc is None else self.trunc + vb,
+            None if other.trunc is None else other.trunc + va,
+        )
+        if not self.num or not other.num:
+            return _series({}, 1, trunc)
+        a, b = sorted(self.num.items()), sorted(other.num.items())
+        size = a[-1][0] + b[-1][0] + 1
+        if trunc is not None:
+            size = min(size, trunc)
+        acc_re, acc_im = [0] * size, [0] * size
+        for e1, (r1, i1) in a:
+            for e2, (r2, i2) in b:
                 e = e1 + e2
-                if trunc is not None and e >= trunc:
-                    continue
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return PowerSeries(out, trunc)
+                if e >= size:
+                    break
+                acc_re[e] += r1 * r2 - i1 * i2
+                acc_im[e] += r1 * i2 + i1 * r2
+        out = {e: (acc_re[e], acc_im[e]) for e in range(a[0][0] + b[0][0], size)}
+        return _series(out, self.den * other.den, trunc)
+
+    def _scaled(self, re: int, im: int, d: int) -> "PowerSeries":
+        """self * (re + im*i) / d, for d > 0."""
+        out = {e: (r * re - i * im, r * im + i * re) for e, (r, i) in self.num.items()}
+        return _series(out, self.den * d, self.trunc)
 
     def scale(self, c: GaussianRational) -> "PowerSeries":
-        if c.is_zero():
-            return PowerSeries({}, self.trunc)
-        return PowerSeries({e: k * c for e, k in self.terms.items()}, self.trunc)
+        k = PowerSeries({0: c}, None)
+        return self._scaled(*k.num.get(0, (0, 0)), k.den)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by z^k (k may be negative if all exponents allow)."""
         trunc = None if self.trunc is None else self.trunc + k
-        return PowerSeries({e + k: c for e, c in self.terms.items()}, trunc)
+        return _series({e + k: c for e, c in self.num.items()}, self.den, trunc)
 
     def invert_unit(self) -> "PowerSeries":
-        """Inverse of a unit (nonzero constant term)."""
-        if self.coeff(0).is_zero():
+        """Inverse of a unit (nonzero constant term).
+
+        Starts from 1/c = den * conj(c) / |c|^2 for c = num[0] and runs
+        Newton's step g -> g * (2 - self * g), which doubles the orders
+        known.  Every product is reduced by its content, so the integers
+        stay the size of the reduced inverse; a recurrence over the common
+        denominator c^(k+1) carries integers growing like c^k, far larger
+        when c is large.
+        """
+        if 0 not in self.num:
             raise InvalidInput("only units (nonzero constant term) invert")
-        if self.trunc is None and self.terms == {0: self.coeff(0)}:
-            return PowerSeries({0: GR_ONE / self.coeff(0)}, None)
-        if self.trunc is None:
+        if self.trunc is None and len(self.num) > 1:
             # the inverse of a nonconstant polynomial is an infinite series
             raise InvalidInput("truncate exact series before inverting")
-        bound = self.trunc
-        inv0 = GR_ONE / self.coeff(0)
-        out = {0: inv0}
-        for k in range(1, bound):
-            acc = GR_ZERO
-            for e, c in self.terms.items():
-                if 0 < e <= k and (k - e) in out:
-                    acc = acc + c * out[k - e]
-            if not acc.is_zero():
-                out[k] = -inv0 * acc
-        return PowerSeries(out, self.trunc)
+        cr, ci = self.num[0]
+        known = None if self.trunc is None else 1
+        inv = _series({0: (self.den * cr, -self.den * ci)}, cr * cr + ci * ci, known)
+        while known is not None and known < self.trunc:
+            known = min(2 * known, self.trunc)
+            inv = inv.with_truncation(known)
+            inv = inv * (_TWO_EXACT - self * inv)
+        return inv
+
+    def _unit_inverse(self, v: int, trunc) -> "PowerSeries":
+        """Inverse of self / z^v known at least below trunc (None: exactly),
+        memoised at the largest truncation asked for.  A numerator known
+        below trunc reads only the coefficients below trunc, so its product
+        with this inverse equals its product with the inverse cut to trunc."""
+        inv = self._inverse
+        if inv is None or (inv.trunc is not None and (trunc is None or inv.trunc < trunc)):
+            unit = self.shift(-v) if v else self
+            if unit.trunc is None and trunc is not None and len(unit.num) > 1:
+                unit = unit.with_truncation(trunc)
+            inv = self._inverse = unit.invert_unit()
+        return inv
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Exact division in the Laurent sense: requires ord(self) >=
         ord(other).  Costs ord(other) orders of truncation."""
         v = other.order()  # raises ZeroToPrecision for 0-to-precision divisor
-        if self.terms and self.order() < v:
+        if self.num and self.order() < v:
             raise InvalidInput("division would produce negative exponents")
         trunc = _tmin(self.trunc, other.trunc)
-        if not self.terms:
+        if not self.num:
             if self.trunc is None:
-                return PowerSeries({}, None)
+                return _series({}, 1, None)
             if self.trunc - v < 1:
                 raise ZeroToPrecision(
                     "quotient is zero to no significant precision"
                 )
-            return PowerSeries({}, self.trunc - v)
+            return _series({}, 1, self.trunc - v)
         num = self.shift(-v) if v else self
-        den = other.shift(-v) if v else other
         if trunc is not None:
             num = num.with_truncation(trunc - v)
-            den = den.with_truncation(trunc - v)
-        return num * den.invert_unit()
+        return num * other._unit_inverse(v, None if trunc is None else trunc - v)
 
     def nth_root_of_unit_series(self, n: int) -> "PowerSeries":
-        """(1 + h)^(1/n) for a series with constant term exactly 1."""
-        if self.coeff(0) != GR_ONE:
+        """(1 + h)^(1/n) for a series with constant term exactly 1, as the
+        binomial series sum_k binom(1/n, k) h^k."""
+        if self.num.get(0) != (self.den, 0):
             raise InvalidInput("series must have constant term 1")
-        h = self - PowerSeries.const(GR_ONE)
+        h = self - _ONE_EXACT
         if self.trunc is None:
-            if not h.terms:
-                return PowerSeries.const(GR_ONE)
+            if not h.num:
+                return _ONE_EXACT
             raise InvalidInput("truncate exact series before taking roots")
-        bound = self.trunc
-        out = PowerSeries.const(GR_ONE).with_truncation(self.trunc)
-        power = PowerSeries.const(GR_ONE).with_truncation(self.trunc)
-        binom = Fraction(1)
-        alpha = Fraction(1, n)
-        for k in range(1, bound):
-            binom = binom * (alpha - (k - 1)) / k
+        out = power = _ONE_EXACT.with_truncation(self.trunc)
+        top, bottom = 1, 1  # binom(1/n, k) = top / bottom
+        for k in range(1, self.trunc):
+            top *= 1 - (k - 1) * n
+            bottom *= n * k
+            g = math.gcd(top, bottom)
+            top, bottom = top // g, bottom // g
             power = power * h
             if power.is_zero_to_precision():
                 break
-            out = out + power.scale(GaussianRational.of(binom))
+            out = out + power._scaled(top, 0, bottom)
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             body = "0"
         else:
             body = " + ".join(f"({self.coeff(e)})*z^{e}" for e in self.support())
@@ -267,15 +316,32 @@ class PowerSeries:
 
     @staticmethod
     def from_json(data: dict) -> "PowerSeries":
-        if not isinstance(data, dict) or "terms" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise InvalidInput(f"series object needs a 'terms' list: {data!r}")
+        trunc = data.get("trunc", DEFAULT_TRUNCATION)
+        if trunc is not None and not _is_int(trunc):
+            raise InvalidInput(f"series trunc must be an integer, got {trunc!r}")
         terms = {}
         for item in data["terms"]:
-            if not isinstance(item, list) or len(item) != 2:
-                raise InvalidInput(f"series term must be [exp, coeff]: {item!r}")
-            e, c = item
-            terms[int(e)] = GaussianRational.from_json(c)
-        return PowerSeries(terms, data.get("trunc", DEFAULT_TRUNCATION))
+            if not isinstance(item, list) or len(item) != 2 or not _is_int(item[0]):
+                raise InvalidInput(f"series term must be [int exp, coeff]: {item!r}")
+            terms[item[0]] = GaussianRational.from_json(item[1])
+        return PowerSeries(terms, trunc)
+
+
+def _series(num: dict, den: int, trunc) -> PowerSeries:
+    """The series sum num[e] z^e / den known below trunc (see _set)."""
+    s = object.__new__(PowerSeries)
+    s._set(num, den, trunc)
+    return s
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_ONE_EXACT = PowerSeries({0: GR_ONE}, None)
+_TWO_EXACT = _series({0: (2, 0)}, 1, None)
 
 
 def order(series: PowerSeries) -> int:
@@ -329,7 +395,7 @@ class CurveGerm:
         if self.U.is_zero_to_precision() and self.V.is_zero_to_precision():
             raise InvalidInput("germ coordinates must not both vanish")
         for s in (self.U, self.V):
-            if 0 in s.terms:
+            if 0 in s.num:
                 raise InvalidInput("germ must pass through the origin")
             if s.trunc is None:
                 raise InvalidInput("germ series carry a finite truncation")
@@ -427,12 +493,15 @@ class CurveGerm:
     def from_json(data: dict) -> "CurveGerm":
         if not isinstance(data, dict):
             raise InvalidInput(f"germ must be an object, got {data!r}")
+        m, twist = data.get("m", 1), data.get("twist", 0)
+        if not (_is_int(m) and _is_int(twist)):
+            raise InvalidInput(f"germ m and twist must be integers, got {m!r}, {twist!r}")
         return CurveGerm(
             U=PowerSeries.from_json(data["U"]),
             V=PowerSeries.from_json(data["V"]),
             group=SingularityType.from_json(data.get("group", [1, 0])),
-            m=data.get("m", 1),
-            twist=data.get("twist", 0),
+            m=m,
+            twist=twist,
         )
 
 
@@ -560,13 +629,14 @@ def _series_det(matrix: list[list[PowerSeries]]) -> PowerSeries:
             sign = -sign
         pivot = m[k][k]
         pivots.append(pivot)
+        # divide memoises the pivot's inverse: one inversion per column
         for i in range(k + 1, n):
             if m[i][k].is_zero_to_precision():
                 continue
             factor = m[i][k].divide(pivot)
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
-    det = PowerSeries.const(GR_ONE if sign > 0 else -GR_ONE)
+    det = _ONE_EXACT if sign > 0 else -_ONE_EXACT
     for p in pivots:
         det = det * p
     return det
@@ -613,14 +683,14 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
 
     # degree in s of the polynomial data; a coordinate with no visible
     # terms enters as the degree-0 polynomial U1(t) resp. V1(t)
-    d_a = u2.degree() if u2.terms else 0
-    d_b = v2.degree() if v2.terms else 0
+    d_a = u2.degree() if u2.num else 0
+    d_b = v2.degree() if v2.num else 0
     a_coeffs = {0: u1}
-    for e in u2.support():
-        a_coeffs[e] = PowerSeries.const(-u2.coeff(e))
+    for e, (r, i) in u2.num.items():
+        a_coeffs[e] = _series({0: (-r, -i)}, u2.den, None)
     b_coeffs = {0: v1}
-    for e in v2.support():
-        b_coeffs[e] = PowerSeries.const(-v2.coeff(e))
+    for e, (r, i) in v2.num.items():
+        b_coeffs[e] = _series({0: (-r, -i)}, v2.den, None)
     rows = _sylvester_rows(a_coeffs, d_a, d_b) + _sylvester_rows(b_coeffs, d_b, d_a)
     det = _series_det(rows)
     if det.is_zero_to_precision():
@@ -641,8 +711,8 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> Pow
     Uses eta(t) = t * unit^(1/n) with eta^n = U/lead, then solves
     V = W(eta) for W by a triangular pass; no series reversion needed.
     """
-    lead = u.coeff(n)
-    unit = u.shift(-n).scale(GR_ONE / lead)  # constant term 1
+    lr, li = u.num[n]  # lead = (lr + li*i) / u.den, and 1/lead = u.den * conj / norm
+    unit = u.shift(-n)._scaled(u.den * lr, -u.den * li, lr * lr + li * li)  # constant term 1
     eta = unit.nth_root_of_unit_series(n).shift(1)
     # eta is known mod t^(u.trunc - n + 1); the solve cannot see past that
     bound = _tmin(u.trunc - n + 1, v.trunc)
@@ -650,19 +720,19 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> Pow
         raise PrecisionExhausted(
             "truncation too small to renormalize the first coordinate"
         )
-    eta_pows: list[PowerSeries] = [PowerSeries.const(GR_ONE).with_truncation(bound)]
+    eta_pows: list[PowerSeries] = [_ONE_EXACT.with_truncation(bound)]
     for _ in range(bound - 1):
         eta_pows.append(eta_pows[-1] * eta)
     residual = v.with_truncation(bound)
-    out = {}
+    w = PowerSeries.zero(bound)
     for k in range(1, bound):
-        c = residual.coeff(k)
-        if c.is_zero():
+        c = residual.num.get(k)
+        if c is None:
             continue
-        # eta^k = t^k + O(t^(k+1)), so c is W's k-th coefficient
-        out[k] = c
-        residual = residual - eta_pows[k].scale(c)
-    return PowerSeries(out, bound)
+        # eta^k = t^k + O(t^(k+1)), so c / residual.den is W's k-th coefficient
+        w = w + _series({k: c}, residual.den, None)
+        residual = residual - eta_pows[k]._scaled(*c, residual.den)
+    return w
 
 
 def characteristic_exponents(germ: CurveGerm) -> tuple[int, list[int]]:
@@ -678,7 +748,7 @@ def characteristic_exponents(germ: CurveGerm) -> tuple[int, list[int]]:
     if v.is_zero_to_precision():
         if n == 1:
             return 1, []
-        if v.trunc is None and not v.terms:
+        if v.trunc is None and not v.num:
             raise MultiplyCovered(
                 f"degree-{n} cover of a coordinate axis is not reduced"
             )

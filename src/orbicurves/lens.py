@@ -59,7 +59,7 @@ class SingularityType:
         if (
             not isinstance(data, (list, tuple))
             or len(data) != 2
-            or not all(isinstance(v, int) for v in data)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
         ):
             raise InvalidParameters(f"singularity type must be [a, b], got {data!r}")
         return SingularityType(data[0], data[1])

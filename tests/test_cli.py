@@ -174,6 +174,67 @@ class TestExitCodes:
         assert err.startswith("error: bad index input:") and err.count("\n") == 1
 
 
+class TestGermJsonBoundary:
+    """Series exponents, trunc, m and twist must be ints that are not
+    bools; anything else exits 2 with one stderr line."""
+
+    @staticmethod
+    def cusp_germ():
+        data = json.loads((CONFIGS / "cuspidal_cubic.json").read_text(encoding="utf-8"))
+        return data, data["stations"][0]["points"][0]["germ"]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("exponent", "3"),
+            ("exponent", True),
+            ("exponent", 2.7),
+            ("exponent", 3.0),
+            ("trunc", True),
+            ("trunc", "32"),
+            ("trunc", 32.0),
+            ("m", True),
+            ("m", 1.0),
+            ("twist", False),
+            ("twist", "0"),
+            ("terms", "[[3, 1]]"),
+            ("coefficient", 1),
+            ("group", [True, False]),
+        ],
+        ids=[
+            "str_exponent", "bool_exponent", "float_exponent", "integral_float_exponent",
+            "bool_trunc", "str_trunc", "float_trunc", "bool_m", "float_m",
+            "bool_twist", "str_twist", "str_terms", "int_coefficient", "bool_group",
+        ],
+    )
+    def test_rejects_non_integer_fields(self, tmp_path, capsys, field, value):
+        data, germ = self.cusp_germ()
+        series = germ["V"]
+        if field == "exponent":
+            series["terms"][0][0] = value
+        elif field == "coefficient":
+            series["terms"][0][1]["re"] = value
+        elif field in ("trunc", "terms"):
+            series[field] = value
+        else:
+            germ[field] = value
+        bad = tmp_path / "germ.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_command(["adjunction", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integer_fields_still_load(self, tmp_path):
+        data, germ = self.cusp_germ()
+        germ["twist"] = 0
+        good = tmp_path / "germ.json"
+        good.write_text(json.dumps(data), encoding="utf-8")
+        assert run_command(["adjunction", str(good)]) == run_command(
+            ["adjunction", str(CONFIGS / "cuspidal_cubic.json")]
+        )
+
+
 class TestLensAllowed:
     def test_huge_p_returns_q_and_its_inverse(self):
         p = 100000000000000000000000000049

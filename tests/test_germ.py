@@ -1,6 +1,10 @@
 """Power series arithmetic, equivariant branch germs, and local invariants."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicurves.errors import (
     DistinctBranchesRequired,
@@ -16,6 +20,7 @@ from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
     _delta_from_characteristic,
+    _series_det,
     characteristic_exponents,
     germ_from_polynomials,
     germ_orbit,
@@ -114,6 +119,212 @@ class TestPowerSeries:
         a = PowerSeries({1: GR_I, 4: GaussianRational.of("1/2", "-2")}, trunc=10)
         back = PowerSeries.from_json(a.to_json())
         assert back == a and back.trunc == 10
+
+
+# A naive reference kernel: a series is (terms, trunc) with terms a dict
+# exponent -> (Fraction re, Fraction im) of nonzero coefficients below
+# trunc, and every operation follows the textbook recurrences and the
+# truncation rules of PowerSeries.  It shares no code with orbicurves.
+
+
+def _ref(terms, trunc):
+    return ({e: c for e, c in terms.items() if c != (0, 0) and (trunc is None or e < trunc)}, trunc)
+
+
+def _ref_tmin(*truncs):
+    finite = [t for t in truncs if t is not None]
+    return min(finite) if finite else None
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def ref_add(x, y, sign=1):
+    out = dict(x[0])
+    for e, c in y[0].items():
+        out[e] = _gadd(out.get(e, (0, 0)), (sign * c[0], sign * c[1]))
+    return _ref(out, _ref_tmin(x[1], y[1]))
+
+
+def ref_mul(x, y):
+    (a, ta), (b, tb) = x, y
+    if (ta is None and not a) or (tb is None and not b):
+        return ({}, None)
+    va, vb = min(a, default=ta), min(b, default=tb)
+    # O(z^ta) * y is O(z^(ta + vb)), and x * O(z^tb) is O(z^(tb + va))
+    trunc = _ref_tmin(None if ta is None else ta + vb, None if tb is None else tb + va)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = _gadd(out.get(e1 + e2, (0, 0)), _gmul(c1, c2))
+    return _ref(out, trunc)
+
+
+def ref_scale(x, c):
+    return _ref({e: _gmul(v, c) for e, v in x[0].items()}, x[1])
+
+
+def ref_shift(x, k):
+    return _ref({e + k: v for e, v in x[0].items()}, None if x[1] is None else x[1] + k)
+
+
+def ref_invert(x):
+    a, trunc = x
+    n = a[0][0] ** 2 + a[0][1] ** 2
+    inv0 = (a[0][0] / n, -a[0][1] / n)
+    out = {0: inv0}
+    for k in range(1, 1 if trunc is None else trunc):
+        acc = (0, 0)
+        for e in range(1, k + 1):
+            acc = _gadd(acc, _gmul(a.get(e, (0, 0)), out[k - e]))
+        out[k] = _gmul((-inv0[0], -inv0[1]), acc)
+    return _ref(out, trunc)
+
+
+def ref_divide(x, y):
+    v = min(y[0])
+    trunc = _ref_tmin(x[1], y[1])
+    num, den = ref_shift(x, -v), ref_shift(y, -v)
+    if trunc is not None:
+        num, den = _ref(num[0], trunc - v), _ref(den[0], trunc - v)
+    return ref_mul(num, ref_invert(den))
+
+
+def ref_nth_root(x, n):
+    """y with y^n = x below the truncation, y_0 = 1, one coefficient at a
+    time: [z^k] y^n = n y_k + [z^k] (y below k)^n."""
+    f, trunc = x
+    y = {0: (Fraction(1), Fraction(0))}
+    for k in range(1, trunc):
+        power = ({0: (1, 0)}, None)
+        for _ in range(n):
+            power = ref_mul(power, (y, None))
+        rest = power[0].get(k, (0, 0))
+        fk = f.get(k, (0, 0))
+        y[k] = (Fraction(fk[0] - rest[0], n), Fraction(fk[1] - rest[1], n))
+    return _ref(y, trunc)
+
+
+def ref_det(matrix):
+    """Elimination with the pivot of least order (the first such row),
+    one fresh division per entry below the pivot; a column vanishing to
+    precision gives zero below its weakest truncation (32 if exact)."""
+    m = [row[:] for row in matrix]
+    n, sign, pivots = len(m), 1, []
+    for k in range(n):
+        orders = [(min(m[i][k][0]), i) for i in range(k, n) if m[i][k][0]]
+        if not orders:
+            t = _ref_tmin(*(m[i][k][1] for i in range(k, n)))
+            acc = ({}, 32 if t is None else t)
+            for p in pivots:
+                acc = ref_mul(acc, p)
+            return acc
+        best = min(orders)[1]
+        if best != k:
+            m[k], m[best], sign = m[best], m[k], -sign
+        pivots.append(m[k][k])
+        for i in range(k + 1, n):
+            if m[i][k][0]:
+                factor = ref_divide(m[i][k], m[k][k])
+                for j in range(k + 1, n):
+                    m[i][j] = ref_add(m[i][j], ref_mul(factor, m[k][j]), -1)
+    det = ({0: (Fraction(sign), Fraction(0))}, None)
+    for p in pivots:
+        det = ref_mul(det, p)
+    return det
+
+
+def as_ref(s: PowerSeries):
+    return ({e: (s.coeff(e).re, s.coeff(e).im) for e in s.support()}, s.trunc)
+
+
+def fast(x) -> PowerSeries:
+    return PowerSeries({e: GaussianRational(*c) for e, c in x[0].items()}, x[1])
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_nonzero = st.tuples(_fractions, _fractions).filter(lambda c: c != (0, 0))
+_coeffs = st.one_of(st.just((Fraction(0), Fraction(0))), _nonzero)
+_terms = st.dictionaries(st.integers(0, 9), _coeffs, max_size=6)
+_truncs = st.one_of(st.none(), st.integers(1, 10))
+# Sylvester-like entries: exact zeros, exact constants, and truncated
+# series (possibly zero to precision)
+_entries = st.one_of(
+    st.just(({}, None)),
+    st.builds(lambda c: ({0: c}, None), _nonzero),
+    st.tuples(_terms, st.integers(1, 10)).map(lambda t: _ref(*t)),
+)
+
+
+class TestKernelAgainstReference:
+    """Every PowerSeries operation gives the reference's coefficients and
+    truncation on random Gaussian-rational series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.tuples(_terms, _truncs),
+        b=st.tuples(_terms, _truncs),
+        c=_nonzero,
+        s=_coeffs,
+        k=st.integers(0, 3),
+        unit_trunc=st.integers(1, 10),
+        v=st.integers(0, 3),
+        divisor=st.dictionaries(st.integers(0, 6), _nonzero, min_size=1, max_size=4),
+        n=st.integers(1, 3),
+    )
+    def test_operations_match_reference(self, a, b, c, s, k, unit_trunc, v, divisor, n):
+        a, b = _ref(*a), _ref(*b)
+        fa, fb = fast(a), fast(b)
+        assert as_ref(fa) == a and fa == fa.with_truncation(fa.trunc)
+        assert as_ref(fa + fb) == ref_add(a, b)
+        assert as_ref(fa - fb) == ref_add(a, b, -1)
+        assert as_ref(-fa) == ref_add(({}, None), a, -1)
+        assert as_ref(fa * fb) == ref_mul(a, b)
+        assert as_ref(fa.scale(GaussianRational(*s))) == ref_scale(a, s)
+        assert as_ref(fa.shift(k)) == ref_shift(a, k)
+        if a[0]:
+            assert as_ref(fa.shift(-min(a[0]))) == ref_shift(a, -min(a[0]))
+
+        unit = _ref({**a[0], 0: c}, unit_trunc)
+        assert as_ref(fast(unit).invert_unit()) == ref_invert(unit)
+        root_input = _ref({**a[0], 0: (Fraction(1), Fraction(0))}, unit_trunc)
+        assert as_ref(fast(root_input).nth_root_of_unit_series(n)) == ref_nth_root(root_input, n)
+
+        # numerators of order >= v divided by one divisor of order v, at
+        # several truncations, so the divisor's memoised inverse is cut
+        low = min(divisor)
+        y = _ref({e - low + v: d for e, d in divisor.items()}, b[1] if b[1] is None else b[1] + v)
+        fy = fast(y)
+        for trunc in (a[1], unit_trunc, None, 10):
+            x = ref_shift(_ref(a[0], trunc), v)
+            if not x[0]:
+                continue
+            if x[1] is None and y[1] is None and len(y[0]) > 1:
+                with pytest.raises(InvalidInput):
+                    fast(x).divide(fy)
+            else:
+                assert as_ref(fast(x).divide(fy)) == ref_divide(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_series_determinant_matches_reference(self, matrix):
+        got = _series_det([[fast(x) for x in row] for row in matrix])
+        assert as_ref(got) == ref_det(matrix)
+
+    def test_degree_eight_pair_at_truncation_64(self):
+        # the ROADMAP's hot case: 64 orders of two degree-8 branches
+        u1, v1 = {8: ("1", "0")}, {9: ("1", "0"), 10: ("1", "0")}
+        u2, v2 = {8: ("1", "0")}, {9: ("2", "0"), 11: ("1", "0")}
+        got = intersection_multiplicity(
+            germ_from_polynomials(gaussian_terms(u1), gaussian_terms(v1), trunc=64),
+            germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2), trunc=64),
+        )
+        assert got == 72 == oracle_intersection(u1, v1, u2, v2)
 
 
 class TestCurveGerm:
