@@ -397,9 +397,6 @@ class GroupComplexFull:
     def group(self, simplex: Simplex) -> FiniteGroup:
         return self.groups[simplex]
 
-    def hom(self, big: Simplex, small: Simplex) -> list[int]:
-        return self._hom(_edge_key(big, small), big, small)
-
     def _hom(self, key: str, big: Simplex, small: Simplex) -> list[int]:
         if key not in self.homs:
             raise MalformedTable(f"missing homomorphism for face relation {key}")

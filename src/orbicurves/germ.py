@@ -51,6 +51,7 @@ from .exact import (
 from .lens import SingularityType
 
 DEFAULT_TRUNCATION = 32
+MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 
 
 def _tmin(*truncs):
@@ -74,9 +75,7 @@ class PowerSeries:
     __slots__ = ("num", "den", "trunc", "_inverse")
 
     def __init__(self, terms, trunc=DEFAULT_TRUNCATION):
-        terms = dict(terms)
-        den = math.lcm(*(x.denominator for c in terms.values() for x in (c.re, c.im)))
-        self._set({e: (int(c.re * den), int(c.im * den)) for e, c in terms.items()}, den, trunc)
+        self._set(*_numerators({e: (c.re, c.im) for e, c in dict(terms).items()}), trunc)
 
     def _set(self, num: dict, den: int, trunc) -> None:
         """Store num/den below trunc: zero terms and terms at or above
@@ -100,10 +99,6 @@ class PowerSeries:
     @staticmethod
     def zero(trunc=DEFAULT_TRUNCATION) -> "PowerSeries":
         return _series({}, 1, trunc)
-
-    @staticmethod
-    def const(c: GaussianRational) -> "PowerSeries":
-        return PowerSeries({0: c}, None)
 
     def support(self) -> list[int]:
         return sorted(self.num)
@@ -319,14 +314,24 @@ class PowerSeries:
         if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise InvalidInput(f"series object needs a 'terms' list: {data!r}")
         trunc = data.get("trunc", DEFAULT_TRUNCATION)
-        if trunc is not None and not _is_int(trunc):
-            raise InvalidInput(f"series trunc must be an integer, got {trunc!r}")
+        if trunc is not None and not (_is_int(trunc) and trunc <= MAX_PRECISION):
+            raise InvalidInput(
+                f"series trunc must be an integer <= {MAX_PRECISION}, got {trunc!r}"
+            )
         terms = {}
         for item in data["terms"]:
             if not isinstance(item, list) or len(item) != 2 or not _is_int(item[0]):
                 raise InvalidInput(f"series term must be [int exp, coeff]: {item!r}")
             terms[item[0]] = GaussianRational.from_json(item[1])
         return PowerSeries(terms, trunc)
+
+
+def _numerators(parts: dict) -> tuple[dict, int]:
+    """{e: (re, im)} with int or Fraction parts -> Gaussian-integer
+    numerators over the lcm of the parts' denominators."""
+    den = math.lcm(*(x.denominator for c in parts.values() for x in c))
+    return {e: (r.numerator * (den // r.denominator), i.numerator * (den // i.denominator))
+            for e, (r, i) in parts.items()}, den
 
 
 def _series(num: dict, den: int, trunc) -> PowerSeries:
@@ -432,11 +437,6 @@ class CurveGerm:
             f"no injective order-{self.m} action is compatible with the germ supports"
         )
 
-    @property
-    def rho_exponent(self) -> int:
-        """s with rho(mu_m) = mu_a^s."""
-        return self._rho_exponent
-
     def weights(self) -> tuple[int, int]:
         """Weights (w1, w2) of rho(mu_m) on the chart coordinates,
         reduced mod m: rho(mu_m) acts by (mu_m^{w1} z1, mu_m^{w2} z2)."""
@@ -511,23 +511,24 @@ def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
     be ints, Fractions, strings, or GaussianRationals."""
 
     def conv(d):
-        out = {}
+        parts = {}
         for e, c in d.items():
             if isinstance(c, GaussianRational):
-                out[e] = c
+                parts[e] = (c.re, c.im)
             elif isinstance(c, str):
-                out[e] = GaussianRational.of(parse_rational(c))
+                parts[e] = (parse_rational(c), 0)
             else:
-                out[e] = GaussianRational.of(Fraction(c))
-        return PowerSeries(out, trunc)
+                parts[e] = (Fraction(c), 0)
+        return _series(*_numerators(parts), trunc)
 
     return CurveGerm(U=conv(u_terms), V=conv(v_terms), group=group, m=m)
 
 
 def translate(germ: CurveGerm, k: int) -> CurveGerm:
-    """The group translate by mu_a^k, kept symbolic in the twist."""
-    a = germ.group.a
-    return replace(germ, twist=(germ.twist + k) % max(a, 1))
+    """The group translate by mu_a^k, kept symbolic in the twist; the
+    germ itself when the twist does not change."""
+    twist = (germ.twist + k) % max(germ.group.a, 1)
+    return germ if twist == germ.twist else replace(germ, twist=twist)
 
 
 def _twist_stabilizes(germ: CurveGerm, d: int) -> bool:
@@ -672,7 +673,7 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
         raise InvalidInput("germs live in different charts")
     if _same_data(g1, g2):
         raise DistinctBranchesRequired("the two germs carry identical data")
-    rel = replace(g2, twist=(g2.twist - g1.twist) % max(g1.group.a, 1))
+    rel = translate(g2, -g1.twist)
     u1, v1 = g1.U, g1.V
     u2, v2 = rel.materialize()
 

@@ -153,8 +153,9 @@ def genus_bound(m: WpsModel, r) -> Fraction:
     """g(r) = ((p/(p+q)) r^2 - ((2p+q+1)/(p+q)) r) / 2 + 1, the virtual
     genus of a class r[C0] as a function of the fraction r."""
     r = Fraction(r)
-    p, q = m.p, m.q
-    return (Fraction(p, p + q) * r * r - Fraction(2 * p + q + 1, p + q) * r) / 2 + 1
+    a, b, p, q = r.numerator, r.denominator, m.p, m.q
+    den = 2 * (p + q) * b * b
+    return Fraction(p * a * a - (2 * p + q + 1) * a * b + den, den)
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,11 @@ def seifert_euler(m: WpsModel) -> Fraction:
     return 1 + Fraction(m.q, m.p)
 
 
-def c0_index(m: WpsModel) -> IndexReport:
+def c0_index(m: WpsModel, c0: CurveConfig) -> IndexReport:
     """Index count of the deformation operator for the C0 data: the c1
     pairing with [C0], a genus-0 domain, and the isotropy weights of
-    the distinguished germ at x."""
-    germ = c0_config(m).stations[0].points[0].germ
+    the distinguished germ at x, read from c0 = c0_config(m)."""
+    germ = c0.stations[0].points[0].germ
     return kawasaki_index(
         c1_pair=m.c1_value, genus=0, points=[(m.p + m.q, germ.weights())]
     )
@@ -231,7 +232,7 @@ def dossier(m: WpsModel) -> dict:
     cases = c0prime_cases(m)
     c0 = c0_config(m)
     c0_report = adjunction_report(c0)
-    index = c0_index(m)
+    index = c0_index(m, c0)
     out = {
         "schema": SCHEMA_VERSION,
         "p": m.p,

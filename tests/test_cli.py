@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from orbicurves.cli import (
     MAX_PRECISION,
+    MAX_SWEEP_P,
     MIN_PRECISION,
     _build_parser,
     emit_report,
@@ -233,6 +235,42 @@ class TestGermJsonBoundary:
         assert run_command(["adjunction", str(good)]) == run_command(
             ["adjunction", str(CONFIGS / "cuspidal_cubic.json")]
         )
+
+    def test_stored_trunc_above_the_cap_exits_at_once(self, tmp_path, capsys):
+        data, germ = self.cusp_germ()
+        germ["V"]["trunc"] = MAX_PRECISION + 1
+        bad = tmp_path / "germ.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        code, out = run_command(["adjunction", str(bad)])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: series trunc must be an integer <= {MAX_PRECISION}, "
+            f"got {MAX_PRECISION + 1}\n"
+        )
+
+    def test_stored_trunc_at_the_cap_loads(self, tmp_path):
+        data, germ = self.cusp_germ()
+        germ["V"]["trunc"] = MAX_PRECISION
+        good = tmp_path / "germ.json"
+        good.write_text(json.dumps(data), encoding="utf-8")
+        # U keeps truncation 32, so the germ's truncation and report stay
+        assert run_command(["adjunction", str(good)]) == run_command(
+            ["adjunction", str(CONFIGS / "cuspidal_cubic.json")]
+        )
+
+
+class TestSweepLimit:
+    @pytest.mark.parametrize("p_max", [1, MAX_SWEEP_P + 1, 10**40])
+    def test_out_of_range_exits_at_once(self, capsys, p_max):
+        start = time.perf_counter()
+        code, out = run_command(["sweep", "--p-max", str(p_max)])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
 
 
 class TestLensAllowed:

@@ -15,7 +15,7 @@ from orbicurves.errors import (
     UnrepresentableCoefficients,
     ZeroToPrecision,
 )
-from orbicurves.exact import GR_I, GR_ONE, GaussianRational
+from orbicurves.exact import GR_I, GR_ONE, GaussianRational, parse_rational
 from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
@@ -371,6 +371,56 @@ class TestCurveGerm:
         g = translate(g, 3)
         back = CurveGerm.from_json(g.to_json())
         assert back == g and back.twist == 3 and back.m == 7
+
+
+class TestGermBoundary:
+    """germ_from_polynomials builds the numerators directly; they must
+    equal the PowerSeries constructor's for every coefficient kind."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {1: 1, 3: -2, 4: 0},
+            {1: Fraction(1, 3), 2: Fraction(-5, 4)},
+            {1: "2/9", 4: "-7", 5: "0"},
+            {2: GaussianRational(Fraction(1, 6), Fraction(-3, 4)), 5: GR_I},
+            {1: 2, 2: Fraction(1, 6), 3: "3/10", 4: GaussianRational(Fraction(0), Fraction(5, 4))},
+        ],
+        ids=["int", "fraction", "string", "gaussian", "mixed_denominators"],
+    )
+    def test_numerators_match_constructor(self, terms):
+        values = {
+            e: c if isinstance(c, GaussianRational)
+            else GaussianRational.of(parse_rational(c) if isinstance(c, str) else c)
+            for e, c in terms.items()
+        }
+        ref = PowerSeries(values, 16)
+        assert {e: ref.coeff(e) for e in ref.support()} == {
+            e: c for e, c in values.items() if c != GaussianRational.of(0)
+        }
+        for g, s in (
+            (germ_from_polynomials(terms, {}, trunc=16), "U"),
+            (germ_from_polynomials({1: 1}, terms, trunc=16), "V"),
+        ):
+            got = getattr(g, s)
+            assert (got.num, got.den, got.trunc) == (ref.num, ref.den, ref.trunc)
+
+    def test_translate_without_a_twist_change_is_the_germ(self):
+        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(4, 1))
+        assert translate(g, 0) == g
+        assert translate(g, 4) is g
+
+    def test_nonzero_twist_revalidates(self, monkeypatch):
+        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(4, 1))
+        assert translate(g, 1).twist == 1
+
+        def refuse(self):
+            raise EquivarianceViolated("validation ran")
+
+        monkeypatch.setattr(CurveGerm, "_solve_equivariance", refuse)
+        assert translate(g, 0) is g
+        with pytest.raises(EquivarianceViolated, match="validation ran"):
+            translate(g, 1)
 
 
 class TestOrbits:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from orbicurves import cli
+from orbicurves.cli import _sweep_row
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -13,6 +15,7 @@ from orbicurves.curvecalc import (
     virtual_genus,
 )
 from orbicurves.errors import Disallowed, InvalidInput, InvalidParameters
+from orbicurves.exact import format_rational
 from orbicurves.lens import SingularityType, allowed_q_set
 from orbicurves.wps import (
     build_model,
@@ -67,12 +70,14 @@ class TestGeneratingCurve:
         assert virtual_genus(cfg) == Fraction(3, 7)
 
     def test_c0_index_frozen(self):
-        rep = c0_index(build_model(5, 2, 2))
+        m = build_model(5, 2, 2)
+        rep = c0_index(m, c0_config(m))
         assert rep.d == 3 and rep.index == 6 and rep.integral
 
     def test_c0_index_integral_sampled(self):
         for p, q in [(3, 2), (7, 4), (11, 3)]:
-            assert c0_index(build_model(p, q, q)).integral
+            m = build_model(p, q, q)
+            assert c0_index(m, c0_config(m)).integral
 
 
 class TestFractionCurve:
@@ -191,3 +196,59 @@ class TestDossier:
         assert d["C0_prime"] is None
         assert d["intersection_C0_C0_prime"] is None
         assert d["C0"]["verdict"] == "EmbeddedSuborbifold"
+
+
+def _dossier_checks(d: dict) -> bool:
+    """The checks a sweep row conjoins, read from one dossier."""
+    meeting = d["intersection_C0_C0_prime"]
+    return (
+        d["C0"]["adjunction"]["holds"]
+        and d["C0"]["verdict"] == "EmbeddedSuborbifold"
+        and d["index_C0"]["d"] == "3"
+        and d["genus_bound"]["strictly_decreasing"]
+        and d["genus_bound"]["peak_identity"]
+        and d["uniqueness_inequality"]
+        and d["C0_prime"]["adjunction"]["holds"]
+        and d["C0_prime"]["verdict"] == "EmbeddedSuborbifold"
+        and meeting["holds"]
+        and meeting["algebraic"] == format_rational(Fraction(1, d["p"] + d["q"]))
+    )
+
+
+class TestSweepRow:
+    """A sweep row shares one model and C0 config across its allowed q';
+    it must agree with dossiers built from scratch."""
+
+    def test_rows_match_dossiers(self):
+        for p in range(2, 13):
+            for q in range(1, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                row = _sweep_row(p, q)
+                d = dossier(build_model(p, q, q))
+                assert row == {
+                    "p": d["p"],
+                    "q": d["q"],
+                    "C0_C0": d["pairing_C0_C0"],
+                    "c1_KX_C0": d["c1_KX_C0"],
+                    "genus_C0": d["C0"]["domain_genus"],
+                    "seifert_euler": d["seifert_euler"],
+                    "index_d": d["index_C0"]["d"],
+                    "holds": all(
+                        _dossier_checks(dossier(build_model(p, q, qp)))
+                        for qp in allowed_q_set(p, q)
+                    ),
+                }, (p, q)
+
+    def test_checks_every_allowed_qprime(self, monkeypatch):
+        seen = []
+
+        def spy(m, case=None):
+            seen.append(m.qprime)
+            return c0prime_config(m, case)
+
+        monkeypatch.setattr(cli, "c0prime_config", spy)
+        for p, q in [(5, 2), (7, 3), (8, 3), (12, 5)]:
+            seen.clear()
+            _sweep_row(p, q)
+            assert seen == allowed_q_set(p, q), (p, q)
