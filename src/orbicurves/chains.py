@@ -129,7 +129,10 @@ class WeightedComplex:
     def from_json(data: dict) -> "WeightedComplex":
         if not isinstance(data, dict) or "simplices" not in data:
             raise InvalidInput("complex file must be an object with a 'simplices' list")
-        return WeightedComplex(data["simplices"], data.get("orders", {}))
+        orders = data.get("orders", {})
+        if not isinstance(orders, dict):
+            raise InvalidInput(f"complex orders must be an object, got {orders!r}")
+        return WeightedComplex(data["simplices"], orders)
 
 
 def load_complex(path: str) -> WeightedComplex:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .chern_index import index_integrality_scan, kawasaki_index
 from .curvecalc import (
     SCHEMA_VERSION,
-    CurveConfig,
     adjunction_report,
     embeddedness_verdict,
     intersection_report,
@@ -28,7 +27,6 @@ from .errors import InvalidInput, PrecisionExhausted
 from .exact import format_rational, parse_rational
 from .germ import DEFAULT_TRUNCATION, MAX_PRECISION
 from .lens import LensSpace, allowed_q_set, cobordism_congruence, lens_equivalent
-from .surface import orbifold_genus
 from .wps import (
     build_model,
     c0_config,
@@ -150,16 +148,11 @@ def _cmd_lens_allowed(args) -> dict:
     }
 
 
-def _prepare_config(path: str, trunc: int | None) -> CurveConfig:
-    config = load_config(path)
-    if trunc is not None:
-        config = with_precision(config, trunc)
-    return config
-
-
 def _cmd_adjunction(args) -> dict:
+    loaded = load_config(args.path)
+
     def compute(trunc):
-        config = _prepare_config(args.path, trunc)
+        config = loaded if trunc is None else with_precision(loaded, trunc)
         report = adjunction_report(config)
         out = report.to_json()
         out["verdict"] = (
@@ -171,10 +164,11 @@ def _cmd_adjunction(args) -> dict:
 
 
 def _cmd_intersect(args) -> dict:
+    loaded = (load_config(args.path_a), load_config(args.path_b))
+
     def compute(trunc):
-        first = _prepare_config(args.path_a, trunc)
-        second = _prepare_config(args.path_b, trunc)
-        return intersection_report(first, second).to_json()
+        configs = loaded if trunc is None else (with_precision(c, trunc) for c in loaded)
+        return intersection_report(*configs).to_json()
 
     return _with_retries(compute, args.precision)
 
@@ -278,7 +272,7 @@ def _sweep_row(p: int, q: int) -> dict:
         "q": q,
         "C0_C0": format_rational(Fraction(p, p + q)),
         "c1_KX_C0": format_rational(-model.c1_value),
-        "genus_C0": format_rational(orbifold_genus(config.domain)),
+        "genus_C0": format_rational(report.domain_genus),
         "seifert_euler": format_rational(seifert_euler(model)),
         "index_d": format_rational(index.d),
         "holds": holds,

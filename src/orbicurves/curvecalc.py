@@ -24,7 +24,8 @@ from .errors import (
     InvalidInput,
 )
 from .exact import format_rational, parse_rational
-from .germ import CurveGerm, GermOrbit, germ_orbit, intersection_multiplicity, self_intersection
+from .germ import (CurveGerm, GermOrbit, germ_orbit, intersection_multiplicity,
+                   self_intersection, translate)
 from .lens import SingularityType
 from .surface import OrbifoldSurface, orbifold_genus
 
@@ -35,6 +36,13 @@ REGULAR_PREFIX = "regular"
 
 def _is_regular_marker(point_id: str) -> bool:
     return point_id == REGULAR_PREFIX or point_id.startswith(REGULAR_PREFIX + ":")
+
+
+def _string(value, what: str) -> str:
+    """A point id or label read from JSON, which must be a string."""
+    if not isinstance(value, str):
+        raise InvalidInput(f"{what} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ class AmbientModel:
             ),
             c1_vector=tuple(parse_rational(x) for x in data["c1_vector"]),
             singular_points=tuple(
-                (pid, SingularityType.from_json(t))
+                (_string(pid, "singular point id"), SingularityType.from_json(t))
                 for pid, t in data.get("singular_points", ())
             ),
         )
@@ -154,17 +162,19 @@ class CurveClass:
 
 @dataclass(frozen=True)
 class StationPoint:
-    """One domain point of a station: its label, the order of the
-    domain orbifold point there, and the orbit of local branches with
-    the distinguished germ first."""
+    """One domain point of a station: its label and the orbit of local
+    branches, whose base is the distinguished germ."""
 
     label: str
-    order: int
     orbit: GermOrbit
 
     @property
     def germ(self) -> CurveGerm:
         return self.orbit.base
+
+    @property
+    def order(self) -> int:  # the domain orbifold point's order
+        return self.germ.m
 
     def to_json(self) -> dict:
         return {"label": self.label, "order": self.order, "germ": self.germ.to_json()}
@@ -191,15 +201,10 @@ class Station:
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"duplicate point labels in station: {labels}")
         for p in self.points:
-            if p.orbit.group_order != self.isotropy_order:
+            if p.germ.group.a != self.isotropy_order:
                 raise InvalidInput(
                     f"orbit at {p.label!r} lives in a group of order "
-                    f"{p.orbit.group_order}, station isotropy is {self.isotropy_order}"
-                )
-            if p.order != p.germ.m:
-                raise InvalidInput(
-                    f"domain point {p.label!r} has order {p.order} but its germ "
-                    f"has stabilizer order {p.germ.m}"
+                    f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
 
     def point(self, label: str) -> StationPoint:
@@ -218,9 +223,9 @@ class Station:
 
 def station(ambient_point: str, isotropy_order: int, points) -> Station:
     """Build a station from (label, germ) pairs, generating each point's
-    branch orbit; the domain point order is the germ's stabilizer order."""
+    branch orbit."""
     built = tuple(
-        StationPoint(label=label, order=germ.m, orbit=germ_orbit(germ))
+        StationPoint(label=label, orbit=germ_orbit(germ))
         for label, germ in points
     )
     return Station(ambient_point=ambient_point, isotropy_order=isotropy_order, points=built)
@@ -253,7 +258,7 @@ class RegularDoublePoint:
     @staticmethod
     def from_json(data: dict) -> "RegularDoublePoint":
         return RegularDoublePoint(
-            labels=tuple(data["labels"]),
+            labels=tuple(_string(x, "double point label") for x in data["labels"]),
             germs=tuple(CurveGerm.from_json(g) for g in data["germs"]),
         )
 
@@ -331,9 +336,11 @@ class CurveConfig:
         stations = []
         for s in data.get("stations", ()):
             points = [
-                (p["label"], CurveGerm.from_json(p["germ"])) for p in s["points"]
+                (_string(p["label"], "point label"), CurveGerm.from_json(p["germ"]))
+                for p in s["points"]
             ]
-            st = station(s["ambient_point"], s["isotropy_order"], points)
+            ambient_point = _string(s["ambient_point"], "station ambient_point")
+            st = station(ambient_point, s["isotropy_order"], points)
             declared = [p.get("order") for p in s["points"]]
             for built, want in zip(st.points, declared):
                 if want is not None and built.order != want:
@@ -427,12 +434,12 @@ def virtual_genus(c: CurveConfig) -> Fraction:
 
 def _orbit_cross_sum(o1: GermOrbit, o2: GermOrbit) -> int:
     """Sum of pairwise intersection multiplicities over two branch
-    orbits (all ordered pairs, distinct germs assumed)."""
-    total = 0
-    for g1 in o1.germs:
-        for g2 in o2.germs:
-            total += intersection_multiplicity(g1, g2)
-    return total
+    orbits (all ordered pairs, distinct germs assumed).  The group acts
+    by biholomorphisms, so I(mu^j g1, mu^k g2) = I(g1, mu^(k-j) g2) and
+    each translate of g1 meets the whole orbit of g2 alike."""
+    return o1.size * sum(
+        intersection_multiplicity(o1.base, translate(o2.base, k)) for k in range(o2.size)
+    )
 
 
 def local_pair_contribution(s: Station, z: str, zprime: str) -> Fraction:
@@ -451,18 +458,16 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     where the pair sum's diagonal term is the branch's delta.
 
     With s the orbit size this is (1/2|G|)(2 s delta + cross), using
-    that delta is twist-invariant; the cross sum needs the pairwise
-    relative twists to be materializable over Q(i).
+    that delta is twist-invariant; as in _orbit_cross_sum the cross sum
+    is s times sum over 0 < d < s of I(base, translate(base, d)), and
+    those translates must be materializable over Q(i).
     """
-    point = s.point(z)
-    orbit = point.orbit
-    size = len(orbit)
-    delta = self_intersection(orbit.base)
-    cross = 0
-    for a in range(size):
-        for b in range(size):
-            if a != b:
-                cross += intersection_multiplicity(orbit.germs[a], orbit.germs[b])
+    orbit = s.point(z).orbit
+    base, size = orbit.base, orbit.size
+    delta = self_intersection(base)
+    cross = size * sum(
+        intersection_multiplicity(base, translate(base, d)) for d in range(1, size)
+    )
     return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
 
 
@@ -491,11 +496,13 @@ class AdjunctionReport:
     holds: bool
     contributions: tuple[Contribution, ...]
 
+    @property
+    def domain_genus(self) -> Fraction:
+        """The orbifold genus of the domain, the report's first item."""
+        return self.contributions[0].value
+
     def local_total(self) -> Fraction:
-        return sum(
-            (c.value for c in self.contributions if c.kind != "domain_genus"),
-            Fraction(0),
-        )
+        return self.rhs - self.domain_genus
 
     def to_json(self) -> dict:
         return {

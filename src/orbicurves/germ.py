@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 
 from .errors import (
     DistinctBranchesRequired,
@@ -415,26 +414,31 @@ class CurveGerm:
 
     def _solve_equivariance(self) -> int:
         """Exponent s with U(mu_m z) = mu_a^s U(z), V(mu_m z) = mu_a^{sb} V(z)
-        and <mu_a^s> of order exactly m; raises EquivarianceViolated."""
-        a, b = self.group.a, self.group.b
+        and <mu_a^s> of order exactly m; raises EquivarianceViolated.
+
+        Such an s is k*u for k = a/m and u a unit mod m, and the
+        congruences c*s = j*k (mod a) read c*u = j (mod m).  The system
+        in s is solved first only to tell a germ with no s at all apart
+        from one whose every s has the wrong order."""
+        a, b, m = self.group.a, self.group.b, self.m
         if a == 1:
-            if self.m != 1:
+            if m != 1:
                 raise EquivarianceViolated("trivial group admits only m = 1")
             return 0
-        k = a // self.m
-        constraints = [(1, (j * k) % a) for j in self.U.support()]
-        constraints += [(b, (j * k) % a) for j in self.V.support()]
-        sol = _solve_congruences(constraints, a)
-        if sol is None:
+        k = a // m
+        exps = [(1, j) for j in self.U.support()] + [(b, j) for j in self.V.support()]
+        if _solve_congruences([(c, (j * k) % a) for c, j in exps], a) is None:
             raise EquivarianceViolated(
-                f"germ is not equivariant for group {self.group.to_json()} with m={self.m}"
+                f"germ is not equivariant for group {self.group.to_json()} with m={m}"
             )
-        s0, step = sol
-        for s in range(s0 % step, a, step):
-            if math.gcd(s, a) == a // self.m:
-                return s
+        sol = _solve_congruences([(c, j % m) for c, j in exps], m)
+        if sol is not None and math.gcd(*sol, m) == 1:
+            u, step = sol
+            while math.gcd(u, m) != 1:  # ends below m: step divides m
+                u += step
+            return k * u
         raise EquivarianceViolated(
-            f"no injective order-{self.m} action is compatible with the germ supports"
+            f"no injective order-{m} action is compatible with the germ supports"
         )
 
     def weights(self) -> tuple[int, int]:
@@ -531,63 +535,51 @@ def translate(germ: CurveGerm, k: int) -> CurveGerm:
     return germ if twist == germ.twist else replace(germ, twist=twist)
 
 
-def _twist_stabilizes(germ: CurveGerm, d: int) -> bool:
-    """Whether the translate by d equals the germ as a set, testing
-    linear reparametrizations z -> c z with c a root of unity."""
+def _stabilizing_twist(germ: CurveGerm) -> int:
+    """Least d > 0 whose translate equals the germ as a set, testing
+    linear reparametrizations z -> c z with c a root of unity.
+
+    The translate by d is fixed iff c^j = mu_a^(d*w_j) for every support
+    exponent j, with w_j = 1 on U's exponents and b on V's.  For G =
+    gcd(supp) = sum l_j j any such c has c^G = mu_a^(d*tau) with tau =
+    sum l_j w_j, so c^j = mu_a^(d*tau*j/G); and a c with c^G =
+    mu_a^(d*tau) passes every test once d*(tau*j/G - w_j) = 0 (mod a).
+    The fixing d are the multiples of one lcm over the exponents.
+    """
     a, b = germ.group.a, germ.group.b
-    d %= a
-    if d == 0:
-        return True
-    supports = set(germ.U.support()) | set(germ.V.support())
-    if not supports:
-        return True
-    big = a * reduce(math.lcm, supports, 1)
-    constraints = [(j, (d * (big // a)) % big) for j in germ.U.support()]
-    constraints += [(j, (d * b * (big // a)) % big) for j in germ.V.support()]
-    return _solve_congruences(constraints, big) is not None
+    exps = [(j, 1) for j in germ.U.support()] + [(j, b) for j in germ.V.support()]
+    g = tau = 0  # invariants g = sum l_j j and tau = sum l_j w_j over the exponents so far
+    for j, w in exps:
+        h = math.gcd(g, j)
+        x = pow(g // h, -1, j // h)  # x*g = h (mod j), so h = x*g + y*j with integer y
+        g, tau = h, (x * tau + (h - x * g) // j * w) % a
+    return math.lcm(*(a // math.gcd(a, tau * (j // g) - w) for j, w in exps))
 
 
 @dataclass(frozen=True)
 class GermOrbit:
-    """The set of translates of one germ under the chart group, with
-    |orbit| = a / m.  Translates are symbolic twists of the base germ;
-    they materialize to Q(i) series only when the group order divides 4
-    times the twist."""
+    """The set of translates of one germ under the chart group, held
+    implicitly: the translates are translate(base, k) for 0 <= k < size,
+    with size = a / m."""
 
-    germs: tuple[CurveGerm, ...]
-    group_order: int
-
-    def __len__(self) -> int:
-        return len(self.germs)
-
-    @property
-    def base(self) -> CurveGerm:
-        return self.germs[0]
+    base: CurveGerm
+    size: int
 
 
-def germ_orbit(germ: CurveGerm, group: SingularityType | None = None,
-               m: int | None = None) -> GermOrbit:
+def germ_orbit(germ: CurveGerm) -> GermOrbit:
     """Orbit of a germ under its chart group.
 
     The stated stabilizer order m determines the orbit size a/m;
-    pairwise set-level distinctness of the translates is verified
-    symbolically and EquivarianceViolated is raised if the stated
-    stabilizer is too small.
+    EquivarianceViolated is raised if a translate by fewer than a/m
+    steps fixes the germ, i.e. the stated stabilizer is too small.
     """
-    if group is not None and group != germ.group:
-        raise InvalidInput("orbit group differs from the germ's chart group")
-    if m is not None and m != germ.m:
-        raise InvalidInput("orbit stabilizer order differs from the germ's")
-    a = germ.group.a
-    size = a // germ.m
-    for d in range(1, size):
-        if _twist_stabilizes(germ, d):
-            raise EquivarianceViolated(
-                f"translate by {d} fixes the germ; stated stabilizer order "
-                f"{germ.m} is too small"
-            )
-    members = tuple(translate(germ, k) for k in range(size))
-    return GermOrbit(germs=members, group_order=a)
+    size = germ.group.a // germ.m
+    if size > 1 and (d := _stabilizing_twist(germ)) < size:
+        raise EquivarianceViolated(
+            f"translate by {d} fixes the germ; stated stabilizer order "
+            f"{germ.m} is too small"
+        )
+    return GermOrbit(base=germ, size=size)
 
 
 def _same_data(g1: CurveGerm, g2: CurveGerm) -> bool:

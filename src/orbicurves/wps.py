@@ -24,7 +24,6 @@ from .curvecalc import (
     embeddedness_verdict,
     intersection_report,
     station,
-    virtual_genus,
 )
 from .errors import Disallowed, InvalidInput
 from .exact import format_rational
@@ -35,7 +34,7 @@ from .lens import (
     _check_lens_params,
     cobordism_congruence,
 )
-from .surface import OrbifoldSurface, orbifold_genus
+from .surface import OrbifoldSurface
 
 POINT_X = "x"
 POINT_X_PRIME = "x_prime"
@@ -255,8 +254,8 @@ def dossier(m: WpsModel) -> dict:
             "integral": index.integral,
         },
         "C0": {
-            "virtual_genus": format_rational(virtual_genus(c0)),
-            "domain_genus": format_rational(orbifold_genus(c0.domain)),
+            "virtual_genus": format_rational(c0_report.lhs),
+            "domain_genus": format_rational(c0_report.domain_genus),
             "adjunction": c0_report.to_json(),
             "verdict": str(embeddedness_verdict(c0_report)),
         },
@@ -270,8 +269,8 @@ def dossier(m: WpsModel) -> dict:
         out["case"] = cases[0]
         out["C0_prime"] = {
             "class_fraction": format_rational(cp.curve_class.coords[0]),
-            "virtual_genus": format_rational(virtual_genus(cp)),
-            "domain_genus": format_rational(orbifold_genus(cp.domain)),
+            "virtual_genus": format_rational(cp_report.lhs),
+            "domain_genus": format_rational(cp_report.domain_genus),
             "self_pairing": format_rational(algebraic_intersection(cp, cp)),
             "adjunction": cp_report.to_json(),
             "verdict": str(embeddedness_verdict(cp_report)),

@@ -273,6 +273,102 @@ class TestSweepLimit:
         assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
 
 
+def _mutated(tmp_path, source: Path, edits: dict) -> str:
+    """source with the leaf at each key path replaced, written under tmp_path."""
+    data = json.loads(source.read_text(encoding="utf-8"))
+    for path, value in edits.items():
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    out = tmp_path / source.name
+    out.write_text(json.dumps(data), encoding="utf-8")
+    return str(out)
+
+
+AMBIENT_POINT = ("stations", 0, "ambient_point")
+SINGULAR_POINT_ID = ("ambient", "singular_points", 0, 0)
+GERM_GROUP = ("stations", 0, "points", 0, "germ", "group")
+
+
+class TestIdsAndLabels:
+    """Point ids and labels must be strings and chains orders an object;
+    anything else exits 2 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "source,path,value",
+        [
+            (DATA / "unrepresentable.json", AMBIENT_POINT, 1),
+            (DATA / "unrepresentable.json", AMBIENT_POINT, None),
+            (DATA / "unrepresentable.json", AMBIENT_POINT, ["z"]),
+            (CONFIGS / "line.json", AMBIENT_POINT, True),
+            (DATA / "unrepresentable.json", SINGULAR_POINT_ID, 3),
+            (DATA / "unrepresentable.json", SINGULAR_POINT_ID, None),
+            (DATA / "unrepresentable.json", ("stations", 0, "points", 0, "label"), 1.5),
+            (CONFIGS / "nodal_cubic.json", ("regular_double_points", 0, "labels", 0), 7),
+        ],
+        ids=[
+            "int_ambient_point", "null_ambient_point", "list_ambient_point",
+            "bool_ambient_point", "int_singular_point_id", "null_singular_point_id",
+            "float_point_label", "int_double_point_label",
+        ],
+    )
+    def test_non_string_ids_exit_2(self, tmp_path, capsys, source, path, value):
+        code, out = run_command(["adjunction", _mutated(tmp_path, source, {path: value})])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be a string, got " in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    @pytest.mark.parametrize("orders", [True, 1.5, "3", -1, [1]])
+    def test_non_object_orders_exit_2(self, tmp_path, capsys, verb, orders):
+        path = _mutated(tmp_path, CONFIGS / "teardrop_7.json", {("orders",): orders})
+        code, out = run_command(["chains", verb, path])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"error: complex orders must be an object, got {orders!r}\n"
+
+
+class TestLargeGroupOrders:
+    """No germ computation walks the chart group Z_a."""
+
+    def test_point_term_past_q_i_exits_1_at_once(self, tmp_path, capsys):
+        a = 10**40 + 1
+        path = _mutated(tmp_path, DATA / "unrepresentable.json", {
+            ("ambient", "singular_points", 0, 1): [a, 1],
+            ("stations", 0, "isotropy_order"): a,
+            GERM_GROUP: [a, 1],
+        })
+        start = time.perf_counter()
+        code, out = run_command(["adjunction", path])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: translate by 1 of a Z_{a} action needs a root of unity "
+            "outside the Gaussian rationals\n"
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            CONFIGS / "conic_tangent.json",
+            CONFIGS / "cuspidal_cubic.json",
+            DATA / "deep_singularity.json",
+            DATA / "unrepresentable.json",
+        ],
+        ids=lambda p: p.stem,
+    )
+    def test_huge_germ_group_exits_at_once(self, tmp_path, capsys, source):
+        path = _mutated(tmp_path, source, {GERM_GROUP + (0,): 10**40})
+        start = time.perf_counter()
+        code, out = run_command(["adjunction", path])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestLensAllowed:
     def test_huge_p_returns_q_and_its_inverse(self):
         p = 100000000000000000000000000049

@@ -1,8 +1,11 @@
 """Curve configurations: pairings, adjunction reports, embeddedness."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbicurves.curvecalc import (
     AmbientModel,
@@ -10,7 +13,6 @@ from orbicurves.curvecalc import (
     CurveConfig,
     RegularDoublePoint,
     Station,
-    StationPoint,
     adjunction_report,
     algebraic_intersection,
     c_pairing,
@@ -25,8 +27,18 @@ from orbicurves.curvecalc import (
     virtual_genus,
     with_precision,
 )
-from orbicurves.errors import AdjunctionViolated, AmbientMismatch, InvalidInput
-from orbicurves.germ import germ_from_polynomials, germ_orbit
+from orbicurves.errors import (
+    AdjunctionViolated,
+    AmbientMismatch,
+    EquivarianceViolated,
+    InvalidInput,
+)
+from orbicurves.germ import (
+    germ_from_polynomials,
+    intersection_multiplicity,
+    self_intersection,
+    translate,
+)
 from orbicurves.lens import SingularityType
 from orbicurves.surface import OrbifoldSurface
 from orbicurves.wps import build_model, c0_config, c0prime_config
@@ -130,11 +142,6 @@ class TestStation:
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
         with pytest.raises(InvalidInput):
             station("x", 5, [("a", g)])
-
-    def test_rejects_order_stabilizer_mismatch(self):
-        g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
-        with pytest.raises(InvalidInput):
-            Station("x", 3, (StationPoint("a", 1, germ_orbit(g)),))
 
 
 class TestRegularDoublePoint:
@@ -253,6 +260,15 @@ class TestLocalContributions:
         st = station("z", 4, [("a", g)])
         assert local_point_contribution(st, "a") == 3
 
+    def test_pair_against_a_fixed_branch_in_z3(self):
+        # each of the three translates of (z, z^2) is tangent to the fixed
+        # axis (z, 0), so 3 * 2 / 3 = 2; only the base of the second
+        # orbit is needed, and it needs no root of unity outside Q(i)
+        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(3, 1))
+        axis = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
+        st = station("z", 3, [("a", g), ("b", axis)])
+        assert local_pair_contribution(st, "a", "b") == 2
+
     def test_node_station_matches_double_point(self):
         st = station(
             "regular:node",
@@ -270,6 +286,85 @@ class TestLocalContributions:
         assert str(embeddedness_verdict(adjunction_report(via_station))) == str(
             embeddedness_verdict(adjunction_report(via_double))
         )
+
+
+def _translates(g):
+    return [translate(g, k) for k in range(g.group.a // g.m)]
+
+
+def _double_sum_point(s, label):
+    """The point term summed over every ordered pair of translates."""
+    g = s.point(label).germ
+    orbit = _translates(g)
+    delta = self_intersection(g)
+    cross = sum(
+        intersection_multiplicity(x, y)
+        for i, x in enumerate(orbit)
+        for j, y in enumerate(orbit)
+        if i != j
+    )
+    return Fraction(2 * len(orbit) * delta + cross, 2 * s.isotropy_order)
+
+
+def _double_sum_pair(s, z, w):
+    """The pair term summed over every pair of translates."""
+    total = sum(
+        intersection_multiplicity(x, y)
+        for x in _translates(s.point(z).germ)
+        for y in _translates(s.point(w).germ)
+    )
+    return Fraction(total, s.isotropy_order)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _z2_z4_germ(draw, a, b):
+    """A germ equivariant for a subgroup Z_m of Z_a: U's exponents are
+    u mod m and V's are u*b mod m for a unit u."""
+    m = draw(st.sampled_from([m for m in (1, 1, 2, 4) if a % m == 0]))  # m = 1 twice as often
+    u = draw(st.sampled_from([u for u in range(m) if math.gcd(u, m) == 1]))
+    coeff = st.sampled_from([-2, -1, 1, 2])
+
+    def terms(r):
+        allowed = [j for j in range(1, 7) if (j - r) % m == 0]
+        exps = draw(st.sets(st.sampled_from(allowed), max_size=2))
+        return {j: draw(coeff) for j in exps}
+
+    u_terms, v_terms = terms(u), terms(u * b)
+    assume(u_terms or v_terms)
+    return germ_from_polynomials(u_terms, v_terms, group=SingularityType(a, b), m=m, trunc=12)
+
+
+@st.composite
+def _z2_z4_station(draw):
+    a, b = draw(st.sampled_from([(2, 0), (2, 1), (4, 0), (4, 1), (4, 3)]))
+    germs = [draw(_z2_z4_germ(a, b)), draw(_z2_z4_germ(a, b))]
+    try:
+        return station("z", a, [("p", germs[0]), ("q", germs[1])])
+    except EquivarianceViolated:  # a stated stabilizer below the true one
+        assume(False)
+
+
+class TestOrbitSums:
+    """The O(size) orbit sums against the sum over all pairs of translates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_z2_z4_station())
+    def test_point_and_pair_terms_match_the_double_sum(self, s):
+        for label in ("p", "q"):
+            assert _outcome(local_point_contribution, s, label) == _outcome(
+                _double_sum_point, s, label
+            )
+        for z, w in (("p", "q"), ("q", "p")):
+            assert _outcome(local_pair_contribution, s, z, w) == _outcome(
+                _double_sum_pair, s, z, w
+            )
 
 
 class TestAdjunction:

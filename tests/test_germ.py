@@ -1,9 +1,11 @@
 """Power series arithmetic, equivariant branch germs, and local invariants."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbicurves.errors import (
@@ -21,6 +23,7 @@ from orbicurves.germ import (
     PowerSeries,
     _delta_from_characteristic,
     _series_det,
+    _stabilizing_twist,
     characteristic_exponents,
     germ_from_polynomials,
     germ_orbit,
@@ -424,25 +427,17 @@ class TestGermBoundary:
 
 
 class TestOrbits:
-    def test_orbit_size_and_twists(self):
+    def test_orbit_size_and_base(self):
         g = germ_from_polynomials({1: 1, 2: 1}, {1: 1}, group=SingularityType(3, 1))
         orb = germ_orbit(g)
-        assert len(orb) == 3
-        assert [x.twist for x in orb.germs] == [0, 1, 2]
-        assert orb.base is orb.germs[0]
+        assert orb.size == 3
+        assert orb.base is g
 
     def test_orbit_rejects_understated_stabilizer(self):
         # z^3 is fixed by the full Z_3 translate action, so m = 1 is wrong
         g = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
         with pytest.raises(EquivarianceViolated):
             germ_orbit(g)
-
-    def test_orbit_group_argument_must_match(self):
-        g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=1)
-        with pytest.raises(InvalidInput):
-            germ_orbit(g, group=SingularityType(5, 2))
-        with pytest.raises(InvalidInput):
-            germ_orbit(g, m=3)
 
     def test_materialize_fourth_roots(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(4, 1), m=4)
@@ -456,6 +451,104 @@ class TestOrbits:
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
         with pytest.raises(UnrepresentableCoefficients):
             translate(g, 1).materialize()
+
+
+def _weighted_exponents(a, b, u_exps, v_exps):
+    return [(j, 1) for j in u_exps] + [(j, b) for j in v_exps]
+
+
+def _least_fixing_twist(a, b, u_exps, v_exps):
+    """Least d in 1..a for which some x in Z_N solves j*x = d*t_j (mod N),
+    t_j = N/a on U's exponents and b*N/a on V's, by trying every pair."""
+    exps = _weighted_exponents(a, b, u_exps, v_exps)
+    n = a * math.lcm(*(j for j, _ in exps))
+    for d in range(1, a + 1):
+        for x in range(n):
+            if all((j * x - d * w * (n // a)) % n == 0 for j, w in exps):
+                return d
+
+
+def _least_rho_exponent(a, b, m, u_exps, v_exps):
+    """(s, reason) by trying every s in [0, a): the least s with
+    gcd(s, a) = a/m and j*(a/m) = s*w (mod a) on every weighted exponent;
+    reason names the failure when there is none."""
+    k = a // m
+    exps = _weighted_exponents(a, b, u_exps, v_exps)
+    solves = [s for s in range(a) if all((w * s - j * k) % a == 0 for j, w in exps)]
+    valid = [s for s in solves if math.gcd(s, a) == k]
+    if valid:
+        return valid[0], None
+    return None, "no injective" if solves else "not equivariant"
+
+
+_chart_types = st.integers(2, 12).flatmap(
+    lambda a: st.tuples(
+        st.just(a), st.sampled_from([b for b in range(a) if b == 0 or math.gcd(a, b) == 1])
+    )
+)
+_exponent_sets = st.sets(st.integers(1, 5), max_size=3)
+
+
+class TestImplicitOrbits:
+    @settings(max_examples=100, deadline=None)
+    @given(chart=_chart_types, u_exps=_exponent_sets, v_exps=_exponent_sets)
+    @example(chart=(6, 1), u_exps={1}, v_exps={3})
+    @example(chart=(4, 1), u_exps=set(), v_exps={1, 3})
+    def test_closed_form_stabilizer_matches_search(self, chart, u_exps, v_exps):
+        assume(u_exps or v_exps)
+        a, b = chart
+        # m = 1 is equivariant for any supports, so every germ constructs
+        g = germ_from_polynomials(
+            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b)
+        )
+        d = _least_fixing_twist(a, b, u_exps, v_exps)
+        assert _stabilizing_twist(g) == d
+        if d < a:
+            with pytest.raises(EquivarianceViolated, match=f"translate by {d} fixes"):
+                germ_orbit(g)
+        else:
+            assert germ_orbit(g).size == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(chart=_chart_types, m_pick=st.integers(0, 11),
+           u_exps=_exponent_sets, v_exps=_exponent_sets)
+    def test_equivariance_exponent_matches_search(self, chart, m_pick, u_exps, v_exps):
+        assume(u_exps or v_exps)
+        a, b = chart
+        divisors = [m for m in range(1, a + 1) if a % m == 0]
+        m = divisors[m_pick % len(divisors)]
+        s, reason = _least_rho_exponent(a, b, m, u_exps, v_exps)
+
+        def build():
+            return germ_from_polynomials(
+                {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b), m=m
+            )
+
+        if s is None:
+            with pytest.raises(EquivarianceViolated, match=reason):
+                build()
+        else:
+            u = s // (a // m)
+            assert build().weights() == (u % m, u * b % m)
+
+    def test_equivariance_solve_does_not_walk_the_group(self):
+        start = time.perf_counter()
+        g = germ_from_polynomials({}, {2: 1}, group=SingularityType(10**40, 0), m=2)
+        assert g.weights() == (1, 0)
+        assert time.perf_counter() - start < 1
+
+    def test_orbit_larger_than_an_index(self):
+        a = 10**40 + 1
+        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(a, 1))
+        start = time.perf_counter()
+        orb = germ_orbit(g)
+        assert time.perf_counter() - start < 1
+        assert orb.size == a and orb.base is g
+
+    def test_fixed_orbit_skips_the_stabilizer(self, monkeypatch):
+        g = germ_from_polynomials({1: 1}, {}, group=SingularityType(7, 5), m=7)
+        monkeypatch.setattr("orbicurves.germ._stabilizing_twist", None)
+        assert germ_orbit(g).size == 1
 
 
 class TestIntersection:
