@@ -14,11 +14,12 @@ face omits vertex i and enters the boundary with sign (-1)^i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
+from .decode import int_, is_int, list_, load, obj
 from .errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
 Simplex = tuple[int, ...]
@@ -30,11 +31,14 @@ def _as_simplex(vertices) -> Simplex:
     vs = tuple(vertices)
     if not vs:
         raise InvalidInput("a simplex needs at least one vertex")
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in vs):
+    if any(not is_int(v) or v < 0 for v in vs):
         raise InvalidInput(f"vertices must be non-negative integers: {vs}")
     if len(set(vs)) != len(vs):
         raise InvalidInput(f"repeated vertex in simplex {vs}")
     return tuple(sorted(vs))
+
+
+_int_list = partial(list_, item=int_)  # reads a JSON list of integers
 
 
 def faces(simplex: Simplex) -> list[Simplex]:
@@ -85,7 +89,7 @@ class WeightedComplex:
             s = _as_simplex(key) if not isinstance(key, str) else _parse_simplex_key(key)
             if s not in closed:
                 raise InvalidInput(f"order given for missing simplex {s}")
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not is_int(value) or value < 1:
                 raise InvalidInput(f"order of {s} must be a positive integer, got {value!r}")
             if value != 1:
                 table[s] = value
@@ -117,27 +121,18 @@ class WeightedComplex:
         """The same complex with all orders 1."""
         return WeightedComplex(self.simplices)
 
-    def to_json(self) -> dict:
-        return {
-            "simplices": [list(s) for s in self.simplices],
-            "orders": {
-                _simplex_key(s): self.orders[s] for s in sorted(self.orders)
-            },
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "WeightedComplex":
-        if not isinstance(data, dict) or "simplices" not in data:
-            raise InvalidInput("complex file must be an object with a 'simplices' list")
-        orders = data.get("orders", {})
-        if not isinstance(orders, dict):
-            raise InvalidInput(f"complex orders must be an object, got {orders!r}")
-        return WeightedComplex(data["simplices"], orders)
+    def from_json(data) -> "WeightedComplex":
+        """A complex file; the constructor checks the orders' values."""
+        obj(data, "", "simplices")
+        return WeightedComplex(
+            list_(data["simplices"], "simplices", item=_int_list),
+            obj(data.get("orders", {}), "orders"),
+        )
 
 
 def load_complex(path: str) -> WeightedComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return WeightedComplex.from_json(json.load(fh))
+    return WeightedComplex.from_json(load(path))
 
 
 @dataclass(frozen=True)
@@ -318,8 +313,7 @@ class FiniteGroup:
     def __init__(self, table):
         rows = tuple(tuple(row) for row in table)
         n = len(rows)
-        if n < 1 or n > MAX_GROUP_ORDER:
-            raise MalformedTable(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
+        _check_group_order(n)
         for row in rows:
             if len(row) != n or any(not isinstance(x, int) or not 0 <= x < n for x in row):
                 raise MalformedTable("table must be square with entries in range")
@@ -350,7 +344,13 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
+        _check_group_order(n)  # before the n x n table is built
         return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def _check_group_order(n: int) -> None:
+    if not 1 <= n <= MAX_GROUP_ORDER:
+        raise MalformedTable(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
 
 
 def _edge_key(big: Simplex, small: Simplex) -> str:
@@ -502,16 +502,16 @@ def cyclic_group_complex(w: WeightedComplex) -> GroupComplexFull:
 
 
 def load_group_complex(path: str) -> GroupComplexFull:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidInput("group complex file must be an object")
+    data = load(path)
     w = WeightedComplex.from_json(data)
     if "groups" not in data:
         return cyclic_group_complex(w)
+    groups = obj(data["groups"], "groups")
+    homs = obj(data.get("homs", {}), "homs")
+    twists = obj(data.get("twists", {}), "twists")
     return GroupComplexFull(
         complex=w,
-        groups=data["groups"],
-        homs=data.get("homs", {}),
-        twists=data.get("twists", {}),
+        groups={k: list_(t, f"groups.{k}", item=_int_list) for k, t in groups.items()},
+        homs={k: _int_list(h, f"homs.{k}") for k, h in homs.items()},
+        twists={k: int_(t, f"twists.{k}") for k, t in twists.items()},
     )

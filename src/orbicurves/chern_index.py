@@ -16,15 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .decode import int_
 from .errors import InvalidParameters, WeightOutOfRange
 from .exact import Fraction, is_integer, mod_inverse
 from .lens import _check_lens_params
 
 
 def _reduce_weights(m: int, weights, rank: int) -> tuple[int, ...]:
-    if m < 1:
+    if int_(m, "point order") < 1:
         raise InvalidParameters(f"point order must be >= 1, got {m}")
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(int_(w, "weight") for w in weights)
     if len(ws) != rank:
         raise WeightOutOfRange(
             f"expected {rank} weights at a point of order {m}, got {len(ws)}"
@@ -49,10 +50,8 @@ class EquivariantTrivialization:
         if rank < 1:
             raise InvalidParameters(f"rank must be >= 1, got {rank}")
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "relative_c1", int(relative_c1))
-        reduced = tuple(
-            (int(m), _reduce_weights(int(m), ws, rank)) for m, ws in points
-        )
+        object.__setattr__(self, "relative_c1", int_(relative_c1, "relative_c1"))
+        reduced = tuple((m, _reduce_weights(m, ws, rank)) for m, ws in points)
         object.__setattr__(self, "points", reduced)
 
 
@@ -87,11 +86,11 @@ def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
     points: iterable of (m_i, (w1, w2)) orbifold point data; weights are
     reduced into [0, m_i).
     """
-    if genus < 0:
+    if int_(genus, "genus") < 0:
         raise InvalidParameters(f"genus must be >= 0, got {genus}")
     d = Fraction(c1_pair) + 2 - 2 * genus
     for m, ws in points:
-        w1, w2 = _reduce_weights(int(m), ws, 2)
+        w1, w2 = _reduce_weights(m, ws, 2)
         d -= Fraction(w1 + w2, m)
     return IndexReport(d=d, index=2 * d)
 

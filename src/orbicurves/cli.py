@@ -18,13 +18,15 @@ from .chern_index import index_integrality_scan, kawasaki_index
 from .curvecalc import (
     SCHEMA_VERSION,
     adjunction_report,
+    check_schema,
     embeddedness_verdict,
     intersection_report,
     load_config,
     with_precision,
 )
+from .decode import int_, list_, load, obj, rational
 from .errors import InvalidInput, PrecisionExhausted
-from .exact import format_rational, parse_rational
+from .exact import format_rational
 from .germ import DEFAULT_TRUNCATION, MAX_PRECISION
 from .lens import LensSpace, allowed_q_set, cobordism_congruence, lens_equivalent
 from .wps import (
@@ -40,11 +42,6 @@ from .wps import (
 
 MIN_PRECISION = 8
 MAX_SWEEP_P = 250  # sweep --p-max 250: about 19 s on one core (Python 3.11, 2-core VM)
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _scalar(value) -> str:
@@ -173,25 +170,19 @@ def _cmd_intersect(args) -> dict:
     return _with_retries(compute, args.precision)
 
 
+def _index_point(value, where: str) -> tuple[int, list[int]]:
+    m, weights = list_(value, where, length=2)
+    return int_(m, f"{where}[0]"), list_(weights, f"{where}[1]", item=int_)
+
+
 def _cmd_index_eval(args) -> dict:
-    data = _load_json(args.path)
-    if not isinstance(data, dict):
-        raise InvalidInput("index input must be an object")
-    try:
-        c1_pair, genus = data["c1_pair"], data["genus"]
-        points = [(m, tuple(ws)) for m, ws in data["points"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad index input: {exc}") from exc
-    if not isinstance(c1_pair, str):
-        raise InvalidInput(
-            f"bad index input: c1_pair must be a string, got {c1_pair!r}"
-        )
-    for value in (genus, *(v for m, ws in points for v in (m, *ws))):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidInput(
-                f"bad index input: genus, orders and weights must be integers, got {value!r}"
-            )
-    report = kawasaki_index(parse_rational(c1_pair), genus, points)
+    data = obj(load(args.path), "", "c1_pair", "genus", "points")
+    check_schema(data)
+    report = kawasaki_index(
+        rational(data["c1_pair"], "c1_pair"),
+        int_(data["genus"], "genus"),
+        list_(data["points"], "points", item=_index_point),
+    )
     return {
         "schema": SCHEMA_VERSION,
         "d": format_rational(report.d),

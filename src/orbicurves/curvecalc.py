@@ -14,7 +14,6 @@ exact rationals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,8 @@ from .errors import (
     AmbientMismatch,
     InvalidInput,
 )
-from .exact import format_rational, parse_rational
+from .decode import int_, list_, load, obj, rational, str_
+from .exact import format_rational
 from .germ import (CurveGerm, GermOrbit, germ_orbit, intersection_multiplicity,
                    self_intersection, translate)
 from .lens import SingularityType
@@ -36,13 +36,6 @@ REGULAR_PREFIX = "regular"
 
 def _is_regular_marker(point_id: str) -> bool:
     return point_id == REGULAR_PREFIX or point_id.startswith(REGULAR_PREFIX + ":")
-
-
-def _string(value, what: str) -> str:
-    """A point id or label read from JSON, which must be a string."""
-    if not isinstance(value, str):
-        raise InvalidInput(f"{what} must be a string, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -101,29 +94,27 @@ class AmbientModel:
             f"'{REGULAR_PREFIX}' marker"
         )
 
-    def to_json(self) -> dict:
-        return {
-            "h2_rank": self.h2_rank,
-            "pairing": [[format_rational(x) for x in row] for row in self.pairing],
-            "c1_vector": [format_rational(x) for x in self.c1_vector],
-            "singular_points": [[pid, t.to_json()] for pid, t in self.singular_points],
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "AmbientModel":
-        if not isinstance(data, dict):
-            raise InvalidInput(f"ambient must be an object, got {data!r}")
+    def from_json(data, where: str = "ambient") -> "AmbientModel":
+        obj(data, where, "h2_rank", "pairing", "c1_vector")
         return AmbientModel(
-            h2_rank=data["h2_rank"],
-            pairing=tuple(
-                tuple(parse_rational(x) for x in row) for row in data["pairing"]
-            ),
-            c1_vector=tuple(parse_rational(x) for x in data["c1_vector"]),
-            singular_points=tuple(
-                (_string(pid, "singular point id"), SingularityType.from_json(t))
-                for pid, t in data.get("singular_points", ())
+            h2_rank=int_(data["h2_rank"], f"{where}.h2_rank"),
+            pairing=list_(data["pairing"], f"{where}.pairing", item=_rational_row),
+            c1_vector=_rational_row(data["c1_vector"], f"{where}.c1_vector"),
+            singular_points=list_(
+                data.get("singular_points", []), f"{where}.singular_points",
+                item=_singular_point,
             ),
         )
+
+
+def _rational_row(value, where: str) -> list[Fraction]:
+    return list_(value, where, item=rational)
+
+
+def _singular_point(value, where: str) -> tuple[str, SingularityType]:
+    pid, stype = list_(value, where, length=2)
+    return str_(pid, f"{where}[0]"), SingularityType.from_json(stype, f"{where}[1]")
 
 
 @dataclass(frozen=True)
@@ -146,17 +137,12 @@ class CurveClass:
     def is_type_one(self) -> bool:
         return self.multiplicity == 1
 
-    def to_json(self) -> dict:
-        return {
-            "coords": [format_rational(x) for x in self.coords],
-            "multiplicity": self.multiplicity,
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "CurveClass":
+    def from_json(data, where: str = "class") -> "CurveClass":
+        obj(data, where, "coords")
         return CurveClass(
-            coords=tuple(parse_rational(x) for x in data["coords"]),
-            multiplicity=data.get("multiplicity", 1),
+            coords=_rational_row(data["coords"], f"{where}.coords"),
+            multiplicity=int_(data.get("multiplicity", 1), f"{where}.multiplicity"),
         )
 
 
@@ -175,9 +161,6 @@ class StationPoint:
     @property
     def order(self) -> int:  # the domain orbifold point's order
         return self.germ.m
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "order": self.order, "germ": self.germ.to_json()}
 
 
 @dataclass(frozen=True)
@@ -213,13 +196,6 @@ class Station:
                 return p
         raise InvalidInput(f"no point labeled {label!r} in station {self.ambient_point!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_point": self.ambient_point,
-            "isotropy_order": self.isotropy_order,
-            "points": [p.to_json() for p in self.points],
-        }
-
 
 def station(ambient_point: str, isotropy_order: int, points) -> Station:
     """Build a station from (label, germ) pairs, generating each point's
@@ -249,18 +225,12 @@ class RegularDoublePoint:
                     "use a station for singular ambient points"
                 )
 
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "germs": [g.to_json() for g in self.germs],
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "RegularDoublePoint":
-        return RegularDoublePoint(
-            labels=tuple(_string(x, "double point label") for x in data["labels"]),
-            germs=tuple(CurveGerm.from_json(g) for g in data["germs"]),
-        )
+    def from_json(data, where: str) -> "RegularDoublePoint":
+        obj(data, where, "labels", "germs")
+        labels = list_(data["labels"], f"{where}.labels", item=str_, length=2)
+        germs = list_(data["germs"], f"{where}.germs", item=CurveGerm.from_json, length=2)
+        return RegularDoublePoint(tuple(labels), tuple(germs))
 
 
 @dataclass(frozen=True)
@@ -316,54 +286,56 @@ class CurveConfig:
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"domain point labels must be unique: {labels}")
 
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "ambient": self.ambient.to_json(),
-            "domain": self.domain.to_json(),
-            "class": self.curve_class.to_json(),
-            "stations": [s.to_json() for s in self.stations],
-            "regular_double_points": [d.to_json() for d in self.regular_double_points],
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "CurveConfig":
-        if not isinstance(data, dict):
-            raise InvalidInput(f"config must be an object, got {data!r}")
-        schema = data.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise InvalidInput(f"unsupported schema version {schema!r}")
-        stations = []
-        for s in data.get("stations", ()):
-            points = [
-                (_string(p["label"], "point label"), CurveGerm.from_json(p["germ"]))
-                for p in s["points"]
-            ]
-            ambient_point = _string(s["ambient_point"], "station ambient_point")
-            st = station(ambient_point, s["isotropy_order"], points)
-            declared = [p.get("order") for p in s["points"]]
-            for built, want in zip(st.points, declared):
-                if want is not None and built.order != want:
-                    raise InvalidInput(
-                        f"point {built.label!r} declares order {want}, germ "
-                        f"stabilizer gives {built.order}"
-                    )
-            stations.append(st)
+    def from_json(data) -> "CurveConfig":
+        obj(data, "", "ambient", "domain", "class")
+        check_schema(data)
         return CurveConfig(
             ambient=AmbientModel.from_json(data["ambient"]),
             domain=OrbifoldSurface.from_json(data["domain"]),
             curve_class=CurveClass.from_json(data["class"]),
-            stations=tuple(stations),
-            regular_double_points=tuple(
-                RegularDoublePoint.from_json(d)
-                for d in data.get("regular_double_points", ())
+            stations=list_(data.get("stations", []), "stations", item=_read_station),
+            regular_double_points=list_(
+                data.get("regular_double_points", []), "regular_double_points",
+                item=RegularDoublePoint.from_json,
             ),
         )
 
 
+def check_schema(data: dict) -> None:
+    """An input file's optional "schema" field must be SCHEMA_VERSION."""
+    schema = int_(data.get("schema", SCHEMA_VERSION), "schema")
+    if schema != SCHEMA_VERSION:
+        raise InvalidInput(f"unsupported schema version {schema!r}")
+
+
+def _read_station(data, where: str) -> Station:
+    """A station object; a point's "order", when given, must equal the
+    order of its germ's stabilizer."""
+    obj(data, where, "ambient_point", "isotropy_order", "points")
+    points, declared = [], []
+    for i, p in enumerate(list_(data["points"], f"{where}.points")):
+        at = f"{where}.points[{i}]"
+        obj(p, at, "label", "germ")
+        label = str_(p["label"], f"{at}.label")
+        points.append((label, CurveGerm.from_json(p["germ"], f"{at}.germ")))
+        declared.append(int_(p["order"], f"{at}.order") if "order" in p else None)
+    st = station(
+        str_(data["ambient_point"], f"{where}.ambient_point"),
+        int_(data["isotropy_order"], f"{where}.isotropy_order"),
+        points,
+    )
+    for built, want in zip(st.points, declared):
+        if want is not None and built.order != want:
+            raise InvalidInput(
+                f"point {built.label!r} declares order {want}, germ "
+                f"stabilizer gives {built.order}"
+            )
+    return st
+
+
 def load_config(path: str) -> CurveConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CurveConfig.from_json(json.load(fh))
+    return CurveConfig.from_json(load(path))
 
 
 def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:

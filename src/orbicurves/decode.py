@@ -1,0 +1,73 @@
+"""Strict reading of JSON input files: each reader checks the JSON type
+of one value and returns it, or raises InvalidInput naming the value's
+path in the file, as in ``ambient.h2_rank: expected an integer, got true``.
+
+An integer is never ``true``, ``false`` or ``1.0``; a rational is a
+string "a/b" or "a".  An optional field is either absent or of its
+type, so callers read it with ``data.get(key, default)``.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from .errors import InvalidInput
+from .exact import parse_rational
+
+
+def load(path):
+    """The JSON value stored in the file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _fail(where: str, expected: str, value):
+    shown = json.dumps(value, default=repr)
+    raise InvalidInput(f"{where or 'file'}: expected {expected}, got {shown}")
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_(value, where: str) -> int:
+    if not is_int(value):
+        _fail(where, "an integer", value)
+    return value
+
+
+def str_(value, where: str) -> str:
+    if not isinstance(value, str):
+        _fail(where, "a string", value)
+    return value
+
+
+def rational(value, where: str) -> Fraction:
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except InvalidInput:
+            pass
+    _fail(where, 'a rational string "a/b"', value)
+
+
+def list_(value, where: str, item=None, length=None) -> list:
+    """A list, of exactly length items when length is given, with each
+    item read by item(value, path) when item is given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        _fail(where, "a list" if length is None else f"a list of {length} items", value)
+    if item is None:
+        return value
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def obj(value, where: str, *required) -> dict:
+    """An object that has every key in required."""
+    if not isinstance(value, dict):
+        _fail(where, "an object", value)
+    for key in required:
+        if key not in value:
+            raise InvalidInput(f"{where}.{key}: missing" if where else f"{key}: missing")
+    return value

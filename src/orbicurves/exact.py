@@ -152,16 +152,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
 
-    def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
-
-    @staticmethod
-    def from_json(data: dict) -> "GaussianRational":
-        if not isinstance(data, dict) or set(data) - {"re", "im"}:
-            raise InvalidInput(f"not a Gaussian rational object: {data!r}")
-        return GaussianRational(
-            parse_rational(data.get("re", "0")), parse_rational(data.get("im", "0"))
-        )
 
 
 GR_ZERO = GaussianRational.of(0)

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .decode import int_, list_, obj, rational
 from .errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -302,27 +303,25 @@ class PowerSeries:
 
     __repr__ = __str__
 
-    def to_json(self) -> dict:
-        return {
-            "trunc": self.trunc,
-            "terms": [[e, self.coeff(e).to_json()] for e in self.support()],
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "PowerSeries":
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-            raise InvalidInput(f"series object needs a 'terms' list: {data!r}")
-        trunc = data.get("trunc", DEFAULT_TRUNCATION)
-        if trunc is not None and not (_is_int(trunc) and trunc <= MAX_PRECISION):
+    def from_json(data, where: str = "series") -> "PowerSeries":
+        obj(data, where, "terms")
+        trunc = int_(data.get("trunc", DEFAULT_TRUNCATION), f"{where}.trunc")
+        if trunc > MAX_PRECISION:
             raise InvalidInput(
                 f"series trunc must be an integer <= {MAX_PRECISION}, got {trunc!r}"
             )
-        terms = {}
-        for item in data["terms"]:
-            if not isinstance(item, list) or len(item) != 2 or not _is_int(item[0]):
-                raise InvalidInput(f"series term must be [int exp, coeff]: {item!r}")
-            terms[item[0]] = GaussianRational.from_json(item[1])
-        return PowerSeries(terms, trunc)
+        parts = {}
+        for i, term in enumerate(list_(data["terms"], f"{where}.terms")):
+            at = f"{where}.terms[{i}]"
+            e, c = list_(term, at, length=2)
+            if set(obj(c, f"{at}[1]")) - {"re", "im"}:
+                raise InvalidInput(f"{at}[1]: a coefficient has only the keys re and im")
+            parts[int_(e, f"{at}[0]")] = (
+                rational(c.get("re", "0"), f"{at}[1].re"),
+                rational(c.get("im", "0"), f"{at}[1].im"),
+            )
+        return _series(*_numerators(parts), trunc)
 
 
 def _numerators(parts: dict) -> tuple[dict, int]:
@@ -338,10 +337,6 @@ def _series(num: dict, den: int, trunc) -> PowerSeries:
     s = object.__new__(PowerSeries)
     s._set(num, den, trunc)
     return s
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _ONE_EXACT = PowerSeries({0: GR_ONE}, None)
@@ -482,30 +477,15 @@ class CurveGerm:
         mu_v = fourth_root_power(quarter * b)
         return self.U.scale(mu_u), self.V.scale(mu_v)
 
-    def to_json(self) -> dict:
-        out = {
-            "U": self.U.to_json(),
-            "V": self.V.to_json(),
-            "group": self.group.to_json(),
-            "m": self.m,
-        }
-        if self.twist:
-            out["twist"] = self.twist
-        return out
-
     @staticmethod
-    def from_json(data: dict) -> "CurveGerm":
-        if not isinstance(data, dict):
-            raise InvalidInput(f"germ must be an object, got {data!r}")
-        m, twist = data.get("m", 1), data.get("twist", 0)
-        if not (_is_int(m) and _is_int(twist)):
-            raise InvalidInput(f"germ m and twist must be integers, got {m!r}, {twist!r}")
+    def from_json(data, where: str = "germ") -> "CurveGerm":
+        obj(data, where, "U", "V")
         return CurveGerm(
-            U=PowerSeries.from_json(data["U"]),
-            V=PowerSeries.from_json(data["V"]),
-            group=SingularityType.from_json(data.get("group", [1, 0])),
-            m=m,
-            twist=twist,
+            U=PowerSeries.from_json(data["U"], f"{where}.U"),
+            V=PowerSeries.from_json(data["V"], f"{where}.V"),
+            group=SingularityType.from_json(data.get("group", [1, 0]), f"{where}.group"),
+            m=int_(data.get("m", 1), f"{where}.m"),
+            twist=int_(data.get("twist", 0), f"{where}.twist"),
         )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .decode import int_, list_
 from .errors import InvalidParameters
 from .exact import mod_inverse
 
@@ -55,14 +56,8 @@ class SingularityType:
         return [self.a, self.b]
 
     @staticmethod
-    def from_json(data) -> "SingularityType":
-        if (
-            not isinstance(data, (list, tuple))
-            or len(data) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
-        ):
-            raise InvalidParameters(f"singularity type must be [a, b], got {data!r}")
-        return SingularityType(data[0], data[1])
+    def from_json(data, where: str = "group") -> "SingularityType":
+        return SingularityType(*list_(data, where, item=int_, length=2))
 
 
 def _check_lens_params(p: int, q: int, name: str = "q") -> None:

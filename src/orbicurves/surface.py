@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .decode import int_, list_, obj
 from .errors import InvalidParameters
 from .exact import Fraction
 
@@ -40,21 +41,13 @@ class OrbifoldSurface:
     def is_reduced(self) -> bool:
         return self.m_sigma == 1
 
-    def to_json(self) -> dict:
-        return {
-            "m_sigma": self.m_sigma,
-            "genus": self.genus,
-            "orders": list(self.orders),
-        }
-
     @staticmethod
-    def from_json(data: dict) -> "OrbifoldSurface":
-        if not isinstance(data, dict):
-            raise InvalidParameters(f"surface must be an object, got {data!r}")
+    def from_json(data, where: str = "domain") -> "OrbifoldSurface":
+        obj(data, where, "genus")
         return OrbifoldSurface(
-            m_sigma=data.get("m_sigma", 1),
-            genus=data["genus"],
-            orders=tuple(data.get("orders", ())),
+            m_sigma=int_(data.get("m_sigma", 1), f"{where}.m_sigma"),
+            genus=int_(data["genus"], f"{where}.genus"),
+            orders=list_(data.get("orders", []), f"{where}.orders", item=int_),
         )
 
 

@@ -13,7 +13,7 @@ from orbicurves.chern_index import (
     index_integrality_scan,
     kawasaki_index,
 )
-from orbicurves.errors import InvalidParameters, WeightOutOfRange
+from orbicurves.errors import InvalidInput, InvalidParameters, WeightOutOfRange
 from orbicurves.lens import allowed_q_set, cobordism_congruence
 from orbicurves.surface import OrbifoldSurface, tangent_c1
 
@@ -32,6 +32,16 @@ class TestTrivialization:
             EquivariantTrivialization(rank=0, relative_c1=0, points=[])
         with pytest.raises(InvalidParameters):
             EquivariantTrivialization(rank=1, relative_c1=0, points=[(0, (0,))])
+
+    @pytest.mark.parametrize(
+        "relative_c1,points",
+        [(1.5, [(5, (1,))]), (True, [(5, (1,))]), (0, [(5.0, (1,))]), (0, [(5, (1.9,))])],
+        ids=["float_c1", "bool_c1", "float_order", "float_weight"],
+    )
+    def test_rejects_non_integers(self, relative_c1, points):
+        # int() would read 1.5 as 1 and 1.9 as 1
+        with pytest.raises(InvalidInput, match="expected an integer"):
+            EquivariantTrivialization(rank=1, relative_c1=relative_c1, points=points)
 
 
 class TestChernSplit:
@@ -87,6 +97,19 @@ class TestKawasaki:
             kawasaki_index(Fraction(1), 0, [(5, (1, 2, 3))])
         with pytest.raises(WeightOutOfRange):
             kawasaki_index(Fraction(1), 0, [(5, (1,))])
+
+    def test_rejects_float_weight(self):
+        # int(1.9) = 1 would give d = 3, the value for weights (1, 5)
+        with pytest.raises(InvalidInput, match="weight: expected an integer, got 1.9"):
+            kawasaki_index("13/7", 0, [(7, (1.9, 5))])
+
+    def test_rejects_bool_genus(self):
+        with pytest.raises(InvalidInput, match="genus: expected an integer, got true"):
+            kawasaki_index("13/7", True, [(7, (1, 5))])
+
+    def test_rejects_float_order(self):
+        with pytest.raises(InvalidInput, match="point order: expected an integer, got 7.0"):
+            kawasaki_index("13/7", 0, [(7.0, (1, 5))])
 
     def test_rejects_negative_genus(self):
         with pytest.raises(InvalidParameters):

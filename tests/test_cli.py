@@ -151,29 +151,53 @@ class TestExitCodes:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "data",
+        "data,message",
         [
-            {"c1_pair": "12/35", "genus": 0.5, "points": [[7.9, [3, 1]]]},
-            {"c1_pair": "12/35", "genus": True, "points": [[7, [3, 1]]]},
-            {"c1_pair": "12/35", "genus": 0, "points": [[7.0, [3, 1]]]},
-            {"c1_pair": "12/35", "genus": 0, "points": [[True, [3, 1]]]},
-            {"c1_pair": "12/35", "genus": 0, "points": [[7, [3.5, 1]]]},
-            {"c1_pair": "12/35", "genus": 0, "points": [[7, [3, False]]]},
-            {"c1_pair": 0.25, "genus": 0, "points": [[7, [3, 1]]]},
-            {"c1_pair": ["12/35"], "genus": 0, "points": []},
+            (
+                {"c1_pair": "12/35", "genus": 0.5, "points": [[7.9, [3, 1]]]},
+                "genus: expected an integer, got 0.5",
+            ),
+            (
+                {"c1_pair": "12/35", "genus": True, "points": [[7, [3, 1]]]},
+                "genus: expected an integer, got true",
+            ),
+            (
+                {"c1_pair": "12/35", "genus": 0, "points": [[7.0, [3, 1]]]},
+                "points[0][0]: expected an integer, got 7.0",
+            ),
+            (
+                {"c1_pair": "12/35", "genus": 0, "points": [[True, [3, 1]]]},
+                "points[0][0]: expected an integer, got true",
+            ),
+            (
+                {"c1_pair": "12/35", "genus": 0, "points": [[7, [3.5, 1]]]},
+                "points[0][1][0]: expected an integer, got 3.5",
+            ),
+            (
+                {"c1_pair": "12/35", "genus": 0, "points": [[7, [3, False]]]},
+                "points[0][1][1]: expected an integer, got false",
+            ),
+            (
+                {"c1_pair": 0.25, "genus": 0, "points": [[7, [3, 1]]]},
+                'c1_pair: expected a rational string "a/b", got 0.25',
+            ),
+            (
+                {"c1_pair": ["12/35"], "genus": 0, "points": []},
+                'c1_pair: expected a rational string "a/b", got ["12/35"]',
+            ),
         ],
         ids=[
             "float_genus", "bool_genus", "float_order", "bool_order",
             "float_weight", "bool_weight", "float_c1", "list_c1",
         ],
     )
-    def test_index_eval_rejects_non_integer_fields(self, tmp_path, capsys, data):
+    def test_index_eval_rejects_non_integer_fields(self, tmp_path, capsys, data, message):
         bad = tmp_path / "index.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         code, out = run_command(["index", "eval", str(bad)])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err.startswith("error: bad index input:") and err.count("\n") == 1
+        assert err == f"error: {message}\n"
 
 
 class TestGermJsonBoundary:
@@ -317,7 +341,7 @@ class TestIdsAndLabels:
         code, out = run_command(["adjunction", _mutated(tmp_path, source, {path: value})])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "must be a string, got " in err
+        assert err.startswith("error: ") and ": expected a string, got " in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("verb", ["betti", "validate"])
@@ -327,7 +351,7 @@ class TestIdsAndLabels:
         code, out = run_command(["chains", verb, path])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err == f"error: complex orders must be an object, got {orders!r}\n"
+        assert err == f"error: orders: expected an object, got {json.dumps(orders)}\n"
 
 
 class TestLargeGroupOrders:
