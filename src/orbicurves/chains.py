@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .decode import int_, is_int, list_, load, obj
+from .decode import int_, is_int, keyed, list_, load, obj
 from .errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
 Simplex = tuple[int, ...]
@@ -123,11 +123,13 @@ class WeightedComplex:
 
     @staticmethod
     def from_json(data) -> "WeightedComplex":
-        """A complex file; the constructor checks the orders' values."""
-        obj(data, "", "simplices")
+        """A complex file; the constructor checks the orders' values.  The
+        groups, homs and twists of a group complex file are read by
+        load_group_complex."""
+        obj(data, "", "simplices", optional=("orders", "groups", "homs", "twists"))
         return WeightedComplex(
             list_(data["simplices"], "simplices", item=_int_list),
-            obj(data.get("orders", {}), "orders"),
+            keyed(data.get("orders", {}), "orders"),
         )
 
 
@@ -506,9 +508,9 @@ def load_group_complex(path: str) -> GroupComplexFull:
     w = WeightedComplex.from_json(data)
     if "groups" not in data:
         return cyclic_group_complex(w)
-    groups = obj(data["groups"], "groups")
-    homs = obj(data.get("homs", {}), "homs")
-    twists = obj(data.get("twists", {}), "twists")
+    groups = keyed(data["groups"], "groups")
+    homs = keyed(data.get("homs", {}), "homs")
+    twists = keyed(data.get("twists", {}), "twists")
     return GroupComplexFull(
         complex=w,
         groups={k: list_(t, f"groups.{k}", item=_int_list) for k, t in groups.items()},

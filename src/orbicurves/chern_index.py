@@ -8,7 +8,10 @@ d = c_1 + 2 - 2g - sum_i (m_{i,1} + m_{i,2})/m_i
 for a rank-2 pullback over a parametrized orbifold sphere/surface; the
 real index of the associated operator is 2d.  Integrality of d is the
 obstruction driving the lens-space congruence, and
-index_integrality_scan reproduces that test purely through the index.
+index_integrality_scan reproduces that test purely through the index:
+it evaluates the first cone point's term once through kawasaki_index
+and computes the second point's term for each q' as an integer
+numerator over p(p+q).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .decode import int_
 from .errors import InvalidParameters, WeightOutOfRange
-from .exact import Fraction, is_integer, mod_inverse
+from .exact import Fraction, format_rational, is_integer, mod_inverse
 from .lens import _check_lens_params
 
 
@@ -105,8 +108,6 @@ class ScanRow:
     allowed: bool
 
     def to_json(self) -> dict:
-        from .exact import format_rational
-
         return {
             "qprime": self.qprime,
             "caseA_d": format_rational(self.caseA_d),
@@ -125,25 +126,36 @@ def index_integrality_scan(p: int, q: int) -> list[ScanRow]:
     first point the local representative forces weights (l, 1) with
     l = p^{-1} mod p+q; at the second the two candidate local forms give
     weights (l', 1) with l' = q'^{-1} mod p (case A) or (1, q') (case B).
+
+    The q'-independent part c_1 + 2 - (l+1)/(p+q), the first point's
+    term included, is evaluated once through kawasaki_index.  Every d
+    has denominator dividing p(p+q), so for each q' the second point's
+    term -(w1+w2)/p is one integer subtraction on numerators over
+    p(p+q); the weights l', 1 and q' already lie in [1, p).
     """
     _check_lens_params(p, q)
     l = mod_inverse(p, p + q)
-    c1_pair = Fraction(2 * p + q + 1, p * (p + q))
+    den = p * (p + q)
+    c1_pair = Fraction(2 * p + q + 1, den)
+    first = kawasaki_index(c1_pair, 0, [(p + q, (l, 1))]).d
+    base = first.numerator * (den // first.denominator)
     rows = []
     for qprime in range(1, p):
         if math.gcd(qprime, p) != 1:
             continue
         lprime = mod_inverse(qprime, p)
-        d_a = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (lprime, 1))]).d
-        d_b = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (1, qprime))]).d
+        d_a = Fraction(base - (lprime + 1) * (p + q), den)
+        d_b = Fraction(base - (1 + qprime) * (p + q), den)
+        a_integral = d_a.denominator == 1
+        b_integral = d_b.denominator == 1
         rows.append(
             ScanRow(
                 qprime=qprime,
                 caseA_d=d_a,
                 caseB_d=d_b,
-                caseA_integral=is_integer(d_a),
-                caseB_integral=is_integer(d_b),
-                allowed=is_integer(d_a) or is_integer(d_b),
+                caseA_integral=a_integral,
+                caseB_integral=b_integral,
+                allowed=a_integral or b_integral,
             )
         )
     return rows

@@ -42,6 +42,9 @@ from .wps import (
 
 MIN_PRECISION = 8
 MAX_SWEEP_P = 250  # sweep --p-max 250: about 19 s on one core (Python 3.11, 2-core VM)
+# index scan 99991 2 (the largest prime p allowed): about 2.3 s and 187 MB
+# peak RSS for 18.6 MB of JSON on one core (Python 3.11, 2-core VM)
+MAX_SCAN_P = 100_000
 
 
 def _scalar(value) -> str:
@@ -176,7 +179,7 @@ def _index_point(value, where: str) -> tuple[int, list[int]]:
 
 
 def _cmd_index_eval(args) -> dict:
-    data = obj(load(args.path), "", "c1_pair", "genus", "points")
+    data = obj(load(args.path), "", "c1_pair", "genus", "points", optional=("schema",))
     check_schema(data)
     report = kawasaki_index(
         rational(data["c1_pair"], "c1_pair"),
@@ -192,6 +195,8 @@ def _cmd_index_eval(args) -> dict:
 
 
 def _cmd_index_scan(args) -> dict:
+    if args.p > MAX_SCAN_P:
+        raise InvalidInput(f"index scan p must be <= {MAX_SCAN_P}, got {args.p}")
     rows = index_integrality_scan(args.p, args.q)
     return {
         "schema": SCHEMA_VERSION,
@@ -355,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     index_scan = index_sub.add_parser(
         "scan", parents=[common], help="integrality scan over q'"
     )
-    index_scan.add_argument("p", type=int)
+    index_scan.add_argument("p", type=int, help=f"2..{MAX_SCAN_P}")
     index_scan.add_argument("q", type=int)
     index_scan.set_defaults(handler=_cmd_index_scan)
 

@@ -96,7 +96,7 @@ class AmbientModel:
 
     @staticmethod
     def from_json(data, where: str = "ambient") -> "AmbientModel":
-        obj(data, where, "h2_rank", "pairing", "c1_vector")
+        obj(data, where, "h2_rank", "pairing", "c1_vector", optional=("singular_points",))
         return AmbientModel(
             h2_rank=int_(data["h2_rank"], f"{where}.h2_rank"),
             pairing=list_(data["pairing"], f"{where}.pairing", item=_rational_row),
@@ -139,7 +139,7 @@ class CurveClass:
 
     @staticmethod
     def from_json(data, where: str = "class") -> "CurveClass":
-        obj(data, where, "coords")
+        obj(data, where, "coords", optional=("multiplicity",))
         return CurveClass(
             coords=_rational_row(data["coords"], f"{where}.coords"),
             multiplicity=int_(data.get("multiplicity", 1), f"{where}.multiplicity"),
@@ -288,7 +288,8 @@ class CurveConfig:
 
     @staticmethod
     def from_json(data) -> "CurveConfig":
-        obj(data, "", "ambient", "domain", "class")
+        obj(data, "", "ambient", "domain", "class",
+            optional=("schema", "stations", "regular_double_points"))
         check_schema(data)
         return CurveConfig(
             ambient=AmbientModel.from_json(data["ambient"]),
@@ -316,7 +317,7 @@ def _read_station(data, where: str) -> Station:
     points, declared = [], []
     for i, p in enumerate(list_(data["points"], f"{where}.points")):
         at = f"{where}.points[{i}]"
-        obj(p, at, "label", "germ")
+        obj(p, at, "label", "germ", optional=("order",))
         label = str_(p["label"], f"{at}.label")
         points.append((label, CurveGerm.from_json(p["germ"], f"{at}.germ")))
         declared.append(int_(p["order"], f"{at}.order") if "order" in p else None)

@@ -4,7 +4,9 @@ path in the file, as in ``ambient.h2_rank: expected an integer, got true``.
 
 An integer is never ``true``, ``false`` or ``1.0``; a rational is a
 string "a/b" or "a".  An optional field is either absent or of its
-type, so callers read it with ``data.get(key, default)``.
+type, so callers read it with ``data.get(key, default)``.  An object
+has only the fields its reader names, as in ``class.multiplicty:
+unknown key``; keyed maps, whose keys are data, are read with keyed.
 """
 
 from __future__ import annotations
@@ -63,11 +65,30 @@ def list_(value, where: str, item=None, length=None) -> list:
     return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def obj(value, where: str, *required) -> dict:
-    """An object that has every key in required."""
+def keyed(value, where: str) -> dict:
+    """An object whose keys are data, such as the simplex keys of chains
+    orders: any key is allowed."""
     if not isinstance(value, dict):
         _fail(where, "an object", value)
+    return value
+
+
+def obj(value, where: str, *required, optional=()) -> dict:
+    """An object that has every key in required and no key outside
+    required and optional, so a misspelled field is an error and not a
+    silent default."""
+    keyed(value, where)
     for key in required:
         if key not in value:
-            raise InvalidInput(f"{where}.{key}: missing" if where else f"{key}: missing")
+            raise InvalidInput(f"{_key_path(where, key)}: missing")
+    for key in value:
+        if key not in required and key not in optional:
+            raise InvalidInput(f"{_key_path(where, key)}: unknown key")
     return value
+
+
+def _key_path(where: str, key: str) -> str:
+    # a key that is not an identifier is quoted, so a newline in it
+    # cannot split the one-line error message
+    shown = key if key.isidentifier() else json.dumps(key)
+    return f"{where}.{shown}" if where else shown

@@ -42,28 +42,28 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Canonical textual form: "a/b" with b > 1, plain "a" for integers.
+    """Canonical textual form of an int or Fraction: "a/b" with b > 1,
+    plain "a" for integers.
 
     >>> format_rational(Fraction(-26, 14))
     '-13/7'
     >>> format_rational(Fraction(10, 2))
     '5'
     """
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def is_integer(x) -> bool:
-    """True iff the rational is an integer.
+    """True iff the int or Fraction is an integer.
 
     >>> is_integer(Fraction(13, 35))
     False
     >>> is_integer(Fraction(14, 7))
     True
     """
-    return Fraction(x).denominator == 1
+    return x.denominator == 1
 
 
 def mod_inverse(a: int, n: int) -> int:

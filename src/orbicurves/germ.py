@@ -305,7 +305,7 @@ class PowerSeries:
 
     @staticmethod
     def from_json(data, where: str = "series") -> "PowerSeries":
-        obj(data, where, "terms")
+        obj(data, where, "terms", optional=("trunc",))
         trunc = int_(data.get("trunc", DEFAULT_TRUNCATION), f"{where}.trunc")
         if trunc > MAX_PRECISION:
             raise InvalidInput(
@@ -315,8 +315,7 @@ class PowerSeries:
         for i, term in enumerate(list_(data["terms"], f"{where}.terms")):
             at = f"{where}.terms[{i}]"
             e, c = list_(term, at, length=2)
-            if set(obj(c, f"{at}[1]")) - {"re", "im"}:
-                raise InvalidInput(f"{at}[1]: a coefficient has only the keys re and im")
+            obj(c, f"{at}[1]", optional=("re", "im"))
             parts[int_(e, f"{at}[0]")] = (
                 rational(c.get("re", "0"), f"{at}[1].re"),
                 rational(c.get("im", "0"), f"{at}[1].im"),
@@ -479,7 +478,7 @@ class CurveGerm:
 
     @staticmethod
     def from_json(data, where: str = "germ") -> "CurveGerm":
-        obj(data, where, "U", "V")
+        obj(data, where, "U", "V", optional=("group", "m", "twist"))
         return CurveGerm(
             U=PowerSeries.from_json(data["U"], f"{where}.U"),
             V=PowerSeries.from_json(data["V"], f"{where}.V"),

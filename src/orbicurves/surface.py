@@ -43,7 +43,7 @@ class OrbifoldSurface:
 
     @staticmethod
     def from_json(data, where: str = "domain") -> "OrbifoldSurface":
-        obj(data, where, "genus")
+        obj(data, where, "genus", optional=("m_sigma", "orders"))
         return OrbifoldSurface(
             m_sigma=int_(data.get("m_sigma", 1), f"{where}.m_sigma"),
             genus=int_(data["genus"], f"{where}.genus"),

@@ -157,6 +157,44 @@ class TestScan:
         assert data["caseA_d"] == "7/5"
         assert data["allowed"] is False
 
+    @staticmethod
+    def two_calls_per_qprime(p, q, qprimes):
+        """The scan as two full kawasaki_index calls per q'."""
+        l = pow(p, -1, p + q)
+        c1_pair = Fraction(2 * p + q + 1, p * (p + q))
+        rows = []
+        for qprime in qprimes:
+            lprime = pow(qprime, -1, p)
+            d_a = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (lprime, 1))]).d
+            d_b = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (1, qprime))]).d
+            a, b = d_a.denominator == 1, d_b.denominator == 1
+            rows.append((qprime, d_a, d_b, a, b, a or b))
+        return rows
+
+    @staticmethod
+    def fields(row):
+        return (row.qprime, row.caseA_d, row.caseB_d,
+                row.caseA_integral, row.caseB_integral, row.allowed)
+
+    def test_rows_equal_two_index_calls_per_qprime(self):
+        for p in range(2, 61):
+            for q in range(1, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                rows = [self.fields(r) for r in index_integrality_scan(p, q)]
+                units = [u for u in range(1, p) if math.gcd(u, p) == 1]
+                assert rows == self.two_calls_per_qprime(p, q, units)
+
+    def test_sampled_rows_equal_two_index_calls_at_p_10007(self):
+        rng = random.Random(10007)
+        p = 10007
+        for q in (1, 2, p - 1, rng.randrange(3, p - 1)):
+            rows = index_integrality_scan(p, q)
+            sample = rng.sample(rows, 200) + [rows[0], rows[-1]]
+            sample += [r for r in rows if r.allowed]
+            want = self.two_calls_per_qprime(p, q, [r.qprime for r in sample])
+            assert [self.fields(r) for r in sample] == want
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameters):
             index_integrality_scan(4, 2)

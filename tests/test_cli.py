@@ -10,6 +10,7 @@ import pytest
 
 from orbicurves.cli import (
     MAX_PRECISION,
+    MAX_SCAN_P,
     MAX_SWEEP_P,
     MIN_PRECISION,
     _build_parser,
@@ -295,6 +296,17 @@ class TestSweepLimit:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
+
+
+class TestScanLimit:
+    @pytest.mark.parametrize("p", [MAX_SCAN_P + 1, 10**40 + 7])
+    def test_above_the_bound_exits_at_once(self, capsys, p):
+        start = time.perf_counter()
+        code, out = run_command(["index", "scan", str(p), "2"])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"error: index scan p must be <= {MAX_SCAN_P}, got {p}\n"
 
 
 def _mutated(tmp_path, source: Path, edits: dict) -> str:

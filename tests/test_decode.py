@@ -115,6 +115,21 @@ class TestReaders:
         with pytest.raises(InvalidInput, match=r"^file: expected an object, got \[1, 2\]$"):
             decode.obj([1, 2], "")
 
+    def test_obj_rejects_unknown_keys(self):
+        assert decode.obj({"a": 1, "c": 2}, "x", "a", optional=("c", "d")) == {"a": 1, "c": 2}
+        with pytest.raises(InvalidInput, match=r"^x\.z: unknown key$"):
+            decode.obj({"a": 1, "z": 2}, "x", "a", optional=("c",))
+        with pytest.raises(InvalidInput, match="^z: unknown key$"):
+            decode.obj({"z": 2}, "")
+        # a key that is not an identifier is quoted, so the message stays one line
+        with pytest.raises(InvalidInput, match=r'^x\."a\\nb": unknown key$'):
+            decode.obj({"a\nb": 1}, "x")
+
+    def test_keyed_allows_any_key(self):
+        assert decode.keyed({"0,1": 2, "a\nb": 3}, "orders") == {"0,1": 2, "a\nb": 3}
+        with pytest.raises(InvalidInput, match=r'^orders: expected an object, got "abc"$'):
+            decode.keyed("abc", "orders")
+
 
 AMBIENT = CONFIGS / "line.json"
 POINT = ("stations", 0, "points", 0)
@@ -216,6 +231,71 @@ class TestWrongTypesExit2:
         assert run(["adjunction", str(file)]) == (
             2, "", "error: stations[0].points[0].germ.V: missing\n"
         )
+
+
+class TestUnknownKeysExit2:
+    """A key that no reader names was ignored at an earlier version, so a
+    misspelled optional field silently took its default."""
+
+    @pytest.mark.parametrize(
+        "source,path,message",
+        [
+            (AMBIENT, ("class", "multiplicty"), "class.multiplicty"),
+            (AMBIENT, ("domain", "genuss"), "domain.genuss"),
+            (AMBIENT, ("ambient", "singular_point"), "ambient.singular_point"),
+            (AMBIENT, ("station",), "station"),
+            (AMBIENT, ("stations", 0, "isotropy"), "stations[0].isotropy"),
+            (AMBIENT, (*POINT, "ordr"), "stations[0].points[0].ordr"),
+            (AMBIENT, (*POINT, "germ", "twst"), "stations[0].points[0].germ.twst"),
+            (AMBIENT, (*POINT, "germ", "U", "trnc"), "stations[0].points[0].germ.U.trnc"),
+            (
+                AMBIENT,
+                (*POINT, "germ", "U", "terms", 0, 1, "img"),
+                "stations[0].points[0].germ.U.terms[0][1].img",
+            ),
+            (
+                CONFIGS / "nodal_cubic.json",
+                ("regular_double_points", 0, "label"),
+                "regular_double_points[0].label",
+            ),
+            (CONFIGS / "index_c0_5_2.json", ("gneus",), "gneus"),
+            (CONFIGS / "teardrop_7.json", ("order",), "order"),
+        ],
+        ids=[
+            "class", "domain", "ambient", "top_level", "station", "point", "germ",
+            "series", "coefficient", "double_point", "index_eval", "chains",
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, source, path, message):
+        file = mutated(tmp_path, source, path, 2)
+        for argv in commands(file):
+            assert run(argv) == (2, "", f"error: {message}: unknown key\n")
+
+    def test_both_typos_in_one_file(self, tmp_path):
+        data = json.loads(AMBIENT.read_text(encoding="utf-8"))
+        data["class"]["multiplicty"] = 2
+        data["domain"]["genuss"] = 5
+        file = tmp_path / "line.json"
+        file.write_text(json.dumps(data), encoding="utf-8")
+        assert run(["adjunction", str(file)]) == (
+            2, "", "error: domain.genuss: unknown key\n"
+        )
+
+    def test_keyed_maps_take_any_key(self, tmp_path):
+        table = [[0, 1], [1, 0]]
+        path = tmp_path / "groups.json"
+        path.write_text(
+            json.dumps({
+                "simplices": [[0], [1], [0, 1]],
+                "orders": {"0": 2, "1": 2, "0,1": 2},
+                "groups": {"0": table, "1": table, "0,1": table},
+                "homs": {"0,1|0": [0, 1], "0,1|1": [0, 1]},
+                "twists": {},
+            }),
+            encoding="utf-8",
+        )
+        code, out, err = run(["chains", "validate", str(path)])
+        assert code == 0 and json.loads(out)["valid"] is True and err == ""
 
 
 TEARDROP = CONFIGS / "teardrop_7.json"

@@ -52,6 +52,37 @@ class TestRationalText:
         assert is_integer(Fraction(8, 4))
         assert not is_integer(Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            (0, "0"),
+            (7, "7"),
+            (-7, "-7"),
+            (10**40, str(10**40)),
+            (-(10**40) - 1, str(-(10**40) - 1)),
+            (Fraction(-6, 3), "-2"),
+            (Fraction(-2 * 10**40, 2), f"-{10**40}"),
+            (Fraction(10**40 + 1, 10**20), f"{10**40 + 1}/{10**20}"),
+            (Fraction(1 - 10**40, 7), f"{1 - 10**40}/7"),
+        ],
+    )
+    def test_format_ints_negatives_and_large_values(self, x, text):
+        assert format_rational(x) == text
+
+    @pytest.mark.parametrize(
+        "x,integral",
+        [
+            (0, True),
+            (-5, True),
+            (10**40, True),
+            (Fraction(-(10**40), 5), True),
+            (Fraction(-1, 2), False),
+            (Fraction(10**40, 7), False),
+        ],
+    )
+    def test_is_integer_ints_negatives_and_large_values(self, x, integral):
+        assert is_integer(x) is integral
+
 
 class TestModInverse:
     def test_small_values(self):
