@@ -5,8 +5,11 @@ simplicial chains.
 
 The boundary operator depends only on the group orders, so the working
 type is WeightedComplex (simplices plus an order per simplex, subject
-to divisibility along faces).  Full group data with homomorphisms and
-twist cocycles is carried by GroupComplexFull and only validated.
+to divisibility along faces).  The weighted boundary has one integer
+form, the signed face weights of _face_weights: Chain boundaries, the
+sparse matrices behind the Betti numbers and the boundary-squared check
+all read it.  Full group data with homomorphisms and twist cocycles is
+carried by GroupComplexFull and only validated.
 
 Orientation convention: a simplex is its sorted vertex tuple; the i-th
 face omits vertex i and enters the boundary with sign (-1)^i.
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .decode import int_, is_int, keyed, list_, load, obj
+from .decode import int_, is_int, key_path, keyed, list_, load, obj
 from .errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
 Simplex = tuple[int, ...]
@@ -42,7 +45,9 @@ _int_list = partial(list_, item=int_)  # reads a JSON list of integers
 
 
 def faces(simplex: Simplex) -> list[Simplex]:
-    """Codimension-one faces, indexed by omitted vertex."""
+    """Codimension-one faces, indexed by omitted vertex; a vertex has none."""
+    if len(simplex) == 1:
+        return []
     return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
 
 
@@ -75,8 +80,6 @@ class WeightedComplex:
             stack = [s]
             while stack:
                 cur = stack.pop()
-                if len(cur) == 1:
-                    continue
                 for f in faces(cur):
                     if f not in closed:
                         closed.add(f)
@@ -96,10 +99,8 @@ class WeightedComplex:
         object.__setattr__(self, "simplices", ordered)
         object.__setattr__(self, "orders", table)
         for s in ordered:
-            if len(s) == 1:
-                continue
             for f in faces(s):
-                if self.order(s) and self.order(f) % self.order(s) != 0:
+                if self.order(f) % self.order(s) != 0:
                     raise InvalidInput(
                         f"order {self.order(s)} of {s} must divide order "
                         f"{self.order(f)} of its face {f}"
@@ -194,33 +195,41 @@ class Chain:
         return Chain({s: Fraction(coeff)}, len(s) - 1)
 
 
+def _face_weights(w: WeightedComplex, s: Simplex) -> list[tuple[Simplex, int]]:
+    """The faces of s with their boundary weights: the i-th face f enters
+    with (-1)^i |G_f| / |G_s|, a nonzero integer by the divisibility
+    invariant."""
+    g = w.order(s)
+    return [(f, (-1) ** i * (w.order(f) // g)) for i, f in enumerate(faces(s))]
+
+
 def boundary(chain: Chain, w: WeightedComplex) -> Chain:
     """The weighted boundary: each simplex maps to the alternating sum
-    of its faces with weights |G_face| / |G_simplex|, which the
-    divisibility invariant makes positive integers."""
+    of its faces with weights |G_face| / |G_simplex|."""
     have = set(w.simplices)
     out: dict[Simplex, Fraction] = {}
     for s, c in chain.coeffs.items():
         if s not in have:
             raise UnsupportedSimplex(f"simplex {s} is not in the complex")
-        if len(s) == 1:
-            continue
-        g = w.order(s)
-        for i, f in enumerate(faces(s)):
-            weight = Fraction(w.order(f), g)
-            term = c * weight * (-1) ** i
-            out[f] = out.get(f, Fraction(0)) + term
+        for f, weight in _face_weights(w, s):
+            out[f] = out.get(f, 0) + c * weight
     return Chain(out, chain.degree - 1)
 
 
 def boundary_squared_is_zero(w: WeightedComplex) -> bool:
-    """Exact check of the identity on every basis simplex."""
-    for s in w.simplices:
-        if len(s) < 3:
-            continue
-        twice = boundary(boundary(Chain.of(s), w), w)
-        if not twice.is_zero():
-            return False
+    """Exact check of the identity on every basis simplex, composing the
+    integer boundary matrices."""
+    lower = _boundary_matrix(w, 1)
+    for r in range(2, w.dimension() + 1):
+        upper = _boundary_matrix(w, r)
+        for row in upper:
+            twice: dict[int, int] = {}
+            for j, a in row.items():
+                for k, b in lower[j].items():
+                    twice[k] = twice.get(k, 0) + a * b
+            if any(twice.values()):
+                return False
+        lower = upper
     return True
 
 
@@ -256,17 +265,13 @@ def _rank(rows: list[dict[int, int]]) -> int:
 
 def _boundary_matrix(w: WeightedComplex, r: int) -> list[dict[int, int]]:
     """Sparse matrix of the weighted boundary from r-simplices to
-    (r-1)-simplices, one {face index: entry} row per r-simplex.  The
-    entry of the i-th face f of s is (-1)^i |G_f| / |G_s|, a nonzero
-    integer by the divisibility invariant."""
+    (r-1)-simplices, one {face index: weight} row per r-simplex, with
+    the weights of _face_weights."""
     target = {s: j for j, s in enumerate(w.of_dimension(r - 1))}
-    rows = []
-    for s in w.of_dimension(r):
-        g = w.order(s)
-        rows.append(
-            {target[f]: (-1) ** i * (w.order(f) // g) for i, f in enumerate(faces(s))}
-        )
-    return rows
+    return [
+        {target[f]: weight for f, weight in _face_weights(w, s)}
+        for s in w.of_dimension(r)
+    ]
 
 
 def homology_betti(w: WeightedComplex) -> list[int]:
@@ -355,16 +360,9 @@ def _check_group_order(n: int) -> None:
         raise MalformedTable(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
 
 
-def _edge_key(big: Simplex, small: Simplex) -> str:
-    return f"{_simplex_key(big)}|{_simplex_key(small)}"
-
-
 def _proper_faces(simplex: Simplex) -> list[Simplex]:
-    out = []
-    n = len(simplex)
-    for mask in range(1, 2**n - 1):
-        out.append(tuple(simplex[i] for i in range(n) if mask >> i & 1))
-    return out
+    masks = range(1, 2 ** len(simplex) - 1)
+    return [tuple(v for i, v in enumerate(simplex) if m >> i & 1) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -413,10 +411,6 @@ class GroupComplexFull:
             raise MalformedTable(f"homomorphism {key} has the wrong shape")
         return images
 
-    def twist(self, big: Simplex, mid: Simplex, small: Simplex) -> int:
-        key = f"{_simplex_key(big)}|{_simplex_key(mid)}|{_simplex_key(small)}"
-        return self._twist(key, small)
-
     def _twist(self, key: str, small: Simplex) -> int:
         value = self.twists.get(key, 0)
         if not isinstance(value, int) or not 0 <= value < self.group(small).order:
@@ -425,15 +419,8 @@ class GroupComplexFull:
 
 
 def _face_relations(w: WeightedComplex) -> list[tuple[Simplex, Simplex]]:
-    have = set(w.simplices)
-    out = []
-    for s in w.simplices:
-        if len(s) == 1:
-            continue
-        for f in _proper_faces(s):
-            if f in have:
-                out.append((s, f))
-    return out
+    # the complex is closed under faces, so every proper face is in it
+    return [(s, f) for s in w.simplices for f in _proper_faces(s)]
 
 
 def validate_group_complex(g: GroupComplexFull) -> bool:
@@ -493,13 +480,16 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
 
 def cyclic_group_complex(w: WeightedComplex) -> GroupComplexFull:
     """The canonical full structure on a weighted complex: cyclic groups
-    of the declared orders, index-scaling inclusions, identity twists."""
-    groups = {_simplex_key(s): FiniteGroup.cyclic(w.order(s)) for s in w.simplices}
+    of the declared orders, index-scaling inclusions, identity twists.
+    Simplices of equal order share one group table."""
+    # orders as first met, so a bad order fails at its first simplex
+    tables = {n: FiniteGroup.cyclic(n) for n in dict.fromkeys(map(w.order, w.simplices))}
+    groups = {s: tables[w.order(s)] for s in w.simplices}
     homs = {}
     for big, small in _face_relations(w):
         nb, ns = w.order(big), w.order(small)
         step = ns // nb
-        homs[_edge_key(big, small)] = [(i * step) % ns for i in range(nb)]
+        homs[f"{_simplex_key(big)}|{_simplex_key(small)}"] = [(i * step) % ns for i in range(nb)]
     return GroupComplexFull(complex=w, groups=groups, homs=homs)
 
 
@@ -513,7 +503,7 @@ def load_group_complex(path: str) -> GroupComplexFull:
     twists = keyed(data.get("twists", {}), "twists")
     return GroupComplexFull(
         complex=w,
-        groups={k: list_(t, f"groups.{k}", item=_int_list) for k, t in groups.items()},
-        homs={k: _int_list(h, f"homs.{k}") for k, h in homs.items()},
-        twists={k: int_(t, f"twists.{k}") for k, t in twists.items()},
+        groups={k: list_(t, key_path("groups", k), item=_int_list) for k, t in groups.items()},
+        homs={k: _int_list(h, key_path("homs", k)) for k, h in homs.items()},
+        twists={k: int_(t, key_path("twists", k)) for k, t in twists.items()},
     )

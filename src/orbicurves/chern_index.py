@@ -80,6 +80,13 @@ class IndexReport:
     def integral(self) -> bool:
         return is_integer(self.d)
 
+    def to_json(self) -> dict:
+        return {
+            "d": format_rational(self.d),
+            "index": format_rational(self.index),
+            "integral": self.integral,
+        }
+
 
 def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
     """Index count for a rank-2 pullback over a parametrized surface.

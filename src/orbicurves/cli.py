@@ -186,12 +186,7 @@ def _cmd_index_eval(args) -> dict:
         int_(data["genus"], "genus"),
         list_(data["points"], "points", item=_index_point),
     )
-    return {
-        "schema": SCHEMA_VERSION,
-        "d": format_rational(report.d),
-        "index": format_rational(report.index),
-        "integral": report.integral,
-    }
+    return {"schema": SCHEMA_VERSION, **report.to_json()}
 
 
 def _cmd_index_scan(args) -> dict:

@@ -547,23 +547,14 @@ def infer_meetings(c1: CurveConfig, c2: CurveConfig) -> list[tuple[int, int]]:
     return out
 
 
-def intersection_report(
-    c1: CurveConfig, c2: CurveConfig, meetings: list[tuple[int, int]] | None = None
-) -> IntersectionReport:
+def intersection_report(c1: CurveConfig, c2: CurveConfig) -> IntersectionReport:
     """Check C.C' = sum over meeting points of (1/|G|) sum of pairwise
     branch intersection multiplicities."""
     if c1.ambient != c2.ambient:
         raise AmbientMismatch("configurations live in different ambient models")
-    if meetings is None:
-        meetings = infer_meetings(c1, c2)
     items: list[Contribution] = []
-    for i, j in meetings:
+    for i, j in infer_meetings(c1, c2):
         s1, s2 = c1.stations[i], c2.stations[j]
-        if s1.ambient_point != s2.ambient_point:
-            raise InvalidInput(
-                f"meeting ({i},{j}) pairs stations over different ambient "
-                f"points {s1.ambient_point!r}, {s2.ambient_point!r}"
-            )
         for p1 in s1.points:
             for p2 in s2.points:
                 value = Fraction(

@@ -12,10 +12,13 @@ unknown key``; keyed maps, whose keys are data, are read with keyed.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InvalidInput
 from .exact import parse_rational
+
+_SIMPLEX_KEY = re.compile(r"[0-9]+([,|][0-9]+)*")
 
 
 def load(path):
@@ -80,15 +83,16 @@ def obj(value, where: str, *required, optional=()) -> dict:
     keyed(value, where)
     for key in required:
         if key not in value:
-            raise InvalidInput(f"{_key_path(where, key)}: missing")
+            raise InvalidInput(f"{key_path(where, key)}: missing")
     for key in value:
         if key not in required and key not in optional:
-            raise InvalidInput(f"{_key_path(where, key)}: unknown key")
+            raise InvalidInput(f"{key_path(where, key)}: unknown key")
     return value
 
 
-def _key_path(where: str, key: str) -> str:
-    # a key that is not an identifier is quoted, so a newline in it
-    # cannot split the one-line error message
-    shown = key if key.isidentifier() else json.dumps(key)
+def key_path(where: str, key: str) -> str:
+    """The path of key in the object at where.  A key other than an
+    identifier or a simplex key such as 0,1|0 is JSON-quoted, so a
+    newline in it cannot split the one-line error message."""
+    shown = key if key.isidentifier() or _SIMPLEX_KEY.fullmatch(key) else json.dumps(key)
     return f"{where}.{shown}" if where else shown

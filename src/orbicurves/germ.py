@@ -634,11 +634,14 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
     """Local intersection multiplicity of two distinct branches.
 
     Computed as the t-order of the resultant in s of
-    U1(t) - U2(s) and V1(t) - V2(s), with the resultant's Sylvester
-    determinant evaluated over the truncated series ring.  Coordinate
-    axes (a coordinate identically zero) are read off directly, since
-    the resultant of truncated polynomial data would count zeros of the
-    polynomial tail away from the origin.
+    U1(t) - U2(s) and V1(t) - V2(s), where U2 and V2 are the second
+    germ's stored polynomial data, with the resultant's Sylvester
+    determinant evaluated over the truncated series ring.  A coordinate
+    of the second germ with no visible terms (a coordinate axis) enters
+    the Sylvester matrix as the degree-0 polynomial U1(t) resp. V1(t).
+    The resultant is global: when U2 and V2 share a nonzero root, the
+    second curve passes through the origin again and that branch is
+    counted too (ROADMAP.md, open item 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")

@@ -231,7 +231,6 @@ def dossier(m: WpsModel) -> dict:
     cases = c0prime_cases(m)
     c0 = c0_config(m)
     c0_report = adjunction_report(c0)
-    index = c0_index(m, c0)
     out = {
         "schema": SCHEMA_VERSION,
         "p": m.p,
@@ -248,11 +247,7 @@ def dossier(m: WpsModel) -> dict:
         "uniqueness_inequality": uniqueness_inequality(m),
         "congruence": record.to_json(),
         "cases": cases,
-        "index_C0": {
-            "d": format_rational(index.d),
-            "index": format_rational(index.index),
-            "integral": index.integral,
-        },
+        "index_C0": c0_index(m, c0).to_json(),
         "C0": {
             "virtual_genus": format_rational(c0_report.lhs),
             "domain_genus": format_rational(c0_report.domain_genus),

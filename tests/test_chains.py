@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from orbicurves import chains
 from orbicurves.chains import (
     Chain,
     FiniteGroup,
@@ -28,6 +29,14 @@ from orbicurves.errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
 from complex_gen import cone_torus, random_weighted_complex
 from oracles import oracle_betti
+
+
+def chain_boundary_squared_is_zero(w: WeightedComplex) -> bool:
+    """The identity checked through boundary on Chains, one basis
+    simplex at a time."""
+    return all(
+        boundary(boundary(Chain.of(s), w), w).is_zero() for s in w.simplices if len(s) > 2
+    )
 
 
 class TestWeightedComplex:
@@ -115,6 +124,7 @@ class TestBoundary:
 
     def test_vertex_boundary_is_zero(self):
         w = teardrop_complex(3)
+        assert faces((0,)) == []
         assert boundary(Chain.of((0,)), w).is_zero()
 
     def test_unknown_simplex_rejected(self):
@@ -131,6 +141,33 @@ class TestBoundary:
         for _ in range(25):
             w = random_weighted_complex(rng)
             assert boundary_squared_is_zero(w)
+
+    def test_boundary_squared_agrees_with_chain_composite(self):
+        rng = random.Random(412)
+        complexes = [random_weighted_complex(rng) for _ in range(25)]
+        complexes += [cone_torus(n, order) for n in (3, 4, 6) for order in (1, 2, 5)]
+        for w in complexes:
+            assert boundary_squared_is_zero(w) is chain_boundary_squared_is_zero(w) is True
+
+    @pytest.mark.parametrize(
+        "w",
+        [teardrop_complex(3), cone_torus(4, 6), random_weighted_complex(random.Random(9))],
+        ids=["teardrop", "cone_torus", "random"],
+    )
+    def test_corrupted_face_weight_is_caught(self, monkeypatch, w):
+        # the check is not vacuous: one wrong weight on one triangle is seen
+        real, target = chains._face_weights, w.of_dimension(2)[0]
+
+        def corrupted(complex_, s):
+            out = real(complex_, s)
+            if s == target:
+                face, weight = out[0]
+                out[0] = (face, 2 * weight)
+            return out
+
+        monkeypatch.setattr(chains, "_face_weights", corrupted)
+        assert boundary_squared_is_zero(w) is False
+        assert chain_boundary_squared_is_zero(w) is False
 
     def test_boundary_is_linear(self):
         w = teardrop_complex(4)
@@ -254,6 +291,15 @@ class TestGroupComplex:
         for _ in range(5):
             w = random_weighted_complex(rng, n_vertices=6, n_tops=4)
             assert validate_group_complex(cyclic_group_complex(w))
+
+    def test_equal_orders_share_one_table(self):
+        rng = random.Random(13)
+        for w in [random_weighted_complex(rng) for _ in range(5)] + [cone_torus(3, 4)]:
+            g = cyclic_group_complex(w)
+            for s in w.simplices:
+                assert g.group(s).order == w.order(s)
+                for t in w.simplices:
+                    assert (g.group(s) is g.group(t)) == (w.order(s) == w.order(t))
 
     def test_missing_group_rejected(self):
         w = teardrop_complex(2)

@@ -436,11 +436,6 @@ class TestWeightedModelCurves:
         assert infer_meetings(c0_config(m), c0prime_config(m)) == [(0, 0)]
         assert infer_meetings(c0_config(m), plane_curve(1)) == []
 
-    def test_meetings_must_pair_matching_stations(self):
-        m = build_model(5, 2, 3)
-        with pytest.raises(InvalidInput):
-            intersection_report(c0_config(m), c0prime_config(m), meetings=[(0, 1)])
-
 
 def quartic_json() -> dict:
     """plane_curve(4, genus=1, stations=[cusp_station()], doubles=[node()])

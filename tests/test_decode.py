@@ -130,6 +130,14 @@ class TestReaders:
         with pytest.raises(InvalidInput, match=r'^orders: expected an object, got "abc"$'):
             decode.keyed("abc", "orders")
 
+    def test_key_path_quotes_all_but_identifiers_and_simplex_keys(self):
+        assert decode.key_path("x", "genus") == "x.genus"
+        assert decode.key_path("homs", "0,1|0") == "homs.0,1|0"
+        assert decode.key_path("", "12") == "12"
+        assert decode.key_path("groups", "a\nb") == 'groups."a\\nb"'
+        assert decode.key_path("groups", "0,") == 'groups."0,"'
+        assert decode.key_path("x", "a b") == 'x."a b"'
+
 
 AMBIENT = CONFIGS / "line.json"
 POINT = ("stations", 0, "points", 0)
@@ -326,6 +334,27 @@ class TestGroupComplexInput:
         path = self.groups_file(tmp_path, {"0": [[0, 1], [1, 0]]})
         code, out, err = run(["chains", "validate", path])
         assert code == 0 and json.loads(out)["valid"] is True and err == ""
+
+    @pytest.mark.parametrize(
+        "maps,expected",
+        [
+            ({"groups": {"a\nb": "x"}}, 'groups."a\\nb": expected a list'),
+            ({"groups": {}, "homs": {"a\nb": "x"}}, 'homs."a\\nb": expected a list'),
+            (
+                {"groups": {}, "homs": {}, "twists": {"a\nb": "x"}},
+                'twists."a\\nb": expected an integer',
+            ),
+        ],
+        ids=["groups", "homs", "twists"],
+    )
+    def test_odd_key_keeps_the_error_on_one_line(self, tmp_path, maps, expected):
+        path = tmp_path / "groups.json"
+        path.write_text(
+            json.dumps({"simplices": [[0]], "orders": {"0": 2}, **maps}), encoding="utf-8"
+        )
+        assert run(["chains", "validate", str(path)]) == (
+            2, "", f'error: {expected}, got "x"\n'
+        )
 
     def test_huge_cyclic_order_exits_at_once(self, tmp_path):
         path = str(mutated(tmp_path, TEARDROP, ("orders", "0"), 10**40))
