@@ -366,14 +366,6 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
     )
 
 
-def config_truncation(config: CurveConfig) -> int | None:
-    """The smallest series truncation among the germs, or None when the
-    configuration carries no germs."""
-    truncs = [p.germ.truncation() for s in config.stations for p in s.points]
-    truncs += [g.truncation() for d in config.regular_double_points for g in d.germs]
-    return min(truncs) if truncs else None
-
-
 def algebraic_intersection(c1: CurveConfig, c2: CurveConfig) -> Fraction:
     """(m_C m_C')^{-1} [C]^T P [C']: the pairing of the classes with the
     multiplicity normalization."""

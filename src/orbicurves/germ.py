@@ -5,7 +5,10 @@ A germ is a pair of truncated power series (U(z), V(z)) over Q(i) with
 zero constant terms, the two coordinates of a holomorphic map of a disc
 into C^2, carried together with the local group data: the chart's cyclic
 action (z1, z2) -> (mu_a z1, mu_a^b z2) and the order m of the subgroup
-of Z_a preserving the image.
+of Z_a preserving the image.  Both local invariants read one normal form
+per branch, (s^n, W(s)) in linear coordinates: delta from W's
+characteristic exponents, the local intersection number from W's local
+equation (Halphen's formula).  W is built only as deep as each needs.
 
 Exactness policy: truncation orders are tracked through every
 operation, including the precision cost of divisions; any answer whose
@@ -120,12 +123,6 @@ class PowerSeries:
                 else f"series vanishes below truncation {self.trunc}"
             )
         return min(self.num)
-
-    def degree(self) -> int:
-        """Largest exponent with a nonzero coefficient (data degree)."""
-        if not self.num:
-            raise ZeroToPrecision("series has no terms")
-        return max(self.num)
 
     def with_truncation(self, trunc) -> "PowerSeries":
         """Re-truncate.  Raising the truncation asserts the stored terms
@@ -340,12 +337,6 @@ def _series(num: dict, den: int, trunc) -> PowerSeries:
 
 _ONE_EXACT = PowerSeries({0: GR_ONE}, None)
 _TWO_EXACT = _series({0: (2, 0)}, 1, None)
-
-
-def order(series: PowerSeries) -> int:
-    """Order (valuation) of a truncated series; raises ZeroToPrecision
-    when no nonzero term is visible below the truncation."""
-    return series.order()
 
 
 def _solve_congruences(constraints, modulus):
@@ -608,93 +599,113 @@ def _series_det(matrix: list[list[PowerSeries]]) -> PowerSeries:
             factor = m[i][k].divide(pivot)
             for j in range(k + 1, n):
                 m[i][j] = m[i][j] - factor * m[k][j]
-    det = _ONE_EXACT if sign > 0 else -_ONE_EXACT
-    for p in pivots:
+    det = pivots[0] if sign > 0 else -pivots[0]
+    for p in pivots[1:]:
         det = det * p
     return det
 
 
-def _sylvester_rows(coeffs: dict[int, PowerSeries], deg: int, width: int):
-    """Rows of the Sylvester block for a polynomial given as {power: series}."""
-    ordered = [coeffs.get(deg - i, None) for i in range(deg + 1)]
-    rows = []
-    for shift in range(width):
-        row = [_PS_ZERO_EXACT] * (deg + width)
-        for i, c in enumerate(ordered):
-            if c is not None:
-                row[shift + i] = c
-        rows.append(row)
-    return rows
+def _swaps_coordinates(u: PowerSeries, v: PowerSeries) -> bool:
+    """Whether the normal form puts z2 first: z1 is zero to precision or of higher order."""
+    return u.is_zero_to_precision() or (not v.is_zero_to_precision() and v.order() < u.order())
 
 
-_PS_ZERO_EXACT = PowerSeries({}, None)
+def _inverse_lead(u: PowerSeries, n: int) -> tuple[int, int, int]:
+    """1/lead as (re, im, d), meaning (re + im*i)/d, for lead the z^n coefficient of u."""
+    lr, li = u.num[n]  # lead = (lr + li*i) / u.den, and 1/lead = u.den * conj / norm
+    return u.den * lr, -u.den * li, lr * lr + li * li
 
 
 def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
-    """Local intersection multiplicity of two distinct branches.
-
-    Computed as the t-order of the resultant in s of
-    U1(t) - U2(s) and V1(t) - V2(s), where U2 and V2 are the second
-    germ's stored polynomial data, with the resultant's Sylvester
-    determinant evaluated over the truncated series ring.  A coordinate
-    of the second germ with no visible terms (a coordinate axis) enters
-    the Sylvester matrix as the degree-0 polynomial U1(t) resp. V1(t).
-    The resultant is global: when U2 and V2 share a nonzero root, the
-    second curve passes through the origin again and that branch is
-    counted too (ROADMAP.md, open item 1).
+    """Local intersection multiplicity of two distinct branches, by
+    Halphen's formula (Casas-Alvero, Singularities of Plane Curves, 2000;
+    Wall, Singular Points of Plane Curves, 2004).  In its normal form
+    (s^n, W(s)), after the coordinate swap of characteristic_exponents
+    and z1 -> z1/lead, the second branch has the local equation
+    F(X, Y) = det(Y*I - W(C)), C the companion matrix of s^n - X, and the
+    count is the t-order of F(U1(t)/lead, V1(t)).  Every root of s^n = X
+    tends to 0, so a second pass of a curve through the origin is not
+    counted and the value is symmetric.  W is deepened until the
+    determinant is nonzero to precision.
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
     if _same_data(g1, g2):
         raise DistinctBranchesRequired("the two germs carry identical data")
-    rel = translate(g2, -g1.twist)
     u1, v1 = g1.U, g1.V
-    u2, v2 = rel.materialize()
+    u2, v2 = translate(g2, -g1.twist).materialize()
 
     if u1.is_zero_to_precision() and u2.is_zero_to_precision():
         raise DistinctBranchesRequired("both germs parametrize the z2 axis")
     if v1.is_zero_to_precision() and v2.is_zero_to_precision():
         raise DistinctBranchesRequired("both germs parametrize the z1 axis")
 
-    # degree in s of the polynomial data; a coordinate with no visible
-    # terms enters as the degree-0 polynomial U1(t) resp. V1(t)
-    d_a = u2.degree() if u2.num else 0
-    d_b = v2.degree() if v2.num else 0
-    a_coeffs = {0: u1}
-    for e, (r, i) in u2.num.items():
-        a_coeffs[e] = _series({0: (-r, -i)}, u2.den, None)
-    b_coeffs = {0: v1}
-    for e, (r, i) in v2.num.items():
-        b_coeffs[e] = _series({0: (-r, -i)}, v2.den, None)
-    rows = _sylvester_rows(a_coeffs, d_a, d_b) + _sylvester_rows(b_coeffs, d_b, d_a)
-    det = _series_det(rows)
-    if det.is_zero_to_precision():
-        raise PrecisionExhausted(
-            "resultant vanishes to the available truncation; raise the "
-            "precision or check that the branches are distinct"
-        )
-    return det.order()
+    if _swaps_coordinates(u2, v2):
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    n = u2.order()
+    x = u1._scaled(*_inverse_lead(u2, n))
+    for w in _normal_forms(u2, v2, n):
+        det = _series_det(_local_equation_matrix(x, v1, w, n))
+        if not det.is_zero_to_precision():
+            return det.order()
+    raise PrecisionExhausted(
+        "resultant vanishes to the available truncation; raise the "
+        "precision or check that the branches are distinct"
+    )
 
 
-def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> PowerSeries:
+def _local_equation_matrix(x: PowerSeries, y: PowerSeries, w: PowerSeries, n: int) -> list:
+    """y*I - W(C) at (x, y), C the companion matrix of s^n - x.
+
+    The term w_k s^k of W sends s^j to w_k x^q s^i for k + j = q*n + i,
+    so x^q is formed only for the q that W's terms reach.  A term at or
+    past W's truncation T would enter entry (i, j) at a power
+    q >= ceil((T + j - i)/n) of x: the entry is known only below that q
+    times the order of x.
+    """
+    if w.trunc < n:
+        raise PrecisionExhausted("normal form is known only below the multiplicity")
+    powers = [_ONE_EXACT]
+    rows = [[y if i == j else PowerSeries.zero(None) for j in range(n)] for i in range(n)]
+    for k, (r, im) in w.num.items():
+        for j in range(n):
+            q, i = divmod(k + j, n)
+            while len(powers) <= q:
+                powers.append(powers[-1] * x)
+            rows[i][j] = rows[i][j] - powers[q]._scaled(r, im, w.den)
+    floor = x._value_floor()
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            cut = (w.trunc + j - i + n - 1) // n * floor
+            row[j] = entry.with_truncation(_tmin(entry.trunc, cut))
+    return rows
+
+
+def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int,
+                                  depth: int) -> PowerSeries:
     """Rewrite the branch so the first coordinate is exactly t^n and
-    return the second coordinate in the new parameter.
+    return the second coordinate in the new parameter, known below
+    min(depth, what the data determines).
 
     The rescaling z1 -> z1/lead is a linear change of coordinates on
     C^2, so it leaves the characteristic exponents and delta unchanged
     and no n-th root of lead is needed.
     Uses eta(t) = t * unit^(1/n) with eta^n = U/lead, then solves
     V = W(eta) for W by a triangular pass; no series reversion needed.
+    When U is the single term lead*t^n, eta = t and W is V.  The unit is
+    cut to the depth before its root is taken, so the work follows the
+    depth asked for, not the stored truncation.
     """
-    lr, li = u.num[n]  # lead = (lr + li*i) / u.den, and 1/lead = u.den * conj / norm
-    unit = u.shift(-n)._scaled(u.den * lr, -u.den * li, lr * lr + li * li)  # constant term 1
-    eta = unit.nth_root_of_unit_series(n).shift(1)
     # eta is known mod t^(u.trunc - n + 1); the solve cannot see past that
-    bound = _tmin(u.trunc - n + 1, v.trunc)
-    if bound < 2:
+    bound = _tmin(u.trunc - n + 1, v.trunc, depth)
+    if bound < 2:  # depth is at least 2: the data fall short
         raise PrecisionExhausted(
             "truncation too small to renormalize the first coordinate"
         )
+    if len(u.num) == 1:
+        return v.with_truncation(bound)
+    unit = u.shift(-n)._scaled(*_inverse_lead(u, n)).with_truncation(bound - 1)  # constant term 1
+    eta = unit.nth_root_of_unit_series(n).shift(1)
     eta_pows: list[PowerSeries] = [_ONE_EXACT.with_truncation(bound)]
     for _ in range(bound - 1):
         eta_pows.append(eta_pows[-1] * eta)
@@ -710,41 +721,40 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int) -> Pow
     return w
 
 
+def _normal_forms(u: PowerSeries, v: PowerSeries, n: int):
+    """W at depths 2n, 4n, 8n, ... up to what the data determine; each
+    consumer stops at the first W that settles its answer."""
+    depth, reach = 2 * n, _tmin(u.trunc - n + 1, v.trunc)
+    while depth < reach:
+        yield _normalized_second_coordinate(u, v, n, depth)
+        depth *= 2
+    yield _normalized_second_coordinate(u, v, n, depth)
+
+
 def characteristic_exponents(germ: CurveGerm) -> tuple[int, list[int]]:
     """Characteristic data (beta0; beta1..betag) of an irreducible
     branch, read from the support of the second coordinate after the
-    first is normalized to a pure monomial."""
-    u, v = germ.U, germ.V
-    if u.is_zero_to_precision() or (
-        not v.is_zero_to_precision() and v.order() < u.order()
-    ):
-        u, v = v, u
+    first is normalized to a pure monomial, deepened until the gcd is 1."""
+    u, v = (germ.V, germ.U) if _swaps_coordinates(germ.U, germ.V) else (germ.U, germ.V)
     n = u.order()
-    if v.is_zero_to_precision():
-        if n == 1:
-            return 1, []
-        if v.trunc is None and not v.num:
-            raise MultiplyCovered(
-                f"degree-{n} cover of a coordinate axis is not reduced"
-            )
+    if n == 1:
+        return 1, []
+    if v.is_zero_to_precision():  # germ series are never exact, so never a certain cover
         raise PrecisionExhausted(
             "second coordinate vanishes to precision; data cannot separate "
             "a high-contact branch from a multiple cover"
         )
-    w = _normalized_second_coordinate(u, v, n)
-    e = n
-    betas = []
-    for k in w.support():
-        if e == 1:
-            break
-        if k % e:
-            betas.append(k)
-            e = math.gcd(e, k)
-    if e != 1:
-        raise PrecisionExhausted(
-            "characteristic exponents do not resolve below the truncation"
-        )
-    return n, betas
+    for w in _normal_forms(u, v, n):
+        e, betas = n, []
+        for k in w.support():
+            if k % e:
+                betas.append(k)
+                e = math.gcd(e, k)
+                if e == 1:
+                    return n, betas
+    raise PrecisionExhausted(
+        "characteristic exponents do not resolve below the truncation"
+    )
 
 
 def _delta_from_characteristic(beta0: int, betas: list[int]) -> int:

@@ -52,7 +52,22 @@ def _order_in_t(expr: sympy.Expr) -> int:
 def oracle_intersection(u1: dict, v1: dict, u2: dict, v2: dict) -> int:
     """Intersection multiplicity of two distinct branches at the origin:
     the vanishing order of the second branch's implicit equation along
-    the first branch's parametrization."""
+    the first branch's parametrization.
+
+    The implicit equation is global: it vanishes on the whole image of
+    the polynomial map t -> (U2(t), V2(t)).  So the count is the local
+    one only when the second curve passes through the origin at t = 0
+    alone, i.e. when gcd(U2, V2) has no nonzero root; otherwise
+    ValueError is raised."""
+    common = sympy.gcd(
+        sympy.Poly(_to_sympy(u2, _t), _t, extension=True),
+        sympy.Poly(_to_sympy(v2, _t), _t, extension=True),
+    )
+    if len(common.terms()) > 1:  # not a monomial c*t^k: a nonzero root
+        raise ValueError(
+            "second curve passes through the origin away from t = 0; "
+            "its global count is not the local intersection number"
+        )
     f2 = implicit_equation(u2, v2)
     composed = f2.subs(
         [(_x, _to_sympy(u1, _t)), (_y, _to_sympy(v1, _t))], simultaneous=True

@@ -107,6 +107,21 @@ class TestPrecisionRetry:
         assert forced == default
 
 
+class TestDeepTruncation:
+    def test_cusp_at_truncation_250_reports_at_once(self, tmp_path):
+        data = json.loads((CONFIGS / "cuspidal_cubic.json").read_text(encoding="utf-8"))
+        germ = data["stations"][0]["points"][0]["germ"]
+        germ["U"] = {"trunc": 250, "terms": [[2, {"re": "1"}], [3, {"re": "1"}]]}
+        germ["V"]["trunc"] = 250
+        path = tmp_path / "cusp_250.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        got = run_command(["adjunction", str(path)])
+        assert time.perf_counter() - start < 0.5
+        # (t^2 + t^3, t^3) is a cusp too, with the plain cusp's report
+        assert got == run_command(["adjunction", str(CONFIGS / "cuspidal_cubic.json")])
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _ = run_command(["adjunction", "no_such_file.json"])

@@ -16,7 +16,6 @@ from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
     c_pairing,
-    config_truncation,
     embeddedness_verdict,
     infer_meetings,
     intersection_report,
@@ -486,13 +485,16 @@ class TestSerialization:
             CurveConfig.from_json(data)
 
 
+def _germ_truncations(cfg) -> set:
+    return {p.germ.truncation() for s in cfg.stations for p in s.points} | {
+        g.truncation() for d in cfg.regular_double_points for g in d.germs
+    }
+
+
 class TestPrecisionControls:
     def test_with_precision_rebuilds_all_germs(self):
         cfg = plane_curve(4, genus=1, stations=[cusp_station()], doubles=[node()])
-        assert config_truncation(cfg) == 32
+        assert _germ_truncations(cfg) == {32}
         wide = with_precision(cfg, 64)
-        assert config_truncation(wide) == 64
+        assert _germ_truncations(wide) == {64}
         assert adjunction_report(wide).holds
-
-    def test_truncation_none_without_germs(self):
-        assert config_truncation(plane_curve(1)) is None

@@ -33,7 +33,7 @@ from orbicurves.germ import (
 )
 from orbicurves.lens import SingularityType
 
-from corpus import branch, gaussian_terms, germ_pairs
+from corpus import MINUS_ONE, ONE, branch, gaussian_terms, germ_pairs
 from oracles import oracle_delta, oracle_intersection
 
 
@@ -64,9 +64,9 @@ class TestPowerSeries:
         assert prod.trunc == 5
         assert prod.support() == [3]
 
-    def test_order_and_degree(self):
+    def test_order(self):
         a = series({2: 1, 5: 3})
-        assert a.order() == 2 and a.degree() == 5
+        assert a.order() == 2 and a.support() == [2, 5]
 
     def test_order_of_zero_raises(self):
         with pytest.raises(ZeroToPrecision):
@@ -631,6 +631,90 @@ class TestIntersection:
                 germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2)),
             )
             assert got == oracle_intersection(u1, v1, u2, v2), (n1, n2)
+
+
+# gamma = (s - s^2, s^2 - s^3) passes through the origin at s = 0 and again
+# at s = 1, where its coordinates share the root of 1 - s
+SECOND_PASS = ({1: ONE, 2: MINUS_ONE}, {2: ONE, 3: MINUS_ONE})
+
+
+def _compose_with_sigma(terms: dict) -> dict:
+    """Raw terms of P(s - s^2) from raw terms of P, with
+    (s - s^2)^e = sum_j (-1)^j binom(e, j) s^(e + j)."""
+    out: dict[int, tuple] = {}
+    for e, (re, im) in terms.items():
+        for j in range(e + 1):
+            c = (-1) ** j * math.comb(e, j)
+            r0, i0 = out.get(e + j, (Fraction(0), Fraction(0)))
+            out[e + j] = (r0 + c * Fraction(re), i0 + c * Fraction(im))
+    return {e: (str(r), str(i)) for e, (r, i) in out.items() if r or i}
+
+
+class TestLocality:
+    """The intersection number counts only the branches at the origin:
+    a second pass of a curve through the origin adds nothing, in either
+    argument order."""
+
+    def test_second_pass_is_not_counted(self):
+        axis = germ_from_polynomials({1: 1}, {})
+        gamma = germ_from_polynomials(*map(gaussian_terms, SECOND_PASS))
+        assert intersection_multiplicity(axis, gamma) == 2
+        assert intersection_multiplicity(gamma, axis) == 2
+
+    def test_second_pass_is_not_counted_on_a_translate(self):
+        z2 = SingularityType(2, 1)
+        g1 = germ_from_polynomials(
+            {3: 3, 4: -2},
+            {4: GaussianRational.of("2", "-1"), 5: -2, 6: 2, 7: GaussianRational.of("-1", "1")},
+            group=z2,
+        )
+        g2 = germ_from_polynomials(*map(gaussian_terms, SECOND_PASS), group=z2)
+        assert intersection_multiplicity(g1, translate(g2, 1)) == 4
+        assert intersection_multiplicity(g2, translate(g1, 1)) == 4
+
+    def test_global_oracle_refuses_a_second_pass(self):
+        with pytest.raises(ValueError, match="away from t = 0"):
+            oracle_intersection({1: ONE}, {}, *SECOND_PASS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.sampled_from(germ_pairs()), flip=st.booleans())
+    def test_reparametrized_second_pass_is_not_counted(self, pair, flip):
+        # sigma(s) = s - s^2 fixes the germ at s = 0 and sends s = 1 to 0
+        # too, so gamma2 o sigma passes through the origin twice
+        (n1, u1, v1), (n2, u2, v2) = pair[::-1] if flip else pair
+        try:
+            want = oracle_intersection(u1, v1, u2, v2)
+        except ValueError:  # gamma2 itself passes through the origin again
+            assume(False)
+        cu, cv = _compose_with_sigma(u2), _compose_with_sigma(v2)
+        trunc = 64
+        assert max(cu.keys() | cv.keys()) < trunc  # the stored data are exact
+        g1 = germ_from_polynomials(gaussian_terms(u1), gaussian_terms(v1), trunc=trunc)
+        g2 = germ_from_polynomials(gaussian_terms(cu), gaussian_terms(cv), trunc=trunc)
+        assert intersection_multiplicity(g1, g2) == want, (n1, n2)
+        assert intersection_multiplicity(g2, g1) == want, (n2, n1)
+
+
+class TestDepthOnDemand:
+    """The normal form is built only as deep as each invariant needs, so
+    a large stored truncation costs little.  Each case took seconds when
+    W was built to the full truncation."""
+
+    def test_cusp_delta_at_truncation_250(self):
+        g = germ_from_polynomials({2: 1, 3: 1}, {3: 1}, trunc=250)
+        start = time.perf_counter()
+        assert self_intersection(g) == 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_degree_eight_pair_at_truncation_250(self):
+        u1, v1 = {8: ONE, 9: ONE}, {10: ONE, 13: ("2", "0")}
+        u2, v2 = {8: ONE, 11: MINUS_ONE}, {9: ONE, 15: ONE}
+        g1 = germ_from_polynomials(gaussian_terms(u1), gaussian_terms(v1), trunc=250)
+        g2 = germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2), trunc=250)
+        start = time.perf_counter()
+        got = (intersection_multiplicity(g1, g2), intersection_multiplicity(g2, g1))
+        assert time.perf_counter() - start < 0.5
+        assert got == (72, 72) == (oracle_intersection(u1, v1, u2, v2),) * 2
 
 
 class TestBranchInvariants:
