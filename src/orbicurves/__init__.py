@@ -7,187 +7,7 @@ Everything is computed in exact arithmetic: rationals are
 fractions.Fraction, series coefficients are Gaussian-integer numerators
 over one positive integer denominator per series, and truncation orders
 are tracked through every operation.
+
+The package itself exports nothing: import each name from the module
+that defines it, e.g. ``from orbicurves.germ import CurveGerm``.
 """
-
-from .errors import (
-    AdjunctionViolated,
-    AmbientMismatch,
-    Disallowed,
-    DistinctBranchesRequired,
-    EquivarianceViolated,
-    InvalidInput,
-    InvalidParameters,
-    MalformedTable,
-    MultiplyCovered,
-    NotCoprime,
-    PrecisionExhausted,
-    UnrepresentableCoefficients,
-    UnsupportedSimplex,
-    WeightOutOfRange,
-    ZeroToPrecision,
-)
-from .exact import (
-    GaussianRational,
-    Rational,
-    format_rational,
-    mod_inverse,
-    parse_rational,
-)
-from .lens import (
-    CongruenceRecord,
-    LensSpace,
-    SingularityType,
-    allowed_q_set,
-    cobordism_congruence,
-    lens_equivalent,
-)
-from .surface import OrbifoldSurface, orbifold_genus, tangent_c1
-from .chern_index import (
-    EquivariantTrivialization,
-    IndexReport,
-    chern_split,
-    index_integrality_scan,
-    kawasaki_index,
-)
-from .germ import (
-    CurveGerm,
-    GermOrbit,
-    PowerSeries,
-    characteristic_exponents,
-    germ_from_polynomials,
-    germ_orbit,
-    intersection_multiplicity,
-    self_intersection,
-    translate,
-)
-from .curvecalc import (
-    AdjunctionReport,
-    AmbientModel,
-    CurveClass,
-    CurveConfig,
-    EmbeddednessVerdict,
-    IntersectionReport,
-    RegularDoublePoint,
-    Station,
-    adjunction_report,
-    algebraic_intersection,
-    c_pairing,
-    embeddedness_verdict,
-    intersection_report,
-    load_config,
-    station,
-    virtual_genus,
-)
-from .chains import (
-    Chain,
-    FiniteGroup,
-    GroupComplexFull,
-    WeightedComplex,
-    boundary,
-    boundary_squared_is_zero,
-    cyclic_group_complex,
-    homology_betti,
-    load_complex,
-    teardrop_complex,
-    to_singular,
-    validate_group_complex,
-)
-from .wps import (
-    WpsModel,
-    build_model,
-    c0_config,
-    c0_index,
-    c0prime_config,
-    dossier,
-    genus_bound,
-    genus_bound_profile,
-    seifert_euler,
-    uniqueness_inequality,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdjunctionReport",
-    "AdjunctionViolated",
-    "AmbientMismatch",
-    "AmbientModel",
-    "Chain",
-    "CongruenceRecord",
-    "CurveClass",
-    "CurveConfig",
-    "CurveGerm",
-    "Disallowed",
-    "DistinctBranchesRequired",
-    "EmbeddednessVerdict",
-    "EquivariantTrivialization",
-    "EquivarianceViolated",
-    "FiniteGroup",
-    "GaussianRational",
-    "GermOrbit",
-    "GroupComplexFull",
-    "IndexReport",
-    "IntersectionReport",
-    "InvalidInput",
-    "InvalidParameters",
-    "LensSpace",
-    "MalformedTable",
-    "MultiplyCovered",
-    "NotCoprime",
-    "OrbifoldSurface",
-    "PowerSeries",
-    "PrecisionExhausted",
-    "Rational",
-    "RegularDoublePoint",
-    "SingularityType",
-    "Station",
-    "UnrepresentableCoefficients",
-    "UnsupportedSimplex",
-    "WeightOutOfRange",
-    "WeightedComplex",
-    "WpsModel",
-    "ZeroToPrecision",
-    "adjunction_report",
-    "algebraic_intersection",
-    "allowed_q_set",
-    "boundary",
-    "boundary_squared_is_zero",
-    "build_model",
-    "c0_config",
-    "c0_index",
-    "c0prime_config",
-    "c_pairing",
-    "characteristic_exponents",
-    "chern_split",
-    "cobordism_congruence",
-    "cyclic_group_complex",
-    "dossier",
-    "embeddedness_verdict",
-    "format_rational",
-    "genus_bound",
-    "genus_bound_profile",
-    "germ_from_polynomials",
-    "germ_orbit",
-    "homology_betti",
-    "index_integrality_scan",
-    "intersection_multiplicity",
-    "intersection_report",
-    "kawasaki_index",
-    "lens_equivalent",
-    "load_complex",
-    "load_config",
-    "mod_inverse",
-    "orbifold_genus",
-    "parse_rational",
-    "seifert_euler",
-    "self_intersection",
-    "station",
-    "tangent_c1",
-    "teardrop_complex",
-    "to_singular",
-    "translate",
-    "uniqueness_inequality",
-    "validate_group_complex",
-    "virtual_genus",
-    "__version__",
-]

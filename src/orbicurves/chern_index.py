@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .decode import int_
 from .errors import InvalidParameters, WeightOutOfRange
-from .exact import Fraction, format_rational, is_integer, mod_inverse
+from .exact import format_rational, is_integer, mod_inverse
 from .lens import _check_lens_params
 
 

@@ -76,12 +76,12 @@ class AmbientModel:
             if pid in seen:
                 raise InvalidInput(f"duplicate singular point id {pid!r}")
             seen.add(pid)
+            if not isinstance(stype, SingularityType):
+                raise InvalidInput(f"singular point {pid!r} needs a SingularityType")
             if _is_regular_marker(pid) and not stype.is_trivial():
                 raise InvalidInput(
                     f"id {pid!r} is reserved for trivial isotropy markers"
                 )
-            if not isinstance(stype, SingularityType):
-                raise InvalidInput(f"singular point {pid!r} needs a SingularityType")
 
     def point_type(self, point_id: str) -> SingularityType:
         for pid, stype in self.singular_points:
@@ -210,7 +210,9 @@ def station(ambient_point: str, isotropy_order: int, points) -> Station:
 @dataclass(frozen=True)
 class RegularDoublePoint:
     """Two domain points meeting at a trivial-isotropy ambient point,
-    each carrying a single branch germ (the node shortcut)."""
+    each carrying a single branch germ (the node shortcut).  It adds
+    delta(g1) + delta(g2) + I(g1, g2) to the adjunction right-hand side,
+    what the same two points add as a station at a "regular" id."""
 
     labels: tuple[str, str]
     germs: tuple[CurveGerm, CurveGerm]
@@ -504,7 +506,10 @@ def adjunction_report(c: CurveConfig) -> AdjunctionReport:
                 )
             )
     for d in c.regular_double_points:
-        value = Fraction(intersection_multiplicity(*d.germs))
+        g1, g2 = d.germs
+        value = Fraction(
+            intersection_multiplicity(g1, g2) + self_intersection(g1) + self_intersection(g2)
+        )
         items.append(Contribution("double_point", "", d.labels, value))
     rhs = sum((it.value for it in items), Fraction(0))
     lhs = virtual_genus(c)

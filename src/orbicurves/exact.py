@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .errors import InvalidInput, NotCoprime
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 

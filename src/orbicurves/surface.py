@@ -10,10 +10,10 @@ surface divides all local structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .decode import int_, list_, obj
 from .errors import InvalidParameters
-from .exact import Fraction
 
 
 @dataclass(frozen=True)

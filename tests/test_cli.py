@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, flags, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,17 +10,18 @@ from pathlib import Path
 import pytest
 
 from orbicurves.cli import (
-    MAX_PRECISION,
     MAX_SCAN_P,
     MAX_SWEEP_P,
     MIN_PRECISION,
     _build_parser,
     emit_report,
 )
+from orbicurves.germ import MAX_PRECISION
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def golden_text(name: str) -> str:
@@ -447,3 +449,20 @@ class TestEmitReport:
     def test_table_indexes_record_lists(self):
         text = emit_report({"items": [{"v": 1}, {"v": 2}]}, "table")
         assert "items[0].v" in text and "items[1].v" in text
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_chains_unloaded(self):
+        # In a fresh interpreter: other tests import chains in this one.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, orbicurves.cli; print('orbicurves.chains' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

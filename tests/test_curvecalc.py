@@ -92,6 +92,11 @@ class TestAmbientModel:
         with pytest.raises(InvalidInput):
             AmbientModel(1, ((1,),), (3,), (("regular:z", SingularityType(5, 2)),))
 
+    @pytest.mark.parametrize("pid", ["x", "regular:x"])
+    def test_singular_point_needs_a_singularity_type(self, pid):
+        with pytest.raises(InvalidInput, match="needs a SingularityType"):
+            AmbientModel(1, ((1,),), (3,), ((pid, (1, 0)),))
+
     def test_point_type_resolution(self):
         m = AmbientModel(1, ((1,),), (3,), (("x", SingularityType(5, 2)),))
         assert m.point_type("x") == SingularityType(5, 2)
@@ -274,19 +279,33 @@ class TestLocalContributions:
         st = station("z", 3, [("a", g), ("b", axis)])
         assert local_pair_contribution(st, "a", "b") == 2
 
-    def test_node_station_matches_double_point(self):
-        st = station(
-            "regular:node",
-            1,
-            [
-                ("n1", germ_from_polynomials({1: 1}, {})),
-                ("n2", germ_from_polynomials({}, {1: 1})),
-            ],
-        )
-        pair = local_pair_contribution(st, "n1", "n2")
-        via_station = plane_curve(3, stations=[st])
-        via_double = plane_curve(3, doubles=[node()])
-        assert pair == 1
+    @pytest.mark.parametrize(
+        "germs,pair,degree,genus",
+        [
+            (node().germs, 1, 3, 0),
+            (
+                (germ_from_polynomials({1: 1}, {2: 1}), germ_from_polynomials({1: 1}, {2: -1})),
+                2,
+                4,
+                1,
+            ),
+            (
+                (germ_from_polynomials({2: 1}, {3: 1}), germ_from_polynomials({}, {1: 1})),
+                2,
+                4,
+                0,
+            ),
+        ],
+        ids=["node", "tacnode", "cusp_axis"],
+    )
+    def test_node_station_matches_double_point(self, germs, pair, degree, genus):
+        # a double point counts delta(g1) + delta(g2) + I(g1, g2), as the
+        # same two points do as a station: one pair term, two point terms
+        st = station("regular:node", 1, [("n1", germs[0]), ("n2", germs[1])])
+        double = RegularDoublePoint(labels=("n1", "n2"), germs=germs)
+        via_station = plane_curve(degree, genus, stations=[st])
+        via_double = plane_curve(degree, genus, doubles=[double])
+        assert local_pair_contribution(st, "n1", "n2") == pair
         assert adjunction_report(via_station).rhs == adjunction_report(via_double).rhs
         assert str(embeddedness_verdict(adjunction_report(via_station))) == str(
             embeddedness_verdict(adjunction_report(via_double))
