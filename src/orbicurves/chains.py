@@ -216,12 +216,14 @@ def boundary(chain: Chain, w: WeightedComplex) -> Chain:
     return Chain(out, chain.degree - 1)
 
 
-def boundary_squared_is_zero(w: WeightedComplex) -> bool:
+def boundary_squared_is_zero(
+    w: WeightedComplex, matrices: list[list[dict[int, int]]] | None = None
+) -> bool:
     """Exact check of the identity on every basis simplex, composing the
-    integer boundary matrices."""
-    lower = _boundary_matrix(w, 1)
-    for r in range(2, w.dimension() + 1):
-        upper = _boundary_matrix(w, r)
+    integer boundary matrices (those of boundary_matrices(w) if given)."""
+    if matrices is None:
+        matrices = boundary_matrices(w)
+    for lower, upper in zip(matrices, matrices[1:]):
         for row in upper:
             twice: dict[int, int] = {}
             for j, a in row.items():
@@ -229,7 +231,6 @@ def boundary_squared_is_zero(w: WeightedComplex) -> bool:
                     twice[k] = twice.get(k, 0) + a * b
             if any(twice.values()):
                 return False
-        lower = upper
     return True
 
 
@@ -239,7 +240,8 @@ def _rank(rows: list[dict[int, int]]) -> int:
     its largest column against the pivot row owning that column
     (row <- a*row - b*pivot with a, b nonzero) and divided by the gcd of
     its entries.  Scaling a row by a nonzero integer keeps its span over
-    Q, so the number of pivots is the exact rank."""
+    Q, so the number of pivots is the exact rank.  A reduced row is a new
+    dict: the input rows are left as they are."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         while row:
@@ -263,29 +265,34 @@ def _rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _boundary_matrix(w: WeightedComplex, r: int) -> list[dict[int, int]]:
-    """Sparse matrix of the weighted boundary from r-simplices to
-    (r-1)-simplices, one {face index: weight} row per r-simplex, with
-    the weights of _face_weights."""
-    target = {s: j for j, s in enumerate(w.of_dimension(r - 1))}
-    return [
-        {target[f]: weight for f, weight in _face_weights(w, s)}
-        for s in w.of_dimension(r)
-    ]
+def boundary_matrices(w: WeightedComplex) -> list[list[dict[int, int]]]:
+    """The sparse matrices of the weighted boundary from r-simplices to
+    (r-1)-simplices for r = 1..dim, one {face index: weight} row per
+    r-simplex, with the weights of _face_weights.  No consumer mutates
+    them, so one list serves both the check of the identity and the ranks."""
+    matrices = []
+    for r in range(1, w.dimension() + 1):
+        target = {s: j for j, s in enumerate(w.of_dimension(r - 1))}
+        matrices.append([
+            {target[f]: weight for f, weight in _face_weights(w, s)}
+            for s in w.of_dimension(r)
+        ])
+    return matrices
 
 
-def homology_betti(w: WeightedComplex) -> list[int]:
+def homology_betti(
+    w: WeightedComplex, matrices: list[list[dict[int, int]]] | None = None
+) -> list[int]:
     """Rational Betti numbers of the weighted chain complex, dimension
-    by dimension, from the ranks of the weighted boundary matrices, taken
-    exactly by sparse fraction-free column reduction."""
-    dim = w.dimension()
-    ranks = [0] * (dim + 2)
-    for r in range(1, dim + 1):
-        ranks[r] = _rank(_boundary_matrix(w, r))
-    betti = []
-    for r in range(dim + 1):
-        betti.append(len(w.of_dimension(r)) - ranks[r] - ranks[r + 1])
-    return betti
+    by dimension, from the ranks of the weighted boundary matrices (those
+    of boundary_matrices(w) if given), taken exactly by sparse
+    fraction-free column reduction."""
+    if matrices is None:
+        matrices = boundary_matrices(w)
+    ranks = [0, *(_rank(m) for m in matrices), 0]
+    return [
+        len(w.of_dimension(r)) - ranks[r] - ranks[r + 1] for r in range(w.dimension() + 1)
+    ]
 
 
 def to_singular(chain: Chain, w: WeightedComplex) -> Chain:

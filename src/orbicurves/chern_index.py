@@ -17,6 +17,7 @@ numerator over p(p+q).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,9 +127,10 @@ class ScanRow:
         }
 
 
-def index_integrality_scan(p: int, q: int) -> list[ScanRow]:
+def index_integrality_scan(p: int, q: int) -> Iterator[ScanRow]:
     """Run kawasaki_index over every candidate q' for the covered-curve
-    limit data between the two cone points of the model.
+    limit data between the two cone points of the model, one row per
+    unit q' mod p in increasing order.
 
     The domain is a sphere with points of orders p+q and p.  At the
     first point the local representative forces weights (l, 1) with
@@ -140,14 +142,19 @@ def index_integrality_scan(p: int, q: int) -> list[ScanRow]:
     has denominator dividing p(p+q), so for each q' the second point's
     term -(w1+w2)/p is one integer subtraction on numerators over
     p(p+q); the weights l', 1 and q' already lie in [1, p).
+
+    (p, q) is checked and the first term evaluated at the call; the rows
+    are made lazily, so a scan holds one row at a time.
     """
     _check_lens_params(p, q)
     l = mod_inverse(p, p + q)
     den = p * (p + q)
     c1_pair = Fraction(2 * p + q + 1, den)
     first = kawasaki_index(c1_pair, 0, [(p + q, (l, 1))]).d
-    base = first.numerator * (den // first.denominator)
-    rows = []
+    return _scan_rows(p, q, first.numerator * (den // first.denominator), den)
+
+
+def _scan_rows(p: int, q: int, base: int, den: int) -> Iterator[ScanRow]:
     for qprime in range(1, p):
         if math.gcd(qprime, p) != 1:
             continue
@@ -156,14 +163,11 @@ def index_integrality_scan(p: int, q: int) -> list[ScanRow]:
         d_b = Fraction(base - (1 + qprime) * (p + q), den)
         a_integral = d_a.denominator == 1
         b_integral = d_b.denominator == 1
-        rows.append(
-            ScanRow(
-                qprime=qprime,
-                caseA_d=d_a,
-                caseB_d=d_b,
-                caseA_integral=a_integral,
-                caseB_integral=b_integral,
-                allowed=a_integral or b_integral,
-            )
+        yield ScanRow(
+            qprime=qprime,
+            caseA_d=d_a,
+            caseB_d=d_b,
+            caseA_integral=a_integral,
+            caseB_integral=b_integral,
+            allowed=a_integral or b_integral,
         )
-    return rows

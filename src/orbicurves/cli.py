@@ -4,15 +4,18 @@ deterministic report emission.
 Every command prints one report to standard output, newline-terminated,
 with stable key order and rationals in "a/b" form, so identical inputs
 produce identical bytes.  Exit codes: 0 success, 1 computation failure
-on well-formed input (precision exhaustion and kin), 2 malformed input.
+on well-formed input (precision exhaustion and kin) or a report cut short
+by a closed standard output, 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chern_index import index_integrality_scan, kawasaki_index
 from .curvecalc import (
@@ -42,8 +45,9 @@ from .wps import (
 
 MIN_PRECISION = 8
 MAX_SWEEP_P = 250  # sweep --p-max 250: about 19 s on one core (Python 3.11, 2-core VM)
-# index scan 99991 2 (the largest prime p allowed): about 2.3 s and 187 MB
-# peak RSS for 18.6 MB of JSON on one core (Python 3.11, 2-core VM)
+# index scan 99991 2 (the largest prime p allowed): about 0.6 s and 18 MB
+# peak RSS for 18.6 MB of streamed JSON; with --format table 0.7 s and
+# 106 MB (Python 3.11, one core of a 2-core VM)
 MAX_SCAN_P = 100_000
 
 
@@ -85,12 +89,9 @@ def _render_rows(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: dict, output_format: str = "json") -> str:
-    """Serialize one report deterministically.  JSON preserves insertion
-    order; table mode prints aligned "path  value" lines, with a
-    top-level "rows" list of records rendered as a column table."""
-    if output_format == "json":
-        return json.dumps(result, indent=2) + "\n"
+def _table(result: dict) -> str:
+    """Aligned "path  value" lines, then a top-level "rows" list of
+    records as a column table; the column widths need every row."""
     scalars = {k: v for k, v in result.items() if k != "rows"}
     flat: list[tuple[str, str]] = []
     _flatten("", scalars, flat)
@@ -98,12 +99,69 @@ def emit_report(result: dict, output_format: str = "json") -> str:
     if flat:
         width = max(len(k) for k, _ in flat)
         text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in flat)
-    rows = result.get("rows")
+    rows = list(result.get("rows", ()))
     if rows:
         if text:
             text += "\n"
         text += _render_rows(rows)
     return text
+
+
+# The JSON text of a row value by its exact type, with json.dumps's encoders
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+ROW_BATCH = 256  # rows per write: stdout may be unbuffered
+
+
+def _json_row(row: dict) -> str:
+    """A record of a top-level "rows" list as json.dumps(indent=2) writes
+    it two levels deep; a flat record of str keys and scalar values is
+    joined without json.dumps."""
+    try:
+        parts = [
+            f"{encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}"
+            for k, v in row.items()
+        ]
+    except (KeyError, TypeError):
+        parts = None
+    if not parts:
+        return json.dumps(row, indent=2).replace("\n", "\n    ")
+    return "{\n      " + ",\n      ".join(parts) + "\n    }"
+
+
+def _write_json_rows(result: dict, out) -> None:
+    """json.dumps(result, indent=2) + "\n" byte for byte, for a report
+    whose last key is "rows": the head is dumped, then the rows are
+    written in batches as the iterable makes them."""
+    head = {k: v for k, v in result.items() if k != "rows"}
+    text = json.dumps(head, indent=2)[:-2] + ",\n" if head else "{\n"
+    batch = [text + '  "rows": [']
+    sep = "\n    "
+    for row in result["rows"]:
+        batch.append(sep + _json_row(row))
+        sep = ",\n    "
+        if len(batch) >= ROW_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+    batch.append("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+    out.write("".join(batch))
+
+
+def write_report(result: dict, output_format: str, out) -> None:
+    """Write one report deterministically to out.  JSON is
+    json.dumps(result, indent=2) + "\n", insertion order kept, with a
+    last top-level "rows" iterable written as it is made; table mode
+    prints aligned "path  value" lines and the rows as a column table."""
+    if output_format == "table":
+        out.write(_table(result))
+    elif result and next(reversed(result)) == "rows":
+        _write_json_rows(result, out)
+    else:
+        out.write(json.dumps(result, indent=2) + "\n")
 
 
 def _with_retries(compute, start: int | None):
@@ -197,19 +255,25 @@ def _cmd_index_scan(args) -> dict:
         "schema": SCHEMA_VERSION,
         "p": args.p,
         "q": args.q,
-        "rows": [r.to_json() for r in rows],
+        "rows": (r.to_json() for r in rows),
     }
 
 
 def _cmd_chains_betti(args) -> dict:
-    from .chains import boundary_squared_is_zero, homology_betti, load_complex
+    from .chains import (
+        boundary_matrices,
+        boundary_squared_is_zero,
+        homology_betti,
+        load_complex,
+    )
 
     complex_ = load_complex(args.path)
-    squared_zero = boundary_squared_is_zero(complex_)
+    matrices = boundary_matrices(complex_)
+    squared_zero = boundary_squared_is_zero(complex_, matrices)
     return {
         "schema": SCHEMA_VERSION,
         "boundary_squared_zero": squared_zero,
-        "betti": homology_betti(complex_),
+        "betti": homology_betti(complex_, matrices),
     }
 
 
@@ -414,7 +478,14 @@ def main(argv=None) -> int:
     except (OSError, LookupError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(payload, args.output_format))
+    try:
+        write_report(payload, args.output_format, sys.stdout)
+    except BrokenPipeError:
+        # the reader closed the pipe mid-report (`| head`); point stdout at
+        # devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report ended", file=sys.stderr)
+        return 1
     return 0
 
 

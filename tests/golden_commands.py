@@ -24,6 +24,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ),
     ("lens_classify_7_2_4.json", ["lens", "classify", "7", "2", "4"]),
     ("lens_allowed_5_2.json", ["lens", "allowed", "5", "2"]),
+    ("index_scan_5_2.json", ["index", "scan", "5", "2"]),
     ("index_scan_5_2.table.txt", ["index", "scan", "5", "2", "--format", "table"]),
     ("index_eval_c0_5_2.json", ["index", "eval", str(CONFIGS / "index_c0_5_2.json")]),
     (
@@ -40,6 +41,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
         "chains_validate_teardrop_7.json",
         ["chains", "validate", str(CONFIGS / "teardrop_7.json")],
     ),
+    ("sweep_p8.json", ["sweep", "--p-max", "8"]),
     ("sweep_p8.table.txt", ["sweep", "--p-max", "8", "--format", "table"]),
 ]
 

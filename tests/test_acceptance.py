@@ -218,7 +218,7 @@ def test_acceptance_4_integrality_scan_characterization():
         start = time.perf_counter()
         rows_checked = 0
         for p, q in coprime_pairs(60):
-            rows = index_integrality_scan(p, q)
+            rows = list(index_integrality_scan(p, q))
             assert [r.qprime for r in rows] == [
                 qp for qp in range(1, p) if gcd(p, qp) == 1
             ]

@@ -28,6 +28,7 @@ from orbicurves.cli import main
 from orbicurves.errors import InvalidInput, MalformedTable, UnsupportedSimplex
 
 from complex_gen import cone_torus, random_weighted_complex
+from golden_commands import CONFIGS
 from oracles import oracle_betti
 
 
@@ -447,6 +448,21 @@ class TestNonabelianConjugation:
         }
         g, _ = self.build(tri_to_vertex_fix=True, twists=twists)
         assert validate_group_complex(g)
+
+
+class TestChainsBettiCli:
+    def test_each_boundary_matrix_is_built_once(self, monkeypatch, capsys):
+        # the identity check and the ranks share one build of each matrix
+        built = []
+        face_weights = chains._face_weights
+        monkeypatch.setattr(
+            chains, "_face_weights", lambda w, s: built.append(s) or face_weights(w, s)
+        )
+        path = CONFIGS / "teardrop_7.json"
+        assert main(["chains", "betti", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 1]
+        simplices = [s for s in load_complex(str(path)).simplices if len(s) > 1]
+        assert sorted(built) == sorted(simplices)
 
 
 class TestChainsCliInput:

@@ -152,7 +152,7 @@ class TestScan:
         assert [r.qprime for r in rows] == [1, 5]
 
     def test_row_json_uses_rational_text(self):
-        row = index_integrality_scan(5, 2)[0]
+        row = list(index_integrality_scan(5, 2))[0]
         data = row.to_json()
         assert data["caseA_d"] == "7/5"
         assert data["allowed"] is False
@@ -189,7 +189,7 @@ class TestScan:
         rng = random.Random(10007)
         p = 10007
         for q in (1, 2, p - 1, rng.randrange(3, p - 1)):
-            rows = index_integrality_scan(p, q)
+            rows = list(index_integrality_scan(p, q))
             sample = rng.sample(rows, 200) + [rows[0], rows[-1]]
             sample += [r for r in rows if r.allowed]
             want = self.two_calls_per_qprime(p, q, [r.qprime for r in sample])

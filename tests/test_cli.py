@@ -1,20 +1,27 @@
 """Command-line interface: golden outputs, flags, and exit codes."""
 
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from orbicurves.chern_index import index_integrality_scan
 from orbicurves.cli import (
     MAX_SCAN_P,
     MAX_SWEEP_P,
     MIN_PRECISION,
+    ROW_BATCH,
     _build_parser,
-    emit_report,
+    main,
+    write_report,
 )
 from orbicurves.germ import MAX_PRECISION
 
@@ -26,6 +33,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def render(payload: dict, output_format: str = "json") -> str:
+    out = io.StringIO()
+    write_report(payload, output_format, out)
+    return out.getvalue()
 
 
 class TestGolden:
@@ -58,7 +71,7 @@ class TestGolden:
             text = golden_text(name)
             payload = json.loads(text)
             assert payload["schema"] == 1
-            assert emit_report(payload, "json") == text
+            assert render(payload) == text
 
 
 class TestFlagPlacement:
@@ -432,10 +445,10 @@ class TestLensAllowed:
 
 class TestEmitReport:
     def test_json_is_newline_terminated(self):
-        assert emit_report({"schema": 1}, "json").endswith("\n")
+        assert render({"schema": 1}).endswith("\n")
 
     def test_table_flattens_nested_keys(self):
-        text = emit_report(
+        text = render(
             {"a": {"b": 1, "c": [2, 3]}, "flag": True, "rows": [{"x": 1, "y": "q"}]},
             "table",
         )
@@ -447,8 +460,107 @@ class TestEmitReport:
         assert lines[-1] == "1  q"
 
     def test_table_indexes_record_lists(self):
-        text = emit_report({"items": [{"v": 1}, {"v": 2}]}, "table")
+        text = render({"items": [{"v": 1}, {"v": 2}]}, "table")
         assert "items[0].v" in text and "items[1].v" in text
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rows": []},
+            {"schema": 1, "rows": []},
+            {"schema": 1, "rows": [{}]},
+            {"a": {"b": [1, 2]}, "rows": [{"s": "qé\"\\", "n": None, "t": True, "i": -3}]},
+            {"rows": [{"m": [1, 2], "d": {"k": False}}, {"x": 1}]},
+            {"rows": [{1: "int key"}]},
+            {"rows": [{"x": 1}], "after": 2},
+            {"head": "h", "rows": [{"i": i, "odd": i % 2 == 1} for i in range(3 * ROW_BATCH)]},
+        ],
+    )
+    def test_json_rows_equal_one_dump(self, payload):
+        want = json.dumps(payload, indent=2) + "\n"
+        assert render(payload) == want
+        if next(reversed(payload)) == "rows":  # a last "rows" may be any iterable
+            assert render({**payload, "rows": iter(payload["rows"])}) == want
+
+    def test_json_rows_are_written_in_batches(self):
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        rows = [{"i": i} for i in range(2 * ROW_BATCH + 1)]
+        write_report({"rows": iter(rows)}, "json", Sink())
+        assert len(writes) == 3
+        assert "".join(writes) == json.dumps({"rows": rows}, indent=2) + "\n"
+
+
+class _NullSink:
+    def write(self, text):
+        return len(text)
+
+
+class TestScanStream:
+    @staticmethod
+    def listed(p: int, q: int) -> dict:
+        rows = [r.to_json() for r in list(index_integrality_scan(p, q))]
+        return {"schema": 1, "p": p, "q": q, "rows": rows}
+
+    def test_streamed_output_equals_one_dump(self):
+        rng = random.Random(120)
+        for p in range(2, 121):
+            units = [q for q in range(1, p) if math.gcd(p, q) == 1]
+            for q in {units[0], units[-1], rng.choice(units)}:
+                payload = self.listed(p, q)
+                code, text = run_command(["index", "scan", str(p), str(q)])
+                assert code == 0
+                assert text == json.dumps(payload, indent=2) + "\n", (p, q)
+                code, text = run_command(["index", "scan", str(p), str(q), "--format", "table"])
+                assert code == 0
+                assert text == render(payload, "table"), (p, q)
+
+    @pytest.mark.parametrize("p,q", [(1024, 3), (1031, 5)])
+    def test_streamed_output_across_batches(self, p, q):
+        # phi(1024) = 2 * ROW_BATCH rows fill the batches exactly
+        code, text = run_command(["index", "scan", str(p), str(q)])
+        assert code == 0
+        assert text == json.dumps(self.listed(p, q), indent=2) + "\n"
+
+    def test_memory_does_not_grow_with_p(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _NullSink())
+        tracemalloc.start()
+        try:
+            code = main(["index", "scan", "20011", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_pipe_exits_1_with_one_line(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "orbicurves.cli", "index", "scan", "20011", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.read(100).startswith(b'{\n  "schema": 1,')
+            proc.stdout.close()  # like `| head`, long before the report ends
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert err == "error: standard output closed before the report ended\n"
+
+    @pytest.mark.parametrize("p,q", [(4, 2), (5, 0), (100003, 2)])
+    def test_bad_parameters_exit_2_before_any_output(self, capsys, p, q):
+        code, out = run_command(["index", "scan", str(p), str(q)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestImportGraph:
