@@ -216,13 +216,9 @@ def boundary(chain: Chain, w: WeightedComplex) -> Chain:
     return Chain(out, chain.degree - 1)
 
 
-def boundary_squared_is_zero(
-    w: WeightedComplex, matrices: list[list[dict[int, int]]] | None = None
-) -> bool:
+def boundary_squared_is_zero(matrices: list[list[dict[int, int]]]) -> bool:
     """Exact check of the identity on every basis simplex, composing the
-    integer boundary matrices (those of boundary_matrices(w) if given)."""
-    if matrices is None:
-        matrices = boundary_matrices(w)
+    integer boundary matrices of boundary_matrices(w)."""
     for lower, upper in zip(matrices, matrices[1:]):
         for row in upper:
             twice: dict[int, int] = {}
@@ -280,15 +276,11 @@ def boundary_matrices(w: WeightedComplex) -> list[list[dict[int, int]]]:
     return matrices
 
 
-def homology_betti(
-    w: WeightedComplex, matrices: list[list[dict[int, int]]] | None = None
-) -> list[int]:
+def homology_betti(w: WeightedComplex, matrices: list[list[dict[int, int]]]) -> list[int]:
     """Rational Betti numbers of the weighted chain complex, dimension
-    by dimension, from the ranks of the weighted boundary matrices (those
-    of boundary_matrices(w) if given), taken exactly by sparse
-    fraction-free column reduction."""
-    if matrices is None:
-        matrices = boundary_matrices(w)
+    by dimension, from the ranks of its boundary matrices
+    (boundary_matrices(w)), taken exactly by sparse fraction-free column
+    reduction."""
     ranks = [0, *(_rank(m) for m in matrices), 0]
     return [
         len(w.of_dimension(r)) - ranks[r] - ranks[r + 1] for r in range(w.dimension() + 1)

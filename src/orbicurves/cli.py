@@ -119,17 +119,9 @@ ROW_BATCH = 256  # rows per write: stdout may be unbuffered
 
 def _json_row(row: dict) -> str:
     """A record of a top-level "rows" list as json.dumps(indent=2) writes
-    it two levels deep; a flat record of str keys and scalar values is
-    joined without json.dumps."""
-    try:
-        parts = [
-            f"{encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}"
-            for k, v in row.items()
-        ]
-    except (KeyError, TypeError):
-        parts = None
-    if not parts:
-        return json.dumps(row, indent=2).replace("\n", "\n    ")
+    it two levels deep.  Report rows are flat, non-empty records of str
+    keys and str, int, bool or None values; any other value is a KeyError."""
+    parts = [f"{encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in row.items()]
     return "{\n      " + ",\n      ".join(parts) + "\n    }"
 
 
@@ -269,7 +261,7 @@ def _cmd_chains_betti(args) -> dict:
 
     complex_ = load_complex(args.path)
     matrices = boundary_matrices(complex_)
-    squared_zero = boundary_squared_is_zero(complex_, matrices)
+    squared_zero = boundary_squared_is_zero(matrices)
     return {
         "schema": SCHEMA_VERSION,
         "boundary_squared_zero": squared_zero,
