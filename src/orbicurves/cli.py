@@ -6,42 +6,24 @@ with stable key order and rationals in "a/b" form, so identical inputs
 produce identical bytes.  Exit codes: 0 success, 1 computation failure
 on well-formed input (precision exhaustion and kin) or a report cut short
 by a closed standard output, 2 malformed input.
+
+A command loads only the modules it runs: this module imports the
+standard library, errors and decode, and each handler imports the rest
+in its own body.  So --help loads no computation module, a lens command
+adds lens, and the chains commands load no germ code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .chern_index import index_integrality_scan, kawasaki_index
-from .curvecalc import (
-    SCHEMA_VERSION,
-    adjunction_report,
-    check_schema,
-    embeddedness_verdict,
-    intersection_report,
-    load_config,
-    with_precision,
-)
-from .decode import int_, list_, load, obj, rational
+from .decode import MAX_PRECISION, SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational
 from .errors import InvalidInput, PrecisionExhausted
-from .exact import format_rational
-from .germ import DEFAULT_TRUNCATION, MAX_PRECISION
-from .lens import LensSpace, allowed_q_set, cobordism_congruence, lens_equivalent
-from .wps import (
-    build_model,
-    c0_config,
-    c0_index,
-    c0prime_config,
-    dossier,
-    genus_bound_profile,
-    seifert_euler,
-    uniqueness_inequality,
-)
 
 MIN_PRECISION = 8
 MAX_SWEEP_P = 250  # sweep --p-max 250: about 19 s on one core (Python 3.11, 2-core VM)
@@ -159,6 +141,8 @@ def write_report(result: dict, output_format: str, out) -> None:
 def _with_retries(compute, start: int | None):
     """Run compute(trunc) with doubling retries on PrecisionExhausted.
     start None means: try the input's own truncation first."""
+    from .germ import DEFAULT_TRUNCATION
+
     if start is None:
         try:
             return compute(None)
@@ -175,6 +159,8 @@ def _with_retries(compute, start: int | None):
 
 
 def _cmd_lens_classify(args) -> dict:
+    from .lens import LensSpace, cobordism_congruence, lens_equivalent
+
     first = LensSpace(args.p, args.q)
     second = LensSpace(args.p, args.qprime)
     record = cobordism_congruence(args.p, args.q, args.qprime)
@@ -190,6 +176,8 @@ def _cmd_lens_classify(args) -> dict:
 
 
 def _cmd_lens_allowed(args) -> dict:
+    from .lens import allowed_q_set
+
     return {
         "schema": SCHEMA_VERSION,
         "p": args.p,
@@ -199,6 +187,8 @@ def _cmd_lens_allowed(args) -> dict:
 
 
 def _cmd_adjunction(args) -> dict:
+    from .curvecalc import adjunction_report, embeddedness_verdict, load_config, with_precision
+
     loaded = load_config(args.path)
 
     def compute(trunc):
@@ -214,6 +204,8 @@ def _cmd_adjunction(args) -> dict:
 
 
 def _cmd_intersect(args) -> dict:
+    from .curvecalc import intersection_report, load_config, with_precision
+
     loaded = (load_config(args.path_a), load_config(args.path_b))
 
     def compute(trunc):
@@ -229,6 +221,8 @@ def _index_point(value, where: str) -> tuple[int, list[int]]:
 
 
 def _cmd_index_eval(args) -> dict:
+    from .chern_index import kawasaki_index
+
     data = obj(load(args.path), "", "c1_pair", "genus", "points", optional=("schema",))
     check_schema(data)
     report = kawasaki_index(
@@ -240,6 +234,8 @@ def _cmd_index_eval(args) -> dict:
 
 
 def _cmd_index_scan(args) -> dict:
+    from .chern_index import index_integrality_scan
+
     if args.p > MAX_SCAN_P:
         raise InvalidInput(f"index scan p must be <= {MAX_SCAN_P}, got {args.p}")
     rows = index_integrality_scan(args.p, args.q)
@@ -280,59 +276,18 @@ def _cmd_chains_validate(args) -> dict:
 
 
 def _cmd_wps_report(args) -> dict:
+    from .wps import build_model, dossier
+
     return dossier(build_model(args.p, args.q, args.qprime))
 
 
-def _sweep_row(p: int, q: int) -> dict:
-    model = build_model(p, q, q)
-    config = c0_config(model)
-    report = adjunction_report(config)
-    verdict = embeddedness_verdict(report) if report.holds else None
-    index = c0_index(model, config)
-    profile = genus_bound_profile(
-        model, sorted({Fraction(1, p), Fraction(1, 2), Fraction(1)})
-    )
-    holds = (
-        report.holds
-        and verdict is not None
-        and verdict.embedded
-        and index.d == 3
-        and profile.strictly_decreasing
-        and profile.peak_identity
-        and uniqueness_inequality(model)
-    )
-    for qprime in allowed_q_set(p, q):
-        sibling = model if qprime == q else build_model(p, q, qprime)
-        c0 = config if qprime == q else c0_config(sibling)
-        partner = c0prime_config(sibling)
-        partner_report = adjunction_report(partner)
-        meeting = intersection_report(c0, partner)
-        holds = (
-            holds
-            and partner_report.holds
-            and meeting.holds
-            and meeting.algebraic == Fraction(1, p + q)
-            and embeddedness_verdict(partner_report).embedded
-        )
-    return {
-        "p": p,
-        "q": q,
-        "C0_C0": format_rational(Fraction(p, p + q)),
-        "c1_KX_C0": format_rational(-model.c1_value),
-        "genus_C0": format_rational(report.domain_genus),
-        "seifert_euler": format_rational(seifert_euler(model)),
-        "index_d": format_rational(index.d),
-        "holds": holds,
-    }
-
-
 def _cmd_sweep(args) -> dict:
-    import math
+    from .wps import sweep_row
 
     if not 2 <= args.p_max <= MAX_SWEEP_P:
         raise InvalidInput(f"--p-max must be in 2..{MAX_SWEEP_P}, got {args.p_max}")
     rows = [
-        _sweep_row(p, q)
+        sweep_row(p, q)
         for p in range(2, args.p_max + 1)
         for q in range(1, p)
         if math.gcd(p, q) == 1

@@ -22,14 +22,12 @@ from .errors import (
     AmbientMismatch,
     InvalidInput,
 )
-from .decode import int_, list_, load, obj, rational, str_
+from .decode import SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational, str_
 from .exact import format_rational
 from .germ import (CurveGerm, GermOrbit, germ_orbit, intersection_multiplicity,
                    self_intersection, translate)
 from .lens import SingularityType
 from .surface import OrbifoldSurface, orbifold_genus
-
-SCHEMA_VERSION = 1
 
 REGULAR_PREFIX = "regular"
 
@@ -303,13 +301,6 @@ class CurveConfig:
                 item=RegularDoublePoint.from_json,
             ),
         )
-
-
-def check_schema(data: dict) -> None:
-    """An input file's optional "schema" field must be SCHEMA_VERSION."""
-    schema = int_(data.get("schema", SCHEMA_VERSION), "schema")
-    if schema != SCHEMA_VERSION:
-        raise InvalidInput(f"unsupported schema version {schema!r}")
 
 
 def _read_station(data, where: str) -> Station:

@@ -7,6 +7,7 @@ string "a/b" or "a".  An optional field is either absent or of its
 type, so callers read it with ``data.get(key, default)``.  An object
 has only the fields its reader names, as in ``class.multiplicty:
 unknown key``; keyed maps, whose keys are data, are read with keyed.
+The input format's version and truncation cap live here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from fractions import Fraction
 from .errors import InvalidInput
 from .exact import parse_rational
 
+SCHEMA_VERSION = 1
+MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 _SIMPLEX_KEY = re.compile(r"[0-9]+([,|][0-9]+)*")
 
 
@@ -96,3 +99,10 @@ def key_path(where: str, key: str) -> str:
     newline in it cannot split the one-line error message."""
     shown = key if key.isidentifier() or _SIMPLEX_KEY.fullmatch(key) else json.dumps(key)
     return f"{where}.{shown}" if where else shown
+
+
+def check_schema(data: dict) -> None:
+    """An input file's optional "schema" field must be SCHEMA_VERSION."""
+    schema = int_(data.get("schema", SCHEMA_VERSION), "schema")
+    if schema != SCHEMA_VERSION:
+        raise InvalidInput(f"unsupported schema version {schema!r}")

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .decode import int_, list_, obj, rational
+from .decode import MAX_PRECISION, int_, list_, obj, rational
 from .errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -54,7 +54,6 @@ from .exact import (
 from .lens import SingularityType
 
 DEFAULT_TRUNCATION = 32
-MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 
 
 def _tmin(*truncs):

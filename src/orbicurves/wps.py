@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .chern_index import IndexReport, kawasaki_index
 from .curvecalc import (
-    SCHEMA_VERSION,
     AmbientModel,
     CurveClass,
     CurveConfig,
@@ -25,6 +24,7 @@ from .curvecalc import (
     intersection_report,
     station,
 )
+from .decode import SCHEMA_VERSION
 from .errors import Disallowed, InvalidInput
 from .exact import format_rational
 from .germ import germ_from_polynomials
@@ -32,6 +32,7 @@ from .lens import (
     CongruenceRecord,
     SingularityType,
     _check_lens_params,
+    allowed_q_set,
     cobordism_congruence,
 )
 from .surface import OrbifoldSurface
@@ -276,3 +277,48 @@ def dossier(m: WpsModel) -> dict:
         out["C0_prime"] = None
         out["intersection_C0_C0_prime"] = None
     return out
+
+
+def sweep_row(p: int, q: int) -> dict:
+    """One row of the sweep over coprime (p, q): the C0 invariants, and
+    whether every cap check holds, including C0' for each allowed q'."""
+    model = build_model(p, q, q)
+    config = c0_config(model)
+    report = adjunction_report(config)
+    verdict = embeddedness_verdict(report) if report.holds else None
+    index = c0_index(model, config)
+    profile = genus_bound_profile(
+        model, sorted({Fraction(1, p), Fraction(1, 2), Fraction(1)})
+    )
+    holds = (
+        report.holds
+        and verdict is not None
+        and verdict.embedded
+        and index.d == 3
+        and profile.strictly_decreasing
+        and profile.peak_identity
+        and uniqueness_inequality(model)
+    )
+    for qprime in allowed_q_set(p, q):
+        sibling = model if qprime == q else build_model(p, q, qprime)
+        c0 = config if qprime == q else c0_config(sibling)
+        partner = c0prime_config(sibling)
+        partner_report = adjunction_report(partner)
+        meeting = intersection_report(c0, partner)
+        holds = (
+            holds
+            and partner_report.holds
+            and meeting.holds
+            and meeting.algebraic == Fraction(1, p + q)
+            and embeddedness_verdict(partner_report).embedded
+        )
+    return {
+        "p": p,
+        "q": q,
+        "C0_C0": format_rational(Fraction(p, p + q)),
+        "c1_KX_C0": format_rational(-model.c1_value),
+        "genus_C0": format_rational(report.domain_genus),
+        "seifert_euler": format_rational(seifert_euler(model)),
+        "index_d": format_rational(index.d),
+        "holds": holds,
+    }

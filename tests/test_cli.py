@@ -23,7 +23,7 @@ from orbicurves.cli import (
     main,
     write_report,
 )
-from orbicurves.germ import MAX_PRECISION
+from orbicurves.decode import MAX_PRECISION
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
 
@@ -53,16 +53,22 @@ class TestGolden:
             assert run_command(argv) == run_command(argv), name
 
     def test_module_entry_point(self):
-        name, argv = next(
-            (n, a) for n, a in COMMANDS if n == "lens_classify_7_2_4.json"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbicurves.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == golden_text(name)
+        # Each golden in a fresh interpreter, where a handler's own
+        # imports are the only ones that ran; started together to keep
+        # the test short.
+        procs = [
+            (name, subprocess.Popen(
+                [sys.executable, "-m", "orbicurves.cli", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            ))
+            for name, argv in COMMANDS
+        ]
+        for name, proc in procs:
+            out, err = proc.communicate()
+            assert proc.returncode == 0, (name, err)
+            assert out == (GOLDEN_DIR / name).read_bytes(), name
 
     def test_json_goldens_parse_and_round_trip(self):
         for name, _ in COMMANDS:
@@ -560,7 +566,49 @@ class TestScanStream:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_BASE = {"orbicurves", "orbicurves.cli", "orbicurves.decode", "orbicurves.errors", "orbicurves.exact"}
+_GERM = {"orbicurves.curvecalc", "orbicurves.germ", "orbicurves.lens", "orbicurves.surface"}
+_INDEX = {"orbicurves.chern_index", "orbicurves.lens"}
+_WPS = _GERM | _INDEX | {"orbicurves.wps"}
+_MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from orbicurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("orbicurves"))]))
+"""
+MODULE_SETS = [
+    (["--help"], _BASE),
+    (["lens", "classify", "7", "2", "4"], _BASE | {"orbicurves.lens"}),
+    (["lens", "allowed", "5", "2"], _BASE | {"orbicurves.lens"}),
+    (["index", "scan", "5", "2"], _BASE | _INDEX),
+    (["index", "eval", str(CONFIGS / "index_c0_5_2.json")], _BASE | _INDEX),
+    (["chains", "betti", str(CONFIGS / "teardrop_7.json")], _BASE | {"orbicurves.chains"}),
+    (["chains", "validate", str(CONFIGS / "teardrop_7.json")], _BASE | {"orbicurves.chains"}),
+    (["adjunction", str(CONFIGS / "nodal_cubic.json")], _BASE | _GERM),
+    (["intersect", str(CONFIGS / "line.json"), str(CONFIGS / "conic_tangent.json")], _BASE | _GERM),
+    (["wps", "report", "5", "2", "2"], _BASE | _WPS),
+    (["sweep", "--p-max", "3"], _BASE | _WPS),
+]
+
+
 class TestImportGraph:
+    @pytest.mark.parametrize(
+        "argv,modules",
+        MODULE_SETS,
+        ids=[" ".join(Path(x).name for x in a[:2]) for a, _ in MODULE_SETS],
+    )
+    def test_command_loads_only_the_modules_it_runs(self, argv, modules):
+        # In a fresh interpreter: other tests load every module in this one.
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER_MAIN, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, sorted(modules)]
+
     def test_cli_import_leaves_chains_unloaded(self):
         # In a fresh interpreter: other tests import chains in this one.
         proc = subprocess.run(

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import cli
-from orbicurves.cli import _sweep_row
+from orbicurves import wps
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -27,6 +26,7 @@ from orbicurves.wps import (
     genus_bound,
     genus_bound_profile,
     seifert_euler,
+    sweep_row,
     uniqueness_inequality,
 )
 
@@ -224,7 +224,7 @@ class TestSweepRow:
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                row = _sweep_row(p, q)
+                row = sweep_row(p, q)
                 d = dossier(build_model(p, q, q))
                 assert row == {
                     "p": d["p"],
@@ -247,8 +247,8 @@ class TestSweepRow:
             seen.append(m.qprime)
             return c0prime_config(m, case)
 
-        monkeypatch.setattr(cli, "c0prime_config", spy)
+        monkeypatch.setattr(wps, "c0prime_config", spy)
         for p, q in [(5, 2), (7, 3), (8, 3), (12, 5)]:
             seen.clear()
-            _sweep_row(p, q)
+            sweep_row(p, q)
             assert seen == allowed_q_set(p, q), (p, q)
