@@ -4,8 +4,8 @@ deterministic report emission.
 Every command prints one report to standard output, newline-terminated,
 with stable key order and rationals in "a/b" form, so identical inputs
 produce identical bytes.  Exit codes: 0 success, 1 computation failure
-on well-formed input (precision exhaustion and kin) or a report cut short
-by a closed standard output, 2 malformed input.
+on well-formed input (precision exhaustion and kin) or a report that
+could not be written (standard output closed or full), 2 malformed input.
 
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
@@ -427,11 +427,16 @@ def main(argv=None) -> int:
         return 2
     try:
         write_report(payload, args.output_format, sys.stdout)
-    except BrokenPipeError:
-        # the reader closed the pipe mid-report (`| head`); point stdout at
-        # devnull so that the flush at exit does not raise again
+        sys.stdout.flush()
+    except OSError as exc:
+        # the reader closed the pipe mid-report (`| head`) or the write
+        # failed (a full device); point stdout at devnull so that the
+        # flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed before the report ended", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: standard output closed before the report ended", file=sys.stderr)
+        else:
+            print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

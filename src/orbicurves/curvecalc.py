@@ -14,7 +14,7 @@ exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .decode import SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational, str_
 from .exact import format_rational
-from .germ import (CurveGerm, GermOrbit, germ_orbit, intersection_multiplicity,
+from .germ import (CurveGerm, check_stabilizer, intersection_multiplicity,
                    self_intersection, translate)
 from .lens import SingularityType
 from .surface import OrbifoldSurface, orbifold_genus
@@ -146,25 +146,19 @@ class CurveClass:
 
 @dataclass(frozen=True)
 class StationPoint:
-    """One domain point of a station: its label and the orbit of local
-    branches, whose base is the distinguished germ."""
+    """One domain point of a station: its label and its distinguished
+    local branch; the other branches over the point are the germ's
+    group translates, and the point's order is the germ's m."""
 
     label: str
-    orbit: GermOrbit
-
-    @property
-    def germ(self) -> CurveGerm:
-        return self.orbit.base
-
-    @property
-    def order(self) -> int:  # the domain orbifold point's order
-        return self.germ.m
+    germ: CurveGerm
 
 
 @dataclass(frozen=True)
 class Station:
     """All domain points of one curve lying over a single ambient point,
-    with the isotropy order of that point."""
+    with the isotropy order of that point.  Each point's stated
+    stabilizer is checked here, once."""
 
     ambient_point: str
     isotropy_order: int
@@ -187,6 +181,7 @@ class Station:
                     f"orbit at {p.label!r} lives in a group of order "
                     f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
+            check_stabilizer(p.germ)
 
     def point(self, label: str) -> StationPoint:
         for p in self.points:
@@ -196,52 +191,22 @@ class Station:
 
 
 def station(ambient_point: str, isotropy_order: int, points) -> Station:
-    """Build a station from (label, germ) pairs, generating each point's
-    branch orbit."""
-    built = tuple(
-        StationPoint(label=label, orbit=germ_orbit(germ))
-        for label, germ in points
-    )
+    """Build a station from (label, germ) pairs."""
+    built = tuple(StationPoint(label, germ) for label, germ in points)
     return Station(ambient_point=ambient_point, isotropy_order=isotropy_order, points=built)
 
 
 @dataclass(frozen=True)
-class RegularDoublePoint:
-    """Two domain points meeting at a trivial-isotropy ambient point,
-    each carrying a single branch germ (the node shortcut).  It adds
-    delta(g1) + delta(g2) + I(g1, g2) to the adjunction right-hand side,
-    what the same two points add as a station at a "regular" id."""
-
-    labels: tuple[str, str]
-    germs: tuple[CurveGerm, CurveGerm]
-
-    def __post_init__(self):
-        if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
-            raise InvalidInput("a double point needs two distinct labels")
-        for g in self.germs:
-            if g.group.a != 1:
-                raise InvalidInput(
-                    "regular double points carry trivial-isotropy germs; "
-                    "use a station for singular ambient points"
-                )
-
-    @staticmethod
-    def from_json(data, where: str) -> "RegularDoublePoint":
-        obj(data, where, "labels", "germs")
-        labels = list_(data["labels"], f"{where}.labels", item=str_, length=2)
-        germs = list_(data["germs"], f"{where}.germs", item=CurveGerm.from_json, length=2)
-        return RegularDoublePoint(tuple(labels), tuple(germs))
-
-
-@dataclass(frozen=True)
 class CurveConfig:
-    """The combinatorial shadow of one parametrized curve."""
+    """The combinatorial shadow of one parametrized curve.  A regular
+    double point is a station of two points at a trivial-isotropy
+    ambient point, reported as one "double_point" item."""
 
     ambient: AmbientModel
     domain: OrbifoldSurface
     curve_class: CurveClass
     stations: tuple[Station, ...] = ()
-    regular_double_points: tuple[RegularDoublePoint, ...] = ()
+    regular_double_points: tuple[Station, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "stations", tuple(self.stations))
@@ -271,18 +236,25 @@ class CurveConfig:
                         f"germ at {p.label!r} lives in chart {p.germ.group.to_json()}, "
                         f"ambient point {s.ambient_point!r} has type {stype.to_json()}"
                     )
+        for d in self.regular_double_points:
+            if len(d.points) != 2 or d.isotropy_order != 1:
+                raise InvalidInput(
+                    "a regular double point is a station of two points at "
+                    f"isotropy 1, got {len(d.points)} at isotropy {d.isotropy_order}"
+                )
         # the domain's orbifold points must be covered exactly once
         need = sorted(self.domain.orders)
         have = sorted(
-            p.order for s in self.stations for p in s.points if p.order > 1
+            p.germ.m for s in self.stations for p in s.points if p.germ.m > 1
         )
         if need != have:
             raise InvalidInput(
                 f"station points of orders {have} do not match the domain "
                 f"orbifold points {need}"
             )
-        labels = [p.label for s in self.stations for p in s.points]
-        labels += [lab for d in self.regular_double_points for lab in d.labels]
+        labels = [
+            p.label for s in self.stations + self.regular_double_points for p in s.points
+        ]
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"domain point labels must be unique: {labels}")
 
@@ -298,7 +270,7 @@ class CurveConfig:
             stations=list_(data.get("stations", []), "stations", item=_read_station),
             regular_double_points=list_(
                 data.get("regular_double_points", []), "regular_double_points",
-                item=RegularDoublePoint.from_json,
+                item=_read_double_point,
             ),
         )
 
@@ -320,12 +292,20 @@ def _read_station(data, where: str) -> Station:
         points,
     )
     for built, want in zip(st.points, declared):
-        if want is not None and built.order != want:
+        if want is not None and built.germ.m != want:
             raise InvalidInput(
                 f"point {built.label!r} declares order {want}, germ "
-                f"stabilizer gives {built.order}"
+                f"stabilizer gives {built.germ.m}"
             )
     return st
+
+
+def _read_double_point(data, where: str) -> Station:
+    """A {"labels", "germs"} object: a two-point station at isotropy 1."""
+    obj(data, where, "labels", "germs")
+    labels = list_(data["labels"], f"{where}.labels", item=str_, length=2)
+    germs = list_(data["germs"], f"{where}.germs", item=CurveGerm.from_json, length=2)
+    return station("", 1, zip(labels, germs))
 
 
 def load_config(path: str) -> CurveConfig:
@@ -336,26 +316,16 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
     """Rebuild every germ of the configuration at the given series
     truncation.  Raising the truncation treats the stored terms as
     exact polynomial data, which is what file-loaded configs are."""
-    stations = tuple(
-        station(
-            s.ambient_point,
-            s.isotropy_order,
-            [(p.label, p.germ.with_truncation(trunc)) for p in s.points],
-        )
-        for s in config.stations
-    )
-    doubles = tuple(
-        RegularDoublePoint(
-            d.labels, tuple(g.with_truncation(trunc) for g in d.germs)
-        )
-        for d in config.regular_double_points
-    )
-    return CurveConfig(
-        ambient=config.ambient,
-        domain=config.domain,
-        curve_class=config.curve_class,
-        stations=stations,
-        regular_double_points=doubles,
+
+    def widen(s: Station) -> Station:
+        return replace(s, points=tuple(
+            replace(p, germ=p.germ.with_truncation(trunc)) for p in s.points
+        ))
+
+    return replace(
+        config,
+        stations=tuple(map(widen, config.stations)),
+        regular_double_points=tuple(map(widen, config.regular_double_points)),
     )
 
 
@@ -390,14 +360,15 @@ def virtual_genus(c: CurveConfig) -> Fraction:
     return (cc + c_pairing(c)) / 2 + Fraction(1, c.curve_class.multiplicity)
 
 
-def _orbit_cross_sum(o1: GermOrbit, o2: GermOrbit) -> int:
-    """Sum of pairwise intersection multiplicities over two branch
-    orbits (all ordered pairs, distinct germs assumed).  The group acts
-    by biholomorphisms, so I(mu^j g1, mu^k g2) = I(g1, mu^(k-j) g2) and
-    each translate of g1 meets the whole orbit of g2 alike."""
-    return o1.size * sum(
-        intersection_multiplicity(o1.base, translate(o2.base, k)) for k in range(o2.size)
+def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
+    """(1/|G|) times the sum of the intersection multiplicities of every
+    branch of g1's orbit with every branch of g2's (distinct germs
+    assumed).  The group acts by biholomorphisms, so I(mu^j g1, mu^k g2)
+    = I(g1, mu^(k-j) g2) and each translate of g1 meets g2's orbit alike."""
+    total = sum(
+        intersection_multiplicity(g1, translate(g2, k)) for k in range(g2.orbit_size)
     )
+    return Fraction(g1.orbit_size * total, g1.group.a)
 
 
 def local_pair_contribution(s: Station, z: str, zprime: str) -> Fraction:
@@ -406,8 +377,7 @@ def local_pair_contribution(s: Station, z: str, zprime: str) -> Fraction:
     intersection multiplicities."""
     if z == zprime:
         raise InvalidInput("pair contribution needs two distinct labels")
-    p1, p2 = s.point(z), s.point(zprime)
-    return Fraction(_orbit_cross_sum(p1.orbit, p2.orbit), s.isotropy_order)
+    return _pair_term(s.point(z).germ, s.point(zprime).germ)
 
 
 def local_point_contribution(s: Station, z: str) -> Fraction:
@@ -415,13 +385,13 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     (1/2|G|) (sum of branch deltas + sum over ordered branch pairs),
     where the pair sum's diagonal term is the branch's delta.
 
-    With s the orbit size this is (1/2|G|)(2 s delta + cross), using
-    that delta is twist-invariant; as in _orbit_cross_sum the cross sum
-    is s times sum over 0 < d < s of I(base, translate(base, d)), and
-    those translates must be materializable over Q(i).
+    With n the orbit size this is (1/2|G|)(2 n delta + cross), using
+    that delta is twist-invariant; as in _pair_term the cross sum is n
+    times sum over 0 < d < n of I(base, translate(base, d)), and those
+    translates must be materializable over Q(i).
     """
-    orbit = s.point(z).orbit
-    base, size = orbit.base, orbit.size
+    base = s.point(z).germ
+    size = base.orbit_size
     delta = self_intersection(base)
     cross = size * sum(
         intersection_multiplicity(base, translate(base, d)) for d in range(1, size)
@@ -497,11 +467,10 @@ def adjunction_report(c: CurveConfig) -> AdjunctionReport:
                 )
             )
     for d in c.regular_double_points:
-        g1, g2 = d.germs
-        value = Fraction(
-            intersection_multiplicity(g1, g2) + self_intersection(g1) + self_intersection(g2)
-        )
-        items.append(Contribution("double_point", "", d.labels, value))
+        p1, p2 = d.points
+        g1, g2 = p1.germ, p2.germ
+        value = _pair_term(g1, g2) + self_intersection(g1) + self_intersection(g2)
+        items.append(Contribution("double_point", d.ambient_point, (p1.label, p2.label), value))
     rhs = sum((it.value for it in items), Fraction(0))
     lhs = virtual_genus(c)
     return AdjunctionReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, contributions=tuple(items))
@@ -545,14 +514,8 @@ def intersection_report(c1: CurveConfig, c2: CurveConfig) -> IntersectionReport:
         s1, s2 = c1.stations[i], c2.stations[j]
         for p1 in s1.points:
             for p2 in s2.points:
-                value = Fraction(
-                    _orbit_cross_sum(p1.orbit, p2.orbit), s1.isotropy_order
-                )
-                items.append(
-                    Contribution(
-                        "pair", s1.ambient_point, (p1.label, p2.label), value
-                    )
-                )
+                value = _pair_term(p1.germ, p2.germ)
+                items.append(Contribution("pair", s1.ambient_point, (p1.label, p2.label), value))
     local_sum = sum((it.value for it in items), Fraction(0))
     algebraic = algebraic_intersection(c1, c2)
     return IntersectionReport(

@@ -17,17 +17,39 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .exact import parse_rational
 
 SCHEMA_VERSION = 1
 MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 _SIMPLEX_KEY = re.compile(r"[0-9]+([,|][0-9]+)*")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the textual form "a/b" or "a" into a Fraction.
+
+    >>> parse_rational("-13/7")
+    Fraction(-13, 7)
+    >>> parse_rational("5")
+    Fraction(5, 1)
+    """
+    m = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
+    if not m:
+        raise InvalidInput(f"not a rational literal: {text!r}")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise InvalidInput(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def load(path):
-    """The JSON value stored in the file at path."""
+    """The JSON value stored in the file at path; nesting deeper than
+    the parser's recursion limit is invalid input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInput(f"{path}: JSON nested too deeply") from None
 
 
 def _fail(where: str, expected: str, value):

@@ -12,31 +12,10 @@ denominator) and Gaussian rationals are pairs of them.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, NotCoprime
-
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the textual form "a/b" or "a" into a Fraction.
-
-    >>> parse_rational("-13/7")
-    Fraction(-13, 7)
-    >>> parse_rational("5")
-    Fraction(5, 1)
-    """
-    m = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
-    if not m:
-        raise InvalidInput(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise InvalidInput(f"zero denominator: {text!r}")
-    return Fraction(num, den)
 
 
 def format_rational(x) -> str:

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .decode import MAX_PRECISION, int_, list_, obj, rational
+from .decode import MAX_PRECISION, int_, list_, obj, parse_rational, rational
 from .errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -49,7 +49,6 @@ from .exact import (
     GR_ZERO,
     GaussianRational,
     fourth_root_power,
-    parse_rational,
 )
 from .lens import SingularityType
 
@@ -433,6 +432,12 @@ class CurveGerm:
         sigma = self._rho_exponent // (self.group.a // self.m)
         return (sigma % self.m, (sigma * self.group.b) % self.m)
 
+    @property
+    def orbit_size(self) -> int:
+        """Number of group translates, a/m: the translates are
+        translate(germ, k) for 0 <= k < orbit_size."""
+        return self.group.a // self.m
+
     def multiplicity(self) -> int:
         orders = []
         for s in (self.U, self.V):
@@ -525,30 +530,15 @@ def _stabilizing_twist(germ: CurveGerm) -> int:
     return math.lcm(*(a // math.gcd(a, tau * (j // g) - w) for j, w in exps))
 
 
-@dataclass(frozen=True)
-class GermOrbit:
-    """The set of translates of one germ under the chart group, held
-    implicitly: the translates are translate(base, k) for 0 <= k < size,
-    with size = a / m."""
-
-    base: CurveGerm
-    size: int
-
-
-def germ_orbit(germ: CurveGerm) -> GermOrbit:
-    """Orbit of a germ under its chart group.
-
-    The stated stabilizer order m determines the orbit size a/m;
-    EquivarianceViolated is raised if a translate by fewer than a/m
-    steps fixes the germ, i.e. the stated stabilizer is too small.
-    """
-    size = germ.group.a // germ.m
+def check_stabilizer(germ: CurveGerm) -> None:
+    """Raise EquivarianceViolated if a translate by fewer than a/m steps
+    fixes the germ, i.e. the stated stabilizer order m is too small."""
+    size = germ.orbit_size
     if size > 1 and (d := _stabilizing_twist(germ)) < size:
         raise EquivarianceViolated(
             f"translate by {d} fixes the germ; stated stabilizer order "
             f"{germ.m} is too small"
         )
-    return GermOrbit(base=germ, size=size)
 
 
 def _same_data(g1: CurveGerm, g2: CurveGerm) -> bool:

@@ -25,7 +25,6 @@ from orbicurves.chern_index import (
     index_integrality_scan,
 )
 from orbicurves.curvecalc import (
-    RegularDoublePoint,
     adjunction_report,
     embeddedness_verdict,
     intersection_report,
@@ -119,12 +118,13 @@ def test_acceptance_2_adjunction_end_to_end():
                 f"regular:{tag}", 1, [(label, germ_from_polynomials({2: 1}, {3: 1}))]
             )
 
-        tacnode = RegularDoublePoint(
-            labels=("t1", "t2"),
-            germs=(
-                germ_from_polynomials({1: 1}, {2: 1}),
-                germ_from_polynomials({1: 1}, {2: -1}),
-            ),
+        tacnode = station(
+            "",
+            1,
+            [
+                ("t1", germ_from_polynomials({1: 1}, {2: 1})),
+                ("t2", germ_from_polynomials({1: 1}, {2: -1})),
+            ],
         )
         plane_corpus = [
             (load_config(CONFIGS / "nodal_cubic.json"), 1, 1),

@@ -188,6 +188,24 @@ class TestExitCodes:
         assert code == 0
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adjunction", "DEEP"],
+            ["intersect", str(CONFIGS / "line.json"), "DEEP"],
+            ["index", "eval", "DEEP"],
+            ["chains", "betti", "DEEP"],
+            ["chains", "validate", "DEEP"],
+        ],
+        ids=["adjunction", "intersect", "index_eval", "chains_betti", "chains_validate"],
+    )
+    def test_deeply_nested_json_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out = run_command([str(deep) if a == "DEEP" else a for a in argv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize(
         "data,message",
         [
             (
@@ -402,6 +420,33 @@ class TestIdsAndLabels:
         assert err == f"error: orders: expected an object, got {json.dumps(orders)}\n"
 
 
+DOUBLE_POINT = ("regular_double_points", 0)
+
+
+class TestDoublePointInput:
+    """A regular double point is read as a two-point station at
+    isotropy 1, whose checks give the one-line error."""
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            (
+                {DOUBLE_POINT + ("labels", 1): "n1"},
+                "duplicate point labels in station: ['n1', 'n1']",
+            ),
+            (
+                {DOUBLE_POINT + ("germs", 0, "group"): [3, 1], DOUBLE_POINT + ("germs", 0, "m"): 3},
+                "orbit at 'n1' lives in a group of order 3, station isotropy is 1",
+            ),
+        ],
+        ids=["equal_labels", "z3_germ"],
+    )
+    def test_invalid_double_point_exits_2(self, tmp_path, capsys, edits, message):
+        code, out = run_command(["adjunction", _mutated(tmp_path, CONFIGS / "nodal_cubic.json", edits)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestLargeGroupOrders:
     """No germ computation walks the chart group Z_a."""
 
@@ -502,6 +547,9 @@ class _NullSink:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 class TestScanStream:
     @staticmethod
@@ -558,6 +606,22 @@ class TestScanStream:
             assert proc.wait(timeout=60) == 1
         assert err == "error: standard output closed before the report ended\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv", [["lens", "allowed", "5", "2"], ["index", "scan", "20011", "3"]], ids=" ".join
+    )
+    def test_full_device_exits_1_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbicurves.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
     @pytest.mark.parametrize("p,q", [(4, 2), (5, 0), (100003, 2)])
     def test_bad_parameters_exit_2_before_any_output(self, capsys, p, q):
         code, out = run_command(["index", "scan", str(p), str(q)])
@@ -566,9 +630,10 @@ class TestScanStream:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-_BASE = {"orbicurves", "orbicurves.cli", "orbicurves.decode", "orbicurves.errors", "orbicurves.exact"}
-_GERM = {"orbicurves.curvecalc", "orbicurves.germ", "orbicurves.lens", "orbicurves.surface"}
-_INDEX = {"orbicurves.chern_index", "orbicurves.lens"}
+_BASE = {"orbicurves", "orbicurves.cli", "orbicurves.decode", "orbicurves.errors"}
+_LENS = {"orbicurves.exact", "orbicurves.lens"}
+_GERM = _LENS | {"orbicurves.curvecalc", "orbicurves.germ", "orbicurves.surface"}
+_INDEX = _LENS | {"orbicurves.chern_index"}
 _WPS = _GERM | _INDEX | {"orbicurves.wps"}
 _MODULES_AFTER_MAIN = """
 import contextlib, io, json, sys
@@ -577,10 +642,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("orbicurves"))]))
 """
+_NEW_STDLIB_AFTER_HELP = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from orbicurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["--help"])
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules) - before)))
+"""
 MODULE_SETS = [
     (["--help"], _BASE),
-    (["lens", "classify", "7", "2", "4"], _BASE | {"orbicurves.lens"}),
-    (["lens", "allowed", "5", "2"], _BASE | {"orbicurves.lens"}),
+    (["lens", "classify", "7", "2", "4"], _BASE | _LENS),
+    (["lens", "allowed", "5", "2"], _BASE | _LENS),
     (["index", "scan", "5", "2"], _BASE | _INDEX),
     (["index", "eval", str(CONFIGS / "index_c0_5_2.json")], _BASE | _INDEX),
     (["chains", "betti", str(CONFIGS / "teardrop_7.json")], _BASE | {"orbicurves.chains"}),
@@ -608,6 +681,18 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, sorted(modules)]
+
+    def test_help_loads_no_dataclasses(self):
+        # In a fresh interpreter; modules the interpreter loaded before
+        # orbicurves do not count.
+        proc = subprocess.run(
+            [sys.executable, "-c", _NEW_STDLIB_AFTER_HELP],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_cli_import_leaves_chains_unloaded(self):
         # In a fresh interpreter: other tests import chains in this one.

@@ -11,8 +11,8 @@ from orbicurves.curvecalc import (
     AmbientModel,
     CurveClass,
     CurveConfig,
-    RegularDoublePoint,
     Station,
+    StationPoint,
     adjunction_report,
     algebraic_intersection,
     c_pairing,
@@ -49,7 +49,7 @@ def cp2() -> AmbientModel:
 
 def plane_curve(degree, genus=0, stations=(), doubles=()) -> CurveConfig:
     orders = tuple(
-        p.order for s in stations for p in s.points if p.order > 1
+        p.germ.m for s in stations for p in s.points if p.germ.m > 1
     )
     return CurveConfig(
         ambient=cp2(),
@@ -60,13 +60,14 @@ def plane_curve(degree, genus=0, stations=(), doubles=()) -> CurveConfig:
     )
 
 
-def node() -> RegularDoublePoint:
-    return RegularDoublePoint(
-        labels=("n1", "n2"),
-        germs=(
-            germ_from_polynomials({1: 1}, {}),
-            germ_from_polynomials({}, {1: 1}),
-        ),
+def node() -> Station:
+    return station(
+        "",
+        1,
+        [
+            ("n1", germ_from_polynomials({1: 1}, {})),
+            ("n2", germ_from_polynomials({}, {1: 1})),
+        ],
     )
 
 
@@ -138,7 +139,7 @@ class TestCurveClass:
 class TestStation:
     def test_builder_and_lookup(self):
         st = cusp_station()
-        assert st.point("c").order == 1
+        assert st.point("c").germ.m == 1
         with pytest.raises(InvalidInput):
             st.point("missing")
 
@@ -153,18 +154,48 @@ class TestStation:
         with pytest.raises(InvalidInput):
             station("x", 5, [("a", g)])
 
+    def test_direct_construction_checks_the_stabilizer(self):
+        # z^3 is fixed by every Z_3 translate, so the stated m = 1 is too small
+        g = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
+        with pytest.raises(EquivarianceViolated, match="translate by 1 fixes the germ"):
+            Station("x", 3, (StationPoint("a", g),))
+
 
 class TestRegularDoublePoint:
     def test_rejects_equal_labels(self):
         g = germ_from_polynomials({1: 1}, {})
         with pytest.raises(InvalidInput):
-            RegularDoublePoint(("a", "a"), (g, g))
+            station("", 1, [("a", g), ("a", g)])
 
     def test_rejects_nontrivial_chart(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
         h = germ_from_polynomials({}, {1: 1})
         with pytest.raises(InvalidInput):
-            RegularDoublePoint(("a", "b"), (g, h))
+            station("", 1, [("a", g), ("b", h)])
+
+    @pytest.mark.parametrize(
+        "double",
+        [
+            station("", 1, [("a", germ_from_polynomials({1: 1}, {}))]),
+            station(
+                "",
+                1,
+                [(lab, germ_from_polynomials({1: 1}, {k: 1})) for k, lab in enumerate("abc", 2)],
+            ),
+            station(
+                "x",
+                3,
+                [
+                    ("a", germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)),
+                    ("b", germ_from_polynomials({}, {1: 1}, group=SingularityType(3, 1), m=3)),
+                ],
+            ),
+        ],
+        ids=["one_point", "three_points", "isotropy_3"],
+    )
+    def test_config_takes_two_point_trivial_stations_only(self, double):
+        with pytest.raises(InvalidInput, match="regular double point is a station of two points"):
+            plane_curve(3, doubles=[double])
 
 
 class TestConfigValidation:
@@ -215,16 +246,18 @@ class TestConfigValidation:
             )
 
     def test_labels_unique_across_stations_and_doubles(self):
-        d = RegularDoublePoint(
-            labels=("c", "d"),
-            germs=(germ_from_polynomials({1: 1}, {}), germ_from_polynomials({}, {1: 1})),
+        d = station(
+            "",
+            1,
+            [("c", germ_from_polynomials({1: 1}, {})), ("d", germ_from_polynomials({}, {1: 1}))],
         )
         with pytest.raises(InvalidInput):
             plane_curve(3, stations=[cusp_station()], doubles=[d, node()])
         # relabeled copy is fine
-        ok = RegularDoublePoint(
-            labels=("d1", "d2"),
-            germs=(germ_from_polynomials({1: 1}, {}), germ_from_polynomials({}, {1: 1})),
+        ok = station(
+            "",
+            1,
+            [("d1", germ_from_polynomials({1: 1}, {})), ("d2", germ_from_polynomials({}, {1: 1}))],
         )
         plane_curve(4, genus=1, stations=[cusp_station()], doubles=[ok])
 
@@ -282,7 +315,7 @@ class TestLocalContributions:
     @pytest.mark.parametrize(
         "germs,pair,degree,genus",
         [
-            (node().germs, 1, 3, 0),
+            (tuple(p.germ for p in node().points), 1, 3, 0),
             (
                 (germ_from_polynomials({1: 1}, {2: 1}), germ_from_polynomials({1: 1}, {2: -1})),
                 2,
@@ -302,7 +335,7 @@ class TestLocalContributions:
         # a double point counts delta(g1) + delta(g2) + I(g1, g2), as the
         # same two points do as a station: one pair term, two point terms
         st = station("regular:node", 1, [("n1", germs[0]), ("n2", germs[1])])
-        double = RegularDoublePoint(labels=("n1", "n2"), germs=germs)
+        double = station("", 1, [("n1", germs[0]), ("n2", germs[1])])
         via_station = plane_curve(degree, genus, stations=[st])
         via_double = plane_curve(degree, genus, doubles=[double])
         assert local_pair_contribution(st, "n1", "n2") == pair
@@ -506,7 +539,7 @@ class TestSerialization:
 
 def _germ_truncations(cfg) -> set:
     return {p.germ.truncation() for s in cfg.stations for p in s.points} | {
-        g.truncation() for d in cfg.regular_double_points for g in d.germs
+        p.germ.truncation() for d in cfg.regular_double_points for p in d.points
     }
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbicurves.decode import parse_rational
 from orbicurves.errors import InvalidInput, NotCoprime
 from orbicurves.exact import (
     FOURTH_ROOTS,
@@ -15,7 +16,6 @@ from orbicurves.exact import (
     fourth_root_power,
     is_integer,
     mod_inverse,
-    parse_rational,
 )
 from orbicurves.germ import PowerSeries
 
