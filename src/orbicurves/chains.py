@@ -1,15 +1,16 @@
 """Weighted simplicial chains for orbifold complexes: complexes of
 finite groups over a simplicial complex, the order-weighted boundary
-operator, rational homology, and the comparison map to ordinary
-simplicial chains.
+operator and rational homology.
 
 The boundary operator depends only on the group orders, so the working
 type is WeightedComplex (simplices plus an order per simplex, subject
-to divisibility along faces).  The weighted boundary has one integer
-form, the signed face weights of _face_weights: Chain boundaries, the
-sparse matrices behind the Betti numbers and the boundary-squared check
-all read it.  Full group data with homomorphisms and twist cocycles is
-carried by GroupComplexFull and only validated.
+to divisibility along faces).  The weighted boundary has one form, the
+sparse integer matrices of boundary_matrices, built from the signed
+face weights of _face_weights; the Betti numbers and the
+boundary-squared check both read them.  Full group data with
+homomorphisms and twist cocycles is carried by GroupComplexFull and
+only validated; a file with orders alone carries the canonical cyclic
+structure, which is valid by construction (validate_file).
 
 Orientation convention: a simplex is its sorted vertex tuple; the i-th
 face omits vertex i and enters the boundary with sign (-1)^i.
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .decode import int_, is_int, key_path, keyed, list_, load, obj
-from .errors import InvalidInput, MalformedTable, UnsupportedSimplex
+from .errors import InvalidInput, MalformedTable
 
 Simplex = tuple[int, ...]
 
@@ -126,7 +126,7 @@ class WeightedComplex:
     def from_json(data) -> "WeightedComplex":
         """A complex file; the constructor checks the orders' values.  The
         groups, homs and twists of a group complex file are read by
-        load_group_complex."""
+        validate_file."""
         obj(data, "", "simplices", optional=("orders", "groups", "homs", "twists"))
         return WeightedComplex(
             list_(data["simplices"], "simplices", item=_int_list),
@@ -138,82 +138,12 @@ def load_complex(path: str) -> WeightedComplex:
     return WeightedComplex.from_json(load(path))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A finite formal sum of simplices of one dimension with rational
-    coefficients.  Zero chains of any degree are allowed."""
-
-    coeffs: dict
-    degree: int
-
-    def __init__(self, coeffs, degree=None):
-        clean = {}
-        for s, c in dict(coeffs).items():
-            s = _as_simplex(s)
-            c = Fraction(c)
-            if c:
-                clean[s] = c
-        dims = {len(s) - 1 for s in clean}
-        if len(dims) > 1:
-            raise InvalidInput(f"mixed dimensions in chain: {sorted(dims)}")
-        if degree is None:
-            if not dims:
-                raise InvalidInput("degree required for an empty chain")
-            degree = dims.pop()
-        elif dims and dims != {degree}:
-            raise InvalidInput(
-                f"chain declared degree {degree} but has simplices of dimension {dims.pop()}"
-            )
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "degree", degree)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.degree != other.degree:
-            raise InvalidInput("cannot add chains of different degrees")
-        merged = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            merged[s] = merged.get(s, Fraction(0)) + c
-        return Chain(merged, self.degree)
-
-    def scale(self, factor) -> "Chain":
-        factor = Fraction(factor)
-        return Chain({s: c * factor for s, c in self.coeffs.items()}, self.degree)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Chain)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @staticmethod
-    def of(simplex, coeff=1) -> "Chain":
-        s = _as_simplex(simplex)
-        return Chain({s: Fraction(coeff)}, len(s) - 1)
-
-
 def _face_weights(w: WeightedComplex, s: Simplex) -> list[tuple[Simplex, int]]:
     """The faces of s with their boundary weights: the i-th face f enters
     with (-1)^i |G_f| / |G_s|, a nonzero integer by the divisibility
     invariant."""
     g = w.order(s)
     return [(f, (-1) ** i * (w.order(f) // g)) for i, f in enumerate(faces(s))]
-
-
-def boundary(chain: Chain, w: WeightedComplex) -> Chain:
-    """The weighted boundary: each simplex maps to the alternating sum
-    of its faces with weights |G_face| / |G_simplex|."""
-    have = set(w.simplices)
-    out: dict[Simplex, Fraction] = {}
-    for s, c in chain.coeffs.items():
-        if s not in have:
-            raise UnsupportedSimplex(f"simplex {s} is not in the complex")
-        for f, weight in _face_weights(w, s):
-            out[f] = out.get(f, 0) + c * weight
-    return Chain(out, chain.degree - 1)
 
 
 def boundary_squared_is_zero(matrices: list[list[dict[int, int]]]) -> bool:
@@ -287,19 +217,6 @@ def homology_betti(w: WeightedComplex, matrices: list[list[dict[int, int]]]) -> 
     ]
 
 
-def to_singular(chain: Chain, w: WeightedComplex) -> Chain:
-    """The comparison map to ordinary simplicial chains: each simplex is
-    rescaled by 1/|G_simplex|.  This intertwines the weighted boundary
-    with the standard one."""
-    have = set(w.simplices)
-    out = {}
-    for s, c in chain.coeffs.items():
-        if s not in have:
-            raise UnsupportedSimplex(f"simplex {s} is not in the complex")
-        out[s] = c / w.order(s)
-    return Chain(out, chain.degree)
-
-
 def teardrop_complex(p: int) -> WeightedComplex:
     """The boundary of the tetrahedron on vertices 0..3 with one cone
     point of order p at vertex 0: a triangulated p-teardrop sphere."""
@@ -347,11 +264,6 @@ class FiniteGroup:
 
     def inverse(self, i: int) -> int:
         return self.table[i].index(0)
-
-    @staticmethod
-    def cyclic(n: int) -> "FiniteGroup":
-        _check_group_order(n)  # before the n x n table is built
-        return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def _check_group_order(n: int) -> None:
@@ -477,32 +389,33 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
     return True
 
 
-def cyclic_group_complex(w: WeightedComplex) -> GroupComplexFull:
-    """The canonical full structure on a weighted complex: cyclic groups
-    of the declared orders, index-scaling inclusions, identity twists.
-    Simplices of equal order share one group table."""
-    # orders as first met, so a bad order fails at its first simplex
-    tables = {n: FiniteGroup.cyclic(n) for n in dict.fromkeys(map(w.order, w.simplices))}
-    groups = {s: tables[w.order(s)] for s in w.simplices}
-    homs = {}
-    for big, small in _face_relations(w):
-        nb, ns = w.order(big), w.order(small)
-        step = ns // nb
-        homs[f"{_simplex_key(big)}|{_simplex_key(small)}"] = [(i * step) % ns for i in range(nb)]
-    return GroupComplexFull(complex=w, groups=groups, homs=homs)
-
-
-def load_group_complex(path: str) -> GroupComplexFull:
+def validate_file(path: str) -> bool:
+    """The verdict of chains validate on a complex file.  A file with
+    groups has its tables checked by validate_group_complex.  A file
+    with only orders carries the canonical structure: cyclic groups of
+    the declared orders, psi(i) = i * (n_f / n_s) mod n_f from the group
+    of a simplex s into that of its face f, and identity twists.  That
+    is a complex of groups by construction (Bridson-Haefliger, III.C):
+    psi is an injective homomorphism because n_s divides n_f, which
+    WeightedComplex checks, and the psi compose, psi(mid -> small) o
+    psi(big -> mid) = psi(big -> small), so both cocycle identities hold
+    with identity twists.  Such a file is valid once it loads; only the
+    cap on group orders is checked, at the first simplex over it."""
     data = load(path)
     w = WeightedComplex.from_json(data)
     if "groups" not in data:
-        return cyclic_group_complex(w)
+        for key in ("homs", "twists"):
+            if key in data:
+                raise InvalidInput(f"{key}: given without groups")
+        for s in w.simplices:
+            _check_group_order(w.order(s))
+        return True
     groups = keyed(data["groups"], "groups")
     homs = keyed(data.get("homs", {}), "homs")
     twists = keyed(data.get("twists", {}), "twists")
-    return GroupComplexFull(
+    return validate_group_complex(GroupComplexFull(
         complex=w,
         groups={k: list_(t, key_path("groups", k), item=_int_list) for k, t in groups.items()},
         homs={k: _int_list(h, key_path("homs", k)) for k, h in homs.items()},
         twists={k: int_(t, key_path("twists", k)) for k, t in twists.items()},
-    )
+    ))

@@ -266,13 +266,9 @@ def _cmd_chains_betti(args) -> dict:
 
 
 def _cmd_chains_validate(args) -> dict:
-    from .chains import load_group_complex, validate_group_complex
+    from .chains import validate_file
 
-    group_complex = load_group_complex(args.path)
-    return {
-        "schema": SCHEMA_VERSION,
-        "valid": validate_group_complex(group_complex),
-    }
+    return {"schema": SCHEMA_VERSION, "valid": validate_file(args.path)}
 
 
 def _cmd_wps_report(args) -> dict:
@@ -315,8 +311,23 @@ def _add_common_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one error: line and exit 2, without
+    argparse's usage block; add_subparsers builds every subparser from
+    this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse drops a failed write of its help; this one ends as a
+        # failed report write does
+        if _emit(lambda: (file or sys.stdout).write(self.format_help())):
+            self.exit(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbicurves",
         description="Exact invariants of orbifold curve configurations.",
     )
@@ -402,6 +413,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(write) -> int:
+    """Run write(), which prints to standard output, and flush it: 0, or
+    1 with one error line when the reader closed the pipe mid-report
+    (`| head`) or the write failed (a full device)."""
+    try:
+        write()
+        sys.stdout.flush()
+    except OSError as exc:
+        # point stdout at devnull so that the flush at exit does not
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            print("error: standard output closed before the report ended", file=sys.stderr)
+        else:
+            print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -425,20 +455,7 @@ def main(argv=None) -> int:
     except (OSError, LookupError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        write_report(payload, args.output_format, sys.stdout)
-        sys.stdout.flush()
-    except OSError as exc:
-        # the reader closed the pipe mid-report (`| head`) or the write
-        # failed (a full device); point stdout at devnull so that the
-        # flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            print("error: standard output closed before the report ended", file=sys.stderr)
-        else:
-            print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(lambda: write_report(payload, args.output_format, sys.stdout))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .errors import InvalidInput
 
 SCHEMA_VERSION = 1
 MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
+MAX_SHOWN = 80  # characters of a wrong value's JSON that an error line shows
 _SIMPLEX_KEY = re.compile(r"[0-9]+([,|][0-9]+)*")
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -54,6 +55,8 @@ def load(path):
 
 def _fail(where: str, expected: str, value):
     shown = json.dumps(value, default=repr)
+    if len(shown) > MAX_SHOWN:
+        shown = f"{shown[:MAX_SHOWN]}... ({len(shown)} characters)"
     raise InvalidInput(f"{where or 'file'}: expected {expected}, got {shown}")
 
 

@@ -68,10 +68,6 @@ class WeightOutOfRange(InvalidInput):
     or the bundle rank."""
 
 
-class UnsupportedSimplex(InvalidInput):
-    """A chain references a simplex missing from its complex."""
-
-
 class MalformedTable(InvalidInput):
     """A finite-group multiplication table or homomorphism table is not
     what it claims to be."""

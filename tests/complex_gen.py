@@ -1,4 +1,5 @@
-"""Random weighted-complex generator shared by the chain tests.
+"""Random weighted-complex generator shared by the chain tests, and the
+canonical complex of groups on a weighted complex as explicit tables.
 
 Vertex orders are drawn from a small divisor-rich pool and every
 simplex receives the gcd of its vertices' orders, which makes the
@@ -12,7 +13,7 @@ import math
 import random
 from itertools import combinations
 
-from orbicurves.chains import WeightedComplex
+from orbicurves.chains import FiniteGroup, GroupComplexFull, WeightedComplex
 
 ORDER_POOL = (1, 1, 1, 2, 2, 3, 4, 6, 8, 12)
 
@@ -45,3 +46,39 @@ def cone_torus(n: int, cone_order: int) -> WeightedComplex:
             d = i * n + (j + 1) % n
             triangles += [(a, b, c), (a, d, c)]
     return WeightedComplex(triangles, {(0,): cone_order})
+
+
+def cyclic_table(n: int) -> list[list[int]]:
+    """The multiplication table of Z/n."""
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def simplex_key(simplex) -> str:
+    return ",".join(map(str, simplex))
+
+
+def canonical_group_complex(w: WeightedComplex) -> GroupComplexFull:
+    """The structure chains validate assumes on a file with orders
+    alone, written out: cyclic groups of the declared orders, psi(i) =
+    i * (n_f / n_s) mod n_f from a simplex s into each proper face f,
+    identity twists.  Simplices of equal order share one group table."""
+    tables = {n: FiniteGroup(cyclic_table(n)) for n in set(map(w.order, w.simplices))}
+    homs = {}
+    for big in w.simplices:
+        nb = w.order(big)
+        for k in range(1, len(big)):
+            for small in combinations(big, k):
+                ns = w.order(small)
+                homs[f"{simplex_key(big)}|{simplex_key(small)}"] = [
+                    i * (ns // nb) % ns for i in range(nb)
+                ]
+    groups = {s: tables[w.order(s)] for s in w.simplices}
+    return GroupComplexFull(complex=w, groups=groups, homs=homs)
+
+
+def complex_data(w: WeightedComplex) -> dict:
+    """The orders-only JSON form of w, as chains betti and validate read it."""
+    return {
+        "simplices": [list(s) for s in w.simplices],
+        "orders": {simplex_key(s): n for s, n in w.orders.items()},
+    }

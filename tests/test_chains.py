@@ -2,33 +2,35 @@
 
 import json
 import random
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from orbicurves import chains
 from orbicurves.chains import (
-    Chain,
     FiniteGroup,
     GroupComplexFull,
     WeightedComplex,
-    boundary,
     boundary_matrices,
     boundary_squared_is_zero,
-    cyclic_group_complex,
     faces,
     homology_betti,
     load_complex,
-    load_group_complex,
     teardrop_complex,
-    to_singular,
+    validate_file,
     validate_group_complex,
 )
 from orbicurves.cli import main
-from orbicurves.errors import InvalidInput, MalformedTable, UnsupportedSimplex
+from orbicurves.errors import InvalidInput, MalformedTable
 
-from complex_gen import cone_torus, random_weighted_complex
+from complex_gen import (
+    canonical_group_complex,
+    complex_data,
+    cone_torus,
+    cyclic_table,
+    random_weighted_complex,
+    simplex_key,
+)
 from golden_commands import CONFIGS
 from oracles import oracle_betti
 
@@ -37,12 +39,15 @@ def betti(w: WeightedComplex) -> list[int]:
     return homology_betti(w, boundary_matrices(w))
 
 
-def chain_boundary_squared_is_zero(w: WeightedComplex) -> bool:
-    """The identity checked through boundary on Chains, one basis
-    simplex at a time."""
-    return all(
-        boundary(boundary(Chain.of(s), w), w).is_zero() for s in w.simplices if len(s) > 2
-    )
+def boundary_rows(w: WeightedComplex) -> dict:
+    """boundary_matrices(w) keyed by simplices: {simplex: {face: weight}}
+    for every simplex of positive dimension."""
+    rows = {}
+    for r, matrix in enumerate(boundary_matrices(w), start=1):
+        lower = w.of_dimension(r - 1)
+        for s, row in zip(w.of_dimension(r), matrix):
+            rows[s] = {lower[j]: weight for j, weight in row.items()}
+    return rows
 
 
 class TestWeightedComplex:
@@ -96,47 +101,18 @@ class TestWeightedComplex:
         assert back.simplices == w.simplices and back.orders == w.orders
 
 
-class TestChain:
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(InvalidInput):
-            Chain({(0,): 1, (0, 1): 1})
-
-    def test_empty_chain_needs_degree(self):
-        with pytest.raises(InvalidInput):
-            Chain({})
-        assert Chain({}, degree=2).is_zero()
-
-    def test_addition_and_scaling(self):
-        a = Chain.of((0, 1), 2)
-        b = Chain.of((0, 1), -2) + Chain.of((1, 2), 1)
-        assert (a + b) == Chain.of((1, 2))
-        assert a.scale(Fraction(1, 2)) == Chain.of((0, 1))
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            Chain.of((0,)) + Chain.of((0, 1))
-
-
 class TestBoundary:
     def test_weighted_edge_boundary(self):
-        w = teardrop_complex(5)
-        out = boundary(Chain.of((0, 1)), w)
-        assert out == Chain({(1,): 1, (0,): -5})
+        assert boundary_rows(teardrop_complex(5))[(0, 1)] == {(1,): 1, (0,): -5}
 
     def test_triangle_boundary_signs(self):
-        w = WeightedComplex([(0, 1, 2)])
-        out = boundary(Chain.of((0, 1, 2)), w)
-        assert out == Chain({(1, 2): 1, (0, 2): -1, (0, 1): 1})
+        rows = boundary_rows(WeightedComplex([(0, 1, 2)]))
+        assert rows[(0, 1, 2)] == {(1, 2): 1, (0, 2): -1, (0, 1): 1}
 
     def test_vertex_boundary_is_zero(self):
         w = teardrop_complex(3)
         assert faces((0,)) == []
-        assert boundary(Chain.of((0,)), w).is_zero()
-
-    def test_unknown_simplex_rejected(self):
-        w = teardrop_complex(3)
-        with pytest.raises(UnsupportedSimplex):
-            boundary(Chain.of((4, 5)), w)
+        assert chains._face_weights(w, (0,)) == []
 
     def test_boundary_squared_teardrop(self):
         for p in (1, 2, 7, 12):
@@ -144,17 +120,10 @@ class TestBoundary:
 
     def test_boundary_squared_random(self):
         rng = random.Random(411)
-        for _ in range(25):
-            w = random_weighted_complex(rng)
-            assert boundary_squared_is_zero(boundary_matrices(w))
-
-    def test_boundary_squared_agrees_with_chain_composite(self):
-        rng = random.Random(412)
         complexes = [random_weighted_complex(rng) for _ in range(25)]
         complexes += [cone_torus(n, order) for n in (3, 4, 6) for order in (1, 2, 5)]
         for w in complexes:
-            squared_zero = boundary_squared_is_zero(boundary_matrices(w))
-            assert squared_zero is chain_boundary_squared_is_zero(w) is True
+            assert boundary_squared_is_zero(boundary_matrices(w))
 
     @pytest.mark.parametrize(
         "w",
@@ -174,14 +143,6 @@ class TestBoundary:
 
         monkeypatch.setattr(chains, "_face_weights", corrupted)
         assert boundary_squared_is_zero(boundary_matrices(w)) is False
-        assert chain_boundary_squared_is_zero(w) is False
-
-    def test_boundary_is_linear(self):
-        w = teardrop_complex(4)
-        a, b = Chain.of((0, 1, 2)), Chain.of((1, 2, 3), 3)
-        lhs = boundary(a + b, w)
-        rhs = boundary(a, w) + boundary(b, w)
-        assert lhs == rhs
 
 
 class TestHomology:
@@ -222,32 +183,25 @@ class TestHomology:
 
 
 class TestSingularComparison:
-    def test_rescales_by_order(self):
-        w = teardrop_complex(5)
-        out = to_singular(Chain.of((0,)), w)
-        assert out == Chain({(0,): Fraction(1, 5)})
-
     def test_chain_map_property(self):
+        # the rescaling s -> s / |G_s| intertwines the weighted boundary
+        # with the plain one: entry (s, f) of the weighted matrix is
+        # |G_f| / |G_s| times the plain entry
         rng = random.Random(77)
-        for _ in range(10):
-            w = random_weighted_complex(rng, n_vertices=7, n_tops=5)
-            plain = w.underlying()
-            for s in w.simplices:
-                if len(s) == 1:
-                    continue
-                c = Chain.of(s)
-                lhs = to_singular(boundary(c, w), w)
-                rhs = boundary(to_singular(c, w), plain)
-                assert lhs == rhs, s
-
-    def test_unknown_simplex_rejected(self):
-        with pytest.raises(UnsupportedSimplex):
-            to_singular(Chain.of((9,)), teardrop_complex(2))
+        complexes = [random_weighted_complex(rng, n_vertices=7, n_tops=5) for _ in range(10)]
+        complexes += [teardrop_complex(5), cone_torus(3, 4)]
+        for w in complexes:
+            weighted, plain = boundary_rows(w), boundary_rows(w.underlying())
+            assert weighted.keys() == plain.keys()
+            for s, row in weighted.items():
+                assert row.keys() == plain[s].keys(), s
+                for f, entry in row.items():
+                    assert w.order(s) * entry == w.order(f) * plain[s][f], (s, f)
 
 
 class TestFiniteGroup:
     def test_cyclic(self):
-        g = FiniteGroup.cyclic(4)
+        g = FiniteGroup(cyclic_table(4))
         assert g.order == 4
         assert g.mul(3, 2) == 1
         assert g.inverse(1) == 3
@@ -273,8 +227,8 @@ class TestFiniteGroup:
             FiniteGroup(table)
 
     def test_rejects_oversized_table(self):
-        with pytest.raises(MalformedTable):
-            FiniteGroup.cyclic(65)
+        with pytest.raises(MalformedTable, match="group order must be in 1..64, got 65"):
+            FiniteGroup([[0] * 65] * 65)
 
 
 def s3_table():
@@ -291,22 +245,13 @@ def s3_table():
 class TestGroupComplex:
     def test_cyclic_structure_validates(self):
         for p in (1, 2, 7, 12):
-            assert validate_group_complex(cyclic_group_complex(teardrop_complex(p)))
+            assert validate_group_complex(canonical_group_complex(teardrop_complex(p)))
 
     def test_cyclic_structure_validates_on_random(self):
         rng = random.Random(5)
         for _ in range(5):
             w = random_weighted_complex(rng, n_vertices=6, n_tops=4)
-            assert validate_group_complex(cyclic_group_complex(w))
-
-    def test_equal_orders_share_one_table(self):
-        rng = random.Random(13)
-        for w in [random_weighted_complex(rng) for _ in range(5)] + [cone_torus(3, 4)]:
-            g = cyclic_group_complex(w)
-            for s in w.simplices:
-                assert g.group(s).order == w.order(s)
-                for t in w.simplices:
-                    assert (g.group(s) is g.group(t)) == (w.order(s) == w.order(t))
+            assert validate_group_complex(canonical_group_complex(w))
 
     def test_missing_group_rejected(self):
         w = teardrop_complex(2)
@@ -315,22 +260,22 @@ class TestGroupComplex:
 
     def test_group_order_mismatch_rejected(self):
         w = teardrop_complex(2)
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         groups = {k: v for k, v in g.groups.items()}
-        groups[(0,)] = FiniteGroup.cyclic(3)
+        groups[(0,)] = FiniteGroup(cyclic_table(3))
         with pytest.raises(MalformedTable):
             GroupComplexFull(complex=w, groups=groups, homs=g.homs)
 
     def test_missing_hom_raises(self):
         w = teardrop_complex(2)
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         broken = GroupComplexFull(complex=w, groups=g.groups, homs={})
         with pytest.raises(MalformedTable):
             validate_group_complex(broken)
 
     def test_non_homomorphism_fails(self):
         w = teardrop_complex(4)
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         homs = dict(g.homs)
         # send the generator of the trivial group away from the identity
         key = next(k for k in homs if k.endswith("|0") and homs[k] == [0])
@@ -342,7 +287,7 @@ class TestGroupComplex:
         # solid tetrahedron: four levels of nested simplices make the
         # twist composition identity non-vacuous
         w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         assert validate_group_complex(g)
         twisted = GroupComplexFull(
             complex=w,
@@ -362,7 +307,7 @@ class TestGroupComplex:
         w = WeightedComplex(
             [tetra], {s: 2 for k in range(1, 5) for s in combinations(tetra, k)}
         )
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         assert validate_group_complex(g)
         twisted = GroupComplexFull(
             complex=w,
@@ -374,7 +319,7 @@ class TestGroupComplex:
 
     def test_out_of_range_twist_rejected(self):
         w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
-        g = cyclic_group_complex(w)
+        g = canonical_group_complex(w)
         twisted = GroupComplexFull(
             complex=w, groups=g.groups, homs=g.homs, twists={"0,1,2,3|0,1|0": 9}
         )
@@ -382,13 +327,15 @@ class TestGroupComplex:
             validate_group_complex(twisted)
 
     def test_load_defaults_to_cyclic(self, tmp_path):
-        # the boundary of a tetrahedron with a cone point of order 3
+        # the boundary of a tetrahedron with a cone point of order 3: the
+        # file is valid, as are the cyclic tables it stands for
         triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
         path = tmp_path / "complex.json"
         path.write_text(
             json.dumps({"simplices": triangles, "orders": {"0": 3}}), encoding="utf-8"
         )
-        g = load_group_complex(str(path))
+        assert validate_file(str(path)) is True
+        g = canonical_group_complex(load_complex(str(path)))
         assert validate_group_complex(g)
         assert g.group((0,)).order == 3
 
@@ -469,6 +416,65 @@ class TestChainsBettiCli:
         assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 1]
         simplices = [s for s in load_complex(str(path)).simplices if len(s) > 1]
         assert sorted(built) == sorted(simplices)
+
+
+class TestChainsValidateCli:
+    """An orders-only file is valid by theorem; a file with tables is
+    checked table by table."""
+
+    def run(self, tmp_path, capsys, data):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["chains", "validate", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_orders_only_files_are_valid(self, tmp_path, capsys):
+        # the theorem, checked against the table validator: the canonical
+        # tables pass it, and the CLI answers true without building them
+        rng = random.Random(16)
+        complexes = [random_weighted_complex(rng, n_vertices=6, n_tops=4) for _ in range(8)]
+        for w in complexes + [cone_torus(3, 4), teardrop_complex(7)]:
+            assert validate_group_complex(canonical_group_complex(w))
+            code, out, err = self.run(tmp_path, capsys, complex_data(w))
+            assert (code, json.loads(out), err) == (0, {"schema": 1, "valid": True}, "")
+
+    def explicit_tables(self, twists) -> dict:
+        # solid tetrahedron with an order-4 vertex: four levels of faces,
+        # so the twist identities are not vacuous
+        w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
+        g = canonical_group_complex(w)
+        return {
+            **complex_data(w),
+            "groups": {
+                simplex_key(s): [list(row) for row in t.table]
+                for s, t in g.groups.items()
+            },
+            "homs": g.homs,
+            "twists": twists,
+        }
+
+    def test_explicit_tables_are_checked(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, self.explicit_tables({}))
+        assert (code, json.loads(out)["valid"], err) == (0, True, "")
+        broken = self.explicit_tables({"0,1,2,3|0,1|0": 1})
+        code, out, err = self.run(tmp_path, capsys, broken)
+        assert (code, json.loads(out)["valid"], err) == (0, False, "")
+
+    @pytest.mark.parametrize(
+        "maps,key",
+        [
+            ({"homs": {"0,1|0": [5]}, "twists": {"x": 99}}, "homs"),
+            ({"homs": {}}, "homs"),
+            ({"twists": {"0,1,2|0,1|0": 0}}, "twists"),
+        ],
+        ids=["both", "empty_homs", "twists"],
+    )
+    def test_maps_without_groups_exit_2(self, tmp_path, capsys, maps, key):
+        data = json.loads((CONFIGS / "teardrop_7.json").read_text(encoding="utf-8"))
+        code, out, err = self.run(tmp_path, capsys, {**data, **maps})
+        assert (code, out) == (2, "")
+        assert err == f"error: {key}: given without groups\n"
 
 
 class TestChainsCliInput:

@@ -179,6 +179,23 @@ class TestExitCodes:
         code, _ = run_command(["frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lens", "classify", "7"], "orbicurves lens classify: the following arguments "
+             "are required: q, qprime"),
+            (["lens", "allowed", "7", "x"], "orbicurves lens allowed: argument q: "
+             "invalid int value: 'x'"),
+            (["chains"], "orbicurves chains: the following arguments are required: verb"),
+            (["sweep", "--p-max", "8", "--bogus"], "orbicurves: unrecognized arguments: --bogus"),
+        ],
+        ids=["missing", "not_an_int", "no_verb", "unknown_flag"],
+    )
+    def test_argument_errors_are_one_line(self, capsys, argv, message):
+        code, out = run_command(argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_no_command(self):
         code, _ = run_command([])
         assert code == 2
@@ -611,6 +628,20 @@ class TestScanStream:
         "argv", [["lens", "allowed", "5", "2"], ["index", "scan", "20011", "3"]], ids=" ".join
     )
     def test_full_device_exits_1_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbicurves.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["--help"], ["chains", "validate", "--help"]], ids=" ".join)
+    def test_help_to_full_device_exits_1_with_one_line(self, argv):
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "orbicurves.cli", *argv],

@@ -125,6 +125,28 @@ class TestReaders:
         with pytest.raises(InvalidInput, match=r'^x\."a\\nb": unknown key$'):
             decode.obj({"a\nb": 1}, "x")
 
+    def test_shown_value_is_cut_at_a_fixed_length(self):
+        # a value whose JSON fits is shown whole, exactly as json.dumps writes it
+        fits = "x" * (decode.MAX_SHOWN - 2)
+        with pytest.raises(InvalidInput, match=f'^n: expected an integer, got "{fits}"$'):
+            decode.int_(fits, "n")
+        longer = fits + "y"
+        with pytest.raises(InvalidInput) as caught:
+            decode.int_(longer, "n")
+        shown = json.dumps(longer)
+        assert str(caught.value) == (
+            f"n: expected an integer, got {shown[:decode.MAX_SHOWN]}... "
+            f"({decode.MAX_SHOWN + 1} characters)"
+        )
+
+    def test_deep_brackets_give_a_bounded_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 900 + "]" * 900, encoding="utf-8")
+        code, out, err = run(["adjunction", str(path)])
+        assert (code, out) == (2, "")
+        head = "error: file: expected an object, got "
+        assert err == f"{head}{'[' * decode.MAX_SHOWN}... (1800 characters)\n"
+
     def test_keyed_allows_any_key(self):
         assert decode.keyed({"0,1": 2, "a\nb": 3}, "orders") == {"0,1": 2, "a\nb": 3}
         with pytest.raises(InvalidInput, match=r'^orders: expected an object, got "abc"$'):
