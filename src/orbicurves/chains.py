@@ -19,7 +19,6 @@ face omits vertex i and enters the boundary with sign (-1)^i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 
 from .decode import int_, is_int, key_path, keyed, list_, load, obj
@@ -28,12 +27,19 @@ from .errors import InvalidInput, MalformedTable
 Simplex = tuple[int, ...]
 
 MAX_GROUP_ORDER = 64
+# A simplex of n vertices closes to 2^n - 1 faces, so this cap bounds the
+# work that one listed simplex can force.
+MAX_SIMPLEX_VERTICES = 8
 
 
 def _as_simplex(vertices) -> Simplex:
     vs = tuple(vertices)
     if not vs:
         raise InvalidInput("a simplex needs at least one vertex")
+    if len(vs) > MAX_SIMPLEX_VERTICES:
+        raise InvalidInput(
+            f"a simplex has at most {MAX_SIMPLEX_VERTICES} vertices, got {len(vs)}"
+        )
     if any(not is_int(v) or v < 0 for v in vs):
         raise InvalidInput(f"vertices must be non-negative integers: {vs}")
     if len(set(vs)) != len(vs):
@@ -62,15 +68,13 @@ def _parse_simplex_key(key: str) -> Simplex:
         raise InvalidInput(f"bad simplex key {key!r}") from exc
 
 
-@dataclass(frozen=True)
 class WeightedComplex:
     """A finite simplicial complex with a positive group order per
     simplex.  The complex is closed under faces on construction; orders
     of unlisted faces default to 1.  For every face relation tau < sigma
     the order of sigma must divide the order of tau."""
 
-    simplices: tuple[Simplex, ...]
-    orders: dict
+    __slots__ = ("simplices", "orders")
 
     def __init__(self, simplices, orders=None):
         closed: set[Simplex] = set()
@@ -96,8 +100,8 @@ class WeightedComplex:
                 raise InvalidInput(f"order of {s} must be a positive integer, got {value!r}")
             if value != 1:
                 table[s] = value
-        object.__setattr__(self, "simplices", ordered)
-        object.__setattr__(self, "orders", table)
+        self.simplices = ordered
+        self.orders = table
         for s in ordered:
             for f in faces(s):
                 if self.order(f) % self.order(s) != 0:
@@ -226,12 +230,11 @@ def teardrop_complex(p: int) -> WeightedComplex:
     return WeightedComplex(triangles, {(0,): p})
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a multiplication table; element 0 is the
     identity.  table[i][j] is the index of the product i * j."""
 
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("table",)
 
     def __init__(self, table):
         rows = tuple(tuple(row) for row in table)
@@ -253,7 +256,7 @@ class FiniteGroup:
                         raise MalformedTable(
                             f"multiplication is not associative at ({i},{j},{k})"
                         )
-        object.__setattr__(self, "table", rows)
+        self.table = rows
 
     @property
     def order(self) -> int:
@@ -276,7 +279,6 @@ def _proper_faces(simplex: Simplex) -> list[Simplex]:
     return [tuple(v for i, v in enumerate(simplex) if m >> i & 1) for m in masks]
 
 
-@dataclass(frozen=True)
 class GroupComplexFull:
     """Full complex-of-groups data over a weighted complex: one group
     per simplex, one homomorphism psi_a per face relation (from the
@@ -285,27 +287,34 @@ class GroupComplexFull:
 
     homs keys are "big|small" simplex key pairs; twists keys are
     "big|mid|small" triples and the element lives in the smallest
-    simplex's group.  Missing twists default to the identity.
+    simplex's group.  Missing twists default to the identity.  A groups
+    key must name a simplex of the complex.
     """
 
-    complex: WeightedComplex
-    groups: dict
-    homs: dict
-    twists: dict = field(default_factory=dict)
+    __slots__ = ("complex", "groups", "homs", "twists")
 
-    def __post_init__(self):
-        groups = {}
-        for key, table in self.groups.items():
-            s = _parse_simplex_key(key) if isinstance(key, str) else _as_simplex(key)
-            groups[s] = table if isinstance(table, FiniteGroup) else FiniteGroup(table)
-        object.__setattr__(self, "groups", groups)
-        for s in self.complex.simplices:
-            if s not in groups:
-                raise MalformedTable(f"no group table for simplex {s}")
-            if groups[s].order != self.complex.order(s):
+    def __init__(self, complex: WeightedComplex, groups: dict, homs: dict, twists=None):
+        simplices = set(complex.simplices)
+        self.complex = complex
+        self.groups = {}
+        for key, table in groups.items():
+            if not isinstance(key, str):
+                key = _simplex_key(_as_simplex(key))
+            s = _parse_simplex_key(key)
+            if s not in simplices:
                 raise MalformedTable(
-                    f"group at {s} has order {groups[s].order}, complex "
-                    f"declares {self.complex.order(s)}"
+                    f"{key_path('groups', key)}: names no simplex of the complex"
+                )
+            self.groups[s] = table if isinstance(table, FiniteGroup) else FiniteGroup(table)
+        self.homs = homs
+        self.twists = {} if twists is None else twists
+        for s in complex.simplices:
+            if s not in self.groups:
+                raise MalformedTable(f"no group table for simplex {s}")
+            if self.groups[s].order != complex.order(s):
+                raise MalformedTable(
+                    f"group at {s} has order {self.groups[s].order}, complex "
+                    f"declares {complex.order(s)}"
                 )
 
     def group(self, simplex: Simplex) -> FiniteGroup:
@@ -329,16 +338,20 @@ class GroupComplexFull:
         return value
 
 
-def _face_relations(w: WeightedComplex) -> list[tuple[Simplex, Simplex]]:
-    # the complex is closed under faces, so every proper face is in it
-    return [(s, f) for s in w.simplices for f in _proper_faces(s)]
+def _named_only(name: str, table: dict, known: set[str], what: str) -> None:
+    """Reject the first key of table that is not in known, the keys of
+    the complex's face relations or composable pairs."""
+    for k in table:
+        if k not in known:
+            raise MalformedTable(f"{key_path(name, k)}: names no {what} of the complex")
 
 
 def validate_group_complex(g: GroupComplexFull) -> bool:
     """True iff every psi_a is an injective homomorphism and both twist
     cocycle identities hold on all composable pairs and triples.
-    Structurally broken tables raise MalformedTable; values that merely
-    fail the identities return False.
+    Structurally broken tables raise MalformedTable, as does a homs or
+    twists key that names no face relation or composable pair; values
+    that merely fail the identities return False.
 
     The face relations are indexed once as below[big] -> [small, ...],
     so the composable pairs big > mid > small are the relations (big,
@@ -346,9 +359,16 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
     below[small].
     """
     w = g.complex
-    relations = _face_relations(w)
     key = {s: _simplex_key(s) for s in w.simplices}
-    below: dict[Simplex, list[Simplex]] = {s: [] for s in w.simplices}
+    # the complex is closed under faces, so every proper face is in it
+    below = {s: _proper_faces(s) for s in w.simplices}
+    relations = [(big, small) for big in w.simplices for small in below[big]]
+    hom_keys = {f"{key[big]}|{key[small]}" for big, small in relations}
+    _named_only("homs", g.homs, hom_keys, "face relation")
+    twist_keys = {
+        f"{key[big]}|{key[mid]}|{key[small]}" for big, mid in relations for small in below[mid]
+    }
+    _named_only("twists", g.twists, twist_keys, "composable pair")
     psi = {}
     for big, small in relations:
         images = g._hom(f"{key[big]}|{key[small]}", big, small)
@@ -362,7 +382,6 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
                 if images[gb.mul(i, j)] != gs.mul(images[i], images[j]):
                     return False
         psi[(big, small)] = images
-        below[big].append(small)
     twist = {}
     for big, mid in relations:
         b = psi[(big, mid)]

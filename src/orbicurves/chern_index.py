@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .decode import int_
@@ -38,7 +37,6 @@ def _reduce_weights(m: int, weights, rank: int) -> tuple[int, ...]:
     return tuple(w % m for w in ws)
 
 
-@dataclass(frozen=True)
 class EquivariantTrivialization:
     """Bundle data over an orbifold surface: a trivialization away from
     the cone points, its relative first Chern number, and the isotropy
@@ -47,17 +45,14 @@ class EquivariantTrivialization:
     Weights are canonically reduced into [0, m_i) at construction.
     """
 
-    rank: int
-    relative_c1: int
-    points: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("rank", "relative_c1", "points")
 
     def __init__(self, rank: int, relative_c1: int, points):
         if rank < 1:
             raise InvalidParameters(f"rank must be >= 1, got {rank}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "relative_c1", int_(relative_c1, "relative_c1"))
-        reduced = tuple((m, _reduce_weights(m, ws, rank)) for m, ws in points)
-        object.__setattr__(self, "points", reduced)
+        self.rank = rank
+        self.relative_c1 = int_(relative_c1, "relative_c1")
+        self.points = tuple((m, _reduce_weights(m, ws, rank)) for m, ws in points)
 
 
 def chern_split(triv: EquivariantTrivialization) -> Fraction:
@@ -70,13 +65,15 @@ def chern_split(triv: EquivariantTrivialization) -> Fraction:
     return total
 
 
-@dataclass(frozen=True, slots=True)
 class IndexReport:
     """d is the rational index count; index = 2d is the real-operator
     index and is meaningful when d is an integer."""
 
-    d: Fraction
-    index: Fraction
+    __slots__ = ("d", "index")
+
+    def __init__(self, d: Fraction, index: Fraction):
+        self.d = d
+        self.index = index
 
     @property
     def integral(self) -> bool:
@@ -107,14 +104,17 @@ def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
     return IndexReport(d=d, index=2 * d)
 
 
-@dataclass(frozen=True, slots=True)
 class ScanRow:
-    qprime: int
-    caseA_d: Fraction
-    caseB_d: Fraction
-    caseA_integral: bool
-    caseB_integral: bool
-    allowed: bool
+    __slots__ = ("qprime", "caseA_d", "caseB_d", "caseA_integral", "caseB_integral", "allowed")
+
+    def __init__(self, qprime: int, caseA_d: Fraction, caseB_d: Fraction,
+                 caseA_integral: bool, caseB_integral: bool, allowed: bool):
+        self.qprime = qprime
+        self.caseA_d = caseA_d
+        self.caseB_d = caseB_d
+        self.caseA_integral = caseA_integral
+        self.caseB_integral = caseB_integral
+        self.allowed = allowed
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,10 @@ could not be written (standard output closed or full), 2 malformed input.
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
 in its own body.  So --help loads no computation module, a lens command
-adds lens, and the chains commands load no germ code.
+adds lens, and the chains commands load no germ code.  The value types
+are plain classes with __slots__, so no command execs generated methods
+or loads inspect, and --help and the chains commands, which read no
+rational, skip fractions.
 """
 
 from __future__ import annotations

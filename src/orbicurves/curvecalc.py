@@ -14,7 +14,6 @@ exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -36,7 +35,6 @@ def _is_regular_marker(point_id: str) -> bool:
     return point_id == REGULAR_PREFIX or point_id.startswith(REGULAR_PREFIX + ":")
 
 
-@dataclass(frozen=True)
 class AmbientModel:
     """Ambient 4-orbifold data: an H_2 basis of given rank, the
     intersection pairing on it, the value of c1 of the tangent bundle on
@@ -44,21 +42,18 @@ class AmbientModel:
 
     Station ids resolve against singular_points; the id "regular" (or
     any id "regular:<tag>") marks a point with trivial isotropy and
-    needs no listing.
+    needs no listing.  Two models are equal when their data are: two
+    curves meet only in equal models.
     """
 
-    h2_rank: int
-    pairing: tuple[tuple[Fraction, ...], ...]
-    c1_vector: tuple[Fraction, ...]
-    singular_points: tuple[tuple[str, SingularityType], ...] = ()
+    __slots__ = ("h2_rank", "pairing", "c1_vector", "singular_points")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairing", tuple(tuple(Fraction(x) for x in row) for row in self.pairing)
-        )
-        object.__setattr__(self, "c1_vector", tuple(Fraction(x) for x in self.c1_vector))
-        object.__setattr__(self, "singular_points", tuple(self.singular_points))
-        n = self.h2_rank
+    def __init__(self, h2_rank: int, pairing, c1_vector, singular_points=()):
+        self.h2_rank = h2_rank
+        self.pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
+        self.c1_vector = tuple(Fraction(x) for x in c1_vector)
+        self.singular_points = tuple(singular_points)
+        n = h2_rank
         if n < 1:
             raise InvalidInput(f"h2_rank must be >= 1, got {n}")
         if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
@@ -80,6 +75,16 @@ class AmbientModel:
                 raise InvalidInput(
                     f"id {pid!r} is reserved for trivial isotropy markers"
                 )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AmbientModel):
+            return NotImplemented
+        return (
+            self.h2_rank == other.h2_rank
+            and self.pairing == other.pairing
+            and self.c1_vector == other.c1_vector
+            and self.singular_points == other.singular_points
+        )
 
     def point_type(self, point_id: str) -> SingularityType:
         for pid, stype in self.singular_points:
@@ -115,21 +120,25 @@ def _singular_point(value, where: str) -> tuple[str, SingularityType]:
     return str_(pid, f"{where}[0]"), SingularityType.from_json(stype, f"{where}[1]")
 
 
-@dataclass(frozen=True)
 class CurveClass:
     """A class in the ambient H_2 basis together with the curve's
     multiplicity m_C (the order of the generic stabilizer of its
     parametrization; m_C = 1 exactly for type I curves)."""
 
-    coords: tuple[Fraction, ...]
-    multiplicity: int = 1
+    __slots__ = ("coords", "multiplicity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+    def __init__(self, coords, multiplicity: int = 1):
+        self.coords = tuple(Fraction(x) for x in coords)
         if not any(self.coords):
             raise InvalidInput("curve class must be nonzero")
-        if self.multiplicity < 1:
-            raise InvalidInput(f"multiplicity must be >= 1, got {self.multiplicity}")
+        if multiplicity < 1:
+            raise InvalidInput(f"multiplicity must be >= 1, got {multiplicity}")
+        self.multiplicity = multiplicity
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveClass):
+            return NotImplemented
+        return self.coords == other.coords and self.multiplicity == other.multiplicity
 
     @property
     def is_type_one(self) -> bool:
@@ -144,32 +153,36 @@ class CurveClass:
         )
 
 
-@dataclass(frozen=True)
 class StationPoint:
     """One domain point of a station: its label and its distinguished
     local branch; the other branches over the point are the germ's
     group translates, and the point's order is the germ's m."""
 
-    label: str
-    germ: CurveGerm
+    __slots__ = ("label", "germ")
+
+    def __init__(self, label: str, germ: CurveGerm):
+        self.label = label
+        self.germ = germ
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StationPoint):
+            return NotImplemented
+        return self.label == other.label and self.germ == other.germ
 
 
-@dataclass(frozen=True)
 class Station:
     """All domain points of one curve lying over a single ambient point,
     with the isotropy order of that point.  Each point's stated
     stabilizer is checked here, once."""
 
-    ambient_point: str
-    isotropy_order: int
-    points: tuple[StationPoint, ...]
+    __slots__ = ("ambient_point", "isotropy_order", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.isotropy_order < 1:
-            raise InvalidInput(
-                f"isotropy order must be >= 1, got {self.isotropy_order}"
-            )
+    def __init__(self, ambient_point: str, isotropy_order: int, points):
+        self.ambient_point = ambient_point
+        self.isotropy_order = isotropy_order
+        self.points = tuple(points)
+        if isotropy_order < 1:
+            raise InvalidInput(f"isotropy order must be >= 1, got {isotropy_order}")
         if not self.points:
             raise InvalidInput("a station needs at least one domain point")
         labels = [p.label for p in self.points]
@@ -182,6 +195,15 @@ class Station:
                     f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
             check_stabilizer(p.germ)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Station):
+            return NotImplemented
+        return (
+            self.ambient_point == other.ambient_point
+            and self.isotropy_order == other.isotropy_order
+            and self.points == other.points
+        )
 
     def point(self, label: str) -> StationPoint:
         for p in self.points:
@@ -196,23 +218,20 @@ def station(ambient_point: str, isotropy_order: int, points) -> Station:
     return Station(ambient_point=ambient_point, isotropy_order=isotropy_order, points=built)
 
 
-@dataclass(frozen=True)
 class CurveConfig:
     """The combinatorial shadow of one parametrized curve.  A regular
     double point is a station of two points at a trivial-isotropy
     ambient point, reported as one "double_point" item."""
 
-    ambient: AmbientModel
-    domain: OrbifoldSurface
-    curve_class: CurveClass
-    stations: tuple[Station, ...] = ()
-    regular_double_points: tuple[Station, ...] = ()
+    __slots__ = ("ambient", "domain", "curve_class", "stations", "regular_double_points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stations", tuple(self.stations))
-        object.__setattr__(
-            self, "regular_double_points", tuple(self.regular_double_points)
-        )
+    def __init__(self, ambient: AmbientModel, domain: OrbifoldSurface, curve_class: CurveClass,
+                 stations=(), regular_double_points=()):
+        self.ambient = ambient
+        self.domain = domain
+        self.curve_class = curve_class
+        self.stations = tuple(stations)
+        self.regular_double_points = tuple(regular_double_points)
         if len(self.curve_class.coords) != self.ambient.h2_rank:
             raise InvalidInput(
                 f"class has {len(self.curve_class.coords)} coordinates, "
@@ -257,6 +276,17 @@ class CurveConfig:
         ]
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"domain point labels must be unique: {labels}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveConfig):
+            return NotImplemented
+        return (
+            self.ambient == other.ambient
+            and self.domain == other.domain
+            and self.curve_class == other.curve_class
+            and self.stations == other.stations
+            and self.regular_double_points == other.regular_double_points
+        )
 
     @staticmethod
     def from_json(data) -> "CurveConfig":
@@ -318,15 +348,11 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
     exact polynomial data, which is what file-loaded configs are."""
 
     def widen(s: Station) -> Station:
-        return replace(s, points=tuple(
-            replace(p, germ=p.germ.with_truncation(trunc)) for p in s.points
-        ))
+        return station(s.ambient_point, s.isotropy_order,
+                       ((p.label, p.germ.with_truncation(trunc)) for p in s.points))
 
-    return replace(
-        config,
-        stations=tuple(map(widen, config.stations)),
-        regular_double_points=tuple(map(widen, config.regular_double_points)),
-    )
+    return CurveConfig(config.ambient, config.domain, config.curve_class,
+                       map(widen, config.stations), map(widen, config.regular_double_points))
 
 
 def algebraic_intersection(c1: CurveConfig, c2: CurveConfig) -> Fraction:
@@ -399,14 +425,17 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
 
 
-@dataclass(frozen=True)
 class Contribution:
-    """One itemized term of the adjunction right-hand side."""
+    """One itemized term of the adjunction right-hand side; kind is
+    "domain_genus", "pair", "point" or "double_point"."""
 
-    kind: str  # "domain_genus" | "pair" | "point" | "double_point"
-    station: str
-    labels: tuple[str, ...]
-    value: Fraction
+    __slots__ = ("kind", "station", "labels", "value")
+
+    def __init__(self, kind: str, station: str, labels: tuple[str, ...], value: Fraction):
+        self.kind = kind
+        self.station = station
+        self.labels = labels
+        self.value = value
 
     def to_json(self) -> dict:
         return {
@@ -417,12 +446,15 @@ class Contribution:
         }
 
 
-@dataclass(frozen=True)
 class AdjunctionReport:
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    contributions: tuple[Contribution, ...]
+    __slots__ = ("lhs", "rhs", "holds", "contributions")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool,
+                 contributions: tuple[Contribution, ...]):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.holds = holds
+        self.contributions = contributions
 
     @property
     def domain_genus(self) -> Fraction:
@@ -476,12 +508,15 @@ def adjunction_report(c: CurveConfig) -> AdjunctionReport:
     return AdjunctionReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, contributions=tuple(items))
 
 
-@dataclass(frozen=True)
 class IntersectionReport:
-    algebraic: Fraction
-    local_sum: Fraction
-    holds: bool
-    contributions: tuple[Contribution, ...]
+    __slots__ = ("algebraic", "local_sum", "holds", "contributions")
+
+    def __init__(self, algebraic: Fraction, local_sum: Fraction, holds: bool,
+                 contributions: tuple[Contribution, ...]):
+        self.algebraic = algebraic
+        self.local_sum = local_sum
+        self.holds = holds
+        self.contributions = contributions
 
     def to_json(self) -> dict:
         return {
@@ -526,10 +561,12 @@ def intersection_report(c1: CurveConfig, c2: CurveConfig) -> IntersectionReport:
     )
 
 
-@dataclass(frozen=True)
 class EmbeddednessVerdict:
-    embedded: bool
-    defect: Fraction
+    __slots__ = ("embedded", "defect")
+
+    def __init__(self, embedded: bool, defect: Fraction):
+        self.embedded = embedded
+        self.defect = defect
 
     def __str__(self) -> str:
         if self.embedded:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .errors import InvalidInput
 
@@ -33,6 +32,8 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("5")
     Fraction(5, 1)
     """
+    from fractions import Fraction  # here, so that --help and chains skip it
+
     m = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise InvalidInput(f"not a rational literal: {text!r}")
@@ -44,13 +45,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def load(path):
-    """The JSON value stored in the file at path; nesting deeper than
-    the parser's recursion limit is invalid input."""
+    """The JSON value stored in the file at path.  Text that is not
+    UTF-8 JSON, or nesting deeper than the parser's recursion limit, is
+    invalid input named by its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise InvalidInput(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"{path}: {exc}") from None
 
 
 def _fail(where: str, expected: str, value):

@@ -12,7 +12,6 @@ denominator) and Gaussian rationals are pairs of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, NotCoprime
@@ -60,7 +59,6 @@ def mod_inverse(a: int, n: int) -> int:
     return pow(a, -1, n)
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """Element of Q(i): re + im*i with exact rational parts.
 
@@ -68,8 +66,16 @@ class GaussianRational:
     field has no useful order).
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":

@@ -31,7 +31,6 @@ symmetries could fool the distinctness check and are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decode import MAX_PRECISION, int_, list_, obj, parse_rational, rational
@@ -359,7 +358,6 @@ def _solve_congruences(constraints, modulus):
     return y0 % step, step
 
 
-@dataclass(frozen=True)
 class CurveGerm:
     """One branch through the origin of a chart with cyclic action data.
 
@@ -372,28 +370,39 @@ class CurveGerm:
        the translate (mu_a^k U, mu_a^{k b} V).
     """
 
-    U: PowerSeries
-    V: PowerSeries
-    group: SingularityType = SingularityType(1, 0)
-    m: int = 1
-    twist: int = 0
+    __slots__ = ("U", "V", "group", "m", "twist", "_rho_exponent")
 
-    def __post_init__(self):
-        if self.U.is_zero_to_precision() and self.V.is_zero_to_precision():
+    def __init__(self, U: PowerSeries, V: PowerSeries,
+                 group: SingularityType = SingularityType(1, 0), m: int = 1, twist: int = 0):
+        if U.is_zero_to_precision() and V.is_zero_to_precision():
             raise InvalidInput("germ coordinates must not both vanish")
-        for s in (self.U, self.V):
+        for s in (U, V):
             if 0 in s.num:
                 raise InvalidInput("germ must pass through the origin")
             if s.trunc is None:
                 raise InvalidInput("germ series carry a finite truncation")
-        a = self.group.a
-        if a < 1 or self.m < 1 or a % self.m != 0:
-            raise EquivarianceViolated(
-                f"stabilizer order {self.m} must divide the group order {a}"
-            )
-        if not 0 <= self.twist < max(a, 1):
-            raise InvalidInput(f"twist must lie in [0, {a}), got {self.twist}")
-        object.__setattr__(self, "_rho_exponent", self._solve_equivariance())
+        a = group.a
+        if a < 1 or m < 1 or a % m != 0:
+            raise EquivarianceViolated(f"stabilizer order {m} must divide the group order {a}")
+        if not 0 <= twist < max(a, 1):
+            raise InvalidInput(f"twist must lie in [0, {a}), got {twist}")
+        self.U = U
+        self.V = V
+        self.group = group
+        self.m = m
+        self.twist = twist
+        self._rho_exponent = self._solve_equivariance()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurveGerm):
+            return NotImplemented
+        return (
+            self.U == other.U
+            and self.V == other.V
+            and self.group == other.group
+            and self.m == other.m
+            and self.twist == other.twist
+        )
 
     def _solve_equivariance(self) -> int:
         """Exponent s with U(mu_m z) = mu_a^s U(z), V(mu_m z) = mu_a^{sb} V(z)
@@ -451,9 +460,8 @@ class CurveGerm:
     def with_truncation(self, trunc: int) -> "CurveGerm":
         """Re-truncate both coordinates.  Raising the truncation treats
         the stored terms as exact polynomial data."""
-        return replace(
-            self, U=self.U.with_truncation(trunc), V=self.V.with_truncation(trunc)
-        )
+        return CurveGerm(self.U.with_truncation(trunc), self.V.with_truncation(trunc),
+                         self.group, self.m, self.twist)
 
     def materialize(self) -> tuple[PowerSeries, PowerSeries]:
         """Coordinate series of the twisted germ, when the twist's root
@@ -506,7 +514,7 @@ def translate(germ: CurveGerm, k: int) -> CurveGerm:
     """The group translate by mu_a^k, kept symbolic in the twist; the
     germ itself when the twist does not change."""
     twist = (germ.twist + k) % max(germ.group.a, 1)
-    return germ if twist == germ.twist else replace(germ, twist=twist)
+    return germ if twist == germ.twist else CurveGerm(germ.U, germ.V, germ.group, germ.m, twist)
 
 
 def _stabilizing_twist(germ: CurveGerm) -> int:

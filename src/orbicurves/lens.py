@@ -18,32 +18,35 @@ uses that closed form; chern_index.index_integrality_scan is its oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .decode import int_, list_
 from .errors import InvalidParameters
 from .exact import mod_inverse
 
 
-@dataclass(frozen=True, slots=True)
 class SingularityType:
     """Cyclic quotient singularity data (a, b): Z_a acting on C^2 by
-    (z1, z2) -> (mu_a z1, mu_a^b z2).  a = 1 means a regular point."""
+    (z1, z2) -> (mu_a z1, mu_a^b z2).  a = 1 means a regular point.
+    Two types are equal when their data are."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 1:
-            raise InvalidParameters(f"group order must be >= 1, got a={self.a}")
-        if not 0 <= self.b < self.a:
+    def __init__(self, a: int, b: int):
+        if a < 1:
+            raise InvalidParameters(f"group order must be >= 1, got a={a}")
+        if not 0 <= b < a:
+            raise InvalidParameters(f"weight must satisfy 0 <= b < a, got (a, b)=({a}, {b})")
+        if a > 1 and b > 0 and math.gcd(a, b) != 1:
             raise InvalidParameters(
-                f"weight must satisfy 0 <= b < a, got (a, b)=({self.a}, {self.b})"
+                f"weights of an isolated singularity must be coprime, got ({a}, {b})"
             )
-        if self.a > 1 and self.b > 0 and math.gcd(self.a, self.b) != 1:
-            raise InvalidParameters(
-                f"weights of an isolated singularity must be coprime, got ({self.a}, {self.b})"
-            )
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SingularityType):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
 
     @property
     def order(self) -> int:
@@ -69,15 +72,15 @@ def _check_lens_params(p: int, q: int, name: str = "q") -> None:
         raise InvalidParameters(f"p and {name} must be coprime, got ({p}, {q})")
 
 
-@dataclass(frozen=True, slots=True)
 class LensSpace:
     """L(p, q) with the canonical parameter range 0 < q < p, gcd(p,q)=1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        _check_lens_params(self.p, self.q)
+    def __init__(self, p: int, q: int):
+        _check_lens_params(p, q)
+        self.p = p
+        self.q = q
 
     def cone_type(self) -> SingularityType:
         return SingularityType(self.p, self.q)
@@ -98,7 +101,6 @@ def lens_equivalent(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> boo
     return qp % p in candidates
 
 
-@dataclass(frozen=True, slots=True)
 class CongruenceRecord:
     """Result of the cobordism congruence test for (p, q, q').
 
@@ -110,28 +112,24 @@ class CongruenceRecord:
     (mod p), caseA is q' = q and caseB is q*q' = 1 (mod p).
     """
 
-    p: int
-    q: int
-    qprime: int
-    l: int
-    r: int
-    lprime: int
-    caseA_integral: bool
-    caseB_integral: bool
-    allowed: bool
+    __slots__ = ("p", "q", "qprime", "l", "r", "lprime", "caseA_integral",
+                 "caseB_integral", "allowed")
+
+    def __init__(self, p: int, q: int, qprime: int, l: int, r: int, lprime: int,
+                 caseA_integral: bool, caseB_integral: bool, allowed: bool):
+        self.p = p
+        self.q = q
+        self.qprime = qprime
+        self.l = l
+        self.r = r
+        self.lprime = lprime
+        self.caseA_integral = caseA_integral
+        self.caseB_integral = caseB_integral
+        self.allowed = allowed
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "qprime": self.qprime,
-            "l": self.l,
-            "r": self.r,
-            "lprime": self.lprime,
-            "caseA_integral": self.caseA_integral,
-            "caseB_integral": self.caseB_integral,
-            "allowed": self.allowed,
-        }
+        # the report's keys, in order, are the slots
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:

@@ -9,34 +9,41 @@ surface divides all local structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decode import int_, list_, obj
 from .errors import InvalidParameters
 
 
-@dataclass(frozen=True)
 class OrbifoldSurface:
-    m_sigma: int
-    genus: int
-    orders: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("m_sigma", "genus", "orders")
 
-    def __post_init__(self):
-        if self.m_sigma < 1:
-            raise InvalidParameters(f"multiplicity must be >= 1, got {self.m_sigma}")
-        if self.genus < 0:
-            raise InvalidParameters(f"genus must be >= 0, got {self.genus}")
-        object.__setattr__(self, "orders", tuple(self.orders))
+    def __init__(self, m_sigma: int, genus: int, orders=()):
+        if m_sigma < 1:
+            raise InvalidParameters(f"multiplicity must be >= 1, got {m_sigma}")
+        if genus < 0:
+            raise InvalidParameters(f"genus must be >= 0, got {genus}")
+        self.m_sigma = m_sigma
+        self.genus = genus
+        self.orders = tuple(orders)
         for m in self.orders:
-            if m <= self.m_sigma:
+            if m <= m_sigma:
                 raise InvalidParameters(
-                    f"cone order {m} must exceed the surface multiplicity {self.m_sigma}"
+                    f"cone order {m} must exceed the surface multiplicity {m_sigma}"
                 )
-            if m % self.m_sigma != 0:
+            if m % m_sigma != 0:
                 raise InvalidParameters(
-                    f"cone order {m} must be a multiple of the surface multiplicity {self.m_sigma}"
+                    f"cone order {m} must be a multiple of the surface multiplicity {m_sigma}"
                 )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrbifoldSurface):
+            return NotImplemented
+        return (
+            self.m_sigma == other.m_sigma
+            and self.genus == other.genus
+            and self.orders == other.orders
+        )
 
     def is_reduced(self) -> bool:
         return self.m_sigma == 1

@@ -9,7 +9,6 @@ content and do not appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern_index import IndexReport, kawasaki_index
@@ -41,16 +40,18 @@ POINT_X = "x"
 POINT_X_PRIME = "x_prime"
 
 
-@dataclass(frozen=True)
 class WpsModel:
     """The cap for parameters (p, q, q'): one generator of H_2 with
     self-pairing p/(p+q), c1 value (2p+q+1)/(p+q), and singular points
     x of type (p+q, p) and x' of type (p, q')."""
 
-    p: int
-    q: int
-    qprime: int
-    ambient: AmbientModel
+    __slots__ = ("p", "q", "qprime", "ambient")
+
+    def __init__(self, p: int, q: int, qprime: int, ambient: AmbientModel):
+        self.p = p
+        self.q = q
+        self.qprime = qprime
+        self.ambient = ambient
 
     @property
     def pairing(self) -> Fraction:
@@ -158,16 +159,19 @@ def genus_bound(m: WpsModel, r) -> Fraction:
     return Fraction(p * a * a - (2 * p + q + 1) * a * b + den, den)
 
 
-@dataclass(frozen=True)
 class GenusBoundProfile:
     """Sampled values of the genus bound plus the two exact checks: the
     bound decreases strictly over (0,1], and its value at r = 1/p equals
     (1 - 1/(p+q))/2 + (1 - 1/p)/2."""
 
-    rows: tuple[tuple[Fraction, Fraction], ...]
-    strictly_decreasing: bool
-    value_at_inverse_p: Fraction
-    peak_identity: bool
+    __slots__ = ("rows", "strictly_decreasing", "value_at_inverse_p", "peak_identity")
+
+    def __init__(self, rows: tuple[tuple[Fraction, Fraction], ...], strictly_decreasing: bool,
+                 value_at_inverse_p: Fraction, peak_identity: bool):
+        self.rows = rows
+        self.strictly_decreasing = strictly_decreasing
+        self.value_at_inverse_p = value_at_inverse_p
+        self.peak_identity = peak_identity
 
     def to_json(self) -> dict:
         return {

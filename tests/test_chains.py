@@ -476,6 +476,30 @@ class TestChainsValidateCli:
         assert (code, out) == (2, "")
         assert err == f"error: {key}: given without groups\n"
 
+    @pytest.mark.parametrize(
+        "table,key,value,message",
+        [
+            ("groups", "5", [[0]], "groups.5: names no simplex of the complex"),
+            ("homs", "1|0", [0], "homs.1|0: names no face relation of the complex"),
+            ("twists", "0,1|0|1", 0, "twists.0,1|0|1: names no composable pair of the complex"),
+        ],
+        ids=["groups", "homs", "twists"],
+    )
+    def test_key_naming_nothing_exits_2(self, tmp_path, capsys, table, key, value, message):
+        # valid tables on the edge 0,1 with a Z/2 vertex 0, which has two
+        # face relations and no composable pair, plus one key naming nothing
+        z2, z1 = [[0, 1], [1, 0]], [[0]]
+        data = {
+            "simplices": [[0, 1]],
+            "orders": {"0": 2},
+            "groups": {"0": z2, "1": z1, "0,1": z1},
+            "homs": {"0,1|0": [0], "0,1|1": [0]},
+            "twists": {},
+        }
+        data[table][key] = value
+        code, out, err = self.run(tmp_path, capsys, data)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestChainsCliInput:
     """Hostile complex files end in exit 2 with a one-line message."""
@@ -499,6 +523,14 @@ class TestChainsCliInput:
         code, err = self.run(tmp_path, capsys, verb, {"simplices": [[True, 2]]})
         assert code == 2
         assert err == "error: simplices[0][0]: expected an integer, got true\n"
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    def test_wide_simplex_rejected(self, tmp_path, capsys, verb):
+        # 2^40 - 1 faces: the cap stops the file before any is made
+        code, err = self.run(tmp_path, capsys, verb, {"simplices": [list(range(40))]})
+        assert code == 2
+        cap = chains.MAX_SIMPLEX_VERTICES
+        assert err == f"error: a simplex has at most {cap} vertices, got 40\n"
 
     @pytest.mark.parametrize("verb", ["betti", "validate"])
     def test_bool_order_rejected(self, tmp_path, capsys, verb):

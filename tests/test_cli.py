@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, flags, and exit codes."""
 
+import functools
 import io
 import json
 import math
@@ -221,6 +222,21 @@ class TestExitCodes:
         code, out = run_command([str(deep) if a == "DEEP" else a for a in argv])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"ambient": {"h2_rank": 1', "Expecting ',' delimiter: line 1 column 26 (char 25)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["truncated", "not_utf8"],
+    )
+    def test_bad_json_file_is_named(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out = run_command(["intersect", str(CONFIGS / "line.json"), str(bad)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize(
         "data,message",
@@ -668,18 +684,16 @@ _INDEX = _LENS | {"orbicurves.chern_index"}
 _WPS = _GERM | _INDEX | {"orbicurves.wps"}
 _MODULES_AFTER_MAIN = """
 import contextlib, io, json, sys
-from orbicurves.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("orbicurves"))]))
-"""
-_NEW_STDLIB_AFTER_HELP = """
-import contextlib, io, json, sys
 before = set(sys.modules)
 from orbicurves.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["--help"])
-print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules) - before)))
+    code = main(json.loads(sys.argv[1]))
+new = set(sys.modules) - before
+print(json.dumps([
+    code,
+    sorted(m for m in new if m.startswith("orbicurves")),
+    sorted(new & {"dataclasses", "inspect", "fractions"}),
+]))
 """
 MODULE_SETS = [
     (["--help"], _BASE),
@@ -696,34 +710,39 @@ MODULE_SETS = [
 ]
 
 
-class TestImportGraph:
-    @pytest.mark.parametrize(
-        "argv,modules",
-        MODULE_SETS,
-        ids=[" ".join(Path(x).name for x in a[:2]) for a, _ in MODULE_SETS],
-    )
-    def test_command_loads_only_the_modules_it_runs(self, argv, modules):
-        # In a fresh interpreter: other tests load every module in this one.
-        proc = subprocess.run(
-            [sys.executable, "-c", _MODULES_AFTER_MAIN, json.dumps(argv)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, sorted(modules)]
+_MODULE_SET_IDS = [" ".join(Path(x).name for x in a[:2]) for a, _ in MODULE_SETS]
 
-    def test_help_loads_no_dataclasses(self):
-        # In a fresh interpreter; modules the interpreter loaded before
-        # orbicurves do not count.
-        proc = subprocess.run(
-            [sys.executable, "-c", _NEW_STDLIB_AFTER_HELP],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+
+@functools.cache
+def _fresh_run(argv: tuple[str, ...]) -> list:
+    """[exit code, orbicurves modules, watched standard modules] that
+    main(argv) loads in a fresh interpreter: other tests load every
+    module in this one, and modules the interpreter loaded before
+    orbicurves do not count."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("argv,modules", MODULE_SETS, ids=_MODULE_SET_IDS)
+    def test_command_loads_only_the_modules_it_runs(self, argv, modules):
+        assert _fresh_run(tuple(argv))[:2] == [0, sorted(modules)]
+
+    @pytest.mark.parametrize("argv,modules", MODULE_SETS, ids=_MODULE_SET_IDS)
+    def test_command_loads_no_dataclasses(self, argv, modules):
+        # dataclasses brings inspect, ast, dis and tokenize with it; the
+        # commands that read no rational, which load no exact, skip
+        # fractions too
+        unwanted = {"dataclasses", "inspect"}
+        if "orbicurves.exact" not in modules:
+            unwanted.add("fractions")
+        assert not unwanted & set(_fresh_run(tuple(argv))[2])
 
     def test_cli_import_leaves_chains_unloaded(self):
         # In a fresh interpreter: other tests import chains in this one.
