@@ -61,11 +61,24 @@ def _simplex_key(simplex: Simplex) -> str:
     return ",".join(str(v) for v in simplex)
 
 
-def _parse_simplex_key(key: str) -> Simplex:
+def _key_simplex(key, keys: dict, where: str) -> Simplex:
+    """The simplex that a key of the map at where names: a simplex key
+    such as "0,1", or a vertex tuple.  keys maps each simplex already
+    named to its key; keys such as "0" and "00", or "0,1" and "1,0",
+    name one simplex, and a second one is rejected rather than silently
+    winning."""
+    if not isinstance(key, str):
+        key = _simplex_key(_as_simplex(key))
     try:
-        return _as_simplex(int(part) for part in key.split(","))
+        s = _as_simplex(int(part) for part in key.split(","))
     except ValueError as exc:
         raise InvalidInput(f"bad simplex key {key!r}") from exc
+    if s in keys:
+        raise InvalidInput(
+            f"{key_path(where, key)}: names the same simplex as {key_path(where, keys[s])}"
+        )
+    keys[s] = key
+    return s
 
 
 class WeightedComplex:
@@ -92,8 +105,9 @@ class WeightedComplex:
             raise InvalidInput("a complex needs at least one simplex")
         ordered = tuple(sorted(closed, key=lambda s: (len(s), s)))
         table = {}
+        keys: dict[Simplex, str] = {}
         for key, value in (orders or {}).items():
-            s = _as_simplex(key) if not isinstance(key, str) else _parse_simplex_key(key)
+            s = _key_simplex(key, keys, "orders")
             if s not in closed:
                 raise InvalidInput(f"order given for missing simplex {s}")
             if not is_int(value) or value < 1:
@@ -297,13 +311,12 @@ class GroupComplexFull:
         simplices = set(complex.simplices)
         self.complex = complex
         self.groups = {}
+        keys: dict[Simplex, str] = {}
         for key, table in groups.items():
-            if not isinstance(key, str):
-                key = _simplex_key(_as_simplex(key))
-            s = _parse_simplex_key(key)
+            s = _key_simplex(key, keys, "groups")
             if s not in simplices:
                 raise MalformedTable(
-                    f"{key_path('groups', key)}: names no simplex of the complex"
+                    f"{key_path('groups', keys[s])}: names no simplex of the complex"
                 )
             self.groups[s] = table if isinstance(table, FiniteGroup) else FiniteGroup(table)
         self.homs = homs

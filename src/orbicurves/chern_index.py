@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .decode import int_
 from .errors import InvalidParameters, WeightOutOfRange
-from .exact import format_rational, is_integer, mod_inverse
-from .lens import _check_lens_params
+from .exact import format_rational, is_integer
+from .lens import _check_lens_params, mod_inverse
 
 
 def _reduce_weights(m: int, weights, rank: int) -> tuple[int, ...]:

@@ -10,10 +10,12 @@ could not be written (standard output closed or full), 2 malformed input.
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
 in its own body.  So --help loads no computation module, a lens command
-adds lens, and the chains commands load no germ code.  The value types
-are plain classes with __slots__, so no command execs generated methods
-or loads inspect, and --help and the chains commands, which read no
-rational, skip fractions.
+adds only lens, and the chains commands load no germ code.  The value
+types are plain classes with __slots__, so no command execs generated
+methods or loads inspect, and --help and the lens and chains commands,
+which read no rational, skip fractions.  The parser registers every
+command and verb with its help but gives arguments only to the one that
+argv invokes (_add_choices), so a command builds 8 to 10 parsers.
 """
 
 from __future__ import annotations
@@ -329,90 +331,66 @@ class _Parser(argparse.ArgumentParser):
             self.exit(1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int}
+# command -> (help, verbs) or (help, leaf), verb -> (help, leaf), where a
+# leaf is (handler, {argument name: add_argument keywords})
+_COMMANDS = {
+    "lens": ("lens space classification and congruence", {
+        "classify": ("equivalence and congruence record for (p, q, q')",
+                     (_cmd_lens_classify, {"p": _INT, "q": _INT, "qprime": _INT})),
+        "allowed": ("all q' passing the congruence", (_cmd_lens_allowed, {"p": _INT, "q": _INT})),
+    }),
+    "adjunction": ("adjunction report for a configuration file", (_cmd_adjunction, {"path": {}})),
+    "intersect": ("intersection report for two configuration files",
+                  (_cmd_intersect, {"path_a": {}, "path_b": {}})),
+    "index": ("deformation index counts", {
+        "eval": ("index for point data in a file", (_cmd_index_eval, {"path": {}})),
+        "scan": ("integrality scan over q'",
+                 (_cmd_index_scan, {"p": {"type": int, "help": f"2..{MAX_SCAN_P}"}, "q": _INT})),
+    }),
+    "chains": ("weighted simplicial chains", {
+        "betti": ("rational Betti numbers of a complex file", (_cmd_chains_betti, {"path": {}})),
+        "validate": ("check full complex-of-groups data", (_cmd_chains_validate, {"path": {}})),
+    }),
+    "wps": ("weighted projective cap model", {
+        "report": ("full dossier for (p, q, q')",
+                   (_cmd_wps_report, {"p": _INT, "q": _INT, "qprime": _INT})),
+    }),
+    "sweep": ("verify the cap invariants over all (p, q)", (_cmd_sweep, {"--p-max": {
+        "type": int, "required": True, "metavar": "N", "help": f"2..{MAX_SWEEP_P}"}})),
+}
+
+
+def _add_choices(parser, dest: str, entries: dict, tokens) -> None:
+    """Register every entry with its help, so that help and choice
+    errors list them all, and fill in only the entry named by the first
+    of tokens that names one: the entry argparse takes, since no option
+    value can name a command or verb."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    chosen = next((t for t in tokens if t in entries), None)
+    for name, (help_, spec) in entries.items():
+        child = sub.add_parser(name, help=help_)
+        if name != chosen:
+            continue
+        if isinstance(spec, dict):
+            _add_choices(child, "verb", spec, tokens)
+            continue
+        handler, arguments = spec
+        _add_common_flags(child, leaf=True)
+        for arg, kwargs in arguments.items():
+            child.add_argument(arg, **kwargs)
+        child.set_defaults(handler=handler)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command and verb, with the arguments
+    of the one that argv invokes."""
     parser = _Parser(
         prog="orbicurves",
         description="Exact invariants of orbifold curve configurations.",
     )
     _add_common_flags(parser, leaf=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common, leaf=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lens = sub.add_parser("lens", help="lens space classification and congruence")
-    lens_sub = lens.add_subparsers(dest="verb", required=True)
-    classify = lens_sub.add_parser(
-        "classify",
-        parents=[common],
-        help="equivalence and congruence record for (p, q, q')",
-    )
-    classify.add_argument("p", type=int)
-    classify.add_argument("q", type=int)
-    classify.add_argument("qprime", type=int)
-    classify.set_defaults(handler=_cmd_lens_classify)
-    allowed = lens_sub.add_parser(
-        "allowed", parents=[common], help="all q' passing the congruence"
-    )
-    allowed.add_argument("p", type=int)
-    allowed.add_argument("q", type=int)
-    allowed.set_defaults(handler=_cmd_lens_allowed)
-
-    adj = sub.add_parser(
-        "adjunction", parents=[common], help="adjunction report for a configuration file"
-    )
-    adj.add_argument("path")
-    adj.set_defaults(handler=_cmd_adjunction)
-
-    inter = sub.add_parser(
-        "intersect", parents=[common], help="intersection report for two configuration files"
-    )
-    inter.add_argument("path_a")
-    inter.add_argument("path_b")
-    inter.set_defaults(handler=_cmd_intersect)
-
-    index = sub.add_parser("index", help="deformation index counts")
-    index_sub = index.add_subparsers(dest="verb", required=True)
-    index_eval = index_sub.add_parser(
-        "eval", parents=[common], help="index for point data in a file"
-    )
-    index_eval.add_argument("path")
-    index_eval.set_defaults(handler=_cmd_index_eval)
-    index_scan = index_sub.add_parser(
-        "scan", parents=[common], help="integrality scan over q'"
-    )
-    index_scan.add_argument("p", type=int, help=f"2..{MAX_SCAN_P}")
-    index_scan.add_argument("q", type=int)
-    index_scan.set_defaults(handler=_cmd_index_scan)
-
-    chains = sub.add_parser("chains", help="weighted simplicial chains")
-    chains_sub = chains.add_subparsers(dest="verb", required=True)
-    betti = chains_sub.add_parser(
-        "betti", parents=[common], help="rational Betti numbers of a complex file"
-    )
-    betti.add_argument("path")
-    betti.set_defaults(handler=_cmd_chains_betti)
-    validate = chains_sub.add_parser(
-        "validate", parents=[common], help="check full complex-of-groups data"
-    )
-    validate.add_argument("path")
-    validate.set_defaults(handler=_cmd_chains_validate)
-
-    wps = sub.add_parser("wps", help="weighted projective cap model")
-    wps_sub = wps.add_subparsers(dest="verb", required=True)
-    report = wps_sub.add_parser(
-        "report", parents=[common], help="full dossier for (p, q, q')"
-    )
-    report.add_argument("p", type=int)
-    report.add_argument("q", type=int)
-    report.add_argument("qprime", type=int)
-    report.set_defaults(handler=_cmd_wps_report)
-
-    sweep = sub.add_parser(
-        "sweep", parents=[common], help="verify the cap invariants over all (p, q)"
-    )
-    sweep.add_argument("--p-max", type=int, required=True, metavar="N", help=f"2..{MAX_SWEEP_P}")
-    sweep.set_defaults(handler=_cmd_sweep)
-
+    _add_choices(parser, "command", _COMMANDS, iter(argv))
     return parser
 
 
@@ -436,7 +414,8 @@ def _emit(write) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

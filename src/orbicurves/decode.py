@@ -20,8 +20,6 @@ from .errors import InvalidInput
 SCHEMA_VERSION = 1
 MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 MAX_SHOWN = 80  # characters of a wrong value's JSON that an error line shows
-_SIMPLEX_KEY = re.compile(r"[0-9]+([,|][0-9]+)*")
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,7 +32,7 @@ def parse_rational(text: str) -> Fraction:
     """
     from fractions import Fraction  # here, so that --help and chains skip it
 
-    m = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
+    m = re.match(r"^(-?\d+)(?:/(-?\d+))?$", text.strip()) if isinstance(text, str) else None
     if not m:
         raise InvalidInput(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -126,7 +124,8 @@ def key_path(where: str, key: str) -> str:
     """The path of key in the object at where.  A key other than an
     identifier or a simplex key such as 0,1|0 is JSON-quoted, so a
     newline in it cannot split the one-line error message."""
-    shown = key if key.isidentifier() or _SIMPLEX_KEY.fullmatch(key) else json.dumps(key)
+    simplex_key = r"[0-9]+([,|][0-9]+)*"
+    shown = key if key.isidentifier() or re.fullmatch(simplex_key, key) else json.dumps(key)
     return f"{where}.{shown}" if where else shown
 
 

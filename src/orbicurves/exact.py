@@ -1,20 +1,19 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, modular
-inverses and the fourth roots of unity.
+"""Exact scalar arithmetic: rationals, Gaussian rationals and the
+fourth roots of unity.
 
-Everything downstream (lens-space congruences, genus formulas, the
-coefficients of germ series at the API and JSON boundary) is built on
+The report values downstream (genus formulas, the index, the
+coefficients of germ series at the API and JSON boundary) are built on
 these scalars; series arithmetic itself runs on integers in germ.py.
 No floating point appears anywhere; rationals are stdlib Fractions
 (arbitrary-precision integers, canonical reduced form with positive
-denominator) and Gaussian rationals are pairs of them.
+denominator) and Gaussian rationals are pairs of them.  The lens-space
+congruences need only integers, and their modular inverse lives in
+lens, so the lens commands load neither this module nor fractions.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-from .errors import InvalidInput, NotCoprime
 
 
 def format_rational(x) -> str:
@@ -40,23 +39,6 @@ def is_integer(x) -> bool:
     True
     """
     return x.denominator == 1
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a modulo n, in the range [1, n-1].
-
-    Requires n >= 2 and gcd(a, n) = 1; raises NotCoprime otherwise.
-
-    >>> mod_inverse(5, 7)
-    3
-    >>> mod_inverse(2, 5)
-    3
-    """
-    if n < 2:
-        raise InvalidInput(f"modulus must be >= 2, got {n}")
-    if math.gcd(a, n) != 1:
-        raise NotCoprime(f"{a} is not invertible mod {n}")
-    return pow(a, -1, n)
 
 
 class GaussianRational:

@@ -20,8 +20,24 @@ from __future__ import annotations
 import math
 
 from .decode import int_, list_
-from .errors import InvalidParameters
-from .exact import mod_inverse
+from .errors import InvalidInput, InvalidParameters, NotCoprime
+
+
+def mod_inverse(a: int, n: int) -> int:
+    """Inverse of a modulo n, in the range [1, n-1].
+
+    Requires n >= 2 and gcd(a, n) = 1; raises NotCoprime otherwise.
+
+    >>> mod_inverse(5, 7)
+    3
+    >>> mod_inverse(2, 5)
+    3
+    """
+    if n < 2:
+        raise InvalidInput(f"modulus must be >= 2, got {n}")
+    if math.gcd(a, n) != 1:
+        raise NotCoprime(f"{a} is not invertible mod {n}")
+    return pow(a, -1, n)
 
 
 class SingularityType:

@@ -500,6 +500,24 @@ class TestChainsValidateCli:
         code, out, err = self.run(tmp_path, capsys, data)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "key,first",
+        [("00", "0"), ("1,0", "0,1")],
+        ids=["leading_zero", "vertex_order"],
+    )
+    def test_two_group_keys_for_one_simplex_exit_2(self, tmp_path, capsys, key, first):
+        z2, z1 = [[0, 1], [1, 0]], [[0]]
+        groups = {"0": z2, "1": z1, "0,1": z1}
+        data = {
+            "simplices": [[0, 1]],
+            "orders": {"0": 2},
+            "groups": {**groups, key: groups[first]},
+            "homs": {"0,1|0": [0], "0,1|1": [0]},
+        }
+        code, out, err = self.run(tmp_path, capsys, data)
+        message = f"groups.{key}: names the same simplex as groups.{first}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestChainsCliInput:
     """Hostile complex files end in exit 2 with a one-line message."""
@@ -531,6 +549,19 @@ class TestChainsCliInput:
         assert code == 2
         cap = chains.MAX_SIMPLEX_VERTICES
         assert err == f"error: a simplex has at most {cap} vertices, got 40\n"
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    @pytest.mark.parametrize(
+        "orders,message",
+        [
+            ({"0": 2, "00": 3}, "orders.00: names the same simplex as orders.0"),
+            ({"0,1": 1, "1,0": 1}, "orders.1,0: names the same simplex as orders.0,1"),
+        ],
+        ids=["leading_zero", "vertex_order"],
+    )
+    def test_two_order_keys_for_one_simplex(self, tmp_path, capsys, verb, orders, message):
+        code, err = self.run(tmp_path, capsys, verb, {"simplices": [[0, 1]], "orders": orders})
+        assert (code, err) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("verb", ["betti", "validate"])
     def test_bool_order_rejected(self, tmp_path, capsys, verb):

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, flags, and exit codes."""
 
+import argparse
 import functools
 import io
 import json
@@ -95,10 +96,8 @@ class TestFlagPlacement:
         assert text == golden_text("wps_report_5_2_2.table.txt")
 
     def test_run_config_fields(self):
-        parser = _build_parser()
-        args = parser.parse_args(
-            ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
-        )
+        argv = ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
+        args = _build_parser(argv).parse_args(argv)
         assert (args.command, args.path_a, args.path_b) == (
             "intersect",
             "a.json",
@@ -106,8 +105,23 @@ class TestFlagPlacement:
         )
         assert args.output_format == "table"
         assert args.precision == 16
-        args = parser.parse_args(["wps", "report", "5", "2", "2"])
+        argv = ["wps", "report", "5", "2", "2"]
+        args = _build_parser(argv).parse_args(argv)
         assert (args.command, args.verb) == ("wps", "report")
+
+
+HELP_TEXTS = json.loads((DATA / "help_texts.json").read_text(encoding="utf-8"))
+
+
+class TestHelpText:
+    """The help of the top level, of each command and of each verb, as
+    argparse prints it at 80 columns."""
+
+    @pytest.mark.parametrize("argv", list(HELP_TEXTS))
+    def test_help_is_unchanged(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv.split()) == 0
+        assert capsys.readouterr() == (HELP_TEXTS[argv], "")
 
 
 class TestPrecisionRetry:
@@ -189,8 +203,12 @@ class TestExitCodes:
              "invalid int value: 'x'"),
             (["chains"], "orbicurves chains: the following arguments are required: verb"),
             (["sweep", "--p-max", "8", "--bogus"], "orbicurves: unrecognized arguments: --bogus"),
+            (["frobnicate"], "orbicurves: argument command: invalid choice: 'frobnicate' "
+             "(choose from 'lens', 'adjunction', 'intersect', 'index', 'chains', 'wps', 'sweep')"),
+            (["lens", "frob"], "orbicurves lens: argument verb: invalid choice: 'frob' "
+             "(choose from 'classify', 'allowed')"),
         ],
-        ids=["missing", "not_an_int", "no_verb", "unknown_flag"],
+        ids=["missing", "not_an_int", "no_verb", "unknown_flag", "no_such_command", "no_such_verb"],
     )
     def test_argument_errors_are_one_line(self, capsys, argv, message):
         code, out = run_command(argv)
@@ -678,9 +696,9 @@ class TestScanStream:
 
 
 _BASE = {"orbicurves", "orbicurves.cli", "orbicurves.decode", "orbicurves.errors"}
-_LENS = {"orbicurves.exact", "orbicurves.lens"}
-_GERM = _LENS | {"orbicurves.curvecalc", "orbicurves.germ", "orbicurves.surface"}
-_INDEX = _LENS | {"orbicurves.chern_index"}
+_LENS = {"orbicurves.lens"}
+_GERM = _LENS | {"orbicurves.exact", "orbicurves.curvecalc", "orbicurves.germ", "orbicurves.surface"}
+_INDEX = _LENS | {"orbicurves.exact", "orbicurves.chern_index"}
 _WPS = _GERM | _INDEX | {"orbicurves.wps"}
 _MODULES_AFTER_MAIN = """
 import contextlib, io, json, sys
@@ -727,6 +745,42 @@ def _fresh_run(argv: tuple[str, ...]) -> list:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+class TestParserSize:
+    """Every command and verb is registered with its help, and only the
+    invoked one gets its verbs, flags and arguments: --help builds the
+    top level and 7 commands with 10 add_argument calls (7 of them the
+    commands' -h), and lens classify adds its 2 verbs, the leaf flags and
+    3 arguments."""
+
+    @pytest.mark.parametrize(
+        "argv,parsers,arguments",
+        [(["--help"], 8, 10), (["lens", "classify", "7", "2", "4"], 10, 17)],
+        ids=["help", "lens_classify"],
+    )
+    def test_parser_fills_in_only_the_invoked_branch(
+        self, monkeypatch, capsys, argv, parsers, arguments
+    ):
+        counts = {"parsers": 0, "arguments": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", counted("parsers", argparse.ArgumentParser.__init__)
+        )
+        monkeypatch.setattr(
+            argparse._ActionsContainer,
+            "add_argument",
+            counted("arguments", argparse._ActionsContainer.add_argument),
+        )
+        assert main(argv) == 0
+        assert counts == {"parsers": parsers, "arguments": arguments}
 
 
 class TestImportGraph:

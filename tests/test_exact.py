@@ -15,9 +15,9 @@ from orbicurves.exact import (
     format_rational,
     fourth_root_power,
     is_integer,
-    mod_inverse,
 )
 from orbicurves.germ import PowerSeries
+from orbicurves.lens import mod_inverse
 
 
 class TestRationalText:
