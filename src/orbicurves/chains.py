@@ -142,14 +142,21 @@ class WeightedComplex:
 
     @staticmethod
     def from_json(data) -> "WeightedComplex":
-        """A complex file; the constructor checks the orders' values.  The
-        groups, homs and twists of a group complex file are read by
-        validate_file."""
+        """A complex file; the constructor checks the orders' values.  Of
+        a group complex file's groups, homs and twists only the keys are
+        checked here: each is an object, and homs and twists need groups.
+        validate_file checks their tables."""
         obj(data, "", "simplices", optional=("orders", "groups", "homs", "twists"))
-        return WeightedComplex(
+        w = WeightedComplex(
             list_(data["simplices"], "simplices", item=_int_list),
             keyed(data.get("orders", {}), "orders"),
         )
+        for key in ("groups", "homs", "twists"):
+            if key in data:
+                if "groups" not in data:
+                    raise InvalidInput(f"{key}: given without groups")
+                keyed(data[key], key)
+        return w
 
 
 def load_complex(path: str) -> WeightedComplex:
@@ -436,15 +443,12 @@ def validate_file(path: str) -> bool:
     data = load(path)
     w = WeightedComplex.from_json(data)
     if "groups" not in data:
-        for key in ("homs", "twists"):
-            if key in data:
-                raise InvalidInput(f"{key}: given without groups")
         for s in w.simplices:
             _check_group_order(w.order(s))
         return True
-    groups = keyed(data["groups"], "groups")
-    homs = keyed(data.get("homs", {}), "homs")
-    twists = keyed(data.get("twists", {}), "twists")
+    groups = data["groups"]
+    homs = data.get("homs", {})
+    twists = data.get("twists", {})
     return validate_group_complex(GroupComplexFull(
         complex=w,
         groups={k: list_(t, key_path("groups", k), item=_int_list) for k, t in groups.items()},

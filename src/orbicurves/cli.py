@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -31,7 +30,9 @@ from .decode import MAX_PRECISION, SCHEMA_VERSION, check_schema, int_, list_, lo
 from .errors import InvalidInput, PrecisionExhausted
 
 MIN_PRECISION = 8
-MAX_SWEEP_P = 250  # sweep --p-max 250: about 19 s on one core (Python 3.11, 2-core VM)
+# sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 13-15 s
+# on one (taskset -c 0); Python 3.11, 2-core VM
+MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.6 s and 18 MB
 # peak RSS for 18.6 MB of streamed JSON; with --format table 0.7 s and
 # 106 MB (Python 3.11, one core of a 2-core VM)
@@ -283,17 +284,11 @@ def _cmd_wps_report(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    from .wps import sweep_row
+    from .wps import sweep_rows
 
     if not 2 <= args.p_max <= MAX_SWEEP_P:
         raise InvalidInput(f"--p-max must be in 2..{MAX_SWEEP_P}, got {args.p_max}")
-    rows = [
-        sweep_row(p, q)
-        for p in range(2, args.p_max + 1)
-        for q in range(1, p)
-        if math.gcd(p, q) == 1
-    ]
-    return {"schema": SCHEMA_VERSION, "p_max": args.p_max, "rows": rows}
+    return {"schema": SCHEMA_VERSION, "p_max": args.p_max, "rows": sweep_rows(args.p_max)}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:

@@ -9,7 +9,10 @@ content and do not appear.
 
 from __future__ import annotations
 
+import marshal
+import os
 from fractions import Fraction
+from math import gcd
 
 from .chern_index import IndexReport, kawasaki_index
 from .curvecalc import (
@@ -326,3 +329,86 @@ def sweep_row(p: int, q: int) -> dict:
         "index_d": format_rational(index.d),
         "holds": holds,
     }
+
+
+def sweep_rows(p_max: int) -> list[dict]:
+    """[sweep_row(p, q) for coprime 1 <= q < p <= p_max], in that order.
+    The pairs are dealt round-robin to one worker per CPU this process
+    may run on, which keeps the shares even as a row's cost grows with p.
+    Workers are forked, so they start with every module loaded; the CLI
+    runs no thread that a fork could break.  On one CPU, without fork or sched_getaffinity, or when fork fails,
+    the one worker is this process.  If any share fails, the rows are
+    computed again by this process alone, so a failing row raises what
+    it raises in a serial run."""
+    pairs = [(p, q) for p in range(2, p_max + 1) for q in range(1, p) if gcd(p, q) == 1]
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(pairs))
+    if workers > 1:
+        try:
+            return _dealt_rows(pairs, workers)
+        except Exception:
+            pass  # a failing row, a failed fork or a lost worker
+    return _dealt_rows(pairs, 1)
+
+
+def _dealt_rows(pairs: list, k: int) -> list[dict]:
+    """The rows of pairs, with share i = pairs[i::k]: this process
+    computes share 0 and a forked child each other share.  The children
+    are killed, if still running, and reaped before this returns or
+    raises."""
+    parent = os.getpid()
+    pids, pipes = [], []
+    try:
+        for share in range(1, k):
+            pid, read = _fork_share(pairs[share::k], parent)
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+        rows = [None] * len(pairs)
+        rows[::k] = [sweep_row(p, q) for p, q in pairs[::k]]
+        for share, pipe in enumerate(pipes, 1):
+            # a failed child sends nothing, and b"" does not load
+            rows[share::k] = marshal.loads(pipe.read())
+        return rows
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            from signal import SIGKILL
+
+            for pid in pids:
+                # a child whose rows were read is exiting anyway
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_share(share: list, parent: int) -> tuple[int, int]:
+    """Fork a child that computes the rows of share and writes them to a
+    pipe as one marshal blob: its pid and the pipe's read end.  The child
+    writes nothing else, and it stops, sending nothing, when a row raises
+    or when parent is no longer its parent (a killed parent leaves no
+    worker running)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        rows = []
+        for p, q in share:
+            if os.getppid() != parent:
+                break
+            rows.append(sweep_row(p, q))
+        else:
+            with open(write, "wb") as out:
+                out.write(marshal.dumps(rows))
+            code = 0
+    finally:
+        os._exit(code)

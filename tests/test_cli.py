@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from orbicurves import wps
 from orbicurves.chern_index import index_integrality_scan
 from orbicurves.cli import (
     MAX_SCAN_P,
@@ -403,6 +405,85 @@ class TestSweepLimit:
         assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
 
 
+def _group_members(pgid: int) -> int:
+    """How many processes are in process group pgid, read from /proc."""
+    count = 0
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # the process has exited
+        # pid (comm) state ppid pgrp ...; comm may hold spaces and parentheses
+        count += int(stat.rpartition(")")[2].split()[2]) == pgid
+    return count
+
+
+class TestSweepWorkers:
+    """However many workers a sweep uses, a failing row ends as it does
+    serially and no worker outlives the sweep."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", [4, 5], ids=["parent_share", "child_share"])
+    def test_failing_row_gives_the_serial_error(self, monkeypatch, capsys, where):
+        pairs = [(p, q) for p in range(2, 13) for q in range(1, p) if math.gcd(p, q) == 1]
+        row = wps.sweep_row
+
+        def failing(p, q):
+            if (p, q) == pairs[where]:
+                raise ArithmeticError(f"row ({p}, {q}) failed")
+            return row(p, q)
+
+        monkeypatch.setattr(wps, "sweep_row", failing)
+        ends = []
+        for k in (1, 2):  # with two workers, share 0 holds the even indices
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+            ends.append((run_command(["sweep", "--p-max", "12"]), capsys.readouterr().err))
+        assert ends[0] == ends[1] == ((1, ""), f"error: row {pairs[where]} failed\n")
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not Path("/proc").is_dir(),
+        reason="needs two CPUs and /proc",
+    )
+    def test_workers_stop_when_the_parent_is_killed(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbicurves.cli", "sweep", "--p-max", str(MAX_SWEEP_P)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            start_new_session=True,
+        )
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 10
+            time.sleep(0.5)
+            while _group_members(pgid) < 2:  # until the workers are forked
+                assert time.monotonic() < deadline, "the sweep forked no worker"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == -signal.SIGTERM
+            # a worker stops before its next row; the reaper of orphans
+            # may take a second or two, the share would take about 9 s
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a sweep worker outlived its parent"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+
 class TestScanLimit:
     @pytest.mark.parametrize("p", [MAX_SCAN_P + 1, 10**40 + 7])
     def test_above_the_bound_exits_at_once(self, capsys, p):
@@ -469,6 +550,22 @@ class TestIdsAndLabels:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == f"error: orders: expected an object, got {json.dumps(orders)}\n"
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"simplices": [[0, 1]], "groups": 5, "homs": "x"}, "groups: expected an object, got 5"),
+            ({"simplices": [[0, 1]], "homs": {}}, "homs: given without groups"),
+        ],
+        ids=["non_object_groups", "homs_without_groups"],
+    )
+    def test_group_keys_are_checked_by_both_verbs(self, tmp_path, capsys, verb, data, message):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_command(["chains", verb, str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 DOUBLE_POINT = ("regular_double_points", 0)

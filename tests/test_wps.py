@@ -1,6 +1,8 @@
 """The weighted cap model: curves, genus bound, index, dossier."""
 
+import functools
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from orbicurves.wps import (
     genus_bound_profile,
     seifert_euler,
     sweep_row,
+    sweep_rows,
     uniqueness_inequality,
 )
 
@@ -252,3 +255,64 @@ class TestSweepRow:
             seen.clear()
             sweep_row(p, q)
             assert seen == allowed_q_set(p, q), (p, q)
+
+
+@functools.cache
+def _serial_rows(p_max: int) -> list:
+    return [
+        sweep_row(p, q) for p in range(2, p_max + 1) for q in range(1, p) if math.gcd(p, q) == 1
+    ]
+
+
+def _force_cpus(monkeypatch, k: int) -> list:
+    """Make sched_getaffinity report k CPUs; the list records each fork."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+class TestSweepRows:
+    """sweep_rows is the serial comprehension over sweep_row whatever the
+    worker count, and it leaves no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("p_max", [2, 3, 8, 30])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_any_worker_count_gives_the_serial_rows(self, monkeypatch, k, p_max):
+        forks = _force_cpus(monkeypatch, k)
+        assert sweep_rows(p_max) == _serial_rows(p_max)
+        assert len(forks) == min(k, len(_serial_rows(p_max))) - 1
+
+    def test_failed_fork_runs_serially(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+
+        def fail():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        assert sweep_rows(30) == _serial_rows(30)
+
+    def test_second_fork_failing_reaps_the_first_child(self, monkeypatch):
+        forks = _force_cpus(monkeypatch, 3)
+        fork = os.fork  # the counting wrapper
+
+        def second_fails():
+            if forks:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert sweep_rows(30) == _serial_rows(30)
+        assert forks == [1]
