@@ -1,4 +1,4 @@
-"""Command-line front end: argument parsing, command dispatch, and
+"""Command-line front end: argument reading, command dispatch, and
 deterministic report emission.
 
 Every command prints one report to standard output, newline-terminated,
@@ -13,18 +13,23 @@ in its own body.  So --help loads no computation module, a lens command
 adds only lens, and the chains commands load no germ code.  The value
 types are plain classes with __slots__, so no command execs generated
 methods or loads inspect, and --help and the lens and chains commands,
-which read no rational, skip fractions.  The parser registers every
-command and verb with its help but gives arguments only to the one that
-argv invokes (_add_choices), so a command builds 8 to 10 parsers.
+which read no rational, skip fractions.
+
+argparse loads only for help and argument errors.  Plainly well-formed
+argv is read from the command table (_read_argv) into the namespace
+argparse would return; any other argv goes to the argparse parser of
+the argparser module, built from the same table, which writes every
+help text and argument error and accepts every spelling it accepted
+before.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .decode import MAX_PRECISION, SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational
 from .errors import InvalidInput, PrecisionExhausted
@@ -291,41 +296,16 @@ def _cmd_sweep(args) -> dict:
     return {"schema": SCHEMA_VERSION, "p_max": args.p_max, "rows": sweep_rows(args.p_max)}
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
-    # leaf parsers suppress defaults so a flag placed after the
-    # subcommand overrides one placed before it, not the other way round
-    parser.add_argument(
-        "--format",
-        dest="output_format",
-        choices=("json", "table"),
-        default=argparse.SUPPRESS if leaf else "json",
-        help="report format (default: json)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=int,
-        default=argparse.SUPPRESS if leaf else None,
-        metavar="N",
-        help=f"series truncation override, {MIN_PRECISION}..{MAX_PRECISION}; "
-        "doubled automatically while a result is unresolved",
-    )
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument error is one error: line and exit 2, without
-    argparse's usage block; add_subparsers builds every subparser from
-    this class too."""
-
-    def error(self, message):
-        self.exit(2, f"error: {self.prog}: {message}\n")
-
-    def print_help(self, file=None):
-        # argparse drops a failed write of its help; this one ends as a
-        # failed report write does
-        if _emit(lambda: (file or sys.stdout).write(self.format_help())):
-            self.exit(1)
-
-
+# the flags every leaf takes, before the command or after the leaf:
+# flag -> add_argument keywords, with the default argparse gives the top
+# level (a leaf's own occurrences override it)
+_COMMON_FLAGS = {
+    "--format": {"dest": "output_format", "choices": ("json", "table"), "default": "json",
+                 "help": "report format (default: json)"},
+    "--precision": {"dest": "precision", "type": int, "default": None, "metavar": "N",
+                    "help": f"series truncation override, {MIN_PRECISION}..{MAX_PRECISION}; "
+                    "doubled automatically while a result is unresolved"},
+}
 _INT = {"type": int}
 # command -> (help, verbs) or (help, leaf), verb -> (help, leaf), where a
 # leaf is (handler, {argument name: add_argument keywords})
@@ -356,37 +336,81 @@ _COMMANDS = {
 }
 
 
-def _add_choices(parser, dest: str, entries: dict, tokens) -> None:
-    """Register every entry with its help, so that help and choice
-    errors list them all, and fill in only the entry named by the first
-    of tokens that names one: the entry argparse takes, since no option
-    value can name a command or verb."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    chosen = next((t for t in tokens if t in entries), None)
-    for name, (help_, spec) in entries.items():
-        child = sub.add_parser(name, help=help_)
-        if name != chosen:
-            continue
-        if isinstance(spec, dict):
-            _add_choices(child, "verb", spec, tokens)
-            continue
-        handler, arguments = spec
-        _add_common_flags(child, leaf=True)
-        for arg, kwargs in arguments.items():
-            child.add_argument(arg, **kwargs)
-        child.set_defaults(handler=handler)
+def _dest(name: str, kwargs: dict) -> str:
+    return kwargs.get("dest", name.lstrip("-").replace("-", "_"))
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every command and verb, with the arguments
-    of the one that argv invokes."""
-    parser = _Parser(
-        prog="orbicurves",
-        description="Exact invariants of orbifold curve configurations.",
-    )
-    _add_common_flags(parser, leaf=False)
-    _add_choices(parser, "command", _COMMANDS, iter(argv))
-    return parser
+def _take(args: dict, name: str, kwargs: dict, token) -> bool:
+    """Store token under the dest of argument name as argparse converts
+    and checks it; False, storing nothing, where argparse might read the
+    token otherwise or reject it: a missing token, one that starts with
+    "-", a failed conversion or a value outside the choices."""
+    if token is None or token.startswith("-"):
+        return False
+    convert = kwargs.get("type")
+    if convert is not None:
+        try:
+            token = convert(token)
+        except (TypeError, ValueError):
+            return False
+    if token not in kwargs.get("choices", (token,)):
+        return False
+    args[_dest(name, kwargs)] = token
+    return True
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse returns for plainly well-formed argv, read
+    from the command table without argparse, or None to leave argv to
+    argparse.  Well-formed: exact names and flags, the common flags
+    before the command or after the leaf and the leaf's own flags after
+    it, each flag with a separate value that does not start with "-",
+    every positional and flag of the leaf given, and each value
+    converted and checked as argparse does.  A later flag wins, as with
+    argparse, whose leaf parsers suppress the defaults.  Help, the
+    spellings only argparse takes (--form, --format=table, "--") and
+    every argument error are declined."""
+    args = {}
+    for kwargs in _COMMON_FLAGS.values():
+        args[kwargs["dest"]] = kwargs["default"]
+    tokens = iter(argv)
+    token = next(tokens, None)
+    while token in _COMMON_FLAGS:
+        if not _take(args, token, _COMMON_FLAGS[token], next(tokens, None)):
+            return None
+        token = next(tokens, None)
+    if token not in _COMMANDS:
+        return None
+    args["command"] = token
+    spec = _COMMANDS[token][1]
+    if isinstance(spec, dict):
+        verb = next(tokens, None)
+        if verb not in spec:
+            return None
+        args["verb"] = verb
+        spec = spec[verb][1]
+    handler, arguments = spec
+    flags = dict(_COMMON_FLAGS)
+    positionals = []
+    for name, kwargs in arguments.items():
+        if name.startswith("-"):
+            flags[name] = kwargs
+        else:
+            positionals.append((name, kwargs))
+    positionals.reverse()  # popped in order
+    for token in tokens:
+        if token in flags:
+            name, kwargs, token = token, flags[token], next(tokens, None)
+        elif positionals:
+            name, kwargs = positionals.pop()
+        else:
+            return None
+        if not _take(args, name, kwargs, token):
+            return None
+    for name, kwargs in arguments.items():
+        if _dest(name, kwargs) not in args:
+            return None
+    return SimpleNamespace(**args, handler=handler)
 
 
 def _emit(write) -> int:
@@ -410,11 +434,14 @@ def _emit(write) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        from .argparser import build_parser
+
+        try:
+            args = build_parser(argv, _COMMANDS, _COMMON_FLAGS, _emit).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     if args.precision is not None and not (
         MIN_PRECISION <= args.precision <= MAX_PRECISION
     ):

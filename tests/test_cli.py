@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, flags, and exit codes."""
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -13,17 +14,21 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbicurves import wps
+from orbicurves import cli, wps
+from orbicurves.argparser import build_parser
 from orbicurves.chern_index import index_integrality_scan
 from orbicurves.cli import (
     MAX_SCAN_P,
     MAX_SWEEP_P,
     MIN_PRECISION,
     ROW_BATCH,
-    _build_parser,
+    _read_argv,
     main,
     write_report,
 )
@@ -37,6 +42,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def parse_with_argparse(argv):
+    return build_parser(argv, cli._COMMANDS, cli._COMMON_FLAGS, cli._emit).parse_args(argv)
 
 
 def render(payload: dict, output_format: str = "json") -> str:
@@ -98,18 +107,185 @@ class TestFlagPlacement:
         assert text == golden_text("wps_report_5_2_2.table.txt")
 
     def test_run_config_fields(self):
-        argv = ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
-        args = _build_parser(argv).parse_args(argv)
-        assert (args.command, args.path_a, args.path_b) == (
-            "intersect",
-            "a.json",
-            "b.json",
+        for read in (parse_with_argparse, _read_argv):
+            argv = ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
+            args = read(argv)
+            assert (args.command, args.path_a, args.path_b) == (
+                "intersect",
+                "a.json",
+                "b.json",
+            )
+            assert args.output_format == "table"
+            assert args.precision == 16
+            args = read(["wps", "report", "5", "2", "2"])
+            assert (args.command, args.verb) == ("wps", "report")
+            assert (args.output_format, args.precision) == ("json", None)
+
+    def test_flag_between_command_and_verb_is_an_argument_error(self, capsys):
+        code, out = run_command(["lens", "--format", "table", "classify", "7", "2", "4"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: orbicurves lens: argument verb: invalid choice: 'table' "
+            "(choose from 'classify', 'allowed')\n"
         )
-        assert args.output_format == "table"
-        assert args.precision == 16
-        argv = ["wps", "report", "5", "2", "2"]
-        args = _build_parser(argv).parse_args(argv)
-        assert (args.command, args.verb) == ("wps", "report")
+
+
+def _leaves():
+    """(command argv, leaf arguments) for every leaf of the command table."""
+    for command, (_, spec) in cli._COMMANDS.items():
+        if isinstance(spec, dict):
+            for verb, (_, (_, arguments)) in spec.items():
+                yield [command, verb], arguments
+        else:
+            yield [command], spec[1]
+
+
+_LEAVES = list(_leaves())
+_NAMES = [name for head, _ in _LEAVES for name in head]
+# files of each kind, a missing one, command names and the empty path
+_PATHS = [str(CONFIGS / "line.json"), str(CONFIGS / "teardrop_7.json"), "missing.json"]
+_PATHS += ["lens", "sweep", ""]
+# small enough that every handler returns at once, sweep's forks included;
+# int() reads "+7", " 7" and the Arabic-Indic digit seven as 7
+_INTS = ["2", "3", "4", "5", "7", "8", "16", "+7", " 7", "\u0667"]
+_HOSTILE = [
+    "--form", "--format=table", "--p-max=5", "--", "-h", "--help", "-5", "7_0", "x", "xml",
+    "--bogus", "-",
+]
+_TOKENS = sorted(set(_NAMES + _PATHS + _INTS + _HOSTILE + [
+    "--format", "--precision", "--p-max", "json", "table",
+]))
+
+
+def _plain_value(kwargs: dict):
+    if kwargs.get("choices"):
+        return st.sampled_from(kwargs["choices"])
+    return st.sampled_from(_INTS if kwargs.get("type") is int else _PATHS)
+
+
+@st.composite
+def _argv(draw):
+    """An argv of a random leaf, as units (kind, tokens): the command
+    and verb, the positionals in order, and the leaf's flags and up to
+    four common flags each inserted anywhere.  One value in eight is any
+    token, one argument in sixteen is left out, and half the time one or
+    two tokens are then inserted, replaced or removed.  Returns (argv,
+    plain), where plain means that argv was built well-formed."""
+    head, arguments = draw(st.sampled_from(_LEAVES))
+    plain = True
+
+    def value(kwargs):
+        nonlocal plain
+        if draw(st.integers(0, 7)) == 0:
+            plain = False
+            return draw(st.sampled_from(_TOKENS))
+        return draw(_plain_value(kwargs))
+
+    def kept():
+        nonlocal plain
+        keep = draw(st.integers(0, 15)) > 0
+        plain &= keep
+        return keep
+
+    units = [("head", [name]) for name in head]
+    flags = []
+    for name, kwargs in arguments.items():
+        if not kept():
+            continue
+        if name.startswith("-"):
+            flags.append(("leaf", [name, value(kwargs)]))
+        else:
+            units.append(("positional", [value(kwargs)]))
+    for flag in draw(st.lists(st.sampled_from(list(cli._COMMON_FLAGS)), max_size=4)):
+        flags.append(("common", [flag, value(cli._COMMON_FLAGS[flag])]))
+    for unit in flags:
+        units.insert(draw(st.integers(0, len(units))), unit)
+    kinds = [kind for kind, _ in units]
+    first = kinds.index("head")
+    # common flags before the command, nothing between command and verb
+    plain &= set(kinds[:first]) <= {"common"} and "head" not in kinds[first + len(head):]
+    argv = [token for _, tokens in units for token in tokens]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        plain = False
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "remove"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(_TOKENS)))
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(_TOKENS))
+        else:
+            del argv[i]
+    return argv, plain
+
+
+def _run_main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvReader:
+    """The reader returns the namespace argparse returns, or declines
+    and leaves argv to argparse; either way main ends as it does with
+    argparse alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_reader_agrees_with_argparse(self, drawn):
+        argv, plain = drawn
+        args = _read_argv(argv)
+        if plain:
+            assert args is not None, argv
+        if args is not None:
+            assert vars(args) == vars(parse_with_argparse(argv))
+        got = _run_main(argv)
+        with mock.patch.object(cli, "_read_argv", lambda argv: None):
+            assert got == _run_main(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--form", "table", "lens", "allowed", "7", "3"],
+            ["--format=table", "lens", "allowed", "7", "3"],
+            ["lens", "allowed", "--", "7", "3"],
+            ["lens", "allowed", "7", "3", "-h"],
+            ["lens", "allowed", "-5", "3"],
+            ["lens", "allowed", "7", "x"],
+            ["lens", "allowed", "7"],
+            ["lens", "allowed", "7", "3", "3"],
+            ["lens", "--format", "table", "allowed", "7", "3"],
+            ["sweep", "--p-max=8"],
+            ["sweep", "--p-max", "-3"],
+            ["sweep", "--format", "table"],
+            ["--p-max", "8", "sweep"],
+            ["--format", "xml", "sweep", "--p-max", "8"],
+            ["--precision", "eight", "adjunction", "line.json"],
+            ["adjunction", "line.json", "--format"],
+            ["adjunction", "-"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_declines_all_but_plain_spellings(self, argv):
+        assert _read_argv(argv) is None
+
+    @pytest.mark.parametrize("name,argv", COMMANDS, ids=[n for n, _ in COMMANDS])
+    def test_reads_every_golden_command(self, name, argv):
+        assert vars(_read_argv(argv)) == vars(parse_with_argparse(argv))
+
+    @pytest.mark.parametrize(
+        "spelling,plain",
+        [
+            ("--format=table lens allowed 7 3", "--format table lens allowed 7 3"),
+            ("--form table lens allowed 7 3", "--format table lens allowed 7 3"),
+            ("lens allowed -- 7 3", "lens allowed 7 3"),
+            ("sweep --p-max=8", "sweep --p-max 8"),
+        ],
+        ids=["format_equals", "abbreviation", "double_dash", "p_max_equals"],
+    )
+    def test_argparse_spellings_still_work(self, spelling, plain):
+        assert run_command(spelling.split()) == run_command(plain.split())
 
 
 HELP_TEXTS = json.loads((DATA / "help_texts.json").read_text(encoding="utf-8"))
@@ -807,11 +983,11 @@ new = set(sys.modules) - before
 print(json.dumps([
     code,
     sorted(m for m in new if m.startswith("orbicurves")),
-    sorted(new & {"dataclasses", "inspect", "fractions"}),
+    sorted(new & {"dataclasses", "inspect", "fractions", "argparse", "gettext"}),
 ]))
 """
 MODULE_SETS = [
-    (["--help"], _BASE),
+    (["--help"], _BASE | {"orbicurves.argparser"}),
     (["lens", "classify", "7", "2", "4"], _BASE | _LENS),
     (["lens", "allowed", "5", "2"], _BASE | _LENS),
     (["index", "scan", "5", "2"], _BASE | _INDEX),
@@ -845,16 +1021,21 @@ def _fresh_run(argv: tuple[str, ...]) -> list:
 
 
 class TestParserSize:
-    """Every command and verb is registered with its help, and only the
+    """A well-formed command builds no parser.  Where argparse decides,
+    every command and verb is registered with its help, and only the
     invoked one gets its verbs, flags and arguments: --help builds the
     top level and 7 commands with 10 add_argument calls (7 of them the
-    commands' -h), and lens classify adds its 2 verbs, the leaf flags and
-    3 arguments."""
+    commands' -h), and a declined lens classify adds its 2 verbs, the
+    leaf flags and 3 arguments."""
 
     @pytest.mark.parametrize(
         "argv,parsers,arguments",
-        [(["--help"], 8, 10), (["lens", "classify", "7", "2", "4"], 10, 17)],
-        ids=["help", "lens_classify"],
+        [
+            (["--help"], 8, 10),
+            (["lens", "classify", "7", "2", "4"], 0, 0),
+            (["lens", "classify", "--format=json", "7", "2", "4"], 10, 17),
+        ],
+        ids=["help", "lens_classify", "declined_lens_classify"],
     )
     def test_parser_fills_in_only_the_invoked_branch(
         self, monkeypatch, capsys, argv, parsers, arguments
@@ -894,6 +1075,16 @@ class TestImportGraph:
         if "orbicurves.exact" not in modules:
             unwanted.add("fractions")
         assert not unwanted & set(_fresh_run(tuple(argv))[2])
+
+    @pytest.mark.parametrize("argv,modules", MODULE_SETS, ids=_MODULE_SET_IDS)
+    def test_argparse_loads_only_for_help(self, argv, modules):
+        watched = {"argparse", "gettext"} & set(_fresh_run(tuple(argv))[2])
+        assert watched == ({"argparse", "gettext"} if argv == ["--help"] else set())
+
+    def test_argument_error_loads_argparse(self):
+        code, modules, watched = _fresh_run(("lens", "classify", "7"))
+        assert code == 2
+        assert "orbicurves.argparser" in modules and "argparse" in watched
 
     def test_cli_import_leaves_chains_unloaded(self):
         # In a fresh interpreter: other tests import chains in this one.
