@@ -9,9 +9,9 @@ for a rank-2 pullback over a parametrized orbifold sphere/surface; the
 real index of the associated operator is 2d.  Integrality of d is the
 obstruction driving the lens-space congruence, and
 index_integrality_scan reproduces that test purely through the index:
-it evaluates the first cone point's term once through kawasaki_index
-and computes the second point's term for each q' as an integer
-numerator over p(p+q).
+it evaluates the first cone point's term once through kawasaki_index,
+then makes each q' row's report dict straight from integer numerators
+over p(p+q).
 """
 
 from __future__ import annotations
@@ -104,33 +104,10 @@ def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
     return IndexReport(d=d, index=2 * d)
 
 
-class ScanRow:
-    __slots__ = ("qprime", "caseA_d", "caseB_d", "caseA_integral", "caseB_integral", "allowed")
-
-    def __init__(self, qprime: int, caseA_d: Fraction, caseB_d: Fraction,
-                 caseA_integral: bool, caseB_integral: bool, allowed: bool):
-        self.qprime = qprime
-        self.caseA_d = caseA_d
-        self.caseB_d = caseB_d
-        self.caseA_integral = caseA_integral
-        self.caseB_integral = caseB_integral
-        self.allowed = allowed
-
-    def to_json(self) -> dict:
-        return {
-            "qprime": self.qprime,
-            "caseA_d": format_rational(self.caseA_d),
-            "caseB_d": format_rational(self.caseB_d),
-            "caseA_integral": self.caseA_integral,
-            "caseB_integral": self.caseB_integral,
-            "allowed": self.allowed,
-        }
-
-
-def index_integrality_scan(p: int, q: int) -> Iterator[ScanRow]:
+def index_integrality_scan(p: int, q: int) -> Iterator[dict]:
     """Run kawasaki_index over every candidate q' for the covered-curve
-    limit data between the two cone points of the model, one row per
-    unit q' mod p in increasing order.
+    limit data between the two cone points of the model, one report row
+    (a dict) per unit q' mod p in increasing order.
 
     The domain is a sphere with points of orders p+q and p.  At the
     first point the local representative forces weights (l, 1) with
@@ -141,7 +118,8 @@ def index_integrality_scan(p: int, q: int) -> Iterator[ScanRow]:
     term included, is evaluated once through kawasaki_index.  Every d
     has denominator dividing p(p+q), so for each q' the second point's
     term -(w1+w2)/p is one integer subtraction on numerators over
-    p(p+q); the weights l', 1 and q' already lie in [1, p).
+    p(p+q); the weights l', 1 and q' already lie in [1, p).  The row is
+    made from those numerators: one gcd gives each d's "a/b" text.
 
     (p, q) is checked and the first term evaluated at the call; the rows
     are made lazily, so a scan holds one row at a time.
@@ -154,20 +132,27 @@ def index_integrality_scan(p: int, q: int) -> Iterator[ScanRow]:
     return _scan_rows(p, q, first.numerator * (den // first.denominator), den)
 
 
-def _scan_rows(p: int, q: int, base: int, den: int) -> Iterator[ScanRow]:
+def _scan_rows(p: int, q: int, base: int, den: int) -> Iterator[dict]:
     for qprime in range(1, p):
         if math.gcd(qprime, p) != 1:
             continue
-        lprime = mod_inverse(qprime, p)
-        d_a = Fraction(base - (lprime + 1) * (p + q), den)
-        d_b = Fraction(base - (1 + qprime) * (p + q), den)
-        a_integral = d_a.denominator == 1
-        b_integral = d_b.denominator == 1
-        yield ScanRow(
-            qprime=qprime,
-            caseA_d=d_a,
-            caseB_d=d_b,
-            caseA_integral=a_integral,
-            caseB_integral=b_integral,
-            allowed=a_integral or b_integral,
-        )
+        num_a = base - (pow(qprime, -1, p) + 1) * (p + q)
+        num_b = base - (1 + qprime) * (p + q)
+        a_integral = num_a % den == 0
+        b_integral = num_b % den == 0
+        yield {
+            "qprime": qprime,
+            "caseA_d": _rational_text(num_a, den),
+            "caseB_d": _rational_text(num_b, den),
+            "caseA_integral": a_integral,
+            "caseB_integral": b_integral,
+            "allowed": a_integral or b_integral,
+        }
+
+
+def _rational_text(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for den > 0, by one gcd."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"

@@ -5,7 +5,8 @@ Every command prints one report to standard output, newline-terminated,
 with stable key order and rationals in "a/b" form, so identical inputs
 produce identical bytes.  Exit codes: 0 success, 1 computation failure
 on well-formed input (precision exhaustion and kin) or a report that
-could not be written (standard output closed or full), 2 malformed input.
+could not be written (standard output closed or full, a value past the
+digit limit), 2 malformed input (an integer past that limit too).
 
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
@@ -38,9 +39,9 @@ MIN_PRECISION = 8
 # sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 13-15 s
 # on one (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
-# index scan 99991 2 (the largest prime p allowed): about 0.6 s and 18 MB
-# peak RSS for 18.6 MB of streamed JSON; with --format table 0.7 s and
-# 106 MB (Python 3.11, one core of a 2-core VM)
+# index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB
+# peak RSS for 18.6 MB of streamed JSON; with --format table 1.2 s and
+# 103 MB (whole command, Python 3.11, one core of a 2-core VM)
 MAX_SCAN_P = 100_000
 
 
@@ -249,12 +250,11 @@ def _cmd_index_scan(args) -> dict:
 
     if args.p > MAX_SCAN_P:
         raise InvalidInput(f"index scan p must be <= {MAX_SCAN_P}, got {args.p}")
-    rows = index_integrality_scan(args.p, args.q)
     return {
         "schema": SCHEMA_VERSION,
         "p": args.p,
         "q": args.q,
-        "rows": (r.to_json() for r in rows),
+        "rows": index_integrality_scan(args.p, args.q),
     }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .errors import InvalidInput
 
@@ -44,8 +45,8 @@ def parse_rational(text: str) -> Fraction:
 
 def load(path):
     """The JSON value stored in the file at path.  Text that is not
-    UTF-8 JSON, or nesting deeper than the parser's recursion limit, is
-    invalid input named by its path."""
+    UTF-8 JSON, nesting past the parser's recursion limit or an integer
+    past the digit limit is invalid input named by its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -53,6 +54,9 @@ def load(path):
             raise InvalidInput(f"{path}: JSON nested too deeply") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInput(f"{path}: {exc}") from None
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise InvalidInput(f"{path}: an integer of more than {limit} digits") from None
 
 
 def _fail(where: str, expected: str, value):
@@ -85,6 +89,9 @@ def rational(value, where: str) -> Fraction:
             return parse_rational(value)
         except InvalidInput:
             pass
+        except ValueError:  # a side past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            _fail(where, f"a rational of at most {limit} digits a side", value)
     _fail(where, 'a rational string "a/b"', value)
 
 

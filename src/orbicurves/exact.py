@@ -13,21 +13,25 @@ lens, so the lens commands load neither this module nor fractions.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
 def format_rational(x) -> str:
     """Canonical textual form of an int or Fraction: "a/b" with b > 1,
-    plain "a" for integers.
+    plain "a" for integers.  A side longer than the interpreter writes
+    (sys.get_int_max_str_digits) is an OverflowError.
 
     >>> format_rational(Fraction(-26, 14))
     '-13/7'
     >>> format_rational(Fraction(10, 2))
     '5'
     """
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OverflowError(f"cannot print a report value of more than {limit} digits") from None
 
 
 def is_integer(x) -> bool:

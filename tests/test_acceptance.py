@@ -220,17 +220,17 @@ def test_acceptance_4_integrality_scan_characterization():
         rows_checked = 0
         for p, q in coprime_pairs(60):
             rows = list(index_integrality_scan(p, q))
-            assert [r.qprime for r in rows] == [
+            assert [r["qprime"] for r in rows] == [
                 qp for qp in range(1, p) if gcd(p, qp) == 1
             ]
             for row in rows:
-                should_allow = row.qprime == q or (q * row.qprime) % p == 1 % p
-                assert row.allowed == should_allow
-                rec = cobordism_congruence(p, q, row.qprime)
-                assert row.caseA_integral == rec.caseA_integral
-                assert row.caseB_integral == rec.caseB_integral
+                should_allow = row["qprime"] == q or (q * row["qprime"]) % p == 1 % p
+                assert row["allowed"] == should_allow
+                rec = cobordism_congruence(p, q, row["qprime"])
+                assert row["caseA_integral"] == rec.caseA_integral
+                assert row["caseB_integral"] == rec.caseB_integral
                 residue = (rec.r * (p + q) - q * rec.lprime) % p == 0
-                assert row.caseA_integral == residue
+                assert row["caseA_integral"] == residue
                 rows_checked += 1
         elapsed = time.perf_counter() - start
         assert rows_checked == 30881

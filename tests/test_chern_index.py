@@ -5,15 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from orbicurves.chern_index import (
     EquivariantTrivialization,
     IndexReport,
+    _rational_text,
     chern_split,
     index_integrality_scan,
     kawasaki_index,
 )
 from orbicurves.errors import InvalidInput, InvalidParameters, WeightOutOfRange
+from orbicurves.exact import format_rational
 from orbicurves.lens import allowed_q_set, cobordism_congruence
 from orbicurves.surface import OrbifoldSurface, tangent_c1
 
@@ -118,13 +122,13 @@ class TestKawasaki:
 
 class TestScan:
     def test_frozen_rows_5_2(self):
-        rows = {r.qprime: r for r in index_integrality_scan(5, 2)}
+        rows = {r["qprime"]: r for r in index_integrality_scan(5, 2)}
         assert set(rows) == {1, 2, 3, 4}
-        assert (rows[1].caseA_d, rows[1].caseB_d) == (Fraction(7, 5), Fraction(7, 5))
-        assert (rows[2].caseA_d, rows[2].caseB_d) == (Fraction(1), Fraction(6, 5))
-        assert (rows[3].caseA_d, rows[3].caseB_d) == (Fraction(6, 5), Fraction(1))
-        assert (rows[4].caseA_d, rows[4].caseB_d) == (Fraction(4, 5), Fraction(4, 5))
-        assert [q for q in rows if rows[q].allowed] == [2, 3]
+        assert (rows[1]["caseA_d"], rows[1]["caseB_d"]) == ("7/5", "7/5")
+        assert (rows[2]["caseA_d"], rows[2]["caseB_d"]) == ("1", "6/5")
+        assert (rows[3]["caseA_d"], rows[3]["caseB_d"]) == ("6/5", "1")
+        assert (rows[4]["caseA_d"], rows[4]["caseB_d"]) == ("4/5", "4/5")
+        assert [q for q in rows if rows[q]["allowed"]] == [2, 3]
 
     def test_scan_matches_congruence_allowed(self):
         for p in range(2, 20):
@@ -132,10 +136,10 @@ class TestScan:
                 if math.gcd(p, q) != 1:
                     continue
                 for row in index_integrality_scan(p, q):
-                    rec = cobordism_congruence(p, q, row.qprime)
-                    assert row.allowed == rec.allowed
-                    assert row.caseA_integral == rec.caseA_integral
-                    assert row.caseB_integral == rec.caseB_integral
+                    rec = cobordism_congruence(p, q, row["qprime"])
+                    assert row["allowed"] == rec.allowed
+                    assert row["caseA_integral"] == rec.caseA_integral
+                    assert row["caseB_integral"] == rec.caseB_integral
 
     def test_scan_is_the_oracle_for_the_closed_allowed_set(self):
         # allowed_q_set is {q, q^-1 mod p}; the scan reaches it through
@@ -144,18 +148,27 @@ class TestScan:
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                scanned = [r.qprime for r in index_integrality_scan(p, q) if r.allowed]
+                scanned = [r["qprime"] for r in index_integrality_scan(p, q) if r["allowed"]]
                 assert allowed_q_set(p, q) == scanned
 
     def test_scan_skips_non_coprime(self):
         rows = index_integrality_scan(6, 1)
-        assert [r.qprime for r in rows] == [1, 5]
+        assert [r["qprime"] for r in rows] == [1, 5]
 
     def test_row_json_uses_rational_text(self):
-        row = list(index_integrality_scan(5, 2))[0]
-        data = row.to_json()
-        assert data["caseA_d"] == "7/5"
-        assert data["allowed"] is False
+        row = next(index_integrality_scan(5, 2))
+        assert list(row) == [
+            "qprime", "caseA_d", "caseB_d", "caseA_integral", "caseB_integral", "allowed"
+        ]
+        assert row["caseA_d"] == "7/5"
+        assert row["allowed"] is False
+
+    @given(num=st.integers(), den=st.integers(min_value=1))
+    @example(num=0, den=35)
+    @example(num=-26, den=14)
+    @example(num=-70, den=35)
+    def test_rational_text_is_format_rational(self, num, den):
+        assert _rational_text(num, den) == format_rational(Fraction(num, den))
 
     @staticmethod
     def two_calls_per_qprime(p, q, qprimes):
@@ -171,19 +184,13 @@ class TestScan:
             rows.append((qprime, d_a, d_b, a, b, a or b))
         return rows
 
-    @staticmethod
-    def fields(row):
-        return (row.qprime, row.caseA_d, row.caseB_d,
-                row.caseA_integral, row.caseB_integral, row.allowed)
-
     def test_rows_equal_two_index_calls_per_qprime(self):
         for p in range(2, 61):
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                rows = [self.fields(r) for r in index_integrality_scan(p, q)]
                 units = [u for u in range(1, p) if math.gcd(u, p) == 1]
-                assert rows == self.two_calls_per_qprime(p, q, units)
+                assert list(index_integrality_scan(p, q)) == scan_oracle_rows(p, q, units)
 
     def test_sampled_rows_equal_two_index_calls_at_p_10007(self):
         rng = random.Random(10007)
@@ -191,12 +198,27 @@ class TestScan:
         for q in (1, 2, p - 1, rng.randrange(3, p - 1)):
             rows = list(index_integrality_scan(p, q))
             sample = rng.sample(rows, 200) + [rows[0], rows[-1]]
-            sample += [r for r in rows if r.allowed]
-            want = self.two_calls_per_qprime(p, q, [r.qprime for r in sample])
-            assert [self.fields(r) for r in sample] == want
+            sample += [r for r in rows if r["allowed"]]
+            assert sample == scan_oracle_rows(p, q, [r["qprime"] for r in sample])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameters):
             index_integrality_scan(4, 2)
         with pytest.raises(InvalidParameters):
             index_integrality_scan(5, 0)
+
+
+def scan_oracle_rows(p, q, qprimes):
+    """The report rows of index scan for the given q', made by
+    TestScan.two_calls_per_qprime with each d as format_rational text."""
+    return [
+        {
+            "qprime": qprime,
+            "caseA_d": format_rational(d_a),
+            "caseB_d": format_rational(d_b),
+            "caseA_integral": a,
+            "caseB_integral": b,
+            "allowed": allowed,
+        }
+        for qprime, d_a, d_b, a, b, allowed in TestScan.two_calls_per_qprime(p, q, qprimes)
+    ]

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from orbicurves import cli, wps
 from orbicurves.argparser import build_parser
-from orbicurves.chern_index import index_integrality_scan
 from orbicurves.cli import (
     MAX_SCAN_P,
     MAX_SWEEP_P,
@@ -35,6 +34,7 @@ from orbicurves.cli import (
 from orbicurves.decode import MAX_PRECISION
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
+from test_chern_index import scan_oracle_rows
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -878,8 +878,10 @@ class _NullSink:
 class TestScanStream:
     @staticmethod
     def listed(p: int, q: int) -> dict:
-        rows = [r.to_json() for r in list(index_integrality_scan(p, q))]
-        return {"schema": 1, "p": p, "q": q, "rows": rows}
+        """The whole report, its rows made by two kawasaki_index calls
+        per q' on Fractions."""
+        units = [u for u in range(1, p) if math.gcd(u, p) == 1]
+        return {"schema": 1, "p": p, "q": q, "rows": scan_oracle_rows(p, q, units)}
 
     def test_streamed_output_equals_one_dump(self):
         rng = random.Random(120)

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import signal
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +61,11 @@ def commands(path: Path) -> list[list[str]]:
     return [["adjunction", str(path)]]
 
 
+class RawJSON(str):
+    """A value that mutated() writes as this JSON text, such as an
+    integer of more digits than json.dumps writes."""
+
+
 def mutated(tmp_path, source: Path, path: tuple, value) -> Path:
     """source with the leaf at key path replaced by value."""
     data = json.loads(source.read_text(encoding="utf-8"))
@@ -67,8 +73,11 @@ def mutated(tmp_path, source: Path, path: tuple, value) -> Path:
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    text = json.dumps(data)
+    if isinstance(value, RawJSON):
+        text = text.replace(json.dumps(value), value)
     out = tmp_path / source.name
-    out.write_text(json.dumps(data), encoding="utf-8")
+    out.write_text(text, encoding="utf-8")
     return out
 
 
@@ -389,6 +398,43 @@ class TestGroupComplexInput:
         assert code == 0 and json.loads(out)["betti"] == [1, 0, 1]
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE_INTEGER = RawJSON("1" + "0" * 5000)  # 10**5000, past the JSON reader
+HUGE_RATIONAL = "7" * 5000  # past int()
+HUGE_DENOMINATOR = "1/" + "7" * 3000  # read, but its square cannot be printed
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on int <-> str conversion")
+class TestMagnitudes:
+    """No int <-> str conversion lifts the interpreter's digit limit,
+    and a value past it ends on one line that names what it can."""
+
+    CUSPIDAL = CONFIGS / "cuspidal_cubic.json"
+    COEFFICIENT = (*POINT, "germ", "U", "terms", 0, 1, "re")
+
+    def test_huge_rational_names_the_field(self, tmp_path):
+        path = str(mutated(tmp_path, self.CUSPIDAL, self.COEFFICIENT, HUGE_RATIONAL))
+        assert run(["adjunction", path]) == (
+            2,
+            "",
+            "error: stations[0].points[0].germ.U.terms[0][1].re: expected a rational "
+            f'of at most {DIGIT_LIMIT} digits a side, got "{"7" * 79}... (5002 characters)\n',
+        )
+
+    @pytest.mark.parametrize("command", ["betti", "validate"])
+    def test_huge_json_integer_names_the_file(self, tmp_path, command):
+        path = str(mutated(tmp_path, TEARDROP, ("orders", "0"), HUGE_INTEGER))
+        assert run(["chains", command, path]) == (
+            2, "", f"error: {path}: an integer of more than {DIGIT_LIMIT} digits\n"
+        )
+
+    def test_report_past_the_limit_exits_1(self, tmp_path):
+        path = str(mutated(tmp_path, self.CUSPIDAL, ("class", "coords", 0), HUGE_DENOMINATOR))
+        assert run(["adjunction", path]) == (
+            1, "", f"error: cannot print a report value of more than {DIGIT_LIMIT} digits\n"
+        )
+
+
 def _leaves(node, path=()):
     """Key paths of every scalar or empty container in a JSON value."""
     if isinstance(node, (dict, list)) and node:
@@ -404,7 +450,10 @@ LEAVES = [
     for source in INPUT_FILES
     for path in _leaves(json.loads(source.read_text(encoding="utf-8")))
 ]
-VALUES = [True, False, 1.5, "3", None, [], {}, -1, 0, 10**40, "x", [1]]
+VALUES = [
+    True, False, 1.5, "3", None, [], {}, -1, 0, 10**40, "x", [1],
+    HUGE_INTEGER, HUGE_RATIONAL, HUGE_DENOMINATOR,
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,3 +469,5 @@ def test_single_leaf_mutations_end_cleanly(tmp_path_factory, leaf, value):
             assert "Traceback" not in err
         if isinstance(value, (bool, float)):  # no field of any input file takes one
             assert code == 2, (argv, path, value, err)
+        if isinstance(value, RawJSON) and DIGIT_LIMIT:  # the reader stops at it
+            assert code == 2 and str(file) in err, (argv, path, err)
