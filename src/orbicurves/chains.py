@@ -7,10 +7,11 @@ type is WeightedComplex (simplices plus an order per simplex, subject
 to divisibility along faces).  The weighted boundary has one form, the
 sparse integer matrices of boundary_matrices, built from the signed
 face weights of _face_weights; the Betti numbers and the
-boundary-squared check both read them.  Full group data with
-homomorphisms and twist cocycles is carried by GroupComplexFull and
-only validated; a file with orders alone carries the canonical cyclic
-structure, which is valid by construction (validate_file).
+boundary-squared check both read them.  Full group data, explicit
+multiplication tables with homomorphisms and twist cocycles, is only
+validated, in one function (validate_group_complex); a file with
+orders alone carries the canonical cyclic structure, which is valid by
+construction (validate_file).
 
 Orientation convention: a simplex is its sorted vertex tuple; the i-th
 face omits vertex i and enters the boundary with sign (-1)^i.
@@ -258,12 +259,8 @@ class FiniteGroup:
     __slots__ = ("table",)
 
     def __init__(self, table):
-        rows = tuple(tuple(row) for row in table)
+        rows = _table_rows(table)
         n = len(rows)
-        _check_group_order(n)
-        for row in rows:
-            if len(row) != n or any(not isinstance(x, int) or not 0 <= x < n for x in row):
-                raise MalformedTable("table must be square with entries in range")
         for i in range(n):
             if rows[0][i] != i or rows[i][0] != i:
                 raise MalformedTable("element 0 must be the identity")
@@ -290,6 +287,18 @@ class FiniteGroup:
         return self.table[i].index(0)
 
 
+def _table_rows(table) -> tuple[tuple[int, ...], ...]:
+    """The rows of a multiplication table as tuples, checked to be square
+    with integer entries (never a bool) in range."""
+    rows = tuple(tuple(row) for row in table)
+    n = len(rows)
+    _check_group_order(n)
+    for row in rows:
+        if len(row) != n or any(not is_int(x) or not 0 <= x < n for x in row):
+            raise MalformedTable("table must be square with entries in range")
+    return rows
+
+
 def _check_group_order(n: int) -> None:
     if not 1 <= n <= MAX_GROUP_ORDER:
         raise MalformedTable(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
@@ -300,64 +309,6 @@ def _proper_faces(simplex: Simplex) -> list[Simplex]:
     return [tuple(v for i, v in enumerate(simplex) if m >> i & 1) for m in masks]
 
 
-class GroupComplexFull:
-    """Full complex-of-groups data over a weighted complex: one group
-    per simplex, one homomorphism psi_a per face relation (from the
-    bigger simplex's group into the face's group), and one twist element
-    g_{a,b} per composable pair of face relations.
-
-    homs keys are "big|small" simplex key pairs; twists keys are
-    "big|mid|small" triples and the element lives in the smallest
-    simplex's group.  Missing twists default to the identity.  A groups
-    key must name a simplex of the complex.
-    """
-
-    __slots__ = ("complex", "groups", "homs", "twists")
-
-    def __init__(self, complex: WeightedComplex, groups: dict, homs: dict, twists=None):
-        simplices = set(complex.simplices)
-        self.complex = complex
-        self.groups = {}
-        keys: dict[Simplex, str] = {}
-        for key, table in groups.items():
-            s = _key_simplex(key, keys, "groups")
-            if s not in simplices:
-                raise MalformedTable(
-                    f"{key_path('groups', keys[s])}: names no simplex of the complex"
-                )
-            self.groups[s] = table if isinstance(table, FiniteGroup) else FiniteGroup(table)
-        self.homs = homs
-        self.twists = {} if twists is None else twists
-        for s in complex.simplices:
-            if s not in self.groups:
-                raise MalformedTable(f"no group table for simplex {s}")
-            if self.groups[s].order != complex.order(s):
-                raise MalformedTable(
-                    f"group at {s} has order {self.groups[s].order}, complex "
-                    f"declares {complex.order(s)}"
-                )
-
-    def group(self, simplex: Simplex) -> FiniteGroup:
-        return self.groups[simplex]
-
-    def _hom(self, key: str, big: Simplex, small: Simplex) -> list[int]:
-        if key not in self.homs:
-            raise MalformedTable(f"missing homomorphism for face relation {key}")
-        images = list(self.homs[key])
-        if len(images) != self.group(big).order or any(
-            not isinstance(x, int) or not 0 <= x < self.group(small).order
-            for x in images
-        ):
-            raise MalformedTable(f"homomorphism {key} has the wrong shape")
-        return images
-
-    def _twist(self, key: str, small: Simplex) -> int:
-        value = self.twists.get(key, 0)
-        if not isinstance(value, int) or not 0 <= value < self.group(small).order:
-            raise MalformedTable(f"twist {key} is out of range")
-        return value
-
-
 def _named_only(name: str, table: dict, known: set[str], what: str) -> None:
     """Reject the first key of table that is not in known, the keys of
     the complex's face relations or composable pairs."""
@@ -366,33 +317,69 @@ def _named_only(name: str, table: dict, known: set[str], what: str) -> None:
             raise MalformedTable(f"{key_path(name, k)}: names no {what} of the complex")
 
 
-def validate_group_complex(g: GroupComplexFull) -> bool:
-    """True iff every psi_a is an injective homomorphism and both twist
-    cocycle identities hold on all composable pairs and triples.
-    Structurally broken tables raise MalformedTable, as does a homs or
-    twists key that names no face relation or composable pair; values
-    that merely fail the identities return False.
+def validate_group_complex(w: WeightedComplex, groups: dict, homs: dict, twists=None) -> bool:
+    """True iff the tables make a complex of groups over w: one group per
+    simplex, of the simplex's order; one homomorphism psi_a per face
+    relation, from the bigger simplex's group into the face's group; one
+    twist element g_{a,b} per composable pair of face relations, in the
+    smallest simplex's group.  Every psi_a must be an injective
+    homomorphism, and both twist cocycle identities must hold on all
+    composable pairs and triples.
+
+    groups maps a simplex key such as "0,1" (or a vertex tuple) to its
+    multiplication table; homs keys are "big|small" simplex key pairs
+    and twists keys "big|mid|small" triples, and a missing twist is the
+    identity.  Structurally broken tables raise MalformedTable, as does
+    a key that names no simplex, face relation or composable pair;
+    values that merely fail the identities return False.  Each distinct
+    table is checked as a group once, however many simplices carry it.
 
     The face relations are indexed once as below[big] -> [small, ...],
     so the composable pairs big > mid > small are the relations (big,
     mid) followed by below[mid], and the triples extend them by
     below[small].
     """
-    w = g.complex
+    twists = {} if twists is None else twists
+    simplices = set(w.simplices)
+    built: dict[tuple, FiniteGroup] = {}  # one group per distinct table
+    group: dict[Simplex, FiniteGroup] = {}
+    keys: dict[Simplex, str] = {}
+    for k, table in groups.items():
+        s = _key_simplex(k, keys, "groups")
+        if s not in simplices:
+            raise MalformedTable(
+                f"{key_path('groups', keys[s])}: names no simplex of the complex"
+            )
+        rows = _table_rows(table)
+        if rows not in built:
+            built[rows] = FiniteGroup(rows)
+        group[s] = built[rows]
+    for s in w.simplices:
+        if s not in group:
+            raise MalformedTable(f"no group table for simplex {s}")
+        if group[s].order != w.order(s):
+            raise MalformedTable(
+                f"group at {s} has order {group[s].order}, complex declares {w.order(s)}"
+            )
     key = {s: _simplex_key(s) for s in w.simplices}
     # the complex is closed under faces, so every proper face is in it
     below = {s: _proper_faces(s) for s in w.simplices}
     relations = [(big, small) for big in w.simplices for small in below[big]]
     hom_keys = {f"{key[big]}|{key[small]}" for big, small in relations}
-    _named_only("homs", g.homs, hom_keys, "face relation")
+    _named_only("homs", homs, hom_keys, "face relation")
     twist_keys = {
         f"{key[big]}|{key[mid]}|{key[small]}" for big, mid in relations for small in below[mid]
     }
-    _named_only("twists", g.twists, twist_keys, "composable pair")
+    _named_only("twists", twists, twist_keys, "composable pair")
     psi = {}
     for big, small in relations:
-        images = g._hom(f"{key[big]}|{key[small]}", big, small)
-        gb, gs = g.group(big), g.group(small)
+        name = f"{key[big]}|{key[small]}"
+        if name not in homs:
+            raise MalformedTable(f"missing homomorphism for face relation {name}")
+        images = list(homs[name])
+        gb, gs = group[big], group[small]
+        if len(images) != gb.order or any(not is_int(x) or not 0 <= x < gs.order for x in images):
+            raise MalformedTable(f"homomorphism {name} has the wrong shape")
         if len(set(images)) != len(images):
             return False
         if images[0] != 0:
@@ -406,13 +393,16 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
     for big, mid in relations:
         b = psi[(big, mid)]
         for small in below[mid]:
-            gsm = g.group(small)
-            t = g._twist(f"{key[big]}|{key[mid]}|{key[small]}", small)
+            gsm = group[small]
+            name = f"{key[big]}|{key[mid]}|{key[small]}"
+            t = twists.get(name, 0)
+            if not is_int(t) or not 0 <= t < gsm.order:
+                raise MalformedTable(f"twist {name} is out of range")
             twist[(big, mid, small)] = t
             t_inv = gsm.inverse(t)
             a = psi[(mid, small)]
             ab = psi[(big, small)]
-            for x in range(g.group(big).order):
+            for x in range(group[big].order):
                 lhs = gsm.mul(gsm.mul(t, ab[x]), t_inv)
                 rhs = a[b[x]]
                 if lhs != rhs:
@@ -420,7 +410,7 @@ def validate_group_complex(g: GroupComplexFull) -> bool:
     # every twist of a triple below was range-checked in the pair loop
     for (big, mid, small), t in twist.items():
         for tiny in below[small]:
-            gt = g.group(tiny)
+            gt = group[tiny]
             lhs = gt.mul(psi[(small, tiny)][t], twist[(big, small, tiny)])
             rhs = gt.mul(twist[(mid, small, tiny)], twist[(big, mid, tiny)])
             if lhs != rhs:
@@ -449,9 +439,9 @@ def validate_file(path: str) -> bool:
     groups = data["groups"]
     homs = data.get("homs", {})
     twists = data.get("twists", {})
-    return validate_group_complex(GroupComplexFull(
-        complex=w,
+    return validate_group_complex(
+        w,
         groups={k: list_(t, key_path("groups", k), item=_int_list) for k, t in groups.items()},
         homs={k: _int_list(h, key_path("homs", k)) for k, h in homs.items()},
         twists={k: int_(t, key_path("twists", k)) for k, t in twists.items()},
-    ))
+    )

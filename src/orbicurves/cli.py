@@ -152,7 +152,8 @@ def write_report(result: dict, output_format: str, out) -> None:
 
 def _with_retries(compute, start: int | None):
     """Run compute(trunc) with doubling retries on PrecisionExhausted.
-    start None means: try the input's own truncation first."""
+    start None means: try the input's own truncation first.  Past the
+    last rung, MAX_PRECISION, the error says that the cap was reached."""
     from .germ import DEFAULT_TRUNCATION
 
     if start is None:
@@ -164,9 +165,11 @@ def _with_retries(compute, start: int | None):
     while True:
         try:
             return compute(trunc)
-        except PrecisionExhausted:
+        except PrecisionExhausted as exc:
             if trunc >= MAX_PRECISION:
-                raise
+                raise PrecisionExhausted(
+                    f"unresolved at truncation {MAX_PRECISION}, the cap: {exc}"
+                ) from None
             trunc = min(2 * trunc, MAX_PRECISION)
 
 
@@ -175,7 +178,6 @@ def _cmd_lens_classify(args) -> dict:
 
     first = LensSpace(args.p, args.q)
     second = LensSpace(args.p, args.qprime)
-    record = cobordism_congruence(args.p, args.q, args.qprime)
     return {
         "schema": SCHEMA_VERSION,
         "p": args.p,
@@ -183,7 +185,7 @@ def _cmd_lens_classify(args) -> dict:
         "q_prime": args.qprime,
         "equivalent_unoriented": lens_equivalent(first, second),
         "equivalent_oriented": lens_equivalent(first, second, oriented=True),
-        "congruence": record.to_json(),
+        "congruence": cobordism_congruence(args.p, args.q, args.qprime),
     }
 
 

@@ -646,8 +646,8 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
         if not det.is_zero_to_precision():
             return det.order()
     raise PrecisionExhausted(
-        "resultant vanishes to the available truncation; raise the "
-        "precision or check that the branches are distinct"
+        "resultant vanishes to the available truncation; check that the "
+        "branches are distinct"
     )
 
 

@@ -13,6 +13,7 @@ evaluates it).  With r = (1 - l*p)/(p+q), so that r = q^{-1} (mod p),
 the two cases give d_A = 2 + (r - l')/p and d_B = 2 + (r - q')/p, hence
 case A holds iff q' = q and case B iff q*q' = 1 (mod p).  This module
 uses that closed form; chern_index.index_integrality_scan is its oracle.
+cobordism_congruence returns its record as the report's own dict.
 """
 
 from __future__ import annotations
@@ -117,43 +118,19 @@ def lens_equivalent(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> boo
     return qp % p in candidates
 
 
-class CongruenceRecord:
-    """Result of the cobordism congruence test for (p, q, q').
+def cobordism_congruence(p: int, q: int, qprime: int) -> dict:
+    """Integrality obstruction for connecting L(p, q) to L(p, q'), as
+    the report's congruence record: a dict with keys p, q, qprime, l, r,
+    lprime, caseA_integral, caseB_integral, allowed, in that order.
 
     l is the inverse of p mod p+q, r the exact integer (1 - l*p)/(p+q),
-    l' the inverse of q' mod p.  caseA/caseB record integrality of the
-    index with the two candidate local weight patterns at the second
-    singular point; allowed means at least one case passes.  Since
+    l' the inverse of q' mod p.  The two cases correspond to the two
+    candidate local forms of a holomorphic annulus limit at the second
+    cone point: case A with weights (l', 1) where l'*q' = 1 (mod p), case
+    B with weights (1, q'); caseA/caseB record integrality of the index
+    for each, and allowed means at least one passes.  Since
     d_A = 2 + (r - l')/p and d_B = 2 + (r - q')/p with r = q^{-1}
     (mod p), caseA is q' = q and caseB is q*q' = 1 (mod p).
-    """
-
-    __slots__ = ("p", "q", "qprime", "l", "r", "lprime", "caseA_integral",
-                 "caseB_integral", "allowed")
-
-    def __init__(self, p: int, q: int, qprime: int, l: int, r: int, lprime: int,
-                 caseA_integral: bool, caseB_integral: bool, allowed: bool):
-        self.p = p
-        self.q = q
-        self.qprime = qprime
-        self.l = l
-        self.r = r
-        self.lprime = lprime
-        self.caseA_integral = caseA_integral
-        self.caseB_integral = caseB_integral
-        self.allowed = allowed
-
-    def to_json(self) -> dict:
-        # the report's keys, in order, are the slots
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:
-    """Integrality obstruction for connecting L(p, q) to L(p, q').
-
-    The two cases correspond to the two candidate local forms of a
-    holomorphic annulus limit at the second cone point: case A with
-    weights (l', 1) where l'*q' = 1 (mod p), case B with weights (1, q').
     """
     _check_lens_params(p, q)
     _check_lens_params(p, qprime, name="q'")
@@ -164,17 +141,17 @@ def cobordism_congruence(p: int, q: int, qprime: int) -> CongruenceRecord:
     r = num // (p + q)
     case_a = qprime == q
     case_b = (q * qprime) % p == 1
-    return CongruenceRecord(
-        p=p,
-        q=q,
-        qprime=qprime,
-        l=l,
-        r=r,
-        lprime=mod_inverse(qprime, p),
-        caseA_integral=case_a,
-        caseB_integral=case_b,
-        allowed=case_a or case_b,
-    )
+    return {
+        "p": p,
+        "q": q,
+        "qprime": qprime,
+        "l": l,
+        "r": r,
+        "lprime": mod_inverse(qprime, p),
+        "caseA_integral": case_a,
+        "caseB_integral": case_b,
+        "allowed": case_a or case_b,
+    }
 
 
 def allowed_q_set(p: int, q: int) -> list[int]:

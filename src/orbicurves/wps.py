@@ -31,7 +31,6 @@ from .errors import Disallowed, InvalidInput
 from .exact import format_rational
 from .germ import germ_from_polynomials
 from .lens import (
-    CongruenceRecord,
     SingularityType,
     _check_lens_params,
     allowed_q_set,
@@ -64,7 +63,7 @@ class WpsModel:
     def c1_value(self) -> Fraction:
         return self.ambient.c1_vector[0]
 
-    def congruence(self) -> CongruenceRecord:
+    def congruence(self) -> dict:
         return cobordism_congruence(self.p, self.q, self.qprime)
 
 
@@ -104,12 +103,7 @@ def c0prime_cases(m: WpsModel) -> list[str]:
     """Which local forms at x' pass the integrality congruence, in
     preference order."""
     record = m.congruence()
-    out = []
-    if record.caseA_integral:
-        out.append("A")
-    if record.caseB_integral:
-        out.append("B")
-    return out
+    return [case for case in ("A", "B") if record[f"case{case}_integral"]]
 
 
 def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
@@ -123,7 +117,7 @@ def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
         record = m.congruence()
         raise Disallowed(
             f"no integral local form at x' for (p, q, q') = "
-            f"({m.p}, {m.q}, {m.qprime}); congruence record {record.to_json()}"
+            f"({m.p}, {m.q}, {m.qprime}); congruence record {record}"
         )
     if case is None:
         case = cases[0]
@@ -253,7 +247,7 @@ def dossier(m: WpsModel) -> dict:
         },
         "seifert_euler": format_rational(seifert_euler(m)),
         "uniqueness_inequality": uniqueness_inequality(m),
-        "congruence": record.to_json(),
+        "congruence": record,
         "cases": cases,
         "index_C0": c0_index(m, c0).to_json(),
         "C0": {

@@ -13,7 +13,7 @@ import math
 import random
 from itertools import combinations
 
-from orbicurves.chains import FiniteGroup, GroupComplexFull, WeightedComplex
+from orbicurves.chains import WeightedComplex
 
 ORDER_POOL = (1, 1, 1, 2, 2, 3, 4, 6, 8, 12)
 
@@ -57,12 +57,15 @@ def simplex_key(simplex) -> str:
     return ",".join(map(str, simplex))
 
 
-def canonical_group_complex(w: WeightedComplex) -> GroupComplexFull:
+def canonical_group_complex(w: WeightedComplex) -> dict:
     """The structure chains validate assumes on a file with orders
-    alone, written out: cyclic groups of the declared orders, psi(i) =
-    i * (n_f / n_s) mod n_f from a simplex s into each proper face f,
-    identity twists.  Simplices of equal order share one group table."""
-    tables = {n: FiniteGroup(cyclic_table(n)) for n in set(map(w.order, w.simplices))}
+    alone, written out as validate_group_complex(w, **result) reads it:
+    "groups" maps each simplex (a vertex tuple) to the table of the
+    cyclic group of its order, "homs" each face relation to psi(i) =
+    i * (n_f / n_s) mod n_f from a simplex s into its proper face f, and
+    the twists are the identity.  Simplices of equal order share one
+    table."""
+    tables = {n: cyclic_table(n) for n in set(map(w.order, w.simplices))}
     homs = {}
     for big in w.simplices:
         nb = w.order(big)
@@ -72,8 +75,7 @@ def canonical_group_complex(w: WeightedComplex) -> GroupComplexFull:
                 homs[f"{simplex_key(big)}|{simplex_key(small)}"] = [
                     i * (ns // nb) % ns for i in range(nb)
                 ]
-    groups = {s: tables[w.order(s)] for s in w.simplices}
-    return GroupComplexFull(complex=w, groups=groups, homs=homs)
+    return {"groups": {s: tables[w.order(s)] for s in w.simplices}, "homs": homs}
 
 
 def complex_data(w: WeightedComplex) -> dict:

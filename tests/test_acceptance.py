@@ -227,9 +227,9 @@ def test_acceptance_4_integrality_scan_characterization():
                 should_allow = row["qprime"] == q or (q * row["qprime"]) % p == 1 % p
                 assert row["allowed"] == should_allow
                 rec = cobordism_congruence(p, q, row["qprime"])
-                assert row["caseA_integral"] == rec.caseA_integral
-                assert row["caseB_integral"] == rec.caseB_integral
-                residue = (rec.r * (p + q) - q * rec.lprime) % p == 0
+                assert row["caseA_integral"] == rec["caseA_integral"]
+                assert row["caseB_integral"] == rec["caseB_integral"]
+                residue = (rec["r"] * (p + q) - q * rec["lprime"]) % p == 0
                 assert row["caseA_integral"] == residue
                 rows_checked += 1
         elapsed = time.perf_counter() - start

@@ -9,7 +9,6 @@ import pytest
 from orbicurves import chains
 from orbicurves.chains import (
     FiniteGroup,
-    GroupComplexFull,
     WeightedComplex,
     boundary_matrices,
     boundary_squared_is_zero,
@@ -245,57 +244,50 @@ def s3_table():
 class TestGroupComplex:
     def test_cyclic_structure_validates(self):
         for p in (1, 2, 7, 12):
-            assert validate_group_complex(canonical_group_complex(teardrop_complex(p)))
+            w = teardrop_complex(p)
+            assert validate_group_complex(w, **canonical_group_complex(w))
 
     def test_cyclic_structure_validates_on_random(self):
         rng = random.Random(5)
         for _ in range(5):
             w = random_weighted_complex(rng, n_vertices=6, n_tops=4)
-            assert validate_group_complex(canonical_group_complex(w))
+            assert validate_group_complex(w, **canonical_group_complex(w))
 
     def test_missing_group_rejected(self):
         w = teardrop_complex(2)
         with pytest.raises(MalformedTable):
-            GroupComplexFull(complex=w, groups={}, homs={})
+            validate_group_complex(w, groups={}, homs={})
 
     def test_group_order_mismatch_rejected(self):
         w = teardrop_complex(2)
         g = canonical_group_complex(w)
-        groups = {k: v for k, v in g.groups.items()}
-        groups[(0,)] = FiniteGroup(cyclic_table(3))
+        groups = dict(g["groups"])
+        groups[(0,)] = cyclic_table(3)
         with pytest.raises(MalformedTable):
-            GroupComplexFull(complex=w, groups=groups, homs=g.homs)
+            validate_group_complex(w, groups=groups, homs=g["homs"])
 
     def test_missing_hom_raises(self):
         w = teardrop_complex(2)
         g = canonical_group_complex(w)
-        broken = GroupComplexFull(complex=w, groups=g.groups, homs={})
         with pytest.raises(MalformedTable):
-            validate_group_complex(broken)
+            validate_group_complex(w, groups=g["groups"], homs={})
 
     def test_non_homomorphism_fails(self):
         w = teardrop_complex(4)
         g = canonical_group_complex(w)
-        homs = dict(g.homs)
+        homs = dict(g["homs"])
         # send the generator of the trivial group away from the identity
         key = next(k for k in homs if k.endswith("|0") and homs[k] == [0])
         homs[key] = [1]
-        broken = GroupComplexFull(complex=w, groups=g.groups, homs=homs)
-        assert validate_group_complex(broken) is False
+        assert validate_group_complex(w, groups=g["groups"], homs=homs) is False
 
     def test_corrupted_twist_fails_composition_identity(self):
         # solid tetrahedron: four levels of nested simplices make the
         # twist composition identity non-vacuous
         w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
         g = canonical_group_complex(w)
-        assert validate_group_complex(g)
-        twisted = GroupComplexFull(
-            complex=w,
-            groups=g.groups,
-            homs=g.homs,
-            twists={"0,1,2,3|0,1|0": 1},
-        )
-        assert validate_group_complex(twisted) is False
+        assert validate_group_complex(w, **g)
+        assert validate_group_complex(w, **g, twists={"0,1,2,3|0,1|0": 1}) is False
 
     def test_corrupted_twist_fails_only_the_triple_identity(self):
         # every simplex has group Z/2 (the gcd weighting of vertices of
@@ -308,23 +300,14 @@ class TestGroupComplex:
             [tetra], {s: 2 for k in range(1, 5) for s in combinations(tetra, k)}
         )
         g = canonical_group_complex(w)
-        assert validate_group_complex(g)
-        twisted = GroupComplexFull(
-            complex=w,
-            groups=g.groups,
-            homs=g.homs,
-            twists={"0,1,2,3|0,1,2|0,1": 1},
-        )
-        assert validate_group_complex(twisted) is False
+        assert validate_group_complex(w, **g)
+        assert validate_group_complex(w, **g, twists={"0,1,2,3|0,1,2|0,1": 1}) is False
 
     def test_out_of_range_twist_rejected(self):
         w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
         g = canonical_group_complex(w)
-        twisted = GroupComplexFull(
-            complex=w, groups=g.groups, homs=g.homs, twists={"0,1,2,3|0,1|0": 9}
-        )
         with pytest.raises(MalformedTable):
-            validate_group_complex(twisted)
+            validate_group_complex(w, **g, twists={"0,1,2,3|0,1|0": 9})
 
     def test_load_defaults_to_cyclic(self, tmp_path):
         # the boundary of a tetrahedron with a cone point of order 3: the
@@ -335,9 +318,44 @@ class TestGroupComplex:
             json.dumps({"simplices": triangles, "orders": {"0": 3}}), encoding="utf-8"
         )
         assert validate_file(str(path)) is True
-        g = canonical_group_complex(load_complex(str(path)))
-        assert validate_group_complex(g)
-        assert g.group((0,)).order == 3
+        w = load_complex(str(path))
+        g = canonical_group_complex(w)
+        assert validate_group_complex(w, **g)
+        assert FiniteGroup(g["groups"][(0,)]).order == 3
+
+
+class TestNoBoolElement:
+    """True is never read as the group element 1: a library caller's
+    tables reach the validator without the file reader's type checks."""
+
+    def test_bool_table_entry_rejected(self):
+        with pytest.raises(MalformedTable, match="entries in range"):
+            FiniteGroup([[0, True], [True, 0]])
+
+    def test_bool_table_not_taken_for_an_equal_int_table(self):
+        # True == 1 and hash(True) == hash(1): a table that differs from
+        # a checked one only by bools must not reuse its group
+        w = WeightedComplex([(0, 1)], {(0,): 2, (1,): 2, (0, 1): 2})
+        z2 = cyclic_table(2)
+        groups = {"0": z2, "1": z2, "0,1": [[0, True], [True, 0]]}
+        homs = {"0,1|0": [0, 1], "0,1|1": [0, 1]}
+        assert validate_group_complex(w, groups={**groups, "0,1": z2}, homs=homs)
+        with pytest.raises(MalformedTable, match="entries in range"):
+            validate_group_complex(w, groups=groups, homs=homs)
+
+    def test_bool_hom_image_rejected(self):
+        w = WeightedComplex([(0, 1)], {(0,): 2, (1,): 2, (0, 1): 2})
+        g = canonical_group_complex(w)
+        assert g["homs"]["0,1|0"] == [0, 1]
+        homs = {**g["homs"], "0,1|0": [0, True]}
+        with pytest.raises(MalformedTable, match="homomorphism 0,1\\|0 has the wrong shape"):
+            validate_group_complex(w, groups=g["groups"], homs=homs)
+
+    def test_bool_twist_rejected(self):
+        w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
+        g = canonical_group_complex(w)
+        with pytest.raises(MalformedTable, match="twist 0,1,2,3\\|0,1\\|0 is out of range"):
+            validate_group_complex(w, **g, twists={"0,1,2,3|0,1|0": True})
 
 
 class TestNonabelianConjugation:
@@ -373,17 +391,13 @@ class TestNonabelianConjugation:
             homs[f"0,1,2|{v}"] = embed
         if tri_to_vertex_fix:
             homs["0,1,2|0"] = [0, transpo_02]
-        return GroupComplexFull(
-            complex=w, groups=groups, homs=homs, twists=twists
-        ), index
+        return w, groups, homs, twists
 
     def test_consistent_structure_validates(self):
-        g, _ = self.build(tri_to_vertex_fix=False, twists={})
-        assert validate_group_complex(g)
+        assert validate_group_complex(*self.build(tri_to_vertex_fix=False, twists={}))
 
     def test_mismatched_embedding_fails_without_twist(self):
-        g, _ = self.build(tri_to_vertex_fix=True, twists={})
-        assert validate_group_complex(g) is False
+        assert validate_group_complex(*self.build(tri_to_vertex_fix=True, twists={})) is False
 
     def test_conjugating_twist_repairs_the_mismatch(self):
         table, perms, index = s3_table()
@@ -399,8 +413,7 @@ class TestNonabelianConjugation:
         twists = {
             f"0,1,2|{e}|0": fixers[0] for e in ("0,1", "0,2")
         }
-        g, _ = self.build(tri_to_vertex_fix=True, twists=twists)
-        assert validate_group_complex(g)
+        assert validate_group_complex(*self.build(tri_to_vertex_fix=True, twists=twists))
 
 
 class TestChainsBettiCli:
@@ -435,7 +448,7 @@ class TestChainsValidateCli:
         rng = random.Random(16)
         complexes = [random_weighted_complex(rng, n_vertices=6, n_tops=4) for _ in range(8)]
         for w in complexes + [cone_torus(3, 4), teardrop_complex(7)]:
-            assert validate_group_complex(canonical_group_complex(w))
+            assert validate_group_complex(w, **canonical_group_complex(w))
             code, out, err = self.run(tmp_path, capsys, complex_data(w))
             assert (code, json.loads(out), err) == (0, {"schema": 1, "valid": True}, "")
 
@@ -446,11 +459,8 @@ class TestChainsValidateCli:
         g = canonical_group_complex(w)
         return {
             **complex_data(w),
-            "groups": {
-                simplex_key(s): [list(row) for row in t.table]
-                for s, t in g.groups.items()
-            },
-            "homs": g.homs,
+            "groups": {simplex_key(s): t for s, t in g["groups"].items()},
+            "homs": g["homs"],
             "twists": twists,
         }
 
@@ -460,6 +470,43 @@ class TestChainsValidateCli:
         broken = self.explicit_tables({"0,1,2,3|0,1|0": 1})
         code, out, err = self.run(tmp_path, capsys, broken)
         assert (code, json.loads(out)["valid"], err) == (0, False, "")
+
+    def test_each_distinct_table_is_built_once(self, tmp_path, capsys, monkeypatch):
+        # the tetrahedron's fifteen simplices carry two distinct tables,
+        # Z/4 at vertex 0 and Z/1 everywhere else
+        built = []
+        finite_group = chains.FiniteGroup
+        monkeypatch.setattr(
+            chains, "FiniteGroup", lambda table: built.append(table) or finite_group(table)
+        )
+        data = self.explicit_tables({})
+        assert len(data["groups"]) == 15
+        code, out, err = self.run(tmp_path, capsys, data)
+        assert (code, json.loads(out)["valid"], err) == (0, True, "")
+        assert sorted(map(len, built)) == [1, 4]
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda d: d["groups"].pop("1,2"), "no group table for simplex (1, 2)"),
+            (lambda d: d["groups"].update({"0": cyclic_table(2)}),
+             "group at (0,) has order 2, complex declares 4"),
+            (lambda d: d["groups"].update({"0": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                                 [2, 3, 0, 1], [3, 2, 1, 1]]}),
+             "rows and columns must be permutations"),
+            (lambda d: d["homs"].pop("0,1,2|0,2"),
+             "missing homomorphism for face relation 0,1,2|0,2"),
+            (lambda d: d["twists"].update({"0,1,2,3|0,1|0": 4}),
+             "twist 0,1,2,3|0,1|0 is out of range"),
+        ],
+        ids=["missing_group", "wrong_order", "malformed_table", "missing_hom", "twist_range"],
+    )
+    def test_single_fault_exits_2_with_one_line(self, tmp_path, capsys, fault, message):
+        # a key naming nothing is test_key_naming_nothing_exits_2's case
+        data = self.explicit_tables({})
+        fault(data)
+        code, out, err = self.run(tmp_path, capsys, data)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "maps,key",

@@ -137,9 +137,9 @@ class TestScan:
                     continue
                 for row in index_integrality_scan(p, q):
                     rec = cobordism_congruence(p, q, row["qprime"])
-                    assert row["allowed"] == rec.allowed
-                    assert row["caseA_integral"] == rec.caseA_integral
-                    assert row["caseB_integral"] == rec.caseB_integral
+                    assert row["allowed"] == rec["allowed"]
+                    assert row["caseA_integral"] == rec["caseA_integral"]
+                    assert row["caseB_integral"] == rec["caseB_integral"]
 
     def test_scan_is_the_oracle_for_the_closed_allowed_set(self):
         # allowed_q_set is {q, q^-1 mod p}; the scan reaches it through

@@ -320,6 +320,27 @@ class TestPrecisionRetry:
         )
         assert forced == default
 
+    def test_last_rung_names_the_cap(self, tmp_path, capsys):
+        # (t, t^2) and (2t, 4t^2) are one parabola given twice at one
+        # station: no rung resolves their intersection, and --precision
+        # cannot go past the cap
+        data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
+        first = data["stations"][0]["points"][0]
+        second = json.loads(json.dumps(first))
+        second["label"] = "b2"
+        second["germ"]["U"]["terms"] = [[1, {"re": "2", "im": "0"}]]
+        second["germ"]["V"]["terms"] = [[2, {"re": "4", "im": "0"}]]
+        data["stations"][0]["points"].append(second)
+        path = tmp_path / "parabola_twice.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        path = str(path)
+        for argv in (["adjunction", path], ["adjunction", path, "--precision", "256"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", (
+                f"error: unresolved at truncation {MAX_PRECISION}, the cap: resultant "
+                "vanishes to the available truncation; check that the branches are distinct\n"
+            ))
+
 
 class TestDeepTruncation:
     def test_cusp_at_truncation_250_reports_at_once(self, tmp_path):

@@ -54,7 +54,7 @@ class TestModel:
 
     def test_disallowed_qprime_still_models(self):
         m = build_model(5, 2, 4)
-        assert not m.congruence().allowed
+        assert not m.congruence()["allowed"]
 
 
 class TestGeneratingCurve:
