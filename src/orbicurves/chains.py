@@ -259,8 +259,12 @@ class FiniteGroup:
     __slots__ = ("table",)
 
     def __init__(self, table):
-        rows = _table_rows(table)
+        rows = tuple(tuple(row) for row in table)
         n = len(rows)
+        _check_group_order(n)
+        for row in rows:
+            if len(row) != n or any(not is_int(x) or not 0 <= x < n for x in row):
+                raise MalformedTable("table must be square with entries in range")
         for i in range(n):
             if rows[0][i] != i or rows[i][0] != i:
                 raise MalformedTable("element 0 must be the identity")
@@ -285,18 +289,6 @@ class FiniteGroup:
 
     def inverse(self, i: int) -> int:
         return self.table[i].index(0)
-
-
-def _table_rows(table) -> tuple[tuple[int, ...], ...]:
-    """The rows of a multiplication table as tuples, checked to be square
-    with integer entries (never a bool) in range."""
-    rows = tuple(tuple(row) for row in table)
-    n = len(rows)
-    _check_group_order(n)
-    for row in rows:
-        if len(row) != n or any(not is_int(x) or not 0 <= x < n for x in row):
-            raise MalformedTable("table must be square with entries in range")
-    return rows
 
 
 def _check_group_order(n: int) -> None:
@@ -331,8 +323,7 @@ def validate_group_complex(w: WeightedComplex, groups: dict, homs: dict, twists=
     and twists keys "big|mid|small" triples, and a missing twist is the
     identity.  Structurally broken tables raise MalformedTable, as does
     a key that names no simplex, face relation or composable pair;
-    values that merely fail the identities return False.  Each distinct
-    table is checked as a group once, however many simplices carry it.
+    values that merely fail the identities return False.
 
     The face relations are indexed once as below[big] -> [small, ...],
     so the composable pairs big > mid > small are the relations (big,
@@ -341,7 +332,6 @@ def validate_group_complex(w: WeightedComplex, groups: dict, homs: dict, twists=
     """
     twists = {} if twists is None else twists
     simplices = set(w.simplices)
-    built: dict[tuple, FiniteGroup] = {}  # one group per distinct table
     group: dict[Simplex, FiniteGroup] = {}
     keys: dict[Simplex, str] = {}
     for k, table in groups.items():
@@ -350,10 +340,7 @@ def validate_group_complex(w: WeightedComplex, groups: dict, homs: dict, twists=
             raise MalformedTable(
                 f"{key_path('groups', keys[s])}: names no simplex of the complex"
             )
-        rows = _table_rows(table)
-        if rows not in built:
-            built[rows] = FiniteGroup(rows)
-        group[s] = built[rows]
+        group[s] = FiniteGroup(table)
     for s in w.simplices:
         if s not in group:
             raise MalformedTable(f"no group table for simplex {s}")

@@ -103,7 +103,8 @@ def c0prime_cases(m: WpsModel) -> list[str]:
     """Which local forms at x' pass the integrality congruence, in
     preference order."""
     record = m.congruence()
-    return [case for case in ("A", "B") if record[f"case{case}_integral"]]
+    cases = (("A", "caseA_integral"), ("B", "caseB_integral"))
+    return [case for case, key in cases if record[key]]
 
 
 def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:

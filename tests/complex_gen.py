@@ -1,5 +1,6 @@
-"""Random weighted-complex generator shared by the chain tests, and the
-canonical complex of groups on a weighted complex as explicit tables.
+"""Random weighted-complex generator shared by the chain tests, the
+canonical complex of groups on a weighted complex as explicit tables,
+and one such complex as a chains validate file (explicit_tables).
 
 Vertex orders are drawn from a small divisor-rich pool and every
 simplex receives the gcd of its vertices' orders, which makes the
@@ -83,4 +84,19 @@ def complex_data(w: WeightedComplex) -> dict:
     return {
         "simplices": [list(s) for s in w.simplices],
         "orders": {simplex_key(s): n for s, n in w.orders.items()},
+    }
+
+
+def explicit_tables(twists: dict) -> dict:
+    """The solid tetrahedron with an order-4 vertex 0 as a chains validate
+    file with explicit tables: the canonical cyclic structure plus the
+    given twists.  Its four levels of faces make the twist identities
+    non-vacuous."""
+    w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
+    g = canonical_group_complex(w)
+    return {
+        **complex_data(w),
+        "groups": {simplex_key(s): t for s, t in g["groups"].items()},
+        "homs": g["homs"],
+        "twists": twists,
     }

@@ -27,8 +27,8 @@ from complex_gen import (
     complex_data,
     cone_torus,
     cyclic_table,
+    explicit_tables,
     random_weighted_complex,
-    simplex_key,
 )
 from golden_commands import CONFIGS
 from oracles import oracle_betti
@@ -332,17 +332,6 @@ class TestNoBoolElement:
         with pytest.raises(MalformedTable, match="entries in range"):
             FiniteGroup([[0, True], [True, 0]])
 
-    def test_bool_table_not_taken_for_an_equal_int_table(self):
-        # True == 1 and hash(True) == hash(1): a table that differs from
-        # a checked one only by bools must not reuse its group
-        w = WeightedComplex([(0, 1)], {(0,): 2, (1,): 2, (0, 1): 2})
-        z2 = cyclic_table(2)
-        groups = {"0": z2, "1": z2, "0,1": [[0, True], [True, 0]]}
-        homs = {"0,1|0": [0, 1], "0,1|1": [0, 1]}
-        assert validate_group_complex(w, groups={**groups, "0,1": z2}, homs=homs)
-        with pytest.raises(MalformedTable, match="entries in range"):
-            validate_group_complex(w, groups=groups, homs=homs)
-
     def test_bool_hom_image_rejected(self):
         w = WeightedComplex([(0, 1)], {(0,): 2, (1,): 2, (0, 1): 2})
         g = canonical_group_complex(w)
@@ -452,42 +441,18 @@ class TestChainsValidateCli:
             code, out, err = self.run(tmp_path, capsys, complex_data(w))
             assert (code, json.loads(out), err) == (0, {"schema": 1, "valid": True}, "")
 
-    def explicit_tables(self, twists) -> dict:
-        # solid tetrahedron with an order-4 vertex: four levels of faces,
-        # so the twist identities are not vacuous
-        w = WeightedComplex([(0, 1, 2, 3)], {(0,): 4})
-        g = canonical_group_complex(w)
-        return {
-            **complex_data(w),
-            "groups": {simplex_key(s): t for s, t in g["groups"].items()},
-            "homs": g["homs"],
-            "twists": twists,
-        }
-
     def test_explicit_tables_are_checked(self, tmp_path, capsys):
-        code, out, err = self.run(tmp_path, capsys, self.explicit_tables({}))
+        code, out, err = self.run(tmp_path, capsys, explicit_tables({}))
         assert (code, json.loads(out)["valid"], err) == (0, True, "")
-        broken = self.explicit_tables({"0,1,2,3|0,1|0": 1})
+        broken = explicit_tables({"0,1,2,3|0,1|0": 1})
         code, out, err = self.run(tmp_path, capsys, broken)
         assert (code, json.loads(out)["valid"], err) == (0, False, "")
-
-    def test_each_distinct_table_is_built_once(self, tmp_path, capsys, monkeypatch):
-        # the tetrahedron's fifteen simplices carry two distinct tables,
-        # Z/4 at vertex 0 and Z/1 everywhere else
-        built = []
-        finite_group = chains.FiniteGroup
-        monkeypatch.setattr(
-            chains, "FiniteGroup", lambda table: built.append(table) or finite_group(table)
-        )
-        data = self.explicit_tables({})
-        assert len(data["groups"]) == 15
-        code, out, err = self.run(tmp_path, capsys, data)
-        assert (code, json.loads(out)["valid"], err) == (0, True, "")
-        assert sorted(map(len, built)) == [1, 4]
 
     @pytest.mark.parametrize(
         "fault,message",
         [
+            (lambda d: d["groups"].update({"0,4": [[0]]}),
+             "groups.0,4: names no simplex of the complex"),
             (lambda d: d["groups"].pop("1,2"), "no group table for simplex (1, 2)"),
             (lambda d: d["groups"].update({"0": cyclic_table(2)}),
              "group at (0,) has order 2, complex declares 4"),
@@ -499,11 +464,11 @@ class TestChainsValidateCli:
             (lambda d: d["twists"].update({"0,1,2,3|0,1|0": 4}),
              "twist 0,1,2,3|0,1|0 is out of range"),
         ],
-        ids=["missing_group", "wrong_order", "malformed_table", "missing_hom", "twist_range"],
+        ids=["stray_group", "missing_group", "wrong_order", "malformed_table", "missing_hom",
+             "twist_range"],
     )
     def test_single_fault_exits_2_with_one_line(self, tmp_path, capsys, fault, message):
-        # a key naming nothing is test_key_naming_nothing_exits_2's case
-        data = self.explicit_tables({})
+        data = explicit_tables({})
         fault(data)
         code, out, err = self.run(tmp_path, capsys, data)
         assert (code, out, err) == (2, "", f"error: {message}\n")
