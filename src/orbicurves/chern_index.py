@@ -97,11 +97,15 @@ def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
     """
     if int_(genus, "genus") < 0:
         raise InvalidParameters(f"genus must be >= 0, got {genus}")
-    d = Fraction(c1_pair) + 2 - 2 * genus
+    if not isinstance(c1_pair, (int, Fraction)):
+        c1_pair = Fraction(c1_pair)
+    # d = num/den, over the lcm of c1_pair's denominator and the orders so far
+    num, den = c1_pair.numerator + (2 - 2 * genus) * c1_pair.denominator, c1_pair.denominator
     for m, ws in points:
         w1, w2 = _reduce_weights(m, ws, 2)
-        d -= Fraction(w1 + w2, m)
-    return IndexReport(d=d, index=2 * d)
+        step = math.lcm(den, m)
+        num, den = num * (step // den) - (w1 + w2) * (step // m), step
+    return IndexReport(d=Fraction(num, den), index=Fraction(2 * num, den))
 
 
 def index_integrality_scan(p: int, q: int) -> Iterator[dict]:

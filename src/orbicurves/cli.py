@@ -36,7 +36,7 @@ from .decode import MAX_PRECISION, SCHEMA_VERSION, check_schema, int_, list_, lo
 from .errors import InvalidInput, PrecisionExhausted
 
 MIN_PRECISION = 8
-# sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 13-15 s
+# sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 11-13 s
 # on one (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB

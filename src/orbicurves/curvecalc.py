@@ -15,6 +15,7 @@ exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AdjunctionViolated,
@@ -35,6 +36,20 @@ def _is_regular_marker(point_id: str) -> bool:
     return point_id == REGULAR_PREFIX or point_id.startswith(REGULAR_PREFIX + ":")
 
 
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _rational_sum(terms) -> tuple[int, int]:
+    """The sum of integer fractions (num, den > 0) as one numerator over
+    the lcm of the denominators."""
+    num, den = 0, 1
+    for n, d in terms:
+        common = lcm(den, d)
+        num, den = num * (common // den) + n * (common // d), common
+    return num, den
+
+
 class AmbientModel:
     """Ambient 4-orbifold data: an H_2 basis of given rank, the
     intersection pairing on it, the value of c1 of the tangent bundle on
@@ -50,8 +65,8 @@ class AmbientModel:
 
     def __init__(self, h2_rank: int, pairing, c1_vector, singular_points=()):
         self.h2_rank = h2_rank
-        self.pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
-        self.c1_vector = tuple(Fraction(x) for x in c1_vector)
+        self.pairing = tuple(tuple(_fraction(x) for x in row) for row in pairing)
+        self.c1_vector = tuple(_fraction(x) for x in c1_vector)
         self.singular_points = tuple(singular_points)
         n = h2_rank
         if n < 1:
@@ -128,7 +143,7 @@ class CurveClass:
     __slots__ = ("coords", "multiplicity")
 
     def __init__(self, coords, multiplicity: int = 1):
-        self.coords = tuple(Fraction(x) for x in coords)
+        self.coords = tuple(_fraction(x) for x in coords)
         if not any(self.coords):
             raise InvalidInput("curve class must be nonzero")
         if multiplicity < 1:
@@ -355,35 +370,50 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
                        map(widen, config.stations), map(widen, config.regular_double_points))
 
 
+def _class_pairing(c1: CurveConfig, c2: CurveConfig) -> tuple[int, int]:
+    """(m_C m_C')^{-1} [C]^T P [C'] as an integer numerator and denominator."""
+    num, den = _rational_sum(
+        (a.numerator * b.numerator * x.numerator, a.denominator * b.denominator * x.denominator)
+        for a, row in zip(c1.curve_class.coords, c1.ambient.pairing)
+        for b, x in zip(c2.curve_class.coords, row)
+    )
+    return num, den * c1.curve_class.multiplicity * c2.curve_class.multiplicity
+
+
+def _c_value(c: CurveConfig) -> tuple[int, int]:
+    """-c1(TX).[C] / m_C as an integer numerator and denominator."""
+    num, den = _rational_sum(
+        (x.numerator * a.numerator, x.denominator * a.denominator)
+        for x, a in zip(c.ambient.c1_vector, c.curve_class.coords)
+    )
+    return -num, den * c.curve_class.multiplicity
+
+
 def algebraic_intersection(c1: CurveConfig, c2: CurveConfig) -> Fraction:
     """(m_C m_C')^{-1} [C]^T P [C']: the pairing of the classes with the
     multiplicity normalization."""
     if c1.ambient != c2.ambient:
         raise AmbientMismatch("configurations live in different ambient models")
-    total = Fraction(0)
-    pairing = c1.ambient.pairing
-    for i, a in enumerate(c1.curve_class.coords):
-        if not a:
-            continue
-        for j, b in enumerate(c2.curve_class.coords):
-            if b:
-                total += a * b * pairing[i][j]
-    return total / (c1.curve_class.multiplicity * c2.curve_class.multiplicity)
+    return Fraction(*_class_pairing(c1, c2))
 
 
 def c_pairing(c: CurveConfig) -> Fraction:
     """Value of c = -c1(TX) on the curve, with the 1/m_C normalization
     of the class pairing."""
-    total = Fraction(0)
-    for x, a in zip(c.ambient.c1_vector, c.curve_class.coords):
-        total += x * a
-    return -total / c.curve_class.multiplicity
+    return Fraction(*_c_value(c))
 
 
 def virtual_genus(c: CurveConfig) -> Fraction:
     """g(C) = (C.C + c(C))/2 + 1/m_C."""
-    cc = algebraic_intersection(c, c)
-    return (cc + c_pairing(c)) / 2 + Fraction(1, c.curve_class.multiplicity)
+    n1, d1 = _class_pairing(c, c)
+    n2, d2 = _c_value(c)
+    m = c.curve_class.multiplicity
+    return Fraction((n1 * d2 + n2 * d1) * m + 2 * d1 * d2, 2 * d1 * d2 * m)
+
+
+def _sum(values) -> Fraction:
+    """The sum of rationals, made as one Fraction."""
+    return Fraction(*_rational_sum((v.numerator, v.denominator) for v in values))
 
 
 def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
@@ -503,7 +533,7 @@ def adjunction_report(c: CurveConfig) -> AdjunctionReport:
         g1, g2 = p1.germ, p2.germ
         value = _pair_term(g1, g2) + self_intersection(g1) + self_intersection(g2)
         items.append(Contribution("double_point", d.ambient_point, (p1.label, p2.label), value))
-    rhs = sum((it.value for it in items), Fraction(0))
+    rhs = _sum(it.value for it in items)
     lhs = virtual_genus(c)
     return AdjunctionReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, contributions=tuple(items))
 
@@ -551,7 +581,7 @@ def intersection_report(c1: CurveConfig, c2: CurveConfig) -> IntersectionReport:
             for p2 in s2.points:
                 value = _pair_term(p1.germ, p2.germ)
                 items.append(Contribution("pair", s1.ambient_point, (p1.label, p2.label), value))
-    local_sum = sum((it.value for it in items), Fraction(0))
+    local_sum = _sum(it.value for it in items)
     algebraic = algebraic_intersection(c1, c2)
     return IntersectionReport(
         algebraic=algebraic,

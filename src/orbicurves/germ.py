@@ -494,7 +494,8 @@ class CurveGerm:
 def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
                           trunc=DEFAULT_TRUNCATION) -> CurveGerm:
     """Convenience constructor from {exp: coeff} dicts whose values may
-    be ints, Fractions, strings, or GaussianRationals."""
+    be ints, Fractions, strings, or GaussianRationals.  An int is its own
+    numerator over 1."""
 
     def conv(d):
         parts = {}
@@ -503,6 +504,8 @@ def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
                 parts[e] = (c.re, c.im)
             elif isinstance(c, str):
                 parts[e] = (parse_rational(c), 0)
+            elif isinstance(c, int):
+                parts[e] = (c, 0)
             else:
                 parts[e] = (Fraction(c), 0)
         return _series(*_numerators(parts), trunc)

@@ -10,6 +10,7 @@ surface divides all local structure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .decode import int_, list_, obj
 from .errors import InvalidParameters
@@ -63,11 +64,14 @@ def orbifold_genus(surface: OrbifoldSurface) -> Fraction:
 
     g_Sigma = g/m_Sigma + sum_i (1/(2 m_Sigma) - 1/(2 m_i)); each cone
     point adds the defect between a generic point and its own order.
+    Every term is an integer over 2 lcm(m_Sigma, m_1, ...).
     """
-    g = Fraction(surface.genus, surface.m_sigma)
+    ms = surface.m_sigma
+    den = 2 * lcm(ms, *surface.orders)
+    num = surface.genus * (den // ms)
     for m in surface.orders:
-        g += Fraction(1, 2 * surface.m_sigma) - Fraction(1, 2 * m)
-    return g
+        num += den // (2 * ms) - den // (2 * m)
+    return Fraction(num, den)
 
 
 def tangent_c1(surface: OrbifoldSurface) -> Fraction:

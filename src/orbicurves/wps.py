@@ -12,6 +12,7 @@ from __future__ import annotations
 import marshal
 import os
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .chern_index import IndexReport, kawasaki_index
@@ -29,7 +30,7 @@ from .curvecalc import (
 from .decode import SCHEMA_VERSION
 from .errors import Disallowed, InvalidInput
 from .exact import format_rational
-from .germ import germ_from_polynomials
+from .germ import CurveGerm, germ_from_polynomials
 from .lens import (
     SingularityType,
     _check_lens_params,
@@ -47,13 +48,14 @@ class WpsModel:
     self-pairing p/(p+q), c1 value (2p+q+1)/(p+q), and singular points
     x of type (p+q, p) and x' of type (p, q')."""
 
-    __slots__ = ("p", "q", "qprime", "ambient")
+    __slots__ = ("p", "q", "qprime", "ambient", "_congruence")
 
     def __init__(self, p: int, q: int, qprime: int, ambient: AmbientModel):
         self.p = p
         self.q = q
         self.qprime = qprime
         self.ambient = ambient
+        self._congruence = None
 
     @property
     def pairing(self) -> Fraction:
@@ -64,7 +66,10 @@ class WpsModel:
         return self.ambient.c1_vector[0]
 
     def congruence(self) -> dict:
-        return cobordism_congruence(self.p, self.q, self.qprime)
+        """The congruence record of (p, q, q'), evaluated on first use."""
+        if self._congruence is None:
+            self._congruence = cobordism_congruence(self.p, self.q, self.qprime)
+        return self._congruence
 
 
 def build_model(p: int, q: int, qprime: int) -> WpsModel:
@@ -84,18 +89,25 @@ def build_model(p: int, q: int, qprime: int) -> WpsModel:
     return WpsModel(p=p, q=q, qprime=qprime, ambient=ambient)
 
 
+@lru_cache(maxsize=4)
+def _axis_germ(first: bool, a: int, b: int, m: int) -> CurveGerm:
+    """The germ t -> (t, 0) (first) or (0, t) in a chart of type (a, b),
+    with stabilizer order m.  Germs are immutable, so configs share
+    them: within one sweep row, the C0 configs of both q' hold one germ
+    at x, and so do the C0' configs."""
+    u, v = ({1: 1}, {}) if first else ({}, {1: 1})
+    return germ_from_polynomials(u, v, group=SingularityType(a, b), m=m)
+
+
 def c0_config(m: WpsModel) -> CurveConfig:
     """The generating curve: a sphere with one cone point of order p+q,
     passing only through x along the first coordinate axis."""
     p, q = m.p, m.q
-    germ = germ_from_polynomials(
-        {1: 1}, {}, group=SingularityType(p + q, p), m=p + q
-    )
     return CurveConfig(
         ambient=m.ambient,
         domain=OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q,)),
-        curve_class=CurveClass((Fraction(1),)),
-        stations=(station(POINT_X, p + q, [("z0", germ)]),),
+        curve_class=CurveClass((1,)),
+        stations=(station(POINT_X, p + q, [("z0", _axis_germ(True, p + q, p, p + q))]),),
     )
 
 
@@ -129,21 +141,14 @@ def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
             f"case {case} fails the integrality congruence for "
             f"(p, q, q') = ({m.p}, {m.q}, {m.qprime}); passing cases: {cases}"
         )
-    p, q, qp = m.p, m.q, m.qprime
-    germ_x = germ_from_polynomials(
-        {}, {1: 1}, group=SingularityType(p + q, p), m=p + q
-    )
-    if case == "A":
-        germ_xp = germ_from_polynomials({}, {1: 1}, group=SingularityType(p, qp), m=p)
-    else:
-        germ_xp = germ_from_polynomials({1: 1}, {}, group=SingularityType(p, qp), m=p)
+    p, q = m.p, m.q
     return CurveConfig(
         ambient=m.ambient,
         domain=OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)),
         curve_class=CurveClass((Fraction(1, p),)),
         stations=(
-            station(POINT_X, p + q, [("w0", germ_x)]),
-            station(POINT_X_PRIME, p, [("w1", germ_xp)]),
+            station(POINT_X, p + q, [("w0", _axis_germ(False, p + q, p, p + q))]),
+            station(POINT_X_PRIME, p, [("w1", _axis_germ(case == "B", p, m.qprime, p))]),
         ),
     )
 
@@ -151,7 +156,8 @@ def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
 def genus_bound(m: WpsModel, r) -> Fraction:
     """g(r) = ((p/(p+q)) r^2 - ((2p+q+1)/(p+q)) r) / 2 + 1, the virtual
     genus of a class r[C0] as a function of the fraction r."""
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     a, b, p, q = r.numerator, r.denominator, m.p, m.q
     den = 2 * (p + q) * b * b
     return Fraction(p * a * a - (2 * p + q + 1) * a * b + den, den)
@@ -185,7 +191,7 @@ class GenusBoundProfile:
 
 def genus_bound_profile(m: WpsModel, samples) -> GenusBoundProfile:
     """Evaluate the genus bound on ascending samples in (0, 1]."""
-    rs = [Fraction(r) for r in samples]
+    rs = [r if isinstance(r, Fraction) else Fraction(r) for r in samples]
     if any(not 0 < r <= 1 for r in rs):
         raise InvalidInput("samples must lie in (0, 1]")
     if any(a >= b for a, b in zip(rs, rs[1:])):
@@ -194,13 +200,20 @@ def genus_bound_profile(m: WpsModel, samples) -> GenusBoundProfile:
     decreasing = all(ga > gb for (_, ga), (_, gb) in zip(rows, rows[1:]))
     p, q = m.p, m.q
     at_peak = genus_bound(m, Fraction(1, p))
-    displayed = Fraction(1 - Fraction(1, p + q), 2) + Fraction(1 - Fraction(1, p), 2)
+    # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
+    displayed = Fraction((p + q - 1) * p + (p - 1) * (p + q), 2 * p * (p + q))
     return GenusBoundProfile(
         rows=rows,
         strictly_decreasing=decreasing,
         value_at_inverse_p=at_peak,
         peak_identity=at_peak == displayed,
     )
+
+
+def _samples(p: int) -> list[Fraction]:
+    """The ascending samples {1/p, 1/2, 1}: two of them when p = 2."""
+    head = [Fraction(1, p)] if p > 2 else []
+    return head + [Fraction(1, 2), Fraction(1)]
 
 
 def uniqueness_inequality(m: WpsModel) -> bool:
@@ -213,7 +226,7 @@ def uniqueness_inequality(m: WpsModel) -> bool:
 def seifert_euler(m: WpsModel) -> Fraction:
     """Euler number of the Seifert fibration on the lens space boundary:
     1 + q/p."""
-    return 1 + Fraction(m.q, m.p)
+    return Fraction(m.p + m.q, m.p)
 
 
 def c0_index(m: WpsModel, c0: CurveConfig) -> IndexReport:
@@ -258,8 +271,7 @@ def dossier(m: WpsModel) -> dict:
             "verdict": str(embeddedness_verdict(c0_report)),
         },
     }
-    samples = sorted({Fraction(1, m.p), Fraction(1, 2), Fraction(1)})
-    profile = genus_bound_profile(m, samples)
+    profile = genus_bound_profile(m, _samples(m.p))
     out["genus_bound"] = profile.to_json()
     if cases:
         cp = c0prime_config(m)
@@ -289,9 +301,7 @@ def sweep_row(p: int, q: int) -> dict:
     report = adjunction_report(config)
     verdict = embeddedness_verdict(report) if report.holds else None
     index = c0_index(model, config)
-    profile = genus_bound_profile(
-        model, sorted({Fraction(1, p), Fraction(1, 2), Fraction(1)})
-    )
+    profile = genus_bound_profile(model, _samples(p))
     holds = (
         report.holds
         and verdict is not None
@@ -317,7 +327,7 @@ def sweep_row(p: int, q: int) -> dict:
     return {
         "p": p,
         "q": q,
-        "C0_C0": format_rational(Fraction(p, p + q)),
+        "C0_C0": format_rational(model.pairing),
         "c1_KX_C0": format_rational(-model.c1_value),
         "genus_C0": format_rational(report.domain_genus),
         "seifert_euler": format_rational(seifert_euler(model)),

@@ -7,11 +7,13 @@ the package: intersection numbers via implicit equations and
 substitution, delta via the monomial staircase of the value semigroup.
 The Betti oracle works from a raw simplex list and order table and takes
 ranks of dense sympy matrices.  Agreement is therefore a cross-check,
-not a tautology.  sympy does all arithmetic.
+not a tautology.  sympy does all arithmetic of these; the sweep-row
+oracle is the cap's closed forms in integers.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import sympy
@@ -195,3 +197,26 @@ def oracle_betti(simplices, orders: dict) -> list[int]:
                 )
         ranks[r] = m.rank()
     return [len(by_dim[r]) - ranks[r] - ranks[r + 1] for r in range(top + 1)]
+
+
+def _text(num: int, den: int) -> str:
+    """The "a/b" text of num/den (den > 0) in lowest terms."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def sweep_row_closed_form(p: int, q: int) -> dict:
+    """The sweep row of coprime (p, q) from the cap's closed forms, in
+    integers: C0.C0 = p/(p+q), c1(K_X).C0 = -(2p+q+1)/(p+q), the genus
+    of C0's domain (p+q-1)/(2(p+q)), the Seifert Euler number (p+q)/p,
+    index d = 3, and every check holding."""
+    return {
+        "p": p,
+        "q": q,
+        "C0_C0": _text(p, p + q),
+        "c1_KX_C0": _text(-(2 * p + q + 1), p + q),
+        "genus_C0": _text(p + q - 1, 2 * (p + q)),
+        "seifert_euler": _text(p + q, p),
+        "index_d": "3",
+        "holds": True,
+    }

@@ -96,6 +96,23 @@ class TestKawasaki:
         assert IndexReport(d=Fraction(3), index=Fraction(6)).integral
         assert not IndexReport(d=Fraction(13, 2), index=Fraction(13)).integral
 
+    @given(
+        num=st.integers(-10**6, 10**6),
+        den=st.integers(1, 10**4),
+        genus=st.integers(0, 20),
+        points=st.lists(
+            st.tuples(st.integers(1, 60), st.tuples(st.integers(-99, 99), st.integers(-99, 99))),
+            max_size=5,
+        ),
+    )
+    def test_matches_the_fraction_formula(self, num, den, genus, points):
+        rep = kawasaki_index(Fraction(num, den), genus, points)
+        want = Fraction(num, den) + 2 - 2 * genus
+        for m, (w1, w2) in points:
+            want -= Fraction(w1 % m + w2 % m, m)
+        assert type(rep.d) is Fraction and rep.d == want
+        assert type(rep.index) is Fraction and rep.index == 2 * want
+
     def test_weight_count_checked(self):
         with pytest.raises(WeightOutOfRange):
             kawasaki_index(Fraction(1), 0, [(5, (1, 2, 3))])

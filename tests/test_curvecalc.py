@@ -287,6 +287,56 @@ class TestPairings:
         assert virtual_genus(plane_curve(4, genus=3)) == 3
 
 
+_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+
+
+@st.composite
+def _curve_pair(draw):
+    """Two classes, of multiplicities 1-6, in one rank-1 or rank-2 ambient
+    with a random symmetric pairing and c1 vector."""
+    n = draw(st.sampled_from([1, 2]))
+    entries = {(i, j): draw(_RATIONALS) for i in range(n) for j in range(i, n)}
+    pairing = [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    ambient = AmbientModel(n, pairing, [draw(_RATIONALS) for _ in range(n)])
+    coords = st.lists(_RATIONALS, min_size=n, max_size=n).filter(any)
+
+    def curve():
+        m = draw(st.integers(1, 6))
+        return CurveConfig(ambient, OrbifoldSurface(m, 0, ()), CurveClass(draw(coords), m))
+
+    return curve(), curve()
+
+
+class TestPairingFormulas:
+    """The integer-numerator pairings against Fraction formulas."""
+
+    @given(_curve_pair())
+    def test_pairings_and_virtual_genus(self, pair):
+        c1, c2 = pair
+        pairing = c1.ambient.pairing
+
+        def class_pairing(a, b):
+            total = sum(
+                (x * y * pairing[i][j] for i, x in enumerate(a.curve_class.coords)
+                 for j, y in enumerate(b.curve_class.coords)),
+                Fraction(0),
+            )
+            return total / (a.curve_class.multiplicity * b.curve_class.multiplicity)
+
+        def c_value(c):
+            total = sum((x * a for x, a in zip(c.ambient.c1_vector, c.curve_class.coords)),
+                        Fraction(0))
+            return -total / c.curve_class.multiplicity
+
+        got = algebraic_intersection(c1, c2)
+        assert type(got) is Fraction and got == class_pairing(c1, c2)
+        for c in (c1, c2):
+            m = c.curve_class.multiplicity
+            want = (class_pairing(c, c) + c_value(c)) / 2 + Fraction(1, m)
+            assert type(c_pairing(c)) is Fraction and c_pairing(c) == c_value(c)
+            assert type(virtual_genus(c)) is Fraction and virtual_genus(c) == want
+
+
 class TestLocalContributions:
     def test_pair_contribution_needs_distinct_labels(self):
         st = cusp_station()

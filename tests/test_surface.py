@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbicurves.errors import InvalidParameters
 from orbicurves.surface import OrbifoldSurface, orbifold_genus, tangent_c1
@@ -52,6 +54,19 @@ class TestGenus:
         # genus of the sphere with points of orders 5 and 7 is 29/35
         s = OrbifoldSurface(1, 0, (5, 7))
         assert orbifold_genus(s) == Fraction(29, 35)
+
+    @given(
+        m_sigma=st.integers(1, 12),
+        genus=st.integers(0, 50),
+        factors=st.lists(st.integers(2, 40), max_size=6),
+    )
+    def test_matches_the_fraction_formula(self, m_sigma, genus, factors):
+        s = OrbifoldSurface(m_sigma, genus, [k * m_sigma for k in factors])
+        want = Fraction(genus, m_sigma) + sum(
+            (Fraction(1, 2 * m_sigma) - Fraction(1, 2 * m) for m in s.orders), Fraction(0)
+        )
+        got = orbifold_genus(s)
+        assert type(got) is Fraction and got == want
 
     def test_genus_scales_with_multiplicity(self):
         # g/m + (1/(2m) - 1/(2 m_i)) per point: 1/2 + (1/4 - 1/8) = 5/8

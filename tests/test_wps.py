@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import wps
+from orbicurves import cli, germ, wps
 from orbicurves.curvecalc import (
+    AdjunctionReport,
+    IntersectionReport,
     adjunction_report,
     algebraic_intersection,
     embeddedness_verdict,
@@ -19,6 +21,7 @@ from orbicurves.errors import Disallowed, InvalidInput, InvalidParameters
 from orbicurves.exact import format_rational
 from orbicurves.lens import SingularityType, allowed_q_set
 from orbicurves.wps import (
+    GenusBoundProfile,
     build_model,
     c0_config,
     c0_index,
@@ -32,6 +35,8 @@ from orbicurves.wps import (
     sweep_rows,
     uniqueness_inequality,
 )
+
+from oracles import sweep_row_closed_form
 
 
 class TestModel:
@@ -257,11 +262,116 @@ class TestSweepRow:
             assert seen == allowed_q_set(p, q), (p, q)
 
 
+def _coprime_pairs(p_max: int) -> list:
+    return [(p, q) for p in range(2, p_max + 1) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+def _failing_adjunction(only_c0_prime: bool):
+    """adjunction_report with holds False, for C0' alone or for both curves."""
+
+    def report(config):
+        r = adjunction_report(config)
+        if only_c0_prime and len(config.stations) == 1:  # C0 has one station
+            return r
+        return AdjunctionReport(r.lhs, r.rhs, False, r.contributions)
+
+    return report
+
+
+def _changed_meeting(**changed):
+    def report(c1, c2):
+        r = intersection_report(c1, c2)
+        fields = {"algebraic": r.algebraic, "local_sum": r.local_sum, "holds": r.holds}
+        return IntersectionReport(**{**fields, **changed}, contributions=r.contributions)
+
+    return report
+
+
+def _changed_profile(**changed):
+    def profile(m, samples):
+        r = genus_bound_profile(m, samples)
+        fields = {
+            "rows": r.rows,
+            "strictly_decreasing": r.strictly_decreasing,
+            "value_at_inverse_p": r.value_at_inverse_p,
+            "peak_identity": r.peak_identity,
+        }
+        return GenusBoundProfile(**{**fields, **changed})
+
+    return profile
+
+
+class TestSweepRowOracle:
+    """Every sweep row against the closed forms of the cap, in integers,
+    and every check a row conjoins shown to reach holds."""
+
+    def test_rows_match_the_closed_forms(self):
+        for p, q in _coprime_pairs(40):
+            assert sweep_row(p, q) == sweep_row_closed_form(p, q), (p, q)
+
+    @pytest.mark.parametrize(
+        "name,failing",
+        [
+            ("adjunction_report", _failing_adjunction(False)),
+            ("adjunction_report", _failing_adjunction(True)),
+            ("intersection_report", _changed_meeting(holds=False)),
+            ("intersection_report", _changed_meeting(algebraic=Fraction(1))),
+            ("genus_bound_profile", _changed_profile(strictly_decreasing=False)),
+            ("genus_bound_profile", _changed_profile(peak_identity=False)),
+        ],
+        ids=["adjunction", "adjunction_C0_prime", "meeting", "meeting_value",
+             "profile_decreasing", "profile_peak"],
+    )
+    def test_a_failing_check_clears_holds(self, monkeypatch, name, failing):
+        monkeypatch.setattr(wps, name, failing)
+        for p, q in [(2, 1), (5, 2), (7, 3), (12, 5)]:
+            assert sweep_row(p, q)["holds"] is False, (p, q)
+
+
+class TestWorkCount:
+    """Work counts of the serial sweep over p <= 30 (277 rows): 40,367
+    Fraction constructions and 1,425 germs before the report layer moved
+    to integer numerators and each row shared its axis germs; 12,742 and
+    1,029 after on CPython 3.10 and 3.11 (3.12 makes fewer Fractions in
+    arithmetic).  A regression shows as a count, not as a time."""
+
+    def test_fractions_and_germs_per_sweep(self, monkeypatch):
+        counts = {"fractions": 0, "germs": 0}
+        new, init = Fraction.__new__, germ.CurveGerm.__init__
+
+        def counted_new(cls, *args, **kwargs):
+            counts["fractions"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["germs"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
+        rows = [sweep_row(p, q) for p, q in _coprime_pairs(30)]
+        monkeypatch.undo()
+        assert len(rows) == 277 and all(r["holds"] for r in rows)
+        assert counts["fractions"] <= 13_000, counts
+        assert counts["germs"] <= 1_030, counts
+
+    def test_wps_report_evaluates_the_congruence_once(self, monkeypatch, capsys):
+        calls = []
+        congruence = wps.cobordism_congruence
+
+        def counted(*args):
+            calls.append(args)
+            return congruence(*args)
+
+        monkeypatch.setattr(wps, "cobordism_congruence", counted)
+        assert cli.main(["wps", "report", "5", "2", "2"]) == 0
+        assert calls == [(5, 2, 2)]
+        assert '"congruence"' in capsys.readouterr().out
+
+
 @functools.cache
 def _serial_rows(p_max: int) -> list:
-    return [
-        sweep_row(p, q) for p in range(2, p_max + 1) for q in range(1, p) if math.gcd(p, q) == 1
-    ]
+    return [sweep_row(p, q) for p, q in _coprime_pairs(p_max)]
 
 
 def _force_cpus(monkeypatch, k: int) -> list:
