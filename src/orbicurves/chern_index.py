@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .decode import int_
 from .errors import InvalidParameters, WeightOutOfRange
-from .exact import format_rational, is_integer
 from .lens import _check_lens_params, mod_inverse
 
 
@@ -65,30 +64,11 @@ def chern_split(triv: EquivariantTrivialization) -> Fraction:
     return total
 
 
-class IndexReport:
-    """d is the rational index count; index = 2d is the real-operator
-    index and is meaningful when d is an integer."""
-
-    __slots__ = ("d", "index")
-
-    def __init__(self, d: Fraction, index: Fraction):
-        self.d = d
-        self.index = index
-
-    @property
-    def integral(self) -> bool:
-        return is_integer(self.d)
-
-    def to_json(self) -> dict:
-        return {
-            "d": format_rational(self.d),
-            "index": format_rational(self.index),
-            "integral": self.integral,
-        }
-
-
-def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
-    """Index count for a rank-2 pullback over a parametrized surface.
+def kawasaki_index(c1_pair, genus: int, points) -> dict:
+    """Index count for a rank-2 pullback over a parametrized surface:
+    the report {"d", "index", "integral"}, where d is the rational index
+    count and index = 2d is the real-operator index, meaningful when d
+    is an integer.
 
     c1_pair: pairing of ambient c_1 with the image class (rational).
     genus: genus of the underlying domain surface.
@@ -105,7 +85,7 @@ def kawasaki_index(c1_pair, genus: int, points) -> IndexReport:
         w1, w2 = _reduce_weights(m, ws, 2)
         step = math.lcm(den, m)
         num, den = num * (step // den) - (w1 + w2) * (step // m), step
-    return IndexReport(d=Fraction(num, den), index=Fraction(2 * num, den))
+    return {"d": Fraction(num, den), "index": Fraction(2 * num, den), "integral": num % den == 0}
 
 
 def index_integrality_scan(p: int, q: int) -> Iterator[dict]:
@@ -132,7 +112,7 @@ def index_integrality_scan(p: int, q: int) -> Iterator[dict]:
     l = mod_inverse(p, p + q)
     den = p * (p + q)
     c1_pair = Fraction(2 * p + q + 1, den)
-    first = kawasaki_index(c1_pair, 0, [(p + q, (l, 1))]).d
+    first = kawasaki_index(c1_pair, 0, [(p + q, (l, 1))])["d"]
     return _scan_rows(p, q, first.numerator * (den // first.denominator), den)
 
 
@@ -155,7 +135,7 @@ def _scan_rows(p: int, q: int, base: int, den: int) -> Iterator[dict]:
 
 
 def _rational_text(num: int, den: int) -> str:
-    """format_rational(Fraction(num, den)) for den > 0, by one gcd."""
+    """The "a/b" text of Fraction(num, den) for den > 0, by one gcd."""
     g = math.gcd(num, den)
     if g == den:
         return str(num // den)

@@ -2,8 +2,9 @@
 deterministic report emission.
 
 Every command prints one report to standard output, newline-terminated,
-with stable key order and rationals in "a/b" form, so identical inputs
-produce identical bytes.  Exit codes: 0 success, 1 computation failure
+with stable key order, so identical inputs produce identical bytes.  A
+handler returns the report's own dict, holding exact values, and
+write_report is the one place that writes a rational, as "a/b" text.  Exit codes: 0 success, 1 computation failure
 on well-formed input (precision exhaustion and kin) or a report that
 could not be written (standard output closed or full, a value past the
 digit limit), 2 malformed input (an integer past that limit too).
@@ -11,7 +12,8 @@ digit limit), 2 malformed input (an integer past that limit too).
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
 in its own body.  So --help loads no computation module, a lens command
-adds only lens, and the chains commands load no germ code.  The value
+adds only lens, an index command adds only lens and chern_index, and the
+chains commands load no germ code.  The value
 types are plain classes with __slots__, so no command execs generated
 methods or loads inspect, and --help and the lens and chains commands,
 which read no rational, skip fractions.
@@ -32,7 +34,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .decode import MAX_PRECISION, SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational
+from .decode import (MAX_PRECISION, SCHEMA_VERSION, check_schema, format_rational, int_, list_,
+                     load, obj, rational)
 from .errors import InvalidInput, PrecisionExhausted
 
 MIN_PRECISION = 8
@@ -54,7 +57,7 @@ def _scalar(value) -> str:
         return "null"
     if isinstance(value, (int, str)):
         return str(value)
-    raise InvalidInput(f"non-scalar report value {value!r}")
+    return format_rational(value)
 
 
 def _flatten(prefix: str, value, out: list):
@@ -124,7 +127,7 @@ def _write_json_rows(result: dict, out) -> None:
     whose last key is "rows": the head is dumped, then the rows are
     written in batches as the iterable makes them."""
     head = {k: v for k, v in result.items() if k != "rows"}
-    text = json.dumps(head, indent=2)[:-2] + ",\n" if head else "{\n"
+    text = json.dumps(head, indent=2, default=format_rational)[:-2] + ",\n" if head else "{\n"
     batch = [text + '  "rows": [']
     sep = "\n    "
     for row in result["rows"]:
@@ -138,39 +141,65 @@ def _write_json_rows(result: dict, out) -> None:
 
 
 def write_report(result: dict, output_format: str, out) -> None:
-    """Write one report deterministically to out.  JSON is
+    """Write one report deterministically to out: the one place a
+    rational (a Fraction at any depth) becomes its "a/b" text.  JSON is
     json.dumps(result, indent=2) + "\n", insertion order kept, with a
-    last top-level "rows" iterable written as it is made; table mode
-    prints aligned "path  value" lines and the rows as a column table."""
+    last top-level "rows" iterable of flat records (see _json_row)
+    written as it is made; table mode prints aligned "path  value" lines
+    and the rows as a column table.  A rational past the digit limit is
+    an OverflowError, raised before anything is written."""
     if output_format == "table":
         out.write(_table(result))
     elif result and next(reversed(result)) == "rows":
         _write_json_rows(result, out)
     else:
-        out.write(json.dumps(result, indent=2) + "\n")
+        out.write(json.dumps(result, indent=2, default=format_rational) + "\n")
 
 
 def _with_retries(compute, start: int | None):
     """Run compute(trunc) with doubling retries on PrecisionExhausted.
-    start None means: try the input's own truncation first.  Past the
-    last rung, MAX_PRECISION, the error says that the cap was reached."""
+    start None means: try the input's own truncation first, then the
+    rungs from DEFAULT_TRUNCATION up that lie above the largest
+    truncation the input stores, which compute(None) gives as the
+    exception's stored attribute (a lower rung would cut the data).
+    Past the last rung, MAX_PRECISION, the error says that the cap was
+    reached."""
     from .germ import DEFAULT_TRUNCATION
 
+    trunc, floor = start, 0
     if start is None:
         try:
             return compute(None)
-        except PrecisionExhausted:
-            start = DEFAULT_TRUNCATION
-    trunc = start
-    while True:
-        try:
-            return compute(trunc)
         except PrecisionExhausted as exc:
-            if trunc >= MAX_PRECISION:
-                raise PrecisionExhausted(
-                    f"unresolved at truncation {MAX_PRECISION}, the cap: {exc}"
-                ) from None
-            trunc = min(2 * trunc, MAX_PRECISION)
+            trunc, floor, error = DEFAULT_TRUNCATION, getattr(exc, "stored", 0), exc
+    while True:
+        if trunc > floor:
+            try:
+                return compute(trunc)
+            except PrecisionExhausted as exc:
+                error = exc
+        if trunc >= MAX_PRECISION:
+            raise PrecisionExhausted(
+                f"unresolved at truncation {MAX_PRECISION}, the cap: {error}"
+            ) from None
+        trunc = min(2 * trunc, MAX_PRECISION)
+
+
+def _laddered(report, configs: list, start: int | None) -> dict:
+    """report(*configs) on the ladder of _with_retries: on the stored
+    data first, then with every germ widened to each rung."""
+    from .curvecalc import stored_truncation, with_precision
+
+    def compute(trunc):
+        if trunc is not None:
+            return report(*(with_precision(c, trunc) for c in configs))
+        try:
+            return report(*configs)
+        except PrecisionExhausted as exc:
+            exc.stored = max(map(stored_truncation, configs))
+            raise
+
+    return _with_retries(compute, start)
 
 
 def _cmd_lens_classify(args) -> dict:
@@ -201,32 +230,21 @@ def _cmd_lens_allowed(args) -> dict:
 
 
 def _cmd_adjunction(args) -> dict:
-    from .curvecalc import adjunction_report, embeddedness_verdict, load_config, with_precision
+    from .curvecalc import adjunction_report, embeddedness_verdict, load_config
 
-    loaded = load_config(args.path)
-
-    def compute(trunc):
-        config = loaded if trunc is None else with_precision(loaded, trunc)
-        report = adjunction_report(config)
-        out = report.to_json()
-        out["verdict"] = (
-            embeddedness_verdict(report).to_json() if report.holds else None
-        )
+    def report(config):
+        out = adjunction_report(config)
+        out["verdict"] = embeddedness_verdict(out) if out["holds"] else None
         return out
 
-    return _with_retries(compute, args.precision)
+    return _laddered(report, [load_config(args.path)], args.precision)
 
 
 def _cmd_intersect(args) -> dict:
-    from .curvecalc import intersection_report, load_config, with_precision
+    from .curvecalc import intersection_report, load_config
 
-    loaded = (load_config(args.path_a), load_config(args.path_b))
-
-    def compute(trunc):
-        configs = loaded if trunc is None else (with_precision(c, trunc) for c in loaded)
-        return intersection_report(*configs).to_json()
-
-    return _with_retries(compute, args.precision)
+    configs = [load_config(args.path_a), load_config(args.path_b)]
+    return _laddered(intersection_report, configs, args.precision)
 
 
 def _index_point(value, where: str) -> tuple[int, list[int]]:
@@ -244,7 +262,7 @@ def _cmd_index_eval(args) -> dict:
         int_(data["genus"], "genus"),
         list_(data["points"], "points", item=_index_point),
     )
-    return {"schema": SCHEMA_VERSION, **report.to_json()}
+    return {"schema": SCHEMA_VERSION, **report}
 
 
 def _cmd_index_scan(args) -> dict:
@@ -461,7 +479,11 @@ def main(argv=None) -> int:
     except (OSError, LookupError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(lambda: write_report(payload, args.output_format, sys.stdout))
+    try:
+        return _emit(lambda: write_report(payload, args.output_format, sys.stdout))
+    except OverflowError as exc:  # a value past the digit limit, before any write
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

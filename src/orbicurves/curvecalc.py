@@ -8,8 +8,8 @@ domain orbifold surface, the curve's class and multiplicity, and one
 station per image point that carries local branch data.  Homology is
 always user-supplied; nothing here computes H_2 of an orbifold.
 
-All reports are pure functions of immutable configurations and return
-exact rationals.
+All reports are pure functions of immutable configurations, and each
+returns the report's own dict, whose rational values are Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     InvalidInput,
 )
 from .decode import SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational, str_
-from .exact import format_rational
 from .germ import (CurveGerm, check_stabilizer, intersection_multiplicity,
                    self_intersection, translate)
 from .lens import SingularityType
@@ -370,6 +369,13 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
                        map(widen, config.stations), map(widen, config.regular_double_points))
 
 
+def stored_truncation(config: CurveConfig) -> int:
+    """The largest truncation a series of the configuration stores (0
+    when every series is exact): with_precision below it cuts data."""
+    return max((s.trunc or 0 for st in config.stations + config.regular_double_points
+                for p in st.points for s in (p.germ.U, p.germ.V)), default=0)
+
+
 def _class_pairing(c1: CurveConfig, c2: CurveConfig) -> tuple[int, int]:
     """(m_C m_C')^{-1} [C]^T P [C'] as an integer numerator and denominator."""
     num, den = _rational_sum(
@@ -455,107 +461,35 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
 
 
-class Contribution:
-    """One itemized term of the adjunction right-hand side; kind is
-    "domain_genus", "pair", "point" or "double_point"."""
-
-    __slots__ = ("kind", "station", "labels", "value")
-
-    def __init__(self, kind: str, station: str, labels: tuple[str, ...], value: Fraction):
-        self.kind = kind
-        self.station = station
-        self.labels = labels
-        self.value = value
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "station": self.station,
-            "labels": list(self.labels),
-            "value": format_rational(self.value),
-        }
+def _item(kind: str, station: str, labels: list, value: Fraction) -> dict:
+    """One itemized contribution of a report; kind is "domain_genus",
+    "pair", "point" or "double_point"."""
+    return {"kind": kind, "station": station, "labels": labels, "value": value}
 
 
-class AdjunctionReport:
-    __slots__ = ("lhs", "rhs", "holds", "contributions")
-
-    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool,
-                 contributions: tuple[Contribution, ...]):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.holds = holds
-        self.contributions = contributions
-
-    @property
-    def domain_genus(self) -> Fraction:
-        """The orbifold genus of the domain, the report's first item."""
-        return self.contributions[0].value
-
-    def local_total(self) -> Fraction:
-        return self.rhs - self.domain_genus
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "holds": self.holds,
-            "contributions": [c.to_json() for c in self.contributions],
-        }
-
-
-def adjunction_report(c: CurveConfig) -> AdjunctionReport:
+def adjunction_report(c: CurveConfig) -> dict:
     """Check g(C) = g_Sigma + sum of pair terms + sum of point terms,
-    itemizing every local contribution."""
-    items: list[Contribution] = [
-        Contribution("domain_genus", "", (), orbifold_genus(c.domain))
-    ]
+    itemizing every local contribution; the first item is the domain's
+    orbifold genus."""
+    items = [_item("domain_genus", "", [], orbifold_genus(c.domain))]
     for s in c.stations:
         labels = [p.label for p in s.points]
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
-                items.append(
-                    Contribution(
-                        "pair",
-                        s.ambient_point,
-                        (labels[i], labels[j]),
-                        local_pair_contribution(s, labels[i], labels[j]),
-                    )
-                )
+                items.append(_item("pair", s.ambient_point, [labels[i], labels[j]],
+                                   local_pair_contribution(s, labels[i], labels[j])))
         for lab in labels:
-            items.append(
-                Contribution(
-                    "point", s.ambient_point, (lab,), local_point_contribution(s, lab)
-                )
-            )
+            items.append(_item("point", s.ambient_point, [lab],
+                               local_point_contribution(s, lab)))
     for d in c.regular_double_points:
         p1, p2 = d.points
         g1, g2 = p1.germ, p2.germ
         value = _pair_term(g1, g2) + self_intersection(g1) + self_intersection(g2)
-        items.append(Contribution("double_point", d.ambient_point, (p1.label, p2.label), value))
-    rhs = _sum(it.value for it in items)
+        items.append(_item("double_point", d.ambient_point, [p1.label, p2.label], value))
+    rhs = _sum(it["value"] for it in items)
     lhs = virtual_genus(c)
-    return AdjunctionReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, contributions=tuple(items))
-
-
-class IntersectionReport:
-    __slots__ = ("algebraic", "local_sum", "holds", "contributions")
-
-    def __init__(self, algebraic: Fraction, local_sum: Fraction, holds: bool,
-                 contributions: tuple[Contribution, ...]):
-        self.algebraic = algebraic
-        self.local_sum = local_sum
-        self.holds = holds
-        self.contributions = contributions
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "algebraic": format_rational(self.algebraic),
-            "local_sum": format_rational(self.local_sum),
-            "holds": self.holds,
-            "contributions": [c.to_json() for c in self.contributions],
-        }
+    return {"schema": SCHEMA_VERSION, "lhs": lhs, "rhs": rhs, "holds": lhs == rhs,
+            "contributions": items}
 
 
 def infer_meetings(c1: CurveConfig, c2: CurveConfig) -> list[tuple[int, int]]:
@@ -569,61 +503,38 @@ def infer_meetings(c1: CurveConfig, c2: CurveConfig) -> list[tuple[int, int]]:
     return out
 
 
-def intersection_report(c1: CurveConfig, c2: CurveConfig) -> IntersectionReport:
+def intersection_report(c1: CurveConfig, c2: CurveConfig) -> dict:
     """Check C.C' = sum over meeting points of (1/|G|) sum of pairwise
     branch intersection multiplicities."""
     if c1.ambient != c2.ambient:
         raise AmbientMismatch("configurations live in different ambient models")
-    items: list[Contribution] = []
+    items = []
     for i, j in infer_meetings(c1, c2):
         s1, s2 = c1.stations[i], c2.stations[j]
         for p1 in s1.points:
             for p2 in s2.points:
                 value = _pair_term(p1.germ, p2.germ)
-                items.append(Contribution("pair", s1.ambient_point, (p1.label, p2.label), value))
-    local_sum = _sum(it.value for it in items)
+                items.append(_item("pair", s1.ambient_point, [p1.label, p2.label], value))
+    local_sum = _sum(it["value"] for it in items)
     algebraic = algebraic_intersection(c1, c2)
-    return IntersectionReport(
-        algebraic=algebraic,
-        local_sum=local_sum,
-        holds=algebraic == local_sum,
-        contributions=tuple(items),
-    )
+    return {"schema": SCHEMA_VERSION, "algebraic": algebraic, "local_sum": local_sum,
+            "holds": algebraic == local_sum, "contributions": items}
 
 
-class EmbeddednessVerdict:
-    __slots__ = ("embedded", "defect")
-
-    def __init__(self, embedded: bool, defect: Fraction):
-        self.embedded = embedded
-        self.defect = defect
-
-    def __str__(self) -> str:
-        if self.embedded:
-            return "EmbeddedSuborbifold"
-        return f"Singular(defect={format_rational(self.defect)})"
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": "EmbeddedSuborbifold" if self.embedded else "Singular",
-            "defect": format_rational(self.defect),
-        }
-
-
-def embeddedness_verdict(report: AdjunctionReport) -> EmbeddednessVerdict:
+def embeddedness_verdict(report: dict) -> dict:
     """Verdict read from a configuration's adjunction report:
     EmbeddedSuborbifold when every local contribution vanishes (so the
-    virtual genus equals the domain genus); otherwise the defect is the
-    total local contribution rhs - g_Sigma."""
-    if not report.holds:
+    virtual genus equals the domain genus); otherwise Singular, with the
+    total local contribution rhs - g_Sigma as the defect."""
+    if not report["holds"]:
         raise AdjunctionViolated(
-            f"adjunction fails on this configuration: lhs {report.lhs} != "
-            f"rhs {report.rhs}; the input data is inconsistent"
+            f"adjunction fails on this configuration: lhs {report['lhs']} != "
+            f"rhs {report['rhs']}; the input data is inconsistent"
         )
-    defect = report.local_total()
+    defect = report["rhs"] - report["contributions"][0]["value"]
     if defect < 0:
         raise AdjunctionViolated(
             f"negative local contribution total {defect}; the input data is "
             "inconsistent"
         )
-    return EmbeddednessVerdict(embedded=defect == 0, defect=defect)
+    return {"verdict": "Singular" if defect else "EmbeddedSuborbifold", "defect": defect}

@@ -7,7 +7,9 @@ string "a/b" or "a".  An optional field is either absent or of its
 type, so callers read it with ``data.get(key, default)``.  An object
 has only the fields its reader names, as in ``class.multiplicty:
 unknown key``; keyed maps, whose keys are data, are read with keyed.
-The input format's version and truncation cap live here too.
+The input format's version and truncation cap live here too, and so
+does the "a/b" text of a rational both ways: parse_rational reads it
+and format_rational writes it, for every report.
 """
 
 from __future__ import annotations
@@ -21,6 +23,24 @@ from .errors import InvalidInput
 SCHEMA_VERSION = 1
 MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
 MAX_SHOWN = 80  # characters of a wrong value's JSON that an error line shows
+
+
+def format_rational(x) -> str:
+    """Canonical textual form of an int or Fraction: "a/b" with b > 1,
+    plain "a" for integers.  A side longer than the interpreter writes
+    (sys.get_int_max_str_digits) is an OverflowError.
+
+    >>> from fractions import Fraction
+    >>> format_rational(Fraction(-26, 14))
+    '-13/7'
+    >>> format_rational(Fraction(10, 2))
+    '5'
+    """
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OverflowError(f"cannot print a report value of more than {limit} digits") from None
 
 
 def parse_rational(text: str) -> Fraction:

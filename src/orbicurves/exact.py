@@ -1,48 +1,20 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals and the
-fourth roots of unity.
+"""Exact scalar arithmetic: Gaussian rationals and the fourth roots of
+unity.
 
 The report values downstream (genus formulas, the index, the
 coefficients of germ series at the API and JSON boundary) are built on
 these scalars; series arithmetic itself runs on integers in germ.py.
 No floating point appears anywhere; rationals are stdlib Fractions
 (arbitrary-precision integers, canonical reduced form with positive
-denominator) and Gaussian rationals are pairs of them.  The lens-space
+denominator) and Gaussian rationals are pairs of them.  The "a/b" text
+of a rational lives in decode, next to its parser.  The lens-space
 congruences need only integers, and their modular inverse lives in
 lens, so the lens commands load neither this module nor fractions.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-
-
-def format_rational(x) -> str:
-    """Canonical textual form of an int or Fraction: "a/b" with b > 1,
-    plain "a" for integers.  A side longer than the interpreter writes
-    (sys.get_int_max_str_digits) is an OverflowError.
-
-    >>> format_rational(Fraction(-26, 14))
-    '-13/7'
-    >>> format_rational(Fraction(10, 2))
-    '5'
-    """
-    try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise OverflowError(f"cannot print a report value of more than {limit} digits") from None
-
-
-def is_integer(x) -> bool:
-    """True iff the int or Fraction is an integer.
-
-    >>> is_integer(Fraction(13, 35))
-    False
-    >>> is_integer(Fraction(14, 7))
-    True
-    """
-    return x.denominator == 1
 
 
 class GaussianRational:
@@ -115,11 +87,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return format_rational(self.re)
+            return str(self.re)
         if self.re == 0:
-            return f"{format_rational(self.im)}*i"
+            return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
+        return f"{self.re}{sign}{abs(self.im)}*i"
 
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .chern_index import IndexReport, kawasaki_index
+from .chern_index import kawasaki_index
 from .curvecalc import (
     AmbientModel,
     CurveClass,
@@ -27,9 +27,8 @@ from .curvecalc import (
     intersection_report,
     station,
 )
-from .decode import SCHEMA_VERSION
+from .decode import SCHEMA_VERSION, format_rational
 from .errors import Disallowed, InvalidInput
-from .exact import format_rational
 from .germ import CurveGerm, germ_from_polynomials
 from .lens import (
     SingularityType,
@@ -163,51 +162,29 @@ def genus_bound(m: WpsModel, r) -> Fraction:
     return Fraction(p * a * a - (2 * p + q + 1) * a * b + den, den)
 
 
-class GenusBoundProfile:
-    """Sampled values of the genus bound plus the two exact checks: the
-    bound decreases strictly over (0,1], and its value at r = 1/p equals
+def genus_bound_profile(m: WpsModel, samples) -> dict:
+    """Evaluate the genus bound on ascending samples in (0, 1]: the
+    [r, g(r)] rows plus the two exact checks, that the bound decreases
+    strictly over (0, 1] and that its value at r = 1/p equals
     (1 - 1/(p+q))/2 + (1 - 1/p)/2."""
-
-    __slots__ = ("rows", "strictly_decreasing", "value_at_inverse_p", "peak_identity")
-
-    def __init__(self, rows: tuple[tuple[Fraction, Fraction], ...], strictly_decreasing: bool,
-                 value_at_inverse_p: Fraction, peak_identity: bool):
-        self.rows = rows
-        self.strictly_decreasing = strictly_decreasing
-        self.value_at_inverse_p = value_at_inverse_p
-        self.peak_identity = peak_identity
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "rows": [
-                [format_rational(r), format_rational(g)] for r, g in self.rows
-            ],
-            "strictly_decreasing": self.strictly_decreasing,
-            "value_at_inverse_p": format_rational(self.value_at_inverse_p),
-            "peak_identity": self.peak_identity,
-        }
-
-
-def genus_bound_profile(m: WpsModel, samples) -> GenusBoundProfile:
-    """Evaluate the genus bound on ascending samples in (0, 1]."""
     rs = [r if isinstance(r, Fraction) else Fraction(r) for r in samples]
     if any(not 0 < r <= 1 for r in rs):
         raise InvalidInput("samples must lie in (0, 1]")
     if any(a >= b for a, b in zip(rs, rs[1:])):
         raise InvalidInput("samples must be strictly ascending")
-    rows = tuple((r, genus_bound(m, r)) for r in rs)
+    rows = [[r, genus_bound(m, r)] for r in rs]
     decreasing = all(ga > gb for (_, ga), (_, gb) in zip(rows, rows[1:]))
     p, q = m.p, m.q
     at_peak = genus_bound(m, Fraction(1, p))
     # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
     displayed = Fraction((p + q - 1) * p + (p - 1) * (p + q), 2 * p * (p + q))
-    return GenusBoundProfile(
-        rows=rows,
-        strictly_decreasing=decreasing,
-        value_at_inverse_p=at_peak,
-        peak_identity=at_peak == displayed,
-    )
+    return {
+        "schema": SCHEMA_VERSION,
+        "rows": rows,
+        "strictly_decreasing": decreasing,
+        "value_at_inverse_p": at_peak,
+        "peak_identity": at_peak == displayed,
+    }
 
 
 def _samples(p: int) -> list[Fraction]:
@@ -229,7 +206,7 @@ def seifert_euler(m: WpsModel) -> Fraction:
     return Fraction(m.p + m.q, m.p)
 
 
-def c0_index(m: WpsModel, c0: CurveConfig) -> IndexReport:
+def c0_index(m: WpsModel, c0: CurveConfig) -> dict:
     """Index count of the deformation operator for the C0 data: the c1
     pairing with [C0], a genus-0 domain, and the isotropy weights of
     the distinguished germ at x, read from c0 = c0_config(m)."""
@@ -239,9 +216,16 @@ def c0_index(m: WpsModel, c0: CurveConfig) -> IndexReport:
     )
 
 
+def _verdict_text(report: dict) -> str:
+    """The dossier's verdict string: EmbeddedSuborbifold, or
+    Singular(defect=a/b)."""
+    defect = embeddedness_verdict(report)["defect"]
+    return f"Singular(defect={format_rational(defect)})" if defect else "EmbeddedSuborbifold"
+
+
 def dossier(m: WpsModel) -> dict:
-    """Every model quantity in one JSON-ready mapping with stable key
-    order: homology data, congruence record, both curve reports, the
+    """Every model quantity in one mapping of exact values with stable
+    key order: homology data, congruence record, both curve reports, the
     genus bound profile on {1/p, 1/2, 1}, and the scalar invariants."""
     record = m.congruence()
     cases = c0prime_cases(m)
@@ -252,40 +236,39 @@ def dossier(m: WpsModel) -> dict:
         "p": m.p,
         "q": m.q,
         "q_prime": m.qprime,
-        "pairing_C0_C0": format_rational(m.pairing),
-        "c1_X_C0": format_rational(m.c1_value),
-        "c1_KX_C0": format_rational(c_pairing(c0)),
+        "pairing_C0_C0": m.pairing,
+        "c1_X_C0": m.c1_value,
+        "c1_KX_C0": c_pairing(c0),
         "singular_points": {
             POINT_X: [m.p + m.q, m.p],
             POINT_X_PRIME: [m.p, m.qprime],
         },
-        "seifert_euler": format_rational(seifert_euler(m)),
+        "seifert_euler": seifert_euler(m),
         "uniqueness_inequality": uniqueness_inequality(m),
         "congruence": record,
         "cases": cases,
-        "index_C0": c0_index(m, c0).to_json(),
+        "index_C0": c0_index(m, c0),
         "C0": {
-            "virtual_genus": format_rational(c0_report.lhs),
-            "domain_genus": format_rational(c0_report.domain_genus),
-            "adjunction": c0_report.to_json(),
-            "verdict": str(embeddedness_verdict(c0_report)),
+            "virtual_genus": c0_report["lhs"],
+            "domain_genus": c0_report["contributions"][0]["value"],
+            "adjunction": c0_report,
+            "verdict": _verdict_text(c0_report),
         },
+        "genus_bound": genus_bound_profile(m, _samples(m.p)),
     }
-    profile = genus_bound_profile(m, _samples(m.p))
-    out["genus_bound"] = profile.to_json()
     if cases:
         cp = c0prime_config(m)
         cp_report = adjunction_report(cp)
         out["case"] = cases[0]
         out["C0_prime"] = {
-            "class_fraction": format_rational(cp.curve_class.coords[0]),
-            "virtual_genus": format_rational(cp_report.lhs),
-            "domain_genus": format_rational(cp_report.domain_genus),
-            "self_pairing": format_rational(algebraic_intersection(cp, cp)),
-            "adjunction": cp_report.to_json(),
-            "verdict": str(embeddedness_verdict(cp_report)),
+            "class_fraction": cp.curve_class.coords[0],
+            "virtual_genus": cp_report["lhs"],
+            "domain_genus": cp_report["contributions"][0]["value"],
+            "self_pairing": algebraic_intersection(cp, cp),
+            "adjunction": cp_report,
+            "verdict": _verdict_text(cp_report),
         }
-        out["intersection_C0_C0_prime"] = intersection_report(c0, cp).to_json()
+        out["intersection_C0_C0_prime"] = intersection_report(c0, cp)
     else:
         out["case"] = None
         out["C0_prime"] = None
@@ -299,16 +282,14 @@ def sweep_row(p: int, q: int) -> dict:
     model = build_model(p, q, q)
     config = c0_config(model)
     report = adjunction_report(config)
-    verdict = embeddedness_verdict(report) if report.holds else None
     index = c0_index(model, config)
     profile = genus_bound_profile(model, _samples(p))
     holds = (
-        report.holds
-        and verdict is not None
-        and verdict.embedded
-        and index.d == 3
-        and profile.strictly_decreasing
-        and profile.peak_identity
+        report["holds"]
+        and embeddedness_verdict(report)["verdict"] == "EmbeddedSuborbifold"
+        and index["d"] == 3
+        and profile["strictly_decreasing"]
+        and profile["peak_identity"]
         and uniqueness_inequality(model)
     )
     for qprime in allowed_q_set(p, q):
@@ -319,19 +300,21 @@ def sweep_row(p: int, q: int) -> dict:
         meeting = intersection_report(c0, partner)
         holds = (
             holds
-            and partner_report.holds
-            and meeting.holds
-            and meeting.algebraic == Fraction(1, p + q)
-            and embeddedness_verdict(partner_report).embedded
+            and partner_report["holds"]
+            and meeting["holds"]
+            and meeting["algebraic"] == Fraction(1, p + q)
+            and embeddedness_verdict(partner_report)["verdict"] == "EmbeddedSuborbifold"
         )
+    # the rows hold text: they cross the fork boundary as one marshal
+    # blob, and marshal cannot hold a Fraction
     return {
         "p": p,
         "q": q,
         "C0_C0": format_rational(model.pairing),
         "c1_KX_C0": format_rational(-model.c1_value),
-        "genus_C0": format_rational(report.domain_genus),
+        "genus_C0": format_rational(report["contributions"][0]["value"]),
         "seifert_euler": format_rational(seifert_euler(model)),
-        "index_d": format_rational(index.d),
+        "index_d": format_rational(index["d"]),
         "holds": holds,
     }
 

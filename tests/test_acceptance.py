@@ -48,6 +48,7 @@ from oracles import oracle_delta, oracle_intersection
 from test_curvecalc import cusp_station, node, plane_curve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EMBEDDED = "EmbeddedSuborbifold"
 
 
 @contextlib.contextmanager
@@ -103,15 +104,15 @@ def test_acceptance_2_adjunction_end_to_end():
         for p, q in coprime_pairs(30):
             cfg = c0_config(build_model(p, q, q))
             rep = adjunction_report(cfg)
-            assert rep.holds
-            assert rep.lhs == Fraction(1, 2) - Fraction(1, 2 * (p + q))
-            assert embeddedness_verdict(adjunction_report(cfg)).embedded
+            assert rep["holds"]
+            assert rep["lhs"] == Fraction(1, 2) - Fraction(1, 2 * (p + q))
+            assert embeddedness_verdict(adjunction_report(cfg))["verdict"] == EMBEDDED
             for qprime in allowed_q_set(p, q):
                 prime = c0prime_config(build_model(p, q, qprime))
                 prep = adjunction_report(prime)
                 want = 1 - Fraction(2 * p + q, 2 * p * (p + q))
-                assert prep.holds and prep.lhs == prep.rhs == want
-                assert embeddedness_verdict(adjunction_report(prime)).embedded
+                assert prep["holds"] and prep["lhs"] == prep["rhs"] == want
+                assert embeddedness_verdict(adjunction_report(prime))["verdict"] == EMBEDDED
 
         def cusp_at(tag, label):
             return station(
@@ -145,9 +146,10 @@ def test_acceptance_2_adjunction_end_to_end():
         ]
         for cfg, lhs, defect in plane_corpus:
             rep = adjunction_report(cfg)
-            assert rep.holds and rep.lhs == lhs and rep.local_total() == defect
+            assert rep["holds"] and rep["lhs"] == lhs
+            assert rep["rhs"] - rep["contributions"][0]["value"] == defect
             verdict = embeddedness_verdict(adjunction_report(cfg))
-            assert str(verdict) == f"Singular(defect={defect})"
+            assert verdict == {"verdict": "Singular", "defect": defect}
 
 
 def test_acceptance_3_intersection_formula():
@@ -159,8 +161,8 @@ def test_acceptance_3_intersection_formula():
             for qprime in allowed_q_set(p, q):
                 m = build_model(p, q, qprime)
                 rep = intersection_report(c0_config(m), c0prime_config(m))
-                assert rep.holds
-                assert rep.algebraic == rep.local_sum == Fraction(1, p + q)
+                assert rep["holds"]
+                assert rep["algebraic"] == rep["local_sum"] == Fraction(1, p + q)
 
         # a line through the node of a nodal cubic: 3 = 2 + 1
         line = plane_curve(
@@ -191,9 +193,9 @@ def test_acceptance_3_intersection_formula():
             ],
         )
         rep = intersection_report(line, cubic)
-        assert rep.holds and rep.algebraic == rep.local_sum == 3
+        assert rep["holds"] and rep["algebraic"] == rep["local_sum"] == 3
         # itemized per branch pair: the node meeting yields two of the three
-        assert sorted(c.value for c in rep.contributions) == [1, 1, 1]
+        assert sorted(c["value"] for c in rep["contributions"]) == [1, 1, 1]
 
         # two transverse lines: 1 = 1
         def line_through(label, u, v):
@@ -207,7 +209,7 @@ def test_acceptance_3_intersection_formula():
         crossing = intersection_report(
             line_through("a", {1: 1}, {}), line_through("b", {}, {1: 1})
         )
-        assert crossing.holds and crossing.algebraic == crossing.local_sum == 1
+        assert crossing["holds"] and crossing["algebraic"] == crossing["local_sum"] == 1
 
 
 def test_acceptance_4_integrality_scan_characterization():
@@ -252,10 +254,10 @@ def test_acceptance_5_genus_bound_profile():
             m = build_model(p, q, q)
             grid = [Fraction(k, 4 * p) for k in range(1, 4 * p + 1)]
             profile = genus_bound_profile(m, grid)
-            assert profile.strictly_decreasing
-            assert profile.peak_identity
+            assert profile["strictly_decreasing"]
+            assert profile["peak_identity"]
             peak = Fraction(1 - Fraction(1, p + q), 2) + Fraction(1 - Fraction(1, p), 2)
-            assert profile.value_at_inverse_p == peak
+            assert profile["value_at_inverse_p"] == peak
             assert genus_bound(m, Fraction(1, p)) == peak
         for p, q in coprime_pairs(100):
             assert uniqueness_inequality(build_model(p, q, q))

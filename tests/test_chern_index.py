@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from orbicurves.chern_index import (
     EquivariantTrivialization,
-    IndexReport,
     _rational_text,
     chern_split,
     index_integrality_scan,
     kawasaki_index,
 )
 from orbicurves.errors import InvalidInput, InvalidParameters, WeightOutOfRange
-from orbicurves.exact import format_rational
+from orbicurves.decode import format_rational
 from orbicurves.lens import allowed_q_set, cobordism_congruence
 from orbicurves.surface import OrbifoldSurface, tangent_c1
 
@@ -84,17 +83,36 @@ class TestKawasaki:
     def test_frozen_index_5_2(self):
         # c1 pairing 13/7 with a genus-0 domain, weights (1, 5) at order 7
         rep = kawasaki_index(Fraction(13, 7), 0, [(7, (1, 5))])
-        assert rep.d == 3
-        assert rep.index == 6
-        assert rep.integral
+        assert rep["d"] == 3
+        assert rep["index"] == 6
+        assert rep["integral"]
+        assert list(rep) == ["d", "index", "integral"]
+        assert type(rep["d"]) is Fraction and type(rep["index"]) is Fraction
 
     def test_index_is_twice_d(self):
         rep = kawasaki_index(Fraction(1, 3), 1, [(3, (1, 1))])
-        assert rep.index == 2 * rep.d
+        assert rep["index"] == 2 * rep["d"]
 
     def test_index_report_integrality(self):
-        assert IndexReport(d=Fraction(3), index=Fraction(6)).integral
-        assert not IndexReport(d=Fraction(13, 2), index=Fraction(13)).integral
+        # genus 1 and no cone point: d is c1_pair
+        assert kawasaki_index(Fraction(3), 1, [])["integral"]
+        assert not kawasaki_index(Fraction(13, 2), 1, [])["integral"]
+
+    @pytest.mark.parametrize(
+        "x,integral",
+        [
+            (0, True),
+            (-5, True),
+            (10**40, True),
+            (Fraction(-(10**40), 5), True),
+            (Fraction(-1, 2), False),
+            (Fraction(10**40, 7), False),
+            (Fraction(8, 4), True),
+            (Fraction(1, 2), False),
+        ],
+    )
+    def test_integral_ints_negatives_and_large_values(self, x, integral):
+        assert kawasaki_index(x, 1, [])["integral"] is integral
 
     @given(
         num=st.integers(-10**6, 10**6),
@@ -110,8 +128,9 @@ class TestKawasaki:
         want = Fraction(num, den) + 2 - 2 * genus
         for m, (w1, w2) in points:
             want -= Fraction(w1 % m + w2 % m, m)
-        assert type(rep.d) is Fraction and rep.d == want
-        assert type(rep.index) is Fraction and rep.index == 2 * want
+        assert type(rep["d"]) is Fraction and rep["d"] == want
+        assert type(rep["index"]) is Fraction and rep["index"] == 2 * want
+        assert rep["integral"] is (want.denominator == 1)
 
     def test_weight_count_checked(self):
         with pytest.raises(WeightOutOfRange):
@@ -195,8 +214,8 @@ class TestScan:
         rows = []
         for qprime in qprimes:
             lprime = pow(qprime, -1, p)
-            d_a = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (lprime, 1))]).d
-            d_b = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (1, qprime))]).d
+            d_a = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (lprime, 1))])["d"]
+            d_b = kawasaki_index(c1_pair, 0, [(p + q, (l, 1)), (p, (1, qprime))])["d"]
             a, b = d_a.denominator == 1, d_b.denominator == 1
             rows.append((qprime, d_a, d_b, a, b, a or b))
         return rows

@@ -8,11 +8,13 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +33,7 @@ from orbicurves.cli import (
     main,
     write_report,
 )
-from orbicurves.decode import MAX_PRECISION
+from orbicurves.decode import MAX_PRECISION, format_rational
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
 from test_chern_index import scan_oracle_rows
@@ -320,10 +322,11 @@ class TestPrecisionRetry:
         )
         assert forced == default
 
-    def test_last_rung_names_the_cap(self, tmp_path, capsys):
-        # (t, t^2) and (2t, 4t^2) are one parabola given twice at one
-        # station: no rung resolves their intersection, and --precision
-        # cannot go past the cap
+    @staticmethod
+    def parabola_twice(tmp_path, trunc: int = 32) -> str:
+        """(t, t^2) and (2t, 4t^2), one parabola given twice at one
+        station, every series stored at truncation trunc: no rung
+        resolves their intersection."""
         data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
         first = data["stations"][0]["points"][0]
         second = json.loads(json.dumps(first))
@@ -331,15 +334,53 @@ class TestPrecisionRetry:
         second["germ"]["U"]["terms"] = [[1, {"re": "2", "im": "0"}]]
         second["germ"]["V"]["terms"] = [[2, {"re": "4", "im": "0"}]]
         data["stations"][0]["points"].append(second)
-        path = tmp_path / "parabola_twice.json"
+        for point in data["stations"][0]["points"]:
+            point["germ"]["U"]["trunc"] = point["germ"]["V"]["trunc"] = trunc
+        path = tmp_path / f"parabola_twice_{trunc}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        path = str(path)
+        return str(path)
+
+    def test_last_rung_names_the_cap(self, tmp_path, capsys):
+        # --precision cannot go past the cap
+        path = self.parabola_twice(tmp_path)
         for argv in (["adjunction", path], ["adjunction", path, "--precision", "256"]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", (
                 f"error: unresolved at truncation {MAX_PRECISION}, the cap: resultant "
                 "vanishes to the available truncation; check that the branches are distinct\n"
             ))
+
+    @pytest.mark.parametrize(
+        "trunc,flags,attempts",
+        [
+            (8, [], [None, 32, 64, 128, 256]),
+            (32, [], [None, 64, 128, 256]),
+            (64, [], [None, 128, 256]),
+            (256, [], [None]),
+            (64, ["--precision", "32"], [32, 64, 128, 256]),
+        ],
+    )
+    def test_ladder_skips_rungs_that_cut_or_repeat_the_data(
+        self, tmp_path, monkeypatch, capsys, trunc, flags, attempts
+    ):
+        # a rung at or below the largest stored truncation would repeat
+        # the stored attempt or cut the stored terms; --precision keeps
+        # every rung it asks for
+        seen = []
+        retries = cli._with_retries
+
+        def recorded(compute, start):
+            def attempt(t):
+                seen.append(t)
+                return compute(t)
+
+            return retries(attempt, start)
+
+        monkeypatch.setattr(cli, "_with_retries", recorded)
+        assert main(["adjunction", self.parabola_twice(tmp_path, trunc), *flags]) == 1
+        assert seen == attempts
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unresolved at truncation {MAX_PRECISION}, the cap: ")
 
 
 class TestDeepTruncation:
@@ -888,6 +929,113 @@ class TestEmitReport:
         assert "".join(writes) == json.dumps({"rows": rows}, indent=2) + "\n"
 
 
+class TestWriterContract:
+    """The writer is the one place a rational becomes text: a Fraction at
+    any depth prints as its "a/b" text, while an int stays a JSON number
+    and a bool stays true or false."""
+
+    NESTED = {
+        "schema": 1,
+        "x": Fraction(-13, 7),
+        "n": 5,
+        "whole": Fraction(10, 2),
+        "flags": [True, False, None],
+        "deep": {"list": [Fraction(1, 2), 3, {"y": Fraction(-4)}], "t": True},
+    }
+
+    def test_json_prints_every_fraction_as_text(self):
+        assert json.loads(render(self.NESTED)) == {
+            "schema": 1,
+            "x": "-13/7",
+            "n": 5,
+            "whole": "5",
+            "flags": [True, False, None],
+            "deep": {"list": ["1/2", 3, {"y": "-4"}], "t": True},
+        }
+
+    def test_table_prints_every_fraction_as_text(self):
+        assert render(self.NESTED, "table").splitlines() == [
+            f"{path:14}  {value}" for path, value in [
+                ("schema", "1"),
+                ("x", "-13/7"),
+                ("n", "5"),
+                ("whole", "5"),
+                ("flags", "[true, false, null]"),
+                ("deep.list[0]", "1/2"),
+                ("deep.list[1]", "3"),
+                ("deep.list[2].y", "-4"),
+                ("deep.t", "true"),
+            ]
+        ]
+
+
+def _type_law_pairs(value, printed, path=""):
+    """(path, value, printed) for every leaf of a report and of its JSON
+    text read back."""
+    if isinstance(value, dict):
+        assert list(value) == list(printed), path
+        for key in value:
+            yield from _type_law_pairs(value[key], printed[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        assert len(value) == len(printed), path
+        for i, (v, p) in enumerate(zip(value, printed)):
+            yield from _type_law_pairs(v, p, f"{path}[{i}]")
+    else:
+        yield path, value, printed
+
+
+def _config_commands() -> list:
+    """A command for every file of configs/, and intersect for every
+    ordered pair of configurations, distinct and in one ambient model."""
+    curves = []
+    argvs = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "ambient" in data:
+            curves.append((str(path), data["ambient"]))
+            argvs.append(["adjunction", str(path)])
+        elif "c1_pair" in data:
+            argvs.append(["index", "eval", str(path)])
+        else:
+            argvs += [["chains", "betti", str(path)], ["chains", "validate", str(path)]]
+    argvs += [
+        ["intersect", a, b] for a, ambient_a in curves for b, ambient_b in curves
+        if a != b and ambient_a == ambient_b
+    ]
+    return argvs
+
+
+class TestReportTypes:
+    """Type law: every value of a report that prints as a rational is a
+    Fraction in the report's dict, and no other value is."""
+
+    @staticmethod
+    def check(argv):
+        args = _read_argv(argv)
+        report = args.handler(args)
+        printed = json.loads(render(report))
+        leaves = list(_type_law_pairs(report, printed))
+        for path, value, text in leaves:
+            is_rational_text = isinstance(text, str) and re.fullmatch(r"-?\d+(/\d+)?", text)
+            assert (type(value) is Fraction) == bool(is_rational_text), (argv, path, value)
+        return leaves
+
+    def test_every_config_command(self):
+        argvs = _config_commands()
+        assert ["intersect", str(CONFIGS / "line.json"), str(CONFIGS / "conic_tangent.json")] in argvs
+        fractions = 0
+        for argv in argvs:
+            fractions += sum(type(v) is Fraction for _, v, _ in self.check(argv))
+        assert fractions > 0
+
+    def test_every_wps_report_up_to_p_12(self):
+        for p in range(2, 13):
+            for q in range(1, p):
+                for qprime in range(1, p):
+                    if math.gcd(p, q) == math.gcd(p, qprime) == 1:
+                        self.check(["wps", "report", str(p), str(q), str(qprime)])
+
+
 class _NullSink:
     def write(self, text):
         return len(text)
@@ -994,7 +1142,7 @@ class TestScanStream:
 _BASE = {"orbicurves", "orbicurves.cli", "orbicurves.decode", "orbicurves.errors"}
 _LENS = {"orbicurves.lens"}
 _GERM = _LENS | {"orbicurves.exact", "orbicurves.curvecalc", "orbicurves.germ", "orbicurves.surface"}
-_INDEX = _LENS | {"orbicurves.exact", "orbicurves.chern_index"}
+_INDEX = _LENS | {"orbicurves.chern_index"}
 _WPS = _GERM | _INDEX | {"orbicurves.wps"}
 _MODULES_AFTER_MAIN = """
 import contextlib, io, json, sys
@@ -1092,10 +1240,10 @@ class TestImportGraph:
     @pytest.mark.parametrize("argv,modules", MODULE_SETS, ids=_MODULE_SET_IDS)
     def test_command_loads_no_dataclasses(self, argv, modules):
         # dataclasses brings inspect, ast, dis and tokenize with it; the
-        # commands that read no rational, which load no exact, skip
-        # fractions too
+        # commands that compute no rational, which load neither exact nor
+        # chern_index, skip fractions too
         unwanted = {"dataclasses", "inspect"}
-        if "orbicurves.exact" not in modules:
+        if not modules & {"orbicurves.exact", "orbicurves.chern_index"}:
             unwanted.add("fractions")
         assert not unwanted & set(_fresh_run(tuple(argv))[2])
 

@@ -429,10 +429,12 @@ class TestMagnitudes:
         )
 
     def test_report_past_the_limit_exits_1(self, tmp_path):
+        # the writer meets the value before it writes a byte, in either format
         path = str(mutated(tmp_path, self.CUSPIDAL, ("class", "coords", 0), HUGE_DENOMINATOR))
-        assert run(["adjunction", path]) == (
-            1, "", f"error: cannot print a report value of more than {DIGIT_LIMIT} digits\n"
-        )
+        for flags in ([], ["--format", "table"]):
+            assert run(["adjunction", path, *flags]) == (
+                1, "", f"error: cannot print a report value of more than {DIGIT_LIMIT} digits\n"
+            )
 
 
 def _leaves(node, path=()):

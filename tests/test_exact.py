@@ -5,16 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves.decode import parse_rational
+from orbicurves.decode import format_rational, parse_rational
 from orbicurves.errors import InvalidInput, NotCoprime
 from orbicurves.exact import (
     FOURTH_ROOTS,
     GR_I,
     GR_ONE,
     GaussianRational,
-    format_rational,
     fourth_root_power,
-    is_integer,
 )
 from orbicurves.germ import PowerSeries
 from orbicurves.lens import mod_inverse
@@ -48,10 +46,6 @@ class TestRationalText:
         for text in ["0", "1", "-1", "22/7", "-355/113"]:
             assert format_rational(parse_rational(text)) == text
 
-    def test_is_integer(self):
-        assert is_integer(Fraction(8, 4))
-        assert not is_integer(Fraction(1, 2))
-
     @pytest.mark.parametrize(
         "x,text",
         [
@@ -68,20 +62,6 @@ class TestRationalText:
     )
     def test_format_ints_negatives_and_large_values(self, x, text):
         assert format_rational(x) == text
-
-    @pytest.mark.parametrize(
-        "x,integral",
-        [
-            (0, True),
-            (-5, True),
-            (10**40, True),
-            (Fraction(-(10**40), 5), True),
-            (Fraction(-1, 2), False),
-            (Fraction(10**40, 7), False),
-        ],
-    )
-    def test_is_integer_ints_negatives_and_large_values(self, x, integral):
-        assert is_integer(x) is integral
 
 
 class TestModInverse:

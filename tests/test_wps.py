@@ -1,6 +1,8 @@
 """The weighted cap model: curves, genus bound, index, dossier."""
 
 import functools
+import io
+import json
 import math
 import os
 from fractions import Fraction
@@ -9,8 +11,6 @@ import pytest
 
 from orbicurves import cli, germ, wps
 from orbicurves.curvecalc import (
-    AdjunctionReport,
-    IntersectionReport,
     adjunction_report,
     algebraic_intersection,
     embeddedness_verdict,
@@ -18,10 +18,9 @@ from orbicurves.curvecalc import (
     virtual_genus,
 )
 from orbicurves.errors import Disallowed, InvalidInput, InvalidParameters
-from orbicurves.exact import format_rational
+from orbicurves.decode import format_rational
 from orbicurves.lens import SingularityType, allowed_q_set
 from orbicurves.wps import (
-    GenusBoundProfile,
     build_model,
     c0_config,
     c0_index,
@@ -37,6 +36,14 @@ from orbicurves.wps import (
 )
 
 from oracles import sweep_row_closed_form
+
+EMBEDDED = "EmbeddedSuborbifold"
+
+
+def cli_render(report: dict) -> str:
+    out = io.StringIO()
+    cli.write_report(report, "json", out)
+    return out.getvalue()
 
 
 class TestModel:
@@ -67,9 +74,9 @@ class TestGeneratingCurve:
         for p, q in [(2, 1), (5, 2), (9, 4), (12, 5)]:
             cfg = c0_config(build_model(p, q, q))
             rep = adjunction_report(cfg)
-            assert rep.holds
-            assert rep.lhs == Fraction(1, 2) - Fraction(1, 2 * (p + q))
-            assert embeddedness_verdict(adjunction_report(cfg)).embedded
+            assert rep["holds"]
+            assert rep["lhs"] == Fraction(1, 2) - Fraction(1, 2 * (p + q))
+            assert embeddedness_verdict(adjunction_report(cfg))["verdict"] == EMBEDDED
 
     def test_c0_self_pairing_and_c1(self):
         m = build_model(5, 2, 2)
@@ -80,12 +87,12 @@ class TestGeneratingCurve:
     def test_c0_index_frozen(self):
         m = build_model(5, 2, 2)
         rep = c0_index(m, c0_config(m))
-        assert rep.d == 3 and rep.index == 6 and rep.integral
+        assert rep["d"] == 3 and rep["index"] == 6 and rep["integral"]
 
     def test_c0_index_integral_sampled(self):
         for p, q in [(3, 2), (7, 4), (11, 3)]:
             m = build_model(p, q, q)
-            assert c0_index(m, c0_config(m)).integral
+            assert c0_index(m, c0_config(m))["integral"]
 
 
 class TestFractionCurve:
@@ -100,8 +107,8 @@ class TestFractionCurve:
         m = build_model(5, 1, 1)
         for case in ("A", "B"):
             cfg = c0prime_config(m, case=case)
-            assert adjunction_report(cfg).holds
-            assert embeddedness_verdict(adjunction_report(cfg)).embedded
+            assert adjunction_report(cfg)["holds"]
+            assert embeddedness_verdict(adjunction_report(cfg))["verdict"] == EMBEDDED
 
     def test_disallowed_raises(self):
         with pytest.raises(Disallowed):
@@ -117,9 +124,9 @@ class TestFractionCurve:
                 m = build_model(p, q, qp)
                 cp = c0prime_config(m)
                 assert algebraic_intersection(cp, cp) == Fraction(1, p * (p + q))
-                assert embeddedness_verdict(adjunction_report(cp)).embedded
+                assert embeddedness_verdict(adjunction_report(cp))["verdict"] == EMBEDDED
                 rep = intersection_report(c0_config(m), cp)
-                assert rep.holds and rep.algebraic == Fraction(1, p + q)
+                assert rep["holds"] and rep["algebraic"] == Fraction(1, p + q)
 
 
 class TestGenusBound:
@@ -135,10 +142,10 @@ class TestGenusBound:
     def test_profile_checks(self):
         m = build_model(5, 2, 2)
         prof = genus_bound_profile(m, [Fraction(1, 5), Fraction(1, 2), 1])
-        assert prof.strictly_decreasing
-        assert prof.peak_identity
-        assert prof.value_at_inverse_p == Fraction(29, 35)
-        assert prof.rows[-1] == (Fraction(1), Fraction(3, 7))
+        assert prof["strictly_decreasing"]
+        assert prof["peak_identity"]
+        assert prof["value_at_inverse_p"] == Fraction(29, 35)
+        assert prof["rows"][-1] == [Fraction(1), Fraction(3, 7)]
 
     def test_profile_rejects_bad_samples(self):
         m = build_model(5, 2, 2)
@@ -151,7 +158,7 @@ class TestGenusBound:
 
     def test_profile_json_uses_rational_text(self):
         m = build_model(5, 2, 2)
-        data = genus_bound_profile(m, [Fraction(1, 5), 1]).to_json()
+        data = json.loads(cli_render(genus_bound_profile(m, [Fraction(1, 5), 1])))
         assert data["rows"][0] == ["1/5", "29/35"]
         assert data["value_at_inverse_p"] == "29/35"
 
@@ -173,19 +180,19 @@ class TestDossier:
     def test_allowed_dossier_5_2_2(self):
         d = dossier(build_model(5, 2, 2))
         assert d["schema"] == 1
-        assert d["pairing_C0_C0"] == "5/7"
-        assert d["c1_X_C0"] == "13/7"
-        assert d["c1_KX_C0"] == "-13/7"
+        assert d["pairing_C0_C0"] == Fraction(5, 7)
+        assert d["c1_X_C0"] == Fraction(13, 7)
+        assert d["c1_KX_C0"] == Fraction(-13, 7)
         assert d["singular_points"] == {"x": [7, 5], "x_prime": [5, 2]}
-        assert d["seifert_euler"] == "7/5"
+        assert d["seifert_euler"] == Fraction(7, 5)
         assert d["uniqueness_inequality"] is True
         assert d["cases"] == ["A"] and d["case"] == "A"
-        assert d["index_C0"] == {"d": "3", "index": "6", "integral": True}
-        assert d["C0"]["virtual_genus"] == "3/7"
-        assert d["C0"]["verdict"] == "EmbeddedSuborbifold"
-        assert d["C0_prime"]["class_fraction"] == "1/5"
-        assert d["C0_prime"]["self_pairing"] == "1/35"
-        assert d["intersection_C0_C0_prime"]["algebraic"] == "1/7"
+        assert d["index_C0"] == {"d": 3, "index": 6, "integral": True}
+        assert d["C0"]["virtual_genus"] == Fraction(3, 7)
+        assert d["C0"]["verdict"] == EMBEDDED
+        assert d["C0_prime"]["class_fraction"] == Fraction(1, 5)
+        assert d["C0_prime"]["self_pairing"] == Fraction(1, 35)
+        assert d["intersection_C0_C0_prime"]["algebraic"] == Fraction(1, 7)
         assert d["genus_bound"]["strictly_decreasing"] is True
 
     def test_dossier_key_order_is_stable(self):
@@ -211,15 +218,15 @@ def _dossier_checks(d: dict) -> bool:
     meeting = d["intersection_C0_C0_prime"]
     return (
         d["C0"]["adjunction"]["holds"]
-        and d["C0"]["verdict"] == "EmbeddedSuborbifold"
-        and d["index_C0"]["d"] == "3"
+        and d["C0"]["verdict"] == EMBEDDED
+        and d["index_C0"]["d"] == 3
         and d["genus_bound"]["strictly_decreasing"]
         and d["genus_bound"]["peak_identity"]
         and d["uniqueness_inequality"]
         and d["C0_prime"]["adjunction"]["holds"]
-        and d["C0_prime"]["verdict"] == "EmbeddedSuborbifold"
+        and d["C0_prime"]["verdict"] == EMBEDDED
         and meeting["holds"]
-        and meeting["algebraic"] == format_rational(Fraction(1, d["p"] + d["q"]))
+        and meeting["algebraic"] == Fraction(1, d["p"] + d["q"])
     )
 
 
@@ -237,11 +244,11 @@ class TestSweepRow:
                 assert row == {
                     "p": d["p"],
                     "q": d["q"],
-                    "C0_C0": d["pairing_C0_C0"],
-                    "c1_KX_C0": d["c1_KX_C0"],
-                    "genus_C0": d["C0"]["domain_genus"],
-                    "seifert_euler": d["seifert_euler"],
-                    "index_d": d["index_C0"]["d"],
+                    "C0_C0": format_rational(d["pairing_C0_C0"]),
+                    "c1_KX_C0": format_rational(d["c1_KX_C0"]),
+                    "genus_C0": format_rational(d["C0"]["domain_genus"]),
+                    "seifert_euler": format_rational(d["seifert_euler"]),
+                    "index_d": format_rational(d["index_C0"]["d"]),
                     "holds": all(
                         _dossier_checks(dossier(build_model(p, q, qp)))
                         for qp in allowed_q_set(p, q)
@@ -273,30 +280,21 @@ def _failing_adjunction(only_c0_prime: bool):
         r = adjunction_report(config)
         if only_c0_prime and len(config.stations) == 1:  # C0 has one station
             return r
-        return AdjunctionReport(r.lhs, r.rhs, False, r.contributions)
+        return {**r, "holds": False}
 
     return report
 
 
 def _changed_meeting(**changed):
     def report(c1, c2):
-        r = intersection_report(c1, c2)
-        fields = {"algebraic": r.algebraic, "local_sum": r.local_sum, "holds": r.holds}
-        return IntersectionReport(**{**fields, **changed}, contributions=r.contributions)
+        return {**intersection_report(c1, c2), **changed}
 
     return report
 
 
 def _changed_profile(**changed):
     def profile(m, samples):
-        r = genus_bound_profile(m, samples)
-        fields = {
-            "rows": r.rows,
-            "strictly_decreasing": r.strictly_decreasing,
-            "value_at_inverse_p": r.value_at_inverse_p,
-            "peak_identity": r.peak_identity,
-        }
-        return GenusBoundProfile(**{**fields, **changed})
+        return {**genus_bound_profile(m, samples), **changed}
 
     return profile
 
