@@ -159,11 +159,10 @@ def write_report(result: dict, output_format: str, out) -> None:
 def _with_retries(compute, start: int | None):
     """Run compute(trunc) with doubling retries on PrecisionExhausted.
     start None means: try the input's own truncation first, then the
-    rungs from DEFAULT_TRUNCATION up that lie above the largest
-    truncation the input stores, which compute(None) gives as the
-    exception's stored attribute (a lower rung would cut the data).
-    Past the last rung, MAX_PRECISION, the error says that the cap was
-    reached."""
+    rungs from DEFAULT_TRUNCATION up that lie above the error's stored
+    truncation (PrecisionExhausted.stored), since a rung at or below it
+    cuts or repeats every series.  Past the last rung, MAX_PRECISION,
+    the error says that the cap was reached."""
     from .germ import DEFAULT_TRUNCATION
 
     trunc, floor = start, 0
@@ -171,7 +170,7 @@ def _with_retries(compute, start: int | None):
         try:
             return compute(None)
         except PrecisionExhausted as exc:
-            trunc, floor, error = DEFAULT_TRUNCATION, getattr(exc, "stored", 0), exc
+            trunc, floor, error = DEFAULT_TRUNCATION, exc.stored, exc
     while True:
         if trunc > floor:
             try:
@@ -187,7 +186,8 @@ def _with_retries(compute, start: int | None):
 
 def _laddered(report, configs: list, start: int | None) -> dict:
     """report(*configs) on the ladder of _with_retries: on the stored
-    data first, then with every germ widened to each rung."""
+    data first, whose failure carries the smallest stored truncation,
+    then with every germ widened to each rung."""
     from .curvecalc import stored_truncation, with_precision
 
     def compute(trunc):
@@ -196,7 +196,7 @@ def _laddered(report, configs: list, start: int | None) -> dict:
         try:
             return report(*configs)
         except PrecisionExhausted as exc:
-            exc.stored = max(map(stored_truncation, configs))
+            exc.stored = stored_truncation(*configs)
             raise
 
     return _with_retries(compute, start)

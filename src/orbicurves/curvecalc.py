@@ -369,11 +369,14 @@ def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
                        map(widen, config.stations), map(widen, config.regular_double_points))
 
 
-def stored_truncation(config: CurveConfig) -> int:
-    """The largest truncation a series of the configuration stores (0
-    when every series is exact): with_precision below it cuts data."""
-    return max((s.trunc or 0 for st in config.stations + config.regular_double_points
-                for p in st.points for s in (p.germ.U, p.germ.V)), default=0)
+def stored_truncation(*configs: CurveConfig) -> int:
+    """The smallest finite truncation a series of the configurations
+    stores (0 when every series is exact).  A computation is resolved
+    only to the smallest truncation it reads, so with_precision at or
+    below this one cuts or repeats every series."""
+    return min((s.trunc for c in configs for st in c.stations + c.regular_double_points
+                for p in st.points for s in (p.germ.U, p.germ.V) if s.trunc is not None),
+               default=0)
 
 
 def _class_pairing(c1: CurveConfig, c2: CurveConfig) -> tuple[int, int]:

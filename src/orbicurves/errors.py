@@ -25,7 +25,12 @@ class ZeroToPrecision(ArithmeticError):
 
 class PrecisionExhausted(ArithmeticError):
     """A result's order or value is not resolved within the working
-    truncation.  Retry with a higher truncation."""
+    truncation.  Retry with a higher truncation: one above stored, the
+    smallest truncation the input stores when the caller knows it (0
+    when it does not), since a retry at or below it resolves nothing
+    more."""
+
+    stored = 0
 
 
 class DistinctBranchesRequired(InvalidInput):

@@ -219,8 +219,10 @@ def c0_index(m: WpsModel, c0: CurveConfig) -> dict:
 def _verdict_text(report: dict) -> str:
     """The dossier's verdict string: EmbeddedSuborbifold, or
     Singular(defect=a/b)."""
-    defect = embeddedness_verdict(report)["defect"]
-    return f"Singular(defect={format_rational(defect)})" if defect else "EmbeddedSuborbifold"
+    v = embeddedness_verdict(report)
+    if v["verdict"] == "EmbeddedSuborbifold":
+        return v["verdict"]
+    return f"Singular(defect={format_rational(v['defect'])})"
 
 
 def dossier(m: WpsModel) -> dict:

@@ -350,6 +350,23 @@ class TestPrecisionRetry:
                 "vanishes to the available truncation; check that the branches are distinct\n"
             ))
 
+    @staticmethod
+    def record_attempts(monkeypatch) -> list:
+        """The list of truncations cli._with_retries hands to compute,
+        in order, filled as main runs."""
+        seen = []
+        retries = cli._with_retries
+
+        def recorded(compute, start):
+            def attempt(t):
+                seen.append(t)
+                return compute(t)
+
+            return retries(attempt, start)
+
+        monkeypatch.setattr(cli, "_with_retries", recorded)
+        return seen
+
     @pytest.mark.parametrize(
         "trunc,flags,attempts",
         [
@@ -363,24 +380,43 @@ class TestPrecisionRetry:
     def test_ladder_skips_rungs_that_cut_or_repeat_the_data(
         self, tmp_path, monkeypatch, capsys, trunc, flags, attempts
     ):
-        # a rung at or below the largest stored truncation would repeat
-        # the stored attempt or cut the stored terms; --precision keeps
-        # every rung it asks for
-        seen = []
-        retries = cli._with_retries
-
-        def recorded(compute, start):
-            def attempt(t):
-                seen.append(t)
-                return compute(t)
-
-            return retries(attempt, start)
-
-        monkeypatch.setattr(cli, "_with_retries", recorded)
+        # a rung at or below the smallest stored truncation would repeat
+        # or cut every stored series; --precision keeps every rung it
+        # asks for
+        seen = self.record_attempts(monkeypatch)
         assert main(["adjunction", self.parabola_twice(tmp_path, trunc), *flags]) == 1
         assert seen == attempts
         err = capsys.readouterr().err
         assert err.startswith(f"error: unresolved at truncation {MAX_PRECISION}, the cap: ")
+
+    def test_mixed_truncations_climb_from_the_smallest(self, tmp_path, monkeypatch, capsys):
+        # (t, t^2) stored at 8 and (2t, 4t^2 + t^20) stored at 256 meet
+        # to order 20; the stored attempt resolves only to 8, and rung 32
+        # widens the truncation-8 series, whether both branches sit at
+        # one station or in the two configs of intersect
+        data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
+        station = data["stations"][0]
+        first = station["points"][0]
+        first["germ"]["U"]["trunc"] = first["germ"]["V"]["trunc"] = 8
+        second = json.loads(json.dumps(first))
+        second["label"] = "b2"
+        second["germ"]["U"] = {"trunc": 256, "terms": [[1, {"re": "2"}]]}
+        second["germ"]["V"] = {"trunc": 256, "terms": [[2, {"re": "4"}], [20, {"re": "1"}]]}
+        paths = {}
+        for name, points in (("both", [first, second]), ("at8", [first]), ("at256", [second])):
+            station["points"] = points
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(data), encoding="utf-8")
+        seen = self.record_attempts(monkeypatch)
+        for argv in (
+            ["adjunction", paths["both"]],
+            ["intersect", paths["at8"], paths["at256"]],
+            ["intersect", paths["at256"], paths["at8"]],
+        ):
+            seen.clear()
+            assert main([str(a) for a in argv]) == 0
+            assert seen == [None, 32]
+        assert capsys.readouterr().err == ""
 
 
 class TestDeepTruncation:
