@@ -38,7 +38,6 @@ from .decode import (MAX_PRECISION, SCHEMA_VERSION, check_schema, format_rationa
                      load, obj, rational)
 from .errors import InvalidInput, PrecisionExhausted
 
-MIN_PRECISION = 8
 # sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 11-13 s
 # on one (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
@@ -156,50 +155,28 @@ def write_report(result: dict, output_format: str, out) -> None:
         out.write(json.dumps(result, indent=2, default=format_rational) + "\n")
 
 
-def _with_retries(compute, start: int | None):
-    """Run compute(trunc) with doubling retries on PrecisionExhausted.
-    start None means: try the input's own truncation first, then the
-    rungs from DEFAULT_TRUNCATION up that lie above the error's stored
-    truncation (PrecisionExhausted.stored), since a rung at or below it
-    cuts or repeats every series.  Past the last rung, MAX_PRECISION,
-    the error says that the cap was reached."""
-    from .germ import DEFAULT_TRUNCATION
-
-    trunc, floor = start, 0
-    if start is None:
+def _with_retries(compute, rungs):
+    """compute(trunc) for each of rungs (None: the stored data) until one
+    returns; when every one raises PrecisionExhausted, the error names the cap."""
+    for trunc in rungs:
         try:
-            return compute(None)
+            return compute(trunc)
         except PrecisionExhausted as exc:
-            trunc, floor, error = DEFAULT_TRUNCATION, exc.stored, exc
-    while True:
-        if trunc > floor:
-            try:
-                return compute(trunc)
-            except PrecisionExhausted as exc:
-                error = exc
-        if trunc >= MAX_PRECISION:
-            raise PrecisionExhausted(
-                f"unresolved at truncation {MAX_PRECISION}, the cap: {error}"
-            ) from None
-        trunc = min(2 * trunc, MAX_PRECISION)
+            error = exc
+    raise PrecisionExhausted(f"unresolved at truncation {MAX_PRECISION}, the cap: {error}") from None
 
 
-def _laddered(report, configs: list, start: int | None) -> dict:
-    """report(*configs) on the ladder of _with_retries: on the stored
-    data first, whose failure carries the smallest stored truncation,
-    then with every germ widened to each rung."""
+def _laddered(report, configs: list) -> dict:
+    """report(*configs) on the stored data and, when that raises
+    PrecisionExhausted, once more with every germ widened to
+    MAX_PRECISION, unless every series already stores that many terms."""
     from .curvecalc import stored_truncation, with_precision
 
     def compute(trunc):
-        if trunc is not None:
-            return report(*(with_precision(c, trunc) for c in configs))
-        try:
-            return report(*configs)
-        except PrecisionExhausted as exc:
-            exc.stored = stored_truncation(*configs)
-            raise
+        return report(*(c if trunc is None else with_precision(c, trunc) for c in configs))
 
-    return _with_retries(compute, start)
+    at_cap = stored_truncation(*configs) >= MAX_PRECISION
+    return _with_retries(compute, (None,) if at_cap else (None, MAX_PRECISION))
 
 
 def _cmd_lens_classify(args) -> dict:
@@ -237,14 +214,14 @@ def _cmd_adjunction(args) -> dict:
         out["verdict"] = embeddedness_verdict(out) if out["holds"] else None
         return out
 
-    return _laddered(report, [load_config(args.path)], args.precision)
+    return _laddered(report, [load_config(args.path)])
 
 
 def _cmd_intersect(args) -> dict:
     from .curvecalc import intersection_report, load_config
 
     configs = [load_config(args.path_a), load_config(args.path_b)]
-    return _laddered(intersection_report, configs, args.precision)
+    return _laddered(intersection_report, configs)
 
 
 def _index_point(value, where: str) -> tuple[int, list[int]]:
@@ -322,9 +299,6 @@ def _cmd_sweep(args) -> dict:
 _COMMON_FLAGS = {
     "--format": {"dest": "output_format", "choices": ("json", "table"), "default": "json",
                  "help": "report format (default: json)"},
-    "--precision": {"dest": "precision", "type": int, "default": None, "metavar": "N",
-                    "help": f"series truncation override, {MIN_PRECISION}..{MAX_PRECISION}; "
-                    "doubled automatically while a result is unresolved"},
 }
 _INT = {"type": int}
 # command -> (help, verbs) or (help, leaf), verb -> (help, leaf), where a
@@ -462,15 +436,6 @@ def main(argv=None) -> int:
             args = build_parser(argv, _COMMANDS, _COMMON_FLAGS, _emit).parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    if args.precision is not None and not (
-        MIN_PRECISION <= args.precision <= MAX_PRECISION
-    ):
-        print(
-            f"error: --precision must be in {MIN_PRECISION}..{MAX_PRECISION}, "
-            f"got {args.precision}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         payload = args.handler(args)
     except ArithmeticError as exc:

@@ -373,7 +373,7 @@ def stored_truncation(*configs: CurveConfig) -> int:
     """The smallest finite truncation a series of the configurations
     stores (0 when every series is exact).  A computation is resolved
     only to the smallest truncation it reads, so with_precision at or
-    below this one cuts or repeats every series."""
+    below this one, MAX_PRECISION included, cuts or repeats every series."""
     return min((s.trunc for c in configs for st in c.stations + c.regular_double_points
                 for p in st.points for s in (p.germ.U, p.germ.V) if s.trunc is not None),
                default=0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 
 from .errors import InvalidInput
 
@@ -63,16 +64,25 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of pairs, whose keys differ: json keeps a repeated key's last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InvalidInput(f"the key {json.dumps(key)} is repeated in one object")
+    return data
+
+
 def load(path):
     """The JSON value stored in the file at path.  Text that is not
-    UTF-8 JSON, nesting past the parser's recursion limit or an integer
-    past the digit limit is invalid input named by its path."""
+    UTF-8 JSON, a repeated key, nesting too deep for the parser or an
+    integer past the digit limit is invalid input named by its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise InvalidInput(f"{path}: JSON nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, InvalidInput) as exc:
             raise InvalidInput(f"{path}: {exc}") from None
         except ValueError:  # an integer past sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()

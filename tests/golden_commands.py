@@ -1,7 +1,9 @@
 """Golden command manifest for the CLI byte-identity tests.
 
-Each entry pairs a golden file name with the argv that produces it.
-Run this module directly to regenerate every golden file:
+Each entry pairs a golden file name with the argv that produces it;
+HELP_COMMANDS lists the help argvs whose texts, at 80 columns, are
+tests/data/help_texts.json.  Run this module directly to regenerate
+every golden file and the help texts:
 
     python3 tests/golden_commands.py
 """
@@ -10,11 +12,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+HELP_TEXTS = Path(__file__).resolve().parent / "data" / "help_texts.json"
 
 COMMANDS: list[tuple[str, list[str]]] = [
     ("wps_report_5_2_2.json", ["wps", "report", "5", "2", "2"]),
@@ -45,6 +51,25 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sweep_p8.table.txt", ["sweep", "--p-max", "8", "--format", "table"]),
 ]
 
+# the help of the top level, of each command and of each verb
+HELP_COMMANDS: list[str] = [
+    "--help",
+    "lens --help",
+    "lens classify --help",
+    "lens allowed --help",
+    "adjunction --help",
+    "intersect --help",
+    "index --help",
+    "index eval --help",
+    "index scan --help",
+    "chains --help",
+    "chains betti --help",
+    "chains validate --help",
+    "wps --help",
+    "wps report --help",
+    "sweep --help",
+]
+
 
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Run the CLI in-process, returning (exit code, stdout text)."""
@@ -64,6 +89,14 @@ def regenerate() -> None:
             raise SystemExit(f"{name}: exit code {code}")
         (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
         print(f"wrote {name} ({len(text)} bytes)")
+    texts = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in HELP_COMMANDS:
+            code, texts[argv] = run_command(argv.split())
+            if code != 0:
+                raise SystemExit(f"{argv}: exit code {code}")
+    HELP_TEXTS.write_text(json.dumps(texts, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {HELP_TEXTS.name} ({len(texts)} texts)")
 
 
 if __name__ == "__main__":

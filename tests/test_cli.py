@@ -27,7 +27,6 @@ from orbicurves.argparser import build_parser
 from orbicurves.cli import (
     MAX_SCAN_P,
     MAX_SWEEP_P,
-    MIN_PRECISION,
     ROW_BATCH,
     _read_argv,
     main,
@@ -110,7 +109,7 @@ class TestFlagPlacement:
 
     def test_run_config_fields(self):
         for read in (parse_with_argparse, _read_argv):
-            argv = ["--precision", "16", "intersect", "a.json", "b.json", "--format", "table"]
+            argv = ["--format", "json", "intersect", "a.json", "b.json", "--format", "table"]
             args = read(argv)
             assert (args.command, args.path_a, args.path_b) == (
                 "intersect",
@@ -118,10 +117,10 @@ class TestFlagPlacement:
                 "b.json",
             )
             assert args.output_format == "table"
-            assert args.precision == 16
             args = read(["wps", "report", "5", "2", "2"])
             assert (args.command, args.verb) == ("wps", "report")
-            assert (args.output_format, args.precision) == ("json", None)
+            assert args.output_format == "json"
+            assert not hasattr(args, "precision")
 
     def test_flag_between_command_and_verb_is_an_argument_error(self, capsys):
         code, out = run_command(["lens", "--format", "table", "classify", "7", "2", "4"])
@@ -315,13 +314,6 @@ class TestPrecisionRetry:
         assert payload["lhs"] == "15"
         assert payload["verdict"] == {"verdict": "Singular", "defect": "15"}
 
-    def test_explicit_precision_doubles_up(self):
-        default = run_command(["adjunction", str(DATA / "deep_singularity.json")])
-        forced = run_command(
-            ["adjunction", str(DATA / "deep_singularity.json"), "--precision", "8"]
-        )
-        assert forced == default
-
     @staticmethod
     def parabola_twice(tmp_path, trunc: int = 32) -> str:
         """(t, t^2) and (2t, 4t^2), one parabola given twice at one
@@ -341,10 +333,8 @@ class TestPrecisionRetry:
         return str(path)
 
     def test_last_rung_names_the_cap(self, tmp_path, capsys):
-        # --precision cannot go past the cap
-        path = self.parabola_twice(tmp_path)
-        for argv in (["adjunction", path], ["adjunction", path, "--precision", "256"]):
-            assert main(argv) == 1
+        for trunc in (32, MAX_PRECISION):
+            assert main(["adjunction", self.parabola_twice(tmp_path, trunc)]) == 1
             assert capsys.readouterr() == ("", (
                 f"error: unresolved at truncation {MAX_PRECISION}, the cap: resultant "
                 "vanishes to the available truncation; check that the branches are distinct\n"
@@ -357,43 +347,36 @@ class TestPrecisionRetry:
         seen = []
         retries = cli._with_retries
 
-        def recorded(compute, start):
+        def recorded(compute, rungs):
             def attempt(t):
                 seen.append(t)
                 return compute(t)
 
-            return retries(attempt, start)
+            return retries(attempt, rungs)
 
         monkeypatch.setattr(cli, "_with_retries", recorded)
         return seen
 
     @pytest.mark.parametrize(
-        "trunc,flags,attempts",
-        [
-            (8, [], [None, 32, 64, 128, 256]),
-            (32, [], [None, 64, 128, 256]),
-            (64, [], [None, 128, 256]),
-            (256, [], [None]),
-            (64, ["--precision", "32"], [32, 64, 128, 256]),
-        ],
+        "trunc,attempts",
+        [(8, [None, 256]), (32, [None, 256]), (64, [None, 256]), (256, [None])],
     )
     def test_ladder_skips_rungs_that_cut_or_repeat_the_data(
-        self, tmp_path, monkeypatch, capsys, trunc, flags, attempts
+        self, tmp_path, monkeypatch, capsys, trunc, attempts
     ):
-        # a rung at or below the smallest stored truncation would repeat
-        # or cut every stored series; --precision keeps every rung it
-        # asks for
+        # the stored data, then the cap, unless the cap would repeat
+        # every stored series
         seen = self.record_attempts(monkeypatch)
-        assert main(["adjunction", self.parabola_twice(tmp_path, trunc), *flags]) == 1
+        assert main(["adjunction", self.parabola_twice(tmp_path, trunc)]) == 1
         assert seen == attempts
         err = capsys.readouterr().err
         assert err.startswith(f"error: unresolved at truncation {MAX_PRECISION}, the cap: ")
 
     def test_mixed_truncations_climb_from_the_smallest(self, tmp_path, monkeypatch, capsys):
         # (t, t^2) stored at 8 and (2t, 4t^2 + t^20) stored at 256 meet
-        # to order 20; the stored attempt resolves only to 8, and rung 32
-        # widens the truncation-8 series, whether both branches sit at
-        # one station or in the two configs of intersect
+        # to order 20; the stored attempt resolves only to 8, and the cap
+        # attempt widens the truncation-8 series, whether both branches
+        # sit at one station or in the two configs of intersect
         data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
         station = data["stations"][0]
         first = station["points"][0]
@@ -415,21 +398,67 @@ class TestPrecisionRetry:
         ):
             seen.clear()
             assert main([str(a) for a in argv]) == 0
-            assert seen == [None, 32]
+            assert seen == [None, MAX_PRECISION]
         assert capsys.readouterr().err == ""
 
 
+def _restored(path: Path, trunc: int, tmp_path) -> str:
+    """A copy of the configuration file at path with every series
+    stored at truncation trunc."""
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "terms" in value:
+                value["trunc"] = trunc
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v)
+
+    data = json.loads(path.read_text(encoding="utf-8"))
+    walk(data)
+    out = tmp_path / f"{path.stem}_{trunc}.json"
+    out.write_text(json.dumps(data), encoding="utf-8")
+    return str(out)
+
+
+_CURVE_FILES = [CONFIGS / f"{name}.json" for name in (
+    "nodal_cubic", "cuspidal_cubic", "line", "conic_tangent")] + [DATA / "deep_singularity.json"]
+
+
+class TestTruncationLaw:
+    """Delta invariants and intersection multiplicities are fixed by
+    finitely many terms of a germ, so a report, or its failure, does not
+    depend on the truncation its series are stored at: the premise of
+    the CLI's one retry at the cap."""
+
+    @pytest.mark.parametrize(
+        "paths",
+        [[p] for p in _CURVE_FILES] + [[a, b] for a in _CURVE_FILES for b in _CURVE_FILES],
+        ids=lambda paths: "-".join(p.stem for p in paths),
+    )
+    def test_output_is_the_same_at_every_stored_truncation(self, tmp_path, paths):
+        command = "adjunction" if len(paths) == 1 else "intersect"
+        stored = _run_main([command, *map(str, paths)])
+        for trunc in (64, 128, MAX_PRECISION):
+            argv = [command, *(_restored(p, trunc, tmp_path) for p in paths)]
+            assert _run_main(argv) == stored, trunc
+
+
 class TestDeepTruncation:
-    def test_cusp_at_truncation_250_reports_at_once(self, tmp_path):
+    def test_cusp_at_truncation_250_reports_at_once(self, tmp_path, monkeypatch):
         data = json.loads((CONFIGS / "cuspidal_cubic.json").read_text(encoding="utf-8"))
         germ = data["stations"][0]["points"][0]["germ"]
         germ["U"] = {"trunc": 250, "terms": [[2, {"re": "1"}], [3, {"re": "1"}]]}
         germ["V"]["trunc"] = 250
         path = tmp_path / "cusp_250.json"
         path.write_text(json.dumps(data), encoding="utf-8")
+        seen = TestPrecisionRetry.record_attempts(monkeypatch)
         start = time.perf_counter()
         got = run_command(["adjunction", str(path)])
         assert time.perf_counter() - start < 0.5
+        assert seen == [None]
         # (t^2 + t^3, t^3) is a cusp too, with the plain cusp's report
         assert got == run_command(["adjunction", str(CONFIGS / "cuspidal_cubic.json")])
 
@@ -455,12 +484,15 @@ class TestExitCodes:
         code, _ = run_command(["lens", "classify", "4", "2", "1"])
         assert code == 2
 
-    def test_precision_out_of_range(self):
-        for bad in (MIN_PRECISION - 1, MAX_PRECISION + 1):
-            code, _ = run_command(
-                ["adjunction", str(CONFIGS / "line.json"), "--precision", str(bad)]
-            )
-            assert code == 2
+    def test_precision_is_not_a_flag(self, capsys):
+        # no truncation is a user setting, before the command or after it
+        path = str(CONFIGS / "line.json")
+        for argv in (["--precision", "64", "adjunction", path],
+                     ["adjunction", path, "--precision", "64"]):
+            code, out = run_command(argv)
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unrepresentable_coefficients(self):
         code, _ = run_command(["adjunction", str(DATA / "unrepresentable.json")])
@@ -1231,16 +1263,16 @@ class TestParserSize:
     """A well-formed command builds no parser.  Where argparse decides,
     every command and verb is registered with its help, and only the
     invoked one gets its verbs, flags and arguments: --help builds the
-    top level and 7 commands with 10 add_argument calls (7 of them the
+    top level and 7 commands with 9 add_argument calls (7 of them the
     commands' -h), and a declined lens classify adds its 2 verbs, the
     leaf flags and 3 arguments."""
 
     @pytest.mark.parametrize(
         "argv,parsers,arguments",
         [
-            (["--help"], 8, 10),
+            (["--help"], 8, 9),
             (["lens", "classify", "7", "2", "4"], 0, 0),
-            (["lens", "classify", "--format=json", "7", "2", "4"], 10, 17),
+            (["lens", "classify", "--format=json", "7", "2", "4"], 10, 15),
         ],
         ids=["help", "lens_classify", "declined_lens_classify"],
     )

@@ -337,6 +337,28 @@ class TestUnknownKeysExit2:
         assert code == 0 and json.loads(out)["valid"] is True and err == ""
 
 
+class TestRepeatedKeysExit2:
+    """json keeps the last value of a key repeated in one object, so a
+    repeated simplex order or class coordinate was read silently."""
+
+    @pytest.mark.parametrize(
+        "text,head,key",
+        [
+            ('{"simplices": [[0, 1, 2]], "orders": {"0": 2, "0": 1}}', ["chains", "betti"], '"0"'),
+            (AMBIENT.read_text(encoding="utf-8").replace(
+                '"coords": [', '"coords": ["2"], "coords": ['), ["adjunction"], '"coords"'),
+            ('{"schema": 1, "a\\nb": 1, "a\\nb": 2}', ["index", "eval"], '"a\\nb"'),
+        ],
+        ids=["orders", "class_coords", "newline_key"],
+    )
+    def test_repeated_key_names_the_file_and_the_key(self, tmp_path, text, head, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        assert run([*head, str(path)]) == (
+            2, "", f"error: {path}: the key {key} is repeated in one object\n"
+        )
+
+
 TEARDROP = CONFIGS / "teardrop_7.json"
 
 
