@@ -17,7 +17,7 @@ over p(p+q).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .decode import int_
@@ -88,7 +88,7 @@ def kawasaki_index(c1_pair, genus: int, points) -> dict:
     return {"d": Fraction(num, den), "index": Fraction(2 * num, den), "integral": num % den == 0}
 
 
-def index_integrality_scan(p: int, q: int) -> Iterator[dict]:
+def index_integrality_scan(p: int, q: int) -> Iterable[dict]:
     """Run kawasaki_index over every candidate q' for the covered-curve
     limit data between the two cone points of the model, one report row
     (a dict) per unit q' mod p in increasing order.
@@ -105,33 +105,44 @@ def index_integrality_scan(p: int, q: int) -> Iterator[dict]:
     p(p+q); the weights l', 1 and q' already lie in [1, p).  The row is
     made from those numerators: one gcd gives each d's "a/b" text.
 
-    (p, q) is checked and the first term evaluated at the call; the rows
-    are made lazily, so a scan holds one row at a time.
+    (p, q) is checked and the first term evaluated at the call.  The
+    result is a re-iterable: each pass over it remakes the rows from
+    those integers, one at a time, so a table can size its columns in
+    one pass and write the rows in the next without holding them.
     """
     _check_lens_params(p, q)
     l = mod_inverse(p, p + q)
     den = p * (p + q)
     c1_pair = Fraction(2 * p + q + 1, den)
     first = kawasaki_index(c1_pair, 0, [(p + q, (l, 1))])["d"]
-    return _scan_rows(p, q, first.numerator * (den // first.denominator), den)
+    return _ScanRows(p, q, first.numerator * (den // first.denominator), den)
 
 
-def _scan_rows(p: int, q: int, base: int, den: int) -> Iterator[dict]:
-    for qprime in range(1, p):
-        if math.gcd(qprime, p) != 1:
-            continue
-        num_a = base - (pow(qprime, -1, p) + 1) * (p + q)
-        num_b = base - (1 + qprime) * (p + q)
-        a_integral = num_a % den == 0
-        b_integral = num_b % den == 0
-        yield {
-            "qprime": qprime,
-            "caseA_d": _rational_text(num_a, den),
-            "caseB_d": _rational_text(num_b, den),
-            "caseA_integral": a_integral,
-            "caseB_integral": b_integral,
-            "allowed": a_integral or b_integral,
-        }
+class _ScanRows:
+    """The rows of one scan, made afresh by every iter()."""
+
+    __slots__ = ("p", "q", "base", "den")
+
+    def __init__(self, p: int, q: int, base: int, den: int):
+        self.p, self.q, self.base, self.den = p, q, base, den
+
+    def __iter__(self) -> Iterator[dict]:
+        p, q, base, den = self.p, self.q, self.base, self.den
+        for qprime in range(1, p):
+            if math.gcd(qprime, p) != 1:
+                continue
+            num_a = base - (pow(qprime, -1, p) + 1) * (p + q)
+            num_b = base - (1 + qprime) * (p + q)
+            a_integral = num_a % den == 0
+            b_integral = num_b % den == 0
+            yield {
+                "qprime": qprime,
+                "caseA_d": _rational_text(num_a, den),
+                "caseB_d": _rational_text(num_b, den),
+                "caseA_integral": a_integral,
+                "caseB_integral": b_integral,
+                "allowed": a_integral or b_integral,
+            }
 
 
 def _rational_text(num: int, den: int) -> str:

@@ -28,6 +28,7 @@ before.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -42,8 +43,9 @@ from .errors import InvalidInput, PrecisionExhausted
 # on one (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB
-# peak RSS for 18.6 MB of streamed JSON; with --format table 1.2 s and
-# 103 MB (whole command, Python 3.11, one core of a 2-core VM)
+# peak RSS for 18.6 MB of streamed JSON; with --format table, whose rows
+# are made twice, 1.2-1.5 s and 15 MB (ru_maxrss of the whole command,
+# Python 3.11, one core of a 2-core VM)
 MAX_SCAN_P = 100_000
 
 
@@ -73,36 +75,6 @@ def _flatten(prefix: str, value, out: list):
         out.append((prefix, _scalar(value)))
 
 
-def _render_rows(rows: list) -> str:
-    headers = list(rows[0].keys())
-    cells = [[_scalar(r[h]) for h in headers] for r in rows]
-    widths = [
-        max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _table(result: dict) -> str:
-    """Aligned "path  value" lines, then a top-level "rows" list of
-    records as a column table; the column widths need every row."""
-    scalars = {k: v for k, v in result.items() if k != "rows"}
-    flat: list[tuple[str, str]] = []
-    _flatten("", scalars, flat)
-    text = ""
-    if flat:
-        width = max(len(k) for k, _ in flat)
-        text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in flat)
-    rows = list(result.get("rows", ()))
-    if rows:
-        if text:
-            text += "\n"
-        text += _render_rows(rows)
-    return text
-
-
 # The JSON text of a row value by its exact type, with json.dumps's encoders
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
@@ -111,6 +83,44 @@ _JSON_SCALARS = {
     type(None): lambda v: "null",
 }
 ROW_BATCH = 256  # rows per write: stdout may be unbuffered
+
+
+def _write_table(result: dict, out) -> None:
+    """Aligned "path  value" lines, then a top-level "rows" iterable of
+    records as a column table, in two passes over the rows: the first
+    sizes the columns, the second writes the rows in batches.  So rows
+    that a re-iterable remakes on each pass (index scan) are never held
+    whole; a one-shot iterator is listed first."""
+    scalars = {k: v for k, v in result.items() if k != "rows"}
+    flat: list[tuple[str, str]] = []
+    _flatten("", scalars, flat)
+    text = ""
+    if flat:
+        width = max(len(k) for k, _ in flat)
+        text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in flat)
+    rows = result.get("rows", ())
+    if iter(rows) is rows:
+        rows = list(rows)
+    headers = widths = None
+    for row in rows:
+        if headers is None:
+            headers = list(row)
+            widths = [len(h) for h in headers]
+        widths = [max(w, len(_scalar(row[h]))) for w, h in zip(widths, headers)]
+    if headers is None:
+        out.write(text)
+        return
+    batch = [text + "\n" if text else "", _table_line(headers, widths)]
+    for row in rows:
+        batch.append(_table_line([_scalar(row[h]) for h in headers], widths))
+        if len(batch) >= ROW_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+    out.write("".join(batch))
+
+
+def _table_line(cells: list, widths: list) -> str:
+    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
 
 
 def _json_row(row: dict) -> str:
@@ -145,10 +155,11 @@ def write_report(result: dict, output_format: str, out) -> None:
     json.dumps(result, indent=2) + "\n", insertion order kept, with a
     last top-level "rows" iterable of flat records (see _json_row)
     written as it is made; table mode prints aligned "path  value" lines
-    and the rows as a column table.  A rational past the digit limit is
-    an OverflowError, raised before anything is written."""
+    and the rows as a column table, reading the rows twice.  A rational
+    past the digit limit is an OverflowError, raised before anything is
+    written."""
     if output_format == "table":
-        out.write(_table(result))
+        _write_table(result, out)
     elif result and next(reversed(result)) == "rows":
         _write_json_rows(result, out)
     else:
@@ -451,5 +462,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point, for python -m orbicurves.cli and the
+    installed orbicurves script: gc.freeze(), then main().  The freeze
+    moves the objects that start-up built (about 11,800: the
+    interpreter's, site's and this module's) into a permanent generation
+    that no collection walks: not those during main, not those of the
+    forked sweep workers, and not the one at interpreter shutdown.  Tests
+    call main, so no test process is frozen."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

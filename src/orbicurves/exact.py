@@ -1,15 +1,14 @@
 """Exact scalar arithmetic: Gaussian rationals and the fourth roots of
 unity.
 
-The report values downstream (genus formulas, the index, the
-coefficients of germ series at the API and JSON boundary) are built on
-these scalars; series arithmetic itself runs on integers in germ.py.
-No floating point appears anywhere; rationals are stdlib Fractions
-(arbitrary-precision integers, canonical reduced form with positive
-denominator) and Gaussian rationals are pairs of them.  The "a/b" text
-of a rational lives in decode, next to its parser.  The lens-space
-congruences need only integers, and their modular inverse lives in
-lens, so the lens commands load neither this module nor fractions.
+Only germ imports this module: a GaussianRational is a germ series
+coefficient at the API and JSON boundary (PowerSeries.coeff, the terms
+handed to PowerSeries and germ_from_polynomials), and FOURTH_ROOTS gives
+the twists that a root of unity inside Q(i) can materialize.  Series
+arithmetic runs on integers in germ, and the report values are stdlib
+Fractions, so no report is built on these scalars.  No floating point
+appears anywhere; a Gaussian rational is a pair of Fractions.  The "a/b"
+text of a rational lives in decode, next to its parser.
 """
 
 from __future__ import annotations

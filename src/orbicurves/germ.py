@@ -695,16 +695,20 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int,
     When U is the single term lead*t^n, eta = t and W is V.  The unit is
     cut to the depth before its root is taken, so the work follows the
     depth asked for, not the stored truncation.
+
+    W is known below _reach(u, v, n, depth): the unit U/(lead t^n) is
+    known below r = u.trunc - n, so eta carries a relative error O(t^r)
+    and W(eta) moves by O(t^(ord W + r)).
     """
-    # eta is known mod t^(u.trunc - n + 1); the solve cannot see past that
-    bound = _tmin(u.trunc - n + 1, v.trunc, depth)
+    r = u.trunc - n
+    bound = _reach(u, v, n, depth)
     if bound < 2:  # depth is at least 2: the data fall short
         raise PrecisionExhausted(
             "truncation too small to renormalize the first coordinate"
         )
     if len(u.num) == 1:
         return v.with_truncation(bound)
-    unit = u.shift(-n)._scaled(*_inverse_lead(u, n)).with_truncation(bound - 1)  # constant term 1
+    unit = u.shift(-n)._scaled(*_inverse_lead(u, n)).with_truncation(min(r, depth))  # constant term 1
     eta = unit.nth_root_of_unit_series(n).shift(1)
     eta_pows: list[PowerSeries] = [_ONE_EXACT.with_truncation(bound)]
     for _ in range(bound - 1):
@@ -721,10 +725,17 @@ def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int,
     return w
 
 
+def _reach(u: PowerSeries, v: PowerSeries, n: int, depth=None) -> int:
+    """How deep the data determine W, cut to depth: min(v.trunc, depth,
+    ord W + u.trunc - n), where ord W = ord V, since eta has order 1; a V
+    zero to precision gives v.trunc."""
+    return _tmin(v.trunc, depth, v._value_floor() + u.trunc - n)
+
+
 def _normal_forms(u: PowerSeries, v: PowerSeries, n: int):
-    """W at depths 2n, 4n, 8n, ... up to what the data determine; each
-    consumer stops at the first W that settles its answer."""
-    depth, reach = 2 * n, _tmin(u.trunc - n + 1, v.trunc)
+    """W at depths 2n, 4n, 8n, ... up to what the data determine, at most
+    v.trunc; each consumer stops at the first W that settles its answer."""
+    depth, reach = 2 * n, _reach(u, v, n)
     while depth < reach:
         yield _normalized_second_coordinate(u, v, n, depth)
         depth *= 2

@@ -192,7 +192,7 @@ class TestScan:
         assert [r["qprime"] for r in rows] == [1, 5]
 
     def test_row_json_uses_rational_text(self):
-        row = next(index_integrality_scan(5, 2))
+        row = next(iter(index_integrality_scan(5, 2)))
         assert list(row) == [
             "qprime", "caseA_d", "caseB_d", "caseA_integral", "caseB_integral", "allowed"
         ]

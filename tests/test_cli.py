@@ -81,7 +81,7 @@ class TestGolden:
         ]
         for name, proc in procs:
             out, err = proc.communicate()
-            assert proc.returncode == 0, (name, err)
+            assert (proc.returncode, err) == (0, b""), name
             assert out == (GOLDEN_DIR / name).read_bytes(), name
 
     def test_json_goldens_parse_and_round_trip(self):
@@ -92,6 +92,46 @@ class TestGolden:
             payload = json.loads(text)
             assert payload["schema"] == 1
             assert render(payload) == text
+
+
+class TestEntryPoint:
+    """run() is the process entry point: python -m orbicurves.cli and the
+    installed script.  Each test starts a fresh interpreter, since run()
+    freezes the heap of the process it runs in.  TestGolden runs every
+    golden and TestScanStream --help to /dev/full through the module."""
+
+    def test_run_freezes_before_main(self):
+        script = (
+            "import gc, sys\n"
+            "from orbicurves import cli\n"
+            "def stub():\n"
+            "    print(gc.get_freeze_count() > 0)\n"
+            "    return 0\n"
+            "cli.main = stub\n"
+            "sys.exit(cli.run())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_argument_error_through_the_module_ends_on_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbicurves.cli", "lens", "classify", "7"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_installed_script_is_run(self):
+        # a text check: tomllib is not in Python 3.10
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'orbicurves = "orbicurves.cli:run"' in pyproject.splitlines()
 
 
 class TestFlagPlacement:
@@ -304,7 +344,7 @@ class TestHelpText:
 
 
 class TestPrecisionRetry:
-    def test_shallow_data_is_retried_to_success(self):
+    def test_shallow_data_resolves_at_its_stored_truncation(self):
         code, text = run_command(
             ["adjunction", str(DATA / "deep_singularity.json")]
         )
@@ -356,6 +396,13 @@ class TestPrecisionRetry:
 
         monkeypatch.setattr(cli, "_with_retries", recorded)
         return seen
+
+    def test_shallow_data_takes_one_attempt(self, monkeypatch, capsys):
+        # (t^6, t^7) stored at 8: W is known below ord W + u.trunc - n = 9,
+        # so the stored data fix delta without the widening
+        seen = self.record_attempts(monkeypatch)
+        assert main(["adjunction", str(DATA / "deep_singularity.json")]) == 0
+        assert seen == [None]
 
     @pytest.mark.parametrize(
         "trunc,attempts",
@@ -963,6 +1010,16 @@ class TestEmitReport:
         assert "flag  true" in lines
         assert lines[-2] == "x  y"
         assert lines[-1] == "1  q"
+
+    def test_table_reads_the_rows_twice(self):
+        # one pass sizes the columns and one writes them: a re-iterable
+        # is iterated twice, a one-shot iterator gives the same table
+        from orbicurves.chern_index import index_integrality_scan
+
+        rows = index_integrality_scan(11, 2)
+        want = render({"p": 11, "rows": list(rows)}, "table")
+        assert render({"p": 11, "rows": rows}, "table") == want
+        assert render({"p": 11, "rows": iter(rows)}, "table") == want
 
     def test_table_indexes_record_lists(self):
         text = render({"items": [{"v": 1}, {"v": 2}]}, "table")

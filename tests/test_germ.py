@@ -1,6 +1,7 @@
 """Power series arithmetic, equivariant branch germs, and local invariants."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from orbicurves.exact import GR_I, GR_ONE, GaussianRational
 from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
+    _normalized_second_coordinate,
     _delta_from_characteristic,
     _series_det,
     _stabilizing_twist,
@@ -717,6 +719,37 @@ class TestDepthOnDemand:
         got = (intersection_multiplicity(g1, g2), intersection_multiplicity(g2, g1))
         assert time.perf_counter() - start < 0.5
         assert got == (72, 72) == (oracle_intersection(u1, v1, u2, v2),) * 2
+
+
+class TestNormalFormPrecision:
+    """W is known below min(v.trunc, depth, ord W + u.trunc - n): the unit
+    U/(lead t^n) is known below u.trunc - n, which is W's relative
+    precision."""
+
+    def test_deep_singularity_resolves_at_truncation_8(self):
+        # (t^6, t^7) stored at 8: W = t^7 is known below 8, where the old
+        # bound u.trunc - n + 1 = 3 fell short of the multiplicity
+        g = germ_from_polynomials({6: 1}, {7: 1}, trunc=8)
+        assert characteristic_exponents(g) == (6, [7])
+        assert self_intersection(g) == 15
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_completion_of_u_gives_the_same_w(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 4])
+        u_trunc = n + rng.randint(1, 4)
+        u = {n: rng.choice([1, 2, -3])}
+        u.update({e: rng.randint(-2, 2) for e in range(n + 1, u_trunc)})
+        v_order = rng.randint(n + 1, 2 * n + 2)
+        v = {e: rng.randint(-2, 2) for e in range(v_order + 1, 24)}
+        v[v_order] = 1
+        depth = rng.choice([8, 16, 32])
+        w = _normalized_second_coordinate(series(u, u_trunc), series(v, 24), n, depth)
+        assert w.trunc == min(24, depth, v_order + u_trunc - n)
+        for _ in range(3):
+            tail = {e: rng.randint(-3, 3) for e in range(u_trunc, 24)}
+            other = _normalized_second_coordinate(series({**u, **tail}, 24), series(v, 24), n, depth)
+            assert w == other  # compared below w.trunc <= other.trunc
 
 
 class TestBranchInvariants:
