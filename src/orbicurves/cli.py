@@ -5,9 +5,11 @@ Every command prints one report to standard output, newline-terminated,
 with stable key order, so identical inputs produce identical bytes.  A
 handler returns the report's own dict, holding exact values, and
 write_report is the one place that writes a rational, as "a/b" text.  Exit codes: 0 success, 1 computation failure
-on well-formed input (precision exhaustion and kin) or a report that
-could not be written (standard output closed or full, a value past the
-digit limit), 2 malformed input (an integer past that limit too).
+on well-formed input (a value that the stored series do not fix, and
+kin) or a report that could not be written (standard output closed or
+full, a value past the digit limit), 2 malformed input (an integer past
+that limit too).  adjunction and intersect run each report once, on the
+series as stored: no attempt reads past a stored truncation.
 
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
@@ -35,9 +37,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .decode import (MAX_PRECISION, SCHEMA_VERSION, check_schema, format_rational, int_, list_,
-                     load, obj, rational)
-from .errors import InvalidInput, PrecisionExhausted
+from .decode import (SCHEMA_VERSION, check_schema, format_rational, int_, list_, load, obj,
+                     rational)
+from .errors import InvalidInput
 
 # sweep --p-max 250: about 7-8 s with its rows dealt to two CPUs, 11-13 s
 # on one (taskset -c 0); Python 3.11, 2-core VM
@@ -166,28 +168,11 @@ def write_report(result: dict, output_format: str, out) -> None:
         out.write(json.dumps(result, indent=2, default=format_rational) + "\n")
 
 
-def _with_retries(compute, rungs):
-    """compute(trunc) for each of rungs (None: the stored data) until one
-    returns; when every one raises PrecisionExhausted, the error names the cap."""
-    for trunc in rungs:
-        try:
-            return compute(trunc)
-        except PrecisionExhausted as exc:
-            error = exc
-    raise PrecisionExhausted(f"unresolved at truncation {MAX_PRECISION}, the cap: {error}") from None
-
-
-def _laddered(report, configs: list) -> dict:
-    """report(*configs) on the stored data and, when that raises
-    PrecisionExhausted, once more with every germ widened to
-    MAX_PRECISION, unless every series already stores that many terms."""
-    from .curvecalc import stored_truncation, with_precision
-
-    def compute(trunc):
-        return report(*(c if trunc is None else with_precision(c, trunc) for c in configs))
-
-    at_cap = stored_truncation(*configs) >= MAX_PRECISION
-    return _with_retries(compute, (None,) if at_cap else (None, MAX_PRECISION))
+def _with_retries(compute, x):
+    """compute(x), once.  This function exists only because
+    bench/tracer.py counts report attempts by patching it by name;
+    ROADMAP item 2 deletes it."""
+    return compute(x)
 
 
 def _cmd_lens_classify(args) -> dict:
@@ -225,14 +210,14 @@ def _cmd_adjunction(args) -> dict:
         out["verdict"] = embeddedness_verdict(out) if out["holds"] else None
         return out
 
-    return _laddered(report, [load_config(args.path)])
+    return _with_retries(report, load_config(args.path))
 
 
 def _cmd_intersect(args) -> dict:
     from .curvecalc import intersection_report, load_config
 
     configs = [load_config(args.path_a), load_config(args.path_b)]
-    return _laddered(intersection_report, configs)
+    return _with_retries(lambda pair: intersection_report(*pair), configs)
 
 
 def _index_point(value, where: str) -> tuple[int, list[int]]:

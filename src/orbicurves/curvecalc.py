@@ -356,29 +356,6 @@ def load_config(path: str) -> CurveConfig:
     return CurveConfig.from_json(load(path))
 
 
-def with_precision(config: CurveConfig, trunc: int) -> CurveConfig:
-    """Rebuild every germ of the configuration at the given series
-    truncation.  Raising the truncation treats the stored terms as
-    exact polynomial data, which is what file-loaded configs are."""
-
-    def widen(s: Station) -> Station:
-        return station(s.ambient_point, s.isotropy_order,
-                       ((p.label, p.germ.with_truncation(trunc)) for p in s.points))
-
-    return CurveConfig(config.ambient, config.domain, config.curve_class,
-                       map(widen, config.stations), map(widen, config.regular_double_points))
-
-
-def stored_truncation(*configs: CurveConfig) -> int:
-    """The smallest finite truncation a series of the configurations
-    stores (0 when every series is exact).  A computation is resolved
-    only to the smallest truncation it reads, so with_precision at or
-    below this one, MAX_PRECISION included, cuts or repeats every series."""
-    return min((s.trunc for c in configs for st in c.stations + c.regular_double_points
-                for p in st.points for s in (p.germ.U, p.germ.V) if s.trunc is not None),
-               default=0)
-
-
 def _class_pairing(c1: CurveConfig, c2: CurveConfig) -> tuple[int, int]:
     """(m_C m_C')^{-1} [C]^T P [C'] as an integer numerator and denominator."""
     num, den = _rational_sum(

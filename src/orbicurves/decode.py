@@ -22,7 +22,7 @@ from collections import Counter
 from .errors import InvalidInput
 
 SCHEMA_VERSION = 1
-MAX_PRECISION = 256  # largest truncation a series may store or a retry may reach
+MAX_PRECISION = 256  # largest truncation a series may store
 MAX_SHOWN = 80  # characters of a wrong value's JSON that an error line shows
 
 

@@ -24,8 +24,8 @@ class ZeroToPrecision(ArithmeticError):
 
 
 class PrecisionExhausted(ArithmeticError):
-    """A result's order or value is not resolved within the working
-    truncation; the CLI then retries once at the cap, MAX_PRECISION."""
+    """A result's order or value is not fixed by the stored truncations:
+    some completion of the series would change it.  The CLI exits 1."""
 
 
 class DistinctBranchesRequired(InvalidInput):

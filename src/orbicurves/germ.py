@@ -454,15 +454,6 @@ class CurveGerm:
                 orders.append(s.order())
         return min(orders)
 
-    def truncation(self) -> int:
-        return _tmin(self.U.trunc, self.V.trunc)
-
-    def with_truncation(self, trunc: int) -> "CurveGerm":
-        """Re-truncate both coordinates.  Raising the truncation treats
-        the stored terms as exact polynomial data."""
-        return CurveGerm(self.U.with_truncation(trunc), self.V.with_truncation(trunc),
-                         self.group, self.m, self.twist)
-
     def materialize(self) -> tuple[PowerSeries, PowerSeries]:
         """Coordinate series of the twisted germ, when the twist's root
         of unity lies in Q(i)."""
@@ -556,6 +547,7 @@ def _same_data(g1: CurveGerm, g2: CurveGerm) -> bool:
     return (
         g1.group == g2.group
         and (g1.twist - g2.twist) % max(g1.group.a, 1) == 0
+        and (g1.U.trunc, g1.V.trunc) == (g2.U.trunc, g2.V.trunc)
         and g1.U == g2.U
         and g1.V == g2.V
     )
@@ -627,11 +619,21 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
     tends to 0, so a second pass of a curve through the origin is not
     counted and the value is symmetric.  W is deepened until the
     determinant is nonzero to precision.
+
+    The branch of larger multiplicity n is the one put in normal form (on
+    a tie, g2).  F has n factors Y - W(zeta s), one per root of s^n = X,
+    whose orders in t add up to the count, so the larger n gives factors
+    of lower order, which the substituted branch's stored truncation
+    covers.  Germs that agree below the smaller stored truncation are
+    not identical data: their determinant vanishes to precision, and the
+    call raises PrecisionExhausted (exit 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
     if _same_data(g1, g2):
         raise DistinctBranchesRequired("the two germs carry identical data")
+    if g1.multiplicity() > g2.multiplicity():
+        g1, g2 = g2, g1
     u1, v1 = g1.U, g1.V
     u2, v2 = translate(g2, -g1.twist).materialize()
 

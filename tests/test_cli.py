@@ -354,108 +354,117 @@ class TestPrecisionRetry:
         assert payload["lhs"] == "15"
         assert payload["verdict"] == {"verdict": "Singular", "defect": "15"}
 
-    @staticmethod
-    def parabola_twice(tmp_path, trunc: int = 32) -> str:
-        """(t, t^2) and (2t, 4t^2), one parabola given twice at one
-        station, every series stored at truncation trunc: no rung
-        resolves their intersection."""
-        data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
-        first = data["stations"][0]["points"][0]
-        second = json.loads(json.dumps(first))
-        second["label"] = "b2"
-        second["germ"]["U"]["terms"] = [[1, {"re": "2", "im": "0"}]]
-        second["germ"]["V"]["terms"] = [[2, {"re": "4", "im": "0"}]]
-        data["stations"][0]["points"].append(second)
-        for point in data["stations"][0]["points"]:
-            point["germ"]["U"]["trunc"] = point["germ"]["V"]["trunc"] = trunc
-        path = tmp_path / f"parabola_twice_{trunc}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        return str(path)
-
-    def test_last_rung_names_the_cap(self, tmp_path, capsys):
-        for trunc in (32, MAX_PRECISION):
-            assert main(["adjunction", self.parabola_twice(tmp_path, trunc)]) == 1
-            assert capsys.readouterr() == ("", (
-                f"error: unresolved at truncation {MAX_PRECISION}, the cap: resultant "
-                "vanishes to the available truncation; check that the branches are distinct\n"
-            ))
+    def test_last_rung_names_the_cap(self, tmp_path, monkeypatch, capsys):
+        # (t, t^2) and (2t, 4t^2), one parabola given twice at one
+        # station, which no truncation resolves: one attempt on the
+        # stored series, and the one error line is the resultant's own
+        seen = self.record_attempts(monkeypatch)
+        for trunc in (8, 32, 64, MAX_PRECISION):
+            seen.clear()
+            path = _station_file(tmp_path, f"parabola_twice_{trunc}",
+                                 ("b", {1: "1"}, {2: "1"}, trunc),
+                                 ("b2", {1: "2"}, {2: "4"}, trunc))
+            assert main(["adjunction", path]) == 1
+            assert len(seen) == 1
+            assert capsys.readouterr() == ("", UNRESOLVED)
 
     @staticmethod
     def record_attempts(monkeypatch) -> list:
-        """The list of truncations cli._with_retries hands to compute,
-        in order, filled as main runs."""
+        """One entry per report attempt that cli._with_retries makes,
+        filled as main runs."""
         seen = []
         retries = cli._with_retries
 
-        def recorded(compute, rungs):
-            def attempt(t):
-                seen.append(t)
-                return compute(t)
+        def recorded(compute, x):
+            def attempt(y):
+                seen.append(y)
+                return compute(y)
 
-            return retries(attempt, rungs)
+            return retries(attempt, x)
 
         monkeypatch.setattr(cli, "_with_retries", recorded)
         return seen
 
     def test_shallow_data_takes_one_attempt(self, monkeypatch, capsys):
         # (t^6, t^7) stored at 8: W is known below ord W + u.trunc - n = 9,
-        # so the stored data fix delta without the widening
+        # so the stored data fix delta
         seen = self.record_attempts(monkeypatch)
         assert main(["adjunction", str(DATA / "deep_singularity.json")]) == 0
-        assert seen == [None]
+        assert len(seen) == 1
 
-    @pytest.mark.parametrize(
-        "trunc,attempts",
-        [(8, [None, 256]), (32, [None, 256]), (64, [None, 256]), (256, [None])],
-    )
-    def test_ladder_skips_rungs_that_cut_or_repeat_the_data(
-        self, tmp_path, monkeypatch, capsys, trunc, attempts
-    ):
-        # the stored data, then the cap, unless the cap would repeat
-        # every stored series
+    def test_mixed_truncations_climb_from_the_smallest(self, tmp_path, monkeypatch):
+        # (t, t^2) stored at trunc and (2t, 4t^2 + t^20) stored at 256
+        # meet to order 20, and the stored data fix that only when the
+        # first branch is known below 21: at 8, its completions meet the
+        # second to every order from 8 on.  So it goes whether both
+        # branches sit at one station or in the two configs of intersect.
         seen = self.record_attempts(monkeypatch)
-        assert main(["adjunction", self.parabola_twice(tmp_path, trunc)]) == 1
-        assert seen == attempts
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unresolved at truncation {MAX_PRECISION}, the cap: ")
-
-    def test_mixed_truncations_climb_from_the_smallest(self, tmp_path, monkeypatch, capsys):
-        # (t, t^2) stored at 8 and (2t, 4t^2 + t^20) stored at 256 meet
-        # to order 20; the stored attempt resolves only to 8, and the cap
-        # attempt widens the truncation-8 series, whether both branches
-        # sit at one station or in the two configs of intersect
-        data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
-        station = data["stations"][0]
-        first = station["points"][0]
-        first["germ"]["U"]["trunc"] = first["germ"]["V"]["trunc"] = 8
-        second = json.loads(json.dumps(first))
-        second["label"] = "b2"
-        second["germ"]["U"] = {"trunc": 256, "terms": [[1, {"re": "2"}]]}
-        second["germ"]["V"] = {"trunc": 256, "terms": [[2, {"re": "4"}], [20, {"re": "1"}]]}
-        paths = {}
-        for name, points in (("both", [first, second]), ("at8", [first]), ("at256", [second])):
-            station["points"] = points
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(data), encoding="utf-8")
-        seen = self.record_attempts(monkeypatch)
-        for argv in (
-            ["adjunction", paths["both"]],
-            ["intersect", paths["at8"], paths["at256"]],
-            ["intersect", paths["at256"], paths["at8"]],
-        ):
-            seen.clear()
-            assert main([str(a) for a in argv]) == 0
-            assert seen == [None, MAX_PRECISION]
-        assert capsys.readouterr().err == ""
+        second = ("b2", {1: "2"}, {2: "4", 20: "1"}, MAX_PRECISION)
+        other = _station_file(tmp_path, "second", second)
+        for trunc, code, value in ((8, 1, None), (21, 0, "20")):
+            first = ("b", {1: "1"}, {2: "1"}, trunc)
+            both = _station_file(tmp_path, f"both_{trunc}", first, second)
+            alone = _station_file(tmp_path, f"first_{trunc}", first)
+            for argv in (["adjunction", both], ["intersect", alone, other],
+                         ["intersect", other, alone]):
+                seen.clear()
+                got = _run_main(argv)
+                assert len(seen) == 1
+                assert got[0] == code, (trunc, argv)
+                if value is None:
+                    assert got[1:] == ("", UNRESOLVED)
+                else:
+                    assert _pair_values(got[1]) == [value] and got[2] == ""
 
 
-def _restored(path: Path, trunc: int, tmp_path) -> str:
+UNRESOLVED = ("error: resultant vanishes to the available truncation; check that the "
+              "branches are distinct\n")
+
+
+def _station_file(tmp_path, name: str, *branches) -> str:
+    """The configuration of configs/conic_tangent.json with its one
+    station holding the given branches, each (label, U terms, V terms,
+    trunc), the terms {exponent: real part}."""
+    data = json.loads((CONFIGS / "conic_tangent.json").read_text(encoding="utf-8"))
+    station = data["stations"][0]
+    template = station["points"][0]
+    station["points"] = []
+    for label, u, v, trunc in branches:
+        point = json.loads(json.dumps(template))
+        point["label"] = label
+        for key, terms in (("U", u), ("V", v)):
+            point["germ"][key] = {"trunc": trunc,
+                                  "terms": [[e, {"re": c}] for e, c in terms.items()]}
+        station["points"].append(point)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _pair_values(stdout: str) -> list:
+    return [c["value"] for c in json.loads(stdout)["contributions"] if c["kind"] == "pair"]
+
+
+def _restored(path: Path, trunc: int, tmp_path, tail: bool = False) -> str:
     """A copy of the configuration file at path with every series
-    stored at truncation trunc."""
+    stored at truncation trunc, at or above its own.  With tail, each
+    series also gains up to three terms with seeded random Gaussian
+    coefficients at exponents from its old truncation up to trunc, so
+    the copy is one completion of the stored data, not only the one
+    that continues it by zeros."""
+    rng = random.Random(f"{path.stem}-{trunc}")
+
+    def gaussian() -> dict:
+        return {"re": str(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))),
+                "im": str(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))}
 
     def walk(value):
         if isinstance(value, dict):
             if "terms" in value:
+                assert value["trunc"] <= trunc
+                if tail:
+                    gap = range(value["trunc"], trunc)
+                    value["terms"] += [[e, gaussian()] for e in rng.sample(gap, min(3, len(gap)))]
                 value["trunc"] = trunc
             for v in value.values():
                 walk(v)
@@ -465,7 +474,7 @@ def _restored(path: Path, trunc: int, tmp_path) -> str:
 
     data = json.loads(path.read_text(encoding="utf-8"))
     walk(data)
-    out = tmp_path / f"{path.stem}_{trunc}.json"
+    out = tmp_path / f"{path.stem}_{trunc}{'_tail' if tail else ''}.json"
     out.write_text(json.dumps(data), encoding="utf-8")
     return str(out)
 
@@ -476,9 +485,13 @@ _CURVE_FILES = [CONFIGS / f"{name}.json" for name in (
 
 class TestTruncationLaw:
     """Delta invariants and intersection multiplicities are fixed by
-    finitely many terms of a germ, so a report, or its failure, does not
-    depend on the truncation its series are stored at: the premise of
-    the CLI's one retry at the cap."""
+    finitely many terms of a germ (finite determinacy), so a report that
+    the stored series resolve holds for every completion of them: the
+    exit code, stdout and stderr stay the same when each series gains
+    arbitrary terms at or above its stored truncation.  A value the
+    stored series do not fix exits 1, since no attempt runs past them.
+    Continued by zeros instead, each of the curve files here also keeps
+    its failures."""
 
     @pytest.mark.parametrize(
         "paths",
@@ -489,8 +502,26 @@ class TestTruncationLaw:
         command = "adjunction" if len(paths) == 1 else "intersect"
         stored = _run_main([command, *map(str, paths)])
         for trunc in (64, 128, MAX_PRECISION):
-            argv = [command, *(_restored(p, trunc, tmp_path) for p in paths)]
-            assert _run_main(argv) == stored, trunc
+            for tail in (False, True) if stored[0] == 0 else (False,):
+                argv = [command, *(_restored(p, trunc, tmp_path, tail) for p in paths)]
+                assert _run_main(argv) == stored, (trunc, tail)
+
+    def test_the_stored_jet_decides(self, tmp_path):
+        # (t, t^2) stored at 8 against (2t, 4t^2 + 2^9 t^9) stored at 32:
+        # continued by zeros, the first meets the second to order 9, and
+        # given an extra t^8 term, to order 8, so the data fix no value
+        second = ("b", {1: "2"}, {2: "4", 9: "512"}, 32)
+        undetermined = _station_file(tmp_path, "undetermined", ("a", {1: "1"}, {2: "1"}, 8), second)
+        assert _run_main(["adjunction", undetermined]) == (1, "", UNRESOLVED)
+        zeros = _run_main(["adjunction", _restored(Path(undetermined), 32, tmp_path)])
+        assert zeros[0] == 0 and _pair_values(zeros[1]) == ["9"]
+        extended = _station_file(tmp_path, "extended", ("a", {1: "1"}, {2: "1", 8: "1"}, 32),
+                                 second)
+        got = _run_main(["adjunction", extended])
+        assert got[0] == 0 and _pair_values(got[1]) == ["8"] and got[2] == ""
+        for trunc in (64, 128, MAX_PRECISION):
+            completed = _restored(Path(extended), trunc, tmp_path, tail=True)
+            assert _run_main(["adjunction", completed]) == got
 
 
 class TestDeepTruncation:
@@ -505,9 +536,22 @@ class TestDeepTruncation:
         start = time.perf_counter()
         got = run_command(["adjunction", str(path)])
         assert time.perf_counter() - start < 0.5
-        assert seen == [None]
+        assert len(seen) == 1
         # (t^2 + t^3, t^3) is a cusp too, with the plain cusp's report
         assert got == run_command(["adjunction", str(CONFIGS / "cuspidal_cubic.json")])
+
+    def test_cusp_given_twice_exits_at_once(self, tmp_path, monkeypatch):
+        # (t^2 - t^3, -t^3) is (t^2 + t^3, t^3) at -t: one branch given
+        # twice, which no truncation resolves.  Its one attempt reads the
+        # series only below the stored truncation 32; built to 256, W
+        # alone takes seconds.
+        path = _station_file(tmp_path, "cusp_twice", ("a", {2: "1", 3: "1"}, {3: "1"}, 32),
+                             ("b", {2: "1", 3: "-1"}, {3: "-1"}, 32))
+        seen = TestPrecisionRetry.record_attempts(monkeypatch)
+        start = time.perf_counter()
+        got = _run_main(["adjunction", path])
+        assert time.perf_counter() - start < 0.5
+        assert got == (1, "", UNRESOLVED) and len(seen) == 1
 
 
 class TestExitCodes:

@@ -24,7 +24,6 @@ from orbicurves.curvecalc import (
     local_point_contribution,
     station,
     virtual_genus,
-    with_precision,
 )
 from orbicurves.errors import (
     AdjunctionViolated,
@@ -590,18 +589,3 @@ class TestSerialization:
         data["stations"][0]["points"][0]["order"] = 2
         with pytest.raises(InvalidInput):
             CurveConfig.from_json(data)
-
-
-def _germ_truncations(cfg) -> set:
-    return {p.germ.truncation() for s in cfg.stations for p in s.points} | {
-        p.germ.truncation() for d in cfg.regular_double_points for p in d.points
-    }
-
-
-class TestPrecisionControls:
-    def test_with_precision_rebuilds_all_germs(self):
-        cfg = plane_curve(4, genus=1, stations=[cusp_station()], doubles=[node()])
-        assert _germ_truncations(cfg) == {32}
-        wide = with_precision(cfg, 64)
-        assert _germ_truncations(wide) == {64}
-        assert adjunction_report(wide)["holds"]

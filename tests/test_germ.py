@@ -591,10 +591,21 @@ class TestIntersection:
         assert intersection_multiplicity(a, b) == intersection_multiplicity(b, a)
 
     def test_identical_data_rejected(self):
-        g = germ_from_polynomials({1: 1}, {2: 1})
-        h = germ_from_polynomials({1: 1}, {2: 1})
-        with pytest.raises(DistinctBranchesRequired):
-            intersection_multiplicity(g, h)
+        # the same germ twice at one stored truncation
+        for u, v, trunc in (({1: 1}, {2: 1}, 8), ({1: 1}, {2: 1}, 32), ({1: 1}, {2: 1, 9: 1}, 32)):
+            g = germ_from_polynomials(u, v, trunc=trunc)
+            h = germ_from_polynomials(u, v, trunc=trunc)
+            with pytest.raises(DistinctBranchesRequired, match="identical data"):
+                intersection_multiplicity(g, h)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_agreement_below_the_smaller_truncation_is_unresolved(self, flip):
+        # (t, t^2) known below 8 may be (t, t^2 + t^9) or may meet it to
+        # any order from 8 on: not identical data, and no value either
+        pair = (germ_from_polynomials({1: 1}, {2: 1}, trunc=8),
+                germ_from_polynomials({1: 1}, {2: 1, 9: 1}, trunc=32))
+        with pytest.raises(PrecisionExhausted, match="resultant vanishes"):
+            intersection_multiplicity(*(pair[::-1] if flip else pair))
 
     def test_shared_axis_rejected(self):
         g = germ_from_polynomials({}, {1: 1})
