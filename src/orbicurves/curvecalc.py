@@ -23,8 +23,7 @@ from .errors import (
     InvalidInput,
 )
 from .decode import SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational, str_
-from .germ import (CurveGerm, check_stabilizer, intersection_multiplicity,
-                   self_intersection, translate)
+from .germ import CurveGerm, check_stabilizer, intersection_multiplicity, self_intersection
 from .lens import SingularityType
 from .surface import OrbifoldSurface, orbifold_genus
 
@@ -407,9 +406,7 @@ def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
     branch of g1's orbit with every branch of g2's (distinct germs
     assumed).  The group acts by biholomorphisms, so I(mu^j g1, mu^k g2)
     = I(g1, mu^(k-j) g2) and each translate of g1 meets g2's orbit alike."""
-    total = sum(
-        intersection_multiplicity(g1, translate(g2, k)) for k in range(g2.orbit_size)
-    )
+    total = sum(intersection_multiplicity(g1, g2, k) for k in range(g2.orbit_size))
     return Fraction(g1.orbit_size * total, g1.group.a)
 
 
@@ -427,17 +424,15 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     (1/2|G|) (sum of branch deltas + sum over ordered branch pairs),
     where the pair sum's diagonal term is the branch's delta.
 
-    With n the orbit size this is (1/2|G|)(2 n delta + cross), using
-    that delta is twist-invariant; as in _pair_term the cross sum is n
-    times sum over 0 < d < n of I(base, translate(base, d)), and those
-    translates must be materializable over Q(i).
+    With n the orbit size this is (1/2|G|)(2 n delta + cross), since
+    every branch of the orbit has the base's delta; as in _pair_term the
+    cross sum is n times the sum over 0 < d < n of I(base, mu^d base),
+    and each mu^d must lie in Q(i).
     """
     base = s.point(z).germ
     size = base.orbit_size
     delta = self_intersection(base)
-    cross = size * sum(
-        intersection_multiplicity(base, translate(base, d)) for d in range(1, size)
-    )
+    cross = size * sum(intersection_multiplicity(base, base, d) for d in range(1, size))
     return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
 
 

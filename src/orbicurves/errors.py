@@ -44,8 +44,8 @@ class EquivarianceViolated(InvalidInput):
 
 
 class UnrepresentableCoefficients(ArithmeticError):
-    """A requested translate needs roots of unity outside the Gaussian
-    rationals and cannot be materialized exactly."""
+    """A requested group translate needs a root of unity outside the
+    Gaussian rationals, so its coefficients cannot be formed exactly."""
 
 
 class AmbientMismatch(InvalidInput):
@@ -54,8 +54,9 @@ class AmbientMismatch(InvalidInput):
 
 class AdjunctionViolated(ArithmeticError):
     """A computation produced genus bookkeeping that cannot belong to a
-    curve (used by callers that demand consistency, never raised by the
-    report functions themselves)."""
+    curve.  The adjunction and intersection reports never raise it;
+    embeddedness_verdict does, for a report whose identity fails or
+    whose defect is negative."""
 
 
 class Disallowed(InvalidInput):

@@ -1,12 +1,10 @@
-"""Exact scalar arithmetic: Gaussian rationals and the fourth roots of
-unity.
+"""Exact scalar arithmetic: Gaussian rationals.
 
 Only germ imports this module: a GaussianRational is a germ series
 coefficient at the API and JSON boundary (PowerSeries.coeff, the terms
-handed to PowerSeries and germ_from_polynomials), and FOURTH_ROOTS gives
-the twists that a root of unity inside Q(i) can materialize.  Series
-arithmetic runs on integers in germ, and the report values are stdlib
-Fractions, so no report is built on these scalars.  No floating point
+handed to PowerSeries and germ_from_polynomials).  Series arithmetic,
+group translates included, runs on integers in germ, and the report
+values are stdlib Fractions, so no report is built on these scalars.  No floating point
 appears anywhere; a Gaussian rational is a pair of Fractions.  The "a/b"
 text of a rational lives in decode, next to its parser.
 """
@@ -62,16 +60,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return GR_ONE / self.__pow__(-k)
@@ -93,15 +81,5 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-
 GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
-
-# mu_4^k for k mod 4: the only roots of unity inside Q(i).
-FOURTH_ROOTS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-
-
-def fourth_root_power(k: int) -> GaussianRational:
-    """i^k as an exact Gaussian rational."""
-    return FOURTH_ROOTS[k % 4]

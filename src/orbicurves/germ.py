@@ -16,9 +16,9 @@ value is not pinned down below the tracked truncation raises
 PrecisionExhausted instead of guessing.  Coefficients never leave Q(i):
 a series stores them as Gaussian-integer numerators over one positive
 integer denominator, so its arithmetic runs on integers.
-Group translates whose coefficients would need other roots of unity
-are kept symbolic (an integer twist on the germ) and materialize only
-when the needed root lies in {1, i, -1, -i}.
+A group translate is not a germ of its own: intersection_multiplicity
+(g1, g2, k) rotates one germ's numerators by a power of mu_a, which it
+can do only when mu_a^k lies in {1, i, -1, -i}.
 
 Set-level comparisons between translates (orbit distinctness, same
 branch detection) use linear reparametrizations z -> c z with c a root
@@ -43,12 +43,7 @@ from .errors import (
     UnrepresentableCoefficients,
     ZeroToPrecision,
 )
-from .exact import (
-    GR_ONE,
-    GR_ZERO,
-    GaussianRational,
-    fourth_root_power,
-)
+from .exact import GR_ONE, GR_ZERO, GaussianRational
 from .lens import SingularityType
 
 DEFAULT_TRUNCATION = 32
@@ -366,14 +361,12 @@ class CurveGerm:
     m: order of the stabilizer of the image (divides a); the germ must
        be equivariant for an injective Z_m -> Z_a, which is checked
        symbolically on support exponents.
-    twist: symbolic composition with the group element k, representing
-       the translate (mu_a^k U, mu_a^{k b} V).
     """
 
-    __slots__ = ("U", "V", "group", "m", "twist", "_rho_exponent")
+    __slots__ = ("U", "V", "group", "m", "_rho_exponent")
 
     def __init__(self, U: PowerSeries, V: PowerSeries,
-                 group: SingularityType = SingularityType(1, 0), m: int = 1, twist: int = 0):
+                 group: SingularityType = SingularityType(1, 0), m: int = 1):
         if U.is_zero_to_precision() and V.is_zero_to_precision():
             raise InvalidInput("germ coordinates must not both vanish")
         for s in (U, V):
@@ -384,13 +377,10 @@ class CurveGerm:
         a = group.a
         if a < 1 or m < 1 or a % m != 0:
             raise EquivarianceViolated(f"stabilizer order {m} must divide the group order {a}")
-        if not 0 <= twist < max(a, 1):
-            raise InvalidInput(f"twist must lie in [0, {a}), got {twist}")
         self.U = U
         self.V = V
         self.group = group
         self.m = m
-        self.twist = twist
         self._rho_exponent = self._solve_equivariance()
 
     def __eq__(self, other) -> bool:
@@ -401,7 +391,6 @@ class CurveGerm:
             and self.V == other.V
             and self.group == other.group
             and self.m == other.m
-            and self.twist == other.twist
         )
 
     def _solve_equivariance(self) -> int:
@@ -444,7 +433,7 @@ class CurveGerm:
     @property
     def orbit_size(self) -> int:
         """Number of group translates, a/m: the translates are
-        translate(germ, k) for 0 <= k < orbit_size."""
+        (mu_a^k U, mu_a^{kb} V) for 0 <= k < orbit_size."""
         return self.group.a // self.m
 
     def multiplicity(self) -> int:
@@ -454,31 +443,14 @@ class CurveGerm:
                 orders.append(s.order())
         return min(orders)
 
-    def materialize(self) -> tuple[PowerSeries, PowerSeries]:
-        """Coordinate series of the twisted germ, when the twist's root
-        of unity lies in Q(i)."""
-        if self.twist == 0:
-            return self.U, self.V
-        a, b = self.group.a, self.group.b
-        if (4 * self.twist) % a != 0:
-            raise UnrepresentableCoefficients(
-                f"translate by {self.twist} of a Z_{a} action needs a root of "
-                "unity outside the Gaussian rationals"
-            )
-        quarter = (4 * self.twist) // a
-        mu_u = fourth_root_power(quarter)
-        mu_v = fourth_root_power(quarter * b)
-        return self.U.scale(mu_u), self.V.scale(mu_v)
-
     @staticmethod
     def from_json(data, where: str = "germ") -> "CurveGerm":
-        obj(data, where, "U", "V", optional=("group", "m", "twist"))
+        obj(data, where, "U", "V", optional=("group", "m"))
         return CurveGerm(
             U=PowerSeries.from_json(data["U"], f"{where}.U"),
             V=PowerSeries.from_json(data["V"], f"{where}.V"),
             group=SingularityType.from_json(data.get("group", [1, 0]), f"{where}.group"),
             m=int_(data.get("m", 1), f"{where}.m"),
-            twist=int_(data.get("twist", 0), f"{where}.twist"),
         )
 
 
@@ -502,13 +474,6 @@ def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
         return _series(*_numerators(parts), trunc)
 
     return CurveGerm(U=conv(u_terms), V=conv(v_terms), group=group, m=m)
-
-
-def translate(germ: CurveGerm, k: int) -> CurveGerm:
-    """The group translate by mu_a^k, kept symbolic in the twist; the
-    germ itself when the twist does not change."""
-    twist = (germ.twist + k) % max(germ.group.a, 1)
-    return germ if twist == germ.twist else CurveGerm(germ.U, germ.V, germ.group, germ.m, twist)
 
 
 def _stabilizing_twist(germ: CurveGerm) -> int:
@@ -541,16 +506,6 @@ def check_stabilizer(germ: CurveGerm) -> None:
             f"translate by {d} fixes the germ; stated stabilizer order "
             f"{germ.m} is too small"
         )
-
-
-def _same_data(g1: CurveGerm, g2: CurveGerm) -> bool:
-    return (
-        g1.group == g2.group
-        and (g1.twist - g2.twist) % max(g1.group.a, 1) == 0
-        and (g1.U.trunc, g1.V.trunc) == (g2.U.trunc, g2.V.trunc)
-        and g1.U == g2.U
-        and g1.V == g2.V
-    )
 
 
 def _series_det(matrix: list[list[PowerSeries]]) -> PowerSeries:
@@ -608,10 +563,33 @@ def _inverse_lead(u: PowerSeries, n: int) -> tuple[int, int, int]:
     return u.den * lr, -u.den * li, lr * lr + li * li
 
 
-def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
-    """Local intersection multiplicity of two distinct branches, by
-    Halphen's formula (Casas-Alvero, Singularities of Plane Curves, 2000;
-    Wall, Singular Points of Plane Curves, 2004).  In its normal form
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q for q mod 4, as (re, im)
+
+
+def _rotated(germ: CurveGerm, k: int) -> tuple[PowerSeries, PowerSeries]:
+    """Coordinate series (mu_a^k U, mu_a^{kb} V) of the translate by k,
+    when mu_a^k = i^(4k/a) lies in Q(i).  Z_a is abelian, so a translate
+    of an equivariant germ is equivariant for the same action: nothing is
+    checked again."""
+    a, b = germ.group.a, germ.group.b
+    k %= a
+    if 4 * k % a:
+        raise UnrepresentableCoefficients(
+            f"translate by {k} of a Z_{a} action needs a root of "
+            "unity outside the Gaussian rationals"
+        )
+    q = 4 * k // a
+    return tuple(
+        s if p % 4 == 0 else s._scaled(*_POWERS_OF_I[p % 4], 1)
+        for s, p in ((germ.U, q), (germ.V, q * b))
+    )
+
+
+def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
+    """Local intersection multiplicity I(g1, mu_a^k g2) of g1 and the
+    group translate by k of g2, two distinct branches, by Halphen's
+    formula (Casas-Alvero, Singularities of Plane Curves, 2000; Wall,
+    Singular Points of Plane Curves, 2004).  In its normal form
     (s^n, W(s)), after the coordinate swap of characteristic_exponents
     and z1 -> z1/lead, the second branch has the local equation
     F(X, Y) = det(Y*I - W(C)), C the companion matrix of s^n - X, and the
@@ -624,18 +602,22 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm) -> int:
     a tie, g2).  F has n factors Y - W(zeta s), one per root of s^n = X,
     whose orders in t add up to the count, so the larger n gives factors
     of lower order, which the substituted branch's stored truncation
-    covers.  Germs that agree below the smaller stored truncation are
-    not identical data: their determinant vanishes to precision, and the
-    call raises PrecisionExhausted (exit 1).
+    covers; on a swap the translate moves to the other germ, as
+    I(g1, mu^k g2) = I(g2, mu^-k g1).  Identical data, compared after
+    the rotation and at equal stored truncations, raise
+    DistinctBranchesRequired, so one orbit given twice exits 2.  Germs
+    that agree below the smaller stored truncation are not identical
+    data: their determinant vanishes to precision, and the call raises
+    PrecisionExhausted (exit 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
-    if _same_data(g1, g2):
-        raise DistinctBranchesRequired("the two germs carry identical data")
     if g1.multiplicity() > g2.multiplicity():
-        g1, g2 = g2, g1
+        g1, g2, k = g2, g1, -k
     u1, v1 = g1.U, g1.V
-    u2, v2 = translate(g2, -g1.twist).materialize()
+    u2, v2 = _rotated(g2, k)
+    if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
+        raise DistinctBranchesRequired("the two germs carry identical data")
 
     if u1.is_zero_to_precision() and u2.is_zero_to_precision():
         raise DistinctBranchesRequired("both germs parametrize the z2 axis")
@@ -787,8 +769,8 @@ def self_intersection(germ: CurveGerm) -> int:
     number of double points concentrated at the singularity.
 
     Computed from the characteristic exponents of the normalized
-    parametrization.  Twists scale coordinates by units and never
-    change delta.
+    parametrization.  A group translate scales the coordinates by
+    units, so every branch of an orbit has the same delta.
     """
     exps = [e for s in (germ.U, germ.V) for e in s.support()]
     g = math.gcd(*exps)

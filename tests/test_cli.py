@@ -19,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orbicurves import cli, wps
@@ -271,7 +271,7 @@ class TestArgvReader:
     and leaves argv to argparse; either way main ends as it does with
     argparse alone."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_argv())
     def test_reader_agrees_with_argparse(self, drawn):
         argv, plain = drawn
@@ -706,8 +706,8 @@ class TestExitCodes:
 
 
 class TestGermJsonBoundary:
-    """Series exponents, trunc, m and twist must be ints that are not
-    bools; anything else exits 2 with one stderr line."""
+    """Series exponents, trunc and m must be ints that are not bools;
+    anything else exits 2 with one stderr line."""
 
     @staticmethod
     def cusp_germ():
@@ -726,8 +726,6 @@ class TestGermJsonBoundary:
             ("trunc", 32.0),
             ("m", True),
             ("m", 1.0),
-            ("twist", False),
-            ("twist", "0"),
             ("terms", "[[3, 1]]"),
             ("coefficient", 1),
             ("group", [True, False]),
@@ -735,7 +733,7 @@ class TestGermJsonBoundary:
         ids=[
             "str_exponent", "bool_exponent", "float_exponent", "integral_float_exponent",
             "bool_trunc", "str_trunc", "float_trunc", "bool_m", "float_m",
-            "bool_twist", "str_twist", "str_terms", "int_coefficient", "bool_group",
+            "str_terms", "int_coefficient", "bool_group",
         ],
     )
     def test_rejects_non_integer_fields(self, tmp_path, capsys, field, value):
@@ -757,13 +755,49 @@ class TestGermJsonBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_integer_fields_still_load(self, tmp_path):
+        # the fields test_rejects_non_integer_fields spoils, as plain ints
         data, germ = self.cusp_germ()
-        germ["twist"] = 0
+        germ["V"]["terms"][0][0] = 3
+        germ["V"]["trunc"] = 32
+        germ["m"] = 1
         good = tmp_path / "germ.json"
         good.write_text(json.dumps(data), encoding="utf-8")
         assert run_command(["adjunction", str(good)]) == run_command(
             ["adjunction", str(CONFIGS / "cuspidal_cubic.json")]
         )
+
+    def test_twist_is_not_a_germ_key(self, tmp_path, capsys):
+        # a group translate is a rotation inside the orbit sums; no
+        # germ stores one
+        data, germ = self.cusp_germ()
+        germ["twist"] = 0
+        bad = tmp_path / "germ.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_command(["adjunction", str(bad)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: stations[0].points[0].germ.twist: unknown key\n"
+        )
+
+    def test_one_orbit_listed_twice_exits_2(self, tmp_path, capsys):
+        # at Z_2 of type (2, 1), (-t, -t^2) is the translate by 1 of
+        # (t, t^2): the pair term meets the first germ's data again
+        data = json.loads((DATA / "unrepresentable.json").read_text(encoding="utf-8"))
+        data["ambient"]["singular_points"][0][1] = [2, 1]
+        station = data["stations"][0]
+        station["isotropy_order"] = 2
+        p = station["points"][0]
+        p["germ"]["group"] = [2, 1]
+        q = json.loads(json.dumps(p))
+        q["label"] = "b"
+        for key in ("U", "V"):
+            q["germ"][key]["terms"][0][1]["re"] = "-1"
+        station["points"].append(q)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_command(["adjunction", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: the two germs carry identical data\n"
 
     def test_stored_trunc_above_the_cap_exits_at_once(self, tmp_path, capsys):
         data, germ = self.cusp_germ()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orbicurves import decode
@@ -480,7 +480,7 @@ VALUES = [
 ]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(VALUES))
 def test_single_leaf_mutations_end_cleanly(tmp_path_factory, leaf, value):
     source, path = leaf

@@ -1,5 +1,5 @@
-"""Exact arithmetic: rational text form, modular inverses, Gaussian
-rationals, and the fourth roots of unity."""
+"""Exact arithmetic: rational text form, modular inverses and Gaussian
+rationals."""
 
 from fractions import Fraction
 
@@ -7,15 +7,11 @@ import pytest
 
 from orbicurves.decode import format_rational, parse_rational
 from orbicurves.errors import InvalidInput, NotCoprime
-from orbicurves.exact import (
-    FOURTH_ROOTS,
-    GR_I,
-    GR_ONE,
-    GaussianRational,
-    fourth_root_power,
-)
+from orbicurves.exact import GR_ONE, GaussianRational
 from orbicurves.germ import PowerSeries
 from orbicurves.lens import mod_inverse
+
+I = GaussianRational.of(0, 1)
 
 
 class TestRationalText:
@@ -98,31 +94,18 @@ class TestGaussianRational:
         assert (a / b) * b == a
 
     def test_i_squares_to_minus_one(self):
-        assert GR_I * GR_I == -GR_ONE
-
-    def test_norm_and_conjugate(self):
-        z = GaussianRational.of(3, 4)
-        assert z.norm() == Fraction(25)
-        assert z * z.conjugate() == GaussianRational.of(25)
+        assert I * I == -GR_ONE
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             GR_ONE / GaussianRational.of(0)
 
     def test_pow(self):
-        assert GR_I**4 == GR_ONE
-        assert GR_I**-1 == -GR_I
+        assert I**4 == GR_ONE
+        assert I**-1 == -I
 
     def test_json_round_trip(self):
         # a coefficient is read as {"re": "a/b", "im": "c/d"} inside a series
         z = GaussianRational.of(Fraction(-2, 3), Fraction(5, 7))
         data = {"terms": [[1, {"re": "-2/3", "im": "5/7"}]]}
         assert PowerSeries.from_json(data).coeff(1) == z
-
-
-class TestRoots:
-    def test_fourth_roots_cycle(self):
-        assert FOURTH_ROOTS == (GR_ONE, GR_I, -GR_ONE, -GR_I)
-        for k in range(8):
-            assert fourth_root_power(k) == FOURTH_ROOTS[k % 4]
-
