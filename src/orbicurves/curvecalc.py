@@ -427,12 +427,15 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     With n the orbit size this is (1/2|G|)(2 n delta + cross), since
     every branch of the orbit has the base's delta; as in _pair_term the
     cross sum is n times the sum over 0 < d < n of I(base, mu^d base),
-    and each mu^d must lie in Q(i).
+    and each mu^d must lie in Q(i).  I(base, mu^d base) = I(mu^-d base,
+    base) = I(base, mu^(n-d) base), so d <= n/2 are summed, each twice
+    but the middle one.
     """
     base = s.point(z).germ
     size = base.orbit_size
     delta = self_intersection(base)
-    cross = size * sum(intersection_multiplicity(base, base, d) for d in range(1, size))
+    cross = size * sum(intersection_multiplicity(base, base, d) * (1 if 2 * d == size else 2)
+                       for d in range(1, size // 2 + 1))
     return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
 
 

@@ -9,6 +9,8 @@ of Z_a preserving the image.  Both local invariants read one normal form
 per branch, (s^n, W(s)) in linear coordinates: delta from W's
 characteristic exponents, the local intersection number from W's local
 equation (Halphen's formula).  W is built only as deep as each needs.
+Two branches with distinct tangent lines need no normal form: they meet
+n1*n2 times, n1 and n2 their multiplicities.
 
 Exactness policy: truncation orders are tracked through every
 operation, including the precision cost of divisions; any answer whose
@@ -408,11 +410,13 @@ class CurveGerm:
             return 0
         k = a // m
         exps = [(1, j) for j in self.U.support()] + [(b, j) for j in self.V.support()]
-        if _solve_congruences([(c, (j * k) % a) for c, j in exps], a) is None:
+        sol = _solve_congruences([(c, (j * k) % a) for c, j in exps], a)
+        if sol is None:
             raise EquivarianceViolated(
                 f"germ is not equivariant for group {self.group.to_json()} with m={m}"
             )
-        sol = _solve_congruences([(c, j % m) for c, j in exps], m)
+        if k != 1:  # for m = a the two systems are one
+            sol = _solve_congruences([(c, j % m) for c, j in exps], m)
         if sol is not None and math.gcd(*sol, m) == 1:
             u, step = sol
             while math.gcd(u, m) != 1:  # ends below m: step divides m
@@ -557,6 +561,12 @@ def _swaps_coordinates(u: PowerSeries, v: PowerSeries) -> bool:
     return u.is_zero_to_precision() or (not v.is_zero_to_precision() and v.order() < u.order())
 
 
+def _tangent(u: PowerSeries, v: PowerSeries, n: int) -> tuple:
+    """Tangent (U_n, V_n) of a branch of multiplicity n, times u.den * v.den, in Z[i]."""
+    (ur, ui), (vr, vi) = u.num.get(n, (0, 0)), v.num.get(n, (0, 0))
+    return (ur * v.den, ui * v.den), (vr * u.den, vi * u.den)
+
+
 def _inverse_lead(u: PowerSeries, n: int) -> tuple[int, int, int]:
     """1/lead as (re, im, d), meaning (re + im*i)/d, for lead the z^n coefficient of u."""
     lr, li = u.num[n]  # lead = (lr + li*i) / u.den, and 1/lead = u.den * conj / norm
@@ -598,6 +608,11 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     counted and the value is symmetric.  W is deepened until the
     determinant is nonzero to precision.
 
+    Branches of multiplicities n1, n2 meet n1*n2 times iff their tangents
+    differ (Fulton, Algebraic Curves, 3.3).  The stored data fix a tangent
+    (U_n : V_n) when n lies below both truncations of its germ; two such
+    distinct tangents give n1*n2, and tangent branches the determinant.
+
     The branch of larger multiplicity n is the one put in normal form (on
     a tie, g2).  F has n factors Y - W(zeta s), one per root of s^n = X,
     whose orders in t add up to the count, so the larger n gives factors
@@ -612,8 +627,9 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
-    if g1.multiplicity() > g2.multiplicity():
-        g1, g2, k = g2, g1, -k
+    n1, n2 = g1.multiplicity(), g2.multiplicity()
+    if n1 > n2:
+        g1, g2, k, n1, n2 = g2, g1, -k, n2, n1
     u1, v1 = g1.U, g1.V
     u2, v2 = _rotated(g2, k)
     if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
@@ -623,6 +639,11 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
         raise DistinctBranchesRequired("both germs parametrize the z2 axis")
     if v1.is_zero_to_precision() and v2.is_zero_to_precision():
         raise DistinctBranchesRequired("both germs parametrize the z1 axis")
+    if n1 < _tmin(u1.trunc, v1.trunc) and n2 < _tmin(u2.trunc, v2.trunc):
+        (ar, ai), (br, bi) = _tangent(u1, v1, n1)
+        (cr, ci), (dr, di) = _tangent(u2, v2, n2)
+        if (ar * dr - ai * di, ar * di + ai * dr) != (br * cr - bi * ci, br * ci + bi * cr):
+            return n1 * n2
 
     if _swaps_coordinates(u2, v2):
         u1, v1, u2, v2 = v1, u1, v2, u2

@@ -29,7 +29,8 @@ from .curvecalc import (
 )
 from .decode import SCHEMA_VERSION, format_rational
 from .errors import Disallowed, InvalidInput
-from .germ import CurveGerm, germ_from_polynomials
+from .exact import GR_ONE
+from .germ import CurveGerm, PowerSeries
 from .lens import (
     SingularityType,
     _check_lens_params,
@@ -40,6 +41,7 @@ from .surface import OrbifoldSurface
 
 POINT_X = "x"
 POINT_X_PRIME = "x_prime"
+_T, _ZERO = PowerSeries({1: GR_ONE}), PowerSeries.zero()  # the axis series t and 0
 
 
 class WpsModel:
@@ -91,11 +93,12 @@ def build_model(p: int, q: int, qprime: int) -> WpsModel:
 @lru_cache(maxsize=4)
 def _axis_germ(first: bool, a: int, b: int, m: int) -> CurveGerm:
     """The germ t -> (t, 0) (first) or (0, t) in a chart of type (a, b),
-    with stabilizer order m.  Germs are immutable, so configs share
-    them: within one sweep row, the C0 configs of both q' hold one germ
-    at x, and so do the C0' configs."""
-    u, v = ({1: 1}, {}) if first else ({}, {1: 1})
-    return germ_from_polynomials(u, v, group=SingularityType(a, b), m=m)
+    with stabilizer order m, on the shared series _T and _ZERO.  Series
+    and germs are immutable (a series only memoises its inverse), so
+    configs share them: within one sweep row, the C0 configs of both q'
+    hold one germ at x, and so do the C0' configs."""
+    u, v = (_T, _ZERO) if first else (_ZERO, _T)
+    return CurveGerm(u, v, group=SingularityType(a, b), m=m)
 
 
 def c0_config(m: WpsModel) -> CurveConfig:
@@ -296,7 +299,9 @@ def sweep_row(p: int, q: int) -> dict:
     )
     for qprime in allowed_q_set(p, q):
         sibling = model if qprime == q else build_model(p, q, qprime)
-        c0 = config if qprime == q else c0_config(sibling)
+        # C0 for q' differs from config only in its ambient, which x' is part of
+        c0 = config if qprime == q else CurveConfig(
+            sibling.ambient, config.domain, config.curve_class, config.stations)
         partner = c0prime_config(sibling)
         partner_report = adjunction_report(partner)
         meeting = intersection_report(c0, partner)

@@ -31,6 +31,7 @@ from orbicurves.errors import (
     EquivarianceViolated,
     InvalidInput,
 )
+from orbicurves import curvecalc
 from orbicurves.exact import GaussianRational
 from orbicurves.germ import (
     CurveGerm,
@@ -467,6 +468,27 @@ def _z2_z4_station(draw):
 
 class TestOrbitSums:
     """The O(size) orbit sums against the sum over all pairs of translates."""
+
+    def test_point_term_computes_half_the_orbit(self, monkeypatch):
+        # the Z_4 orbit of (t + t^2, t^3 + t^5) at type (4, 1): every
+        # translate shares the base's tangent, and I(base, mu^d base) is
+        # 3, 4, 3 for d = 1, 2, 3; the terms for d and 4 - d are equal,
+        # so only d = 1, 2 are computed
+        base = germ_from_polynomials({1: 1, 2: 1}, {3: 1, 5: 1}, group=SingularityType(4, 1))
+        s = station("z", 4, [("p", base)])
+        calls = []
+        multiplicity = curvecalc.intersection_multiplicity
+
+        def counted(g1, g2, k=0):
+            calls.append(k)
+            return multiplicity(g1, g2, k)
+
+        monkeypatch.setattr(curvecalc, "intersection_multiplicity", counted)
+        assert local_point_contribution(s, "p") == 5
+        assert calls == [1, 2]
+        monkeypatch.undo()
+        assert [intersection_multiplicity(base, base, d) for d in (1, 2, 3)] == [3, 4, 3]
+        assert _double_sum_point(s, "p") == 5
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_z2_z4_station())

@@ -4,11 +4,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import orbicurves.germ as germ_module
 from orbicurves.errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -625,6 +627,130 @@ class TestIntersection:
                 germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2)),
             )
             assert got == oracle_intersection(u1, v1, u2, v2), (n1, n2)
+
+
+_GAUSSIAN = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_NONZERO = _GAUSSIAN.filter(lambda c: c != (0, 0))
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _times(c, w):
+    """The product of two Gaussian integers (re, im)."""
+    return (c[0] * w[0] - c[1] * w[1], c[0] * w[1] + c[1] * w[0])
+
+
+def _raw(terms: dict) -> dict:
+    """Gaussian-integer terms as the oracle's (re, im) strings, zeros dropped."""
+    return {e: (str(r), str(i)) for e, (r, i) in terms.items() if (r, i) != (0, 0)}
+
+
+@st.composite
+def _branch(draw, tangent, depth):
+    """Terms (n, U, V) of a branch of multiplicity n = 1..4 with tangent
+    (U_n, V_n) = tangent, nonzero, and terms at n + 1, ..., n + depth;
+    one of the t^(n+1) terms is nonzero, so the exponents are coprime.
+    The sympy oracle takes about 0.1 s at depth 1 and 0.4 s at depth 2."""
+    n = draw(st.integers(1, 4))
+    u = {n: tangent[0], **{n + j: draw(_GAUSSIAN) for j in range(1, depth + 1)}}
+    v = {n: tangent[1], **{n + j: draw(_GAUSSIAN) for j in range(1, depth + 1)}}
+    assume(u[n + 1] != (0, 0) or v[n + 1] != (0, 0))
+    return n, u, v
+
+
+@st.composite
+def _branch_pair(draw, tangent_shared):
+    """Two branches in a chart of type (1, 0) or (4, b) and a translate k
+    of the second: the tangent of g1 and that of mu^k g2 are distinct,
+    or proportional when tangent_shared, and then the branches run two
+    terms past the tangent, so that they may meet to a higher order."""
+    a, b = draw(st.sampled_from([(1, 0), (4, 0), (4, 1), (4, 3)]))
+    k = draw(st.integers(0, a - 1))
+    t1 = (draw(_GAUSSIAN), draw(_GAUSSIAN))
+    assume(t1 != ((0, 0), (0, 0)))
+    if tangent_shared:  # mu^k t2 = c t1: t2 = (i^-k c U, i^-kb c V)
+        c = draw(_NONZERO)
+        t2 = (_times(_POWERS_OF_I[-k % 4], _times(c, t1[0])),
+              _times(_POWERS_OF_I[-k * b % 4], _times(c, t1[1])))
+    else:
+        t2 = (draw(_GAUSSIAN), draw(_GAUSSIAN))
+        assume(t2 != ((0, 0), (0, 0)))
+    depth = 2 if tangent_shared else 1
+    return SingularityType(a, b), k, draw(_branch(t1, depth)), draw(_branch(t2, depth))
+
+
+def _rotated_terms(terms: dict, q: int) -> dict:
+    """terms times i^q, rotated here, not by the library."""
+    return {e: _times(_POWERS_OF_I[q % 4], c) for e, c in terms.items()}
+
+
+def _as_germ(u, v, group, trunc=32):
+    return germ_from_polynomials(
+        gaussian_terms(_raw(u)), gaussian_terms(_raw(v)), group=group, trunc=trunc
+    )
+
+
+_UNRESOLVED = (PrecisionExhausted, "resultant vanishes to the available truncation; "
+               "check that the branches are distinct")
+
+
+class TestTransverseBranches:
+    """Branches whose stored jets fix distinct tangent lines meet n1*n2
+    times, read off the tangents with no series determinant; tangent
+    branches and jets that do not fix a tangent take the determinant."""
+
+    @staticmethod
+    def _counted(*args):
+        with mock.patch.object(germ_module, "_series_det", wraps=_series_det) as det:
+            try:
+                got = intersection_multiplicity(*args)
+            except (ArithmeticError, ValueError) as exc:
+                got = (type(exc), str(exc))
+        return got, det.call_count
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_branch_pair(tangent_shared=False))
+    def test_distinct_tangents_meet_n1_n2_times(self, case):
+        group, k, (n1, u1, v1), (n2, u2, v2) = case
+        q = 4 * k // group.a
+        ru2, rv2 = _rotated_terms(u2, q), _rotated_terms(v2, q * group.b)
+        assume(_times(u1[n1], rv2[n2]) != _times(v1[n1], ru2[n2]))
+        try:
+            want = oracle_intersection(_raw(u1), _raw(v1), _raw(ru2), _raw(rv2))
+        except ValueError:  # the second curve meets the origin again
+            assume(False)
+        g1, g2 = _as_germ(u1, v1, group), _as_germ(u2, v2, group)
+        assert want == n1 * n2
+        assert self._counted(g1, g2, k) == (want, 0)
+        assert self._counted(g2, g1, -k) == (want, 0)
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_branch_pair(tangent_shared=True))
+    def test_shared_tangents_take_the_determinant(self, case):
+        group, k, (n1, u1, v1), (n2, u2, v2) = case
+        got, dets = self._counted(_as_germ(u1, v1, group), _as_germ(u2, v2, group), k)
+        assert dets >= 1
+        if isinstance(got, int):
+            q = 4 * k // group.a
+            ru2, rv2 = _rotated_terms(u2, q), _rotated_terms(v2, q * group.b)
+            assert got == oracle_intersection(_raw(u1), _raw(v1), _raw(ru2), _raw(rv2))
+            assert got > n1 * n2
+
+    # germs given as (U, U's truncation, V, V's truncation); in each pair
+    # one germ stores V only below its multiplicity n, so V_n and its
+    # tangent are unknown; the value or error is the one the determinant
+    # path gave before the shortcut, and dets counts its determinants
+    @pytest.mark.parametrize("first, second, want, dets", [
+        (({2: 1, 3: 1}, 8, {}, 2), ({1: 1}, 8, {1: 1}, 8), _UNRESOLVED, 1),
+        (({2: 1, 3: 1}, 8, {}, 2), ({}, 8, {1: 1}, 8), 2, 1),
+        (({2: 1}, 8, {}, 2), ({}, 8, {2: 1, 3: 1}, 8), 4, 1),
+        (({3: 1, 4: 1}, 8, {}, 3), ({1: 1}, 8, {1: 2}, 8), _UNRESOLVED, 1),
+        (({1: 1}, 8, {}, 1), ({1: 1}, 8, {1: 1}, 8), _UNRESOLVED, 3),
+        (({1: 1}, 8, {1: 1}, 8), ({1: 1}, 8, {}, 1),
+         (PrecisionExhausted, "truncation too small to renormalize the first coordinate"), 0),
+    ])
+    def test_a_tangent_the_jets_do_not_fix_takes_the_determinant(self, first, second, want, dets):
+        g1, g2 = (CurveGerm(series(u, tu), series(v, tv)) for u, tu, v, tv in (first, second))
+        assert self._counted(g1, g2) == (want, dets)
 
 
 # gamma = (s - s^2, s^2 - s^3) passes through the origin at s = 0 and again

@@ -331,11 +331,17 @@ class TestWorkCount:
     Fraction constructions and 1,425 germs before the report layer moved
     to integer numerators and each row shared its axis germs; 12,742 and
     1,029 after on CPython 3.10 and 3.11 (3.12 makes fewer Fractions in
-    arithmetic).  A regression shows as a count, not as a time."""
+    arithmetic).  C0 and C0' meet along the two coordinate axes, so every
+    one of the 475 intersections is between transverse smooth branches
+    and is read off the tangents: no series determinant (475 before).
+    The axis germs are built on two shared series, so no row calls
+    germ_from_polynomials (1,029 calls before).  A regression shows as a
+    count, not as a time."""
 
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
-        counts = {"fractions": 0, "germs": 0}
+        counts = {"fractions": 0, "germs": 0, "determinants": 0, "polynomial_germs": 0}
         new, init = Fraction.__new__, germ.CurveGerm.__init__
+        det, from_polynomials = germ._series_det, germ.germ_from_polynomials
 
         def counted_new(cls, *args, **kwargs):
             counts["fractions"] += 1
@@ -345,13 +351,28 @@ class TestWorkCount:
             counts["germs"] += 1
             init(self, *args, **kwargs)
 
+        def counted_det(matrix):
+            counts["determinants"] += 1
+            return det(matrix)
+
+        def counted_from_polynomials(*args, **kwargs):
+            counts["polynomial_germs"] += 1
+            return from_polynomials(*args, **kwargs)
+
         monkeypatch.setattr(Fraction, "__new__", counted_new)
         monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
+        monkeypatch.setattr(germ, "_series_det", counted_det)
+        for module in (germ, wps):
+            monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
+                                raising=False)
+        wps._axis_germ.cache_clear()
         rows = [sweep_row(p, q) for p, q in _coprime_pairs(30)]
         monkeypatch.undo()
         assert len(rows) == 277 and all(r["holds"] for r in rows)
         assert counts["fractions"] <= 13_000, counts
         assert counts["germs"] <= 1_030, counts
+        assert counts["determinants"] == 0, counts
+        assert counts["polynomial_germs"] == 0, counts
 
     def test_wps_report_evaluates_the_congruence_once(self, monkeypatch, capsys):
         calls = []
