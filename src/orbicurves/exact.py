@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: Gaussian rationals.
 
-Only germ imports this module: a GaussianRational is a germ series
-coefficient at the API and JSON boundary (PowerSeries.coeff, the terms
-handed to PowerSeries and germ_from_polynomials).  Series arithmetic,
-group translates included, runs on integers in germ, and the report
+Only germ and wps import this module: a GaussianRational is a germ
+series coefficient at the API and JSON boundary (PowerSeries.coeff, the
+terms handed to PowerSeries and germ_from_polynomials), and wps builds
+its axis germs' shared series t from GR_ONE.  Series arithmetic, group
+translates included, runs on integers in germ and jets, and the report
 values are stdlib Fractions, so no report is built on these scalars.  No floating point
 appears anywhere; a Gaussian rational is a pair of Fractions.  The "a/b"
 text of a rational lives in decode, next to its parser.

@@ -5,17 +5,21 @@ A germ is a pair of truncated power series (U(z), V(z)) over Q(i) with
 zero constant terms, the two coordinates of a holomorphic map of a disc
 into C^2, carried together with the local group data: the chart's cyclic
 action (z1, z2) -> (mu_a z1, mu_a^b z2) and the order m of the subgroup
-of Z_a preserving the image.  Both local invariants read one normal form
-per branch, (s^n, W(s)) in linear coordinates: delta from W's
-characteristic exponents, the local intersection number from W's local
-equation (Halphen's formula).  W is built only as deep as each needs.
-Two branches with distinct tangent lines need no normal form: they meet
-n1*n2 times, n1 and n2 their multiplicities.
+of Z_a preserving the image.  Both local invariants are read off the
+leading terms first, from a = ord U and b = ord V and the leading
+coefficients (Halphen's formula; Wall, Singular Points of Plane Curves,
+2004): a branch with coprime a and b has delta (a-1)(b-1)/2, and two
+branches whose Newton edges differ in slope or in edge coefficient meet
+min(a1*b2, a2*b1) times.  The germs those do not settle, and only
+those, import the jet kernel (jets), which builds branch normal forms
+and Laurent determinants.
 
 Exactness policy: truncation orders are tracked through every
 operation, including the precision cost of divisions; any answer whose
 value is not pinned down below the tracked truncation raises
-PrecisionExhausted instead of guessing.  Coefficients never leave Q(i):
+PrecisionExhausted instead of guessing.  An order is exact only where a
+series stores a term; a series zero to precision bounds it below by its
+truncation.  Coefficients never leave Q(i):
 a series stores them as Gaussian-integer numerators over one positive
 integer denominator, so its arithmetic runs on integers.
 A group translate is not a germ of its own: intersection_multiplicity
@@ -41,7 +45,6 @@ from .errors import (
     EquivarianceViolated,
     InvalidInput,
     MultiplyCovered,
-    PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
 )
@@ -512,67 +515,6 @@ def check_stabilizer(germ: CurveGerm) -> None:
         )
 
 
-def _series_det(matrix: list[list[PowerSeries]]) -> PowerSeries:
-    """Determinant of a matrix of truncated series by elimination over
-    formal Laurent series, pivoting on minimal valuation.  Truncation
-    bookkeeping rides along every division, so the result's truncation
-    honestly bounds what the input data determines."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    pivots: list[PowerSeries] = []
-    for k in range(n):
-        best, best_ord = None, None
-        for i in range(k, n):
-            entry = m[i][k]
-            if entry.is_zero_to_precision():
-                continue
-            o = entry.order()
-            if best_ord is None or o < best_ord:
-                best, best_ord = i, o
-        if best is None:
-            # column vanished to precision: det is zero below the weakest
-            # remaining truncation, scaled through the pivots found so far
-            t = _tmin(*(m[i][k].trunc for i in range(k, n)))
-            acc = PowerSeries.zero(t if t is not None else DEFAULT_TRUNCATION)
-            for p in pivots:
-                acc = acc * p
-            return acc
-        if best != k:
-            m[k], m[best] = m[best], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        pivots.append(pivot)
-        # divide memoises the pivot's inverse: one inversion per column
-        for i in range(k + 1, n):
-            if m[i][k].is_zero_to_precision():
-                continue
-            factor = m[i][k].divide(pivot)
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-    det = pivots[0] if sign > 0 else -pivots[0]
-    for p in pivots[1:]:
-        det = det * p
-    return det
-
-
-def _swaps_coordinates(u: PowerSeries, v: PowerSeries) -> bool:
-    """Whether the normal form puts z2 first: z1 is zero to precision or of higher order."""
-    return u.is_zero_to_precision() or (not v.is_zero_to_precision() and v.order() < u.order())
-
-
-def _tangent(u: PowerSeries, v: PowerSeries, n: int) -> tuple:
-    """Tangent (U_n, V_n) of a branch of multiplicity n, times u.den * v.den, in Z[i]."""
-    (ur, ui), (vr, vi) = u.num.get(n, (0, 0)), v.num.get(n, (0, 0))
-    return (ur * v.den, ui * v.den), (vr * u.den, vi * u.den)
-
-
-def _inverse_lead(u: PowerSeries, n: int) -> tuple[int, int, int]:
-    """1/lead as (re, im, d), meaning (re + im*i)/d, for lead the z^n coefficient of u."""
-    lr, li = u.num[n]  # lead = (lr + li*i) / u.den, and 1/lead = u.den * conj / norm
-    return u.den * lr, -u.den * li, lr * lr + li * li
-
-
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q for q mod 4, as (re, im)
 
 
@@ -595,41 +537,80 @@ def _rotated(germ: CurveGerm, k: int) -> tuple[PowerSeries, PowerSeries]:
     )
 
 
+def _times(c: tuple, w: tuple) -> tuple:
+    """The product of two Gaussian integers (re, im)."""
+    return c[0] * w[0] - c[1] * w[1], c[0] * w[1] + c[1] * w[0]
+
+
+def _edge_coefficient(u: PowerSeries, v: PowerSeries, p: int, q: int) -> tuple:
+    """lambda = V_lead^p / U_lead^q as Z[i] numerator and denominator:
+    a branch with (ord U, ord V) proportional to (p, q) satisfies
+    V^p = lambda U^q to leading order."""
+    v_lead, u_lead = v.num[min(v.num)], u.num[min(u.num)]  # over v.den and u.den
+    lam_num, lam_den = (u.den ** q, 0), (v.den ** p, 0)
+    for _ in range(p):
+        lam_num = _times(lam_num, v_lead)
+    for _ in range(q):
+        lam_den = _times(lam_den, u_lead)
+    return lam_num, lam_den
+
+
+def _leading_count(u1: PowerSeries, v1: PowerSeries, u2: PowerSeries, v2: PowerSeries) -> int | None:
+    """I((u1, v1), (u2, v2)) read off the leading terms, or None where
+    they do not fix it.
+
+    A branch with a = ord U and b = ord V has one Newton edge, from
+    (b, 0) to (0, a), so the other branch meets it min(a1*b2, a2*b1)
+    times when the two products differ (Halphen's formula; Wall 2004).
+    When they are equal the edges share the primitive direction (p, q),
+    and the count is a1*b2 unless the edge coefficients lambda agree.
+    An order is exact when the series stores a term; a series zero to
+    precision only bounds it below by its truncation, so a product is
+    used only when it is exact and below the other's bound."""
+    a1, b1, a2, b2 = (s._value_floor() for s in (u1, v1, u2, v2))
+    x, y = a1 * b2, a2 * b1
+    x_exact, y_exact = bool(u1.num and v2.num), bool(u2.num and v1.num)
+    if x_exact and x < y:
+        return x
+    if y_exact and y < x:
+        return y
+    if x_exact and y_exact:  # x == y
+        g = math.gcd(a1, b1)
+        (n1, d1), (n2, d2) = (_edge_coefficient(u, v, a1 // g, b1 // g)
+                              for u, v in ((u1, v1), (u2, v2)))
+        if _times(n1, d2) != _times(n2, d1):
+            return x
+    return None
+
+
 def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     """Local intersection multiplicity I(g1, mu_a^k g2) of g1 and the
-    group translate by k of g2, two distinct branches, by Halphen's
-    formula (Casas-Alvero, Singularities of Plane Curves, 2000; Wall,
-    Singular Points of Plane Curves, 2004).  In its normal form
-    (s^n, W(s)), after the coordinate swap of characteristic_exponents
-    and z1 -> z1/lead, the second branch has the local equation
-    F(X, Y) = det(Y*I - W(C)), C the companion matrix of s^n - X, and the
-    count is the t-order of F(U1(t)/lead, V1(t)).  Every root of s^n = X
-    tends to 0, so a second pass of a curve through the origin is not
-    counted and the value is symmetric.  W is deepened until the
-    determinant is nonzero to precision.
+    group translate by k of g2, two distinct branches.
 
-    Branches of multiplicities n1, n2 meet n1*n2 times iff their tangents
-    differ (Fulton, Algebraic Curves, 3.3).  The stored data fix a tangent
-    (U_n : V_n) when n lies below both truncations of its germ; two such
-    distinct tangents give n1*n2, and tangent branches the determinant.
+    The leading terms decide first (_leading_count): branches whose
+    Newton edges differ in slope, or share it with distinct edge
+    coefficients, meet min(a1*b2, a2*b1) times, a = ord U and b = ord V;
+    two distinct tangent lines are one such case.  Only the pairs left
+    over load the jet kernel, jets.intersection_number, which reads the
+    count off a Laurent determinant (Halphen's formula).
 
-    The branch of larger multiplicity n is the one put in normal form (on
-    a tie, g2).  F has n factors Y - W(zeta s), one per root of s^n = X,
-    whose orders in t add up to the count, so the larger n gives factors
-    of lower order, which the substituted branch's stored truncation
-    covers; on a swap the translate moves to the other germ, as
-    I(g1, mu^k g2) = I(g2, mu^-k g1).  Identical data, compared after
-    the rotation and at equal stored truncations, raise
-    DistinctBranchesRequired, so one orbit given twice exits 2.  Germs
-    that agree below the smaller stored truncation are not identical
-    data: their determinant vanishes to precision, and the call raises
-    PrecisionExhausted (exit 1).
+    For the kernel the branch of larger multiplicity n is the one put in
+    normal form (on a tie, g2).  Its local equation has n factors
+    Y - W(zeta s), one per root of s^n = X, whose orders in t add up to
+    the count, so the larger n gives factors of lower order, which the
+    substituted branch's stored truncation covers; on a swap the
+    translate moves to the other germ, as I(g1, mu^k g2) =
+    I(g2, mu^-k g1).  Identical data, compared after the rotation and at
+    equal stored truncations, raise DistinctBranchesRequired, so one
+    orbit given twice exits 2.  Germs that agree below the smaller stored
+    truncation are not identical data: their determinant vanishes to
+    precision, and the call raises PrecisionExhausted (exit 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
     n1, n2 = g1.multiplicity(), g2.multiplicity()
     if n1 > n2:
-        g1, g2, k, n1, n2 = g2, g1, -k, n2, n1
+        g1, g2, k = g2, g1, -k
     u1, v1 = g1.U, g1.V
     u2, v2 = _rotated(g2, k)
     if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
@@ -639,159 +620,24 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
         raise DistinctBranchesRequired("both germs parametrize the z2 axis")
     if v1.is_zero_to_precision() and v2.is_zero_to_precision():
         raise DistinctBranchesRequired("both germs parametrize the z1 axis")
-    if n1 < _tmin(u1.trunc, v1.trunc) and n2 < _tmin(u2.trunc, v2.trunc):
-        (ar, ai), (br, bi) = _tangent(u1, v1, n1)
-        (cr, ci), (dr, di) = _tangent(u2, v2, n2)
-        if (ar * dr - ai * di, ar * di + ai * dr) != (br * cr - bi * ci, br * ci + bi * cr):
-            return n1 * n2
+    count = _leading_count(u1, v1, u2, v2)
+    if count is not None:
+        return count
+    from .jets import intersection_number
 
-    if _swaps_coordinates(u2, v2):
-        u1, v1, u2, v2 = v1, u1, v2, u2
-    n = u2.order()
-    x = u1._scaled(*_inverse_lead(u2, n))
-    for w in _normal_forms(u2, v2, n):
-        det = _series_det(_local_equation_matrix(x, v1, w, n))
-        if not det.is_zero_to_precision():
-            return det.order()
-    raise PrecisionExhausted(
-        "resultant vanishes to the available truncation; check that the "
-        "branches are distinct"
-    )
-
-
-def _local_equation_matrix(x: PowerSeries, y: PowerSeries, w: PowerSeries, n: int) -> list:
-    """y*I - W(C) at (x, y), C the companion matrix of s^n - x.
-
-    The term w_k s^k of W sends s^j to w_k x^q s^i for k + j = q*n + i,
-    so x^q is formed only for the q that W's terms reach.  A term at or
-    past W's truncation T would enter entry (i, j) at a power
-    q >= ceil((T + j - i)/n) of x: the entry is known only below that q
-    times the order of x.
-    """
-    if w.trunc < n:
-        raise PrecisionExhausted("normal form is known only below the multiplicity")
-    powers = [_ONE_EXACT]
-    rows = [[y if i == j else PowerSeries.zero(None) for j in range(n)] for i in range(n)]
-    for k, (r, im) in w.num.items():
-        for j in range(n):
-            q, i = divmod(k + j, n)
-            while len(powers) <= q:
-                powers.append(powers[-1] * x)
-            rows[i][j] = rows[i][j] - powers[q]._scaled(r, im, w.den)
-    floor = x._value_floor()
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            cut = (w.trunc + j - i + n - 1) // n * floor
-            row[j] = entry.with_truncation(_tmin(entry.trunc, cut))
-    return rows
-
-
-def _normalized_second_coordinate(u: PowerSeries, v: PowerSeries, n: int,
-                                  depth: int) -> PowerSeries:
-    """Rewrite the branch so the first coordinate is exactly t^n and
-    return the second coordinate in the new parameter, known below
-    min(depth, what the data determines).
-
-    The rescaling z1 -> z1/lead is a linear change of coordinates on
-    C^2, so it leaves the characteristic exponents and delta unchanged
-    and no n-th root of lead is needed.
-    Uses eta(t) = t * unit^(1/n) with eta^n = U/lead, then solves
-    V = W(eta) for W by a triangular pass; no series reversion needed.
-    When U is the single term lead*t^n, eta = t and W is V.  The unit is
-    cut to the depth before its root is taken, so the work follows the
-    depth asked for, not the stored truncation.
-
-    W is known below _reach(u, v, n, depth): the unit U/(lead t^n) is
-    known below r = u.trunc - n, so eta carries a relative error O(t^r)
-    and W(eta) moves by O(t^(ord W + r)).
-    """
-    r = u.trunc - n
-    bound = _reach(u, v, n, depth)
-    if bound < 2:  # depth is at least 2: the data fall short
-        raise PrecisionExhausted(
-            "truncation too small to renormalize the first coordinate"
-        )
-    if len(u.num) == 1:
-        return v.with_truncation(bound)
-    unit = u.shift(-n)._scaled(*_inverse_lead(u, n)).with_truncation(min(r, depth))  # constant term 1
-    eta = unit.nth_root_of_unit_series(n).shift(1)
-    eta_pows: list[PowerSeries] = [_ONE_EXACT.with_truncation(bound)]
-    for _ in range(bound - 1):
-        eta_pows.append(eta_pows[-1] * eta)
-    residual = v.with_truncation(bound)
-    w = PowerSeries.zero(bound)
-    for k in range(1, bound):
-        c = residual.num.get(k)
-        if c is None:
-            continue
-        # eta^k = t^k + O(t^(k+1)), so c / residual.den is W's k-th coefficient
-        w = w + _series({k: c}, residual.den, None)
-        residual = residual - eta_pows[k]._scaled(*c, residual.den)
-    return w
-
-
-def _reach(u: PowerSeries, v: PowerSeries, n: int, depth=None) -> int:
-    """How deep the data determine W, cut to depth: min(v.trunc, depth,
-    ord W + u.trunc - n), where ord W = ord V, since eta has order 1; a V
-    zero to precision gives v.trunc."""
-    return _tmin(v.trunc, depth, v._value_floor() + u.trunc - n)
-
-
-def _normal_forms(u: PowerSeries, v: PowerSeries, n: int):
-    """W at depths 2n, 4n, 8n, ... up to what the data determine, at most
-    v.trunc; each consumer stops at the first W that settles its answer."""
-    depth, reach = 2 * n, _reach(u, v, n)
-    while depth < reach:
-        yield _normalized_second_coordinate(u, v, n, depth)
-        depth *= 2
-    yield _normalized_second_coordinate(u, v, n, depth)
-
-
-def characteristic_exponents(germ: CurveGerm) -> tuple[int, list[int]]:
-    """Characteristic data (beta0; beta1..betag) of an irreducible
-    branch, read from the support of the second coordinate after the
-    first is normalized to a pure monomial, deepened until the gcd is 1."""
-    u, v = (germ.V, germ.U) if _swaps_coordinates(germ.U, germ.V) else (germ.U, germ.V)
-    n = u.order()
-    if n == 1:
-        return 1, []
-    if v.is_zero_to_precision():  # germ series are never exact, so never a certain cover
-        raise PrecisionExhausted(
-            "second coordinate vanishes to precision; data cannot separate "
-            "a high-contact branch from a multiple cover"
-        )
-    for w in _normal_forms(u, v, n):
-        e, betas = n, []
-        for k in w.support():
-            if k % e:
-                betas.append(k)
-                e = math.gcd(e, k)
-                if e == 1:
-                    return n, betas
-    raise PrecisionExhausted(
-        "characteristic exponents do not resolve below the truncation"
-    )
-
-
-def _delta_from_characteristic(beta0: int, betas: list[int]) -> int:
-    e_prev = beta0
-    mu = 1 - beta0
-    for beta in betas:
-        e_next = math.gcd(e_prev, beta)
-        mu += (e_prev - e_next) * beta
-        e_prev = e_next
-    if mu % 2 != 0:
-        raise ArithmeticError("branch Milnor number must be even")
-    return mu // 2
+    return intersection_number(u1, v1, u2, v2)
 
 
 def self_intersection(germ: CurveGerm) -> int:
     """Local self-intersection (delta invariant) of one branch: the
     number of double points concentrated at the singularity.
 
-    Computed from the characteristic exponents of the normalized
-    parametrization.  A group translate scales the coordinates by
-    units, so every branch of an orbit has the same delta.
+    A branch with coprime a = ord U and b = ord V has delta
+    (a-1)(b-1)/2, its one characteristic pair being (min, max) of the
+    two.  Any other branch loads the jet kernel, which reads the
+    characteristic exponents off the normalized parametrization.  A group
+    translate scales the coordinates by units, so every branch of an
+    orbit has the same delta.
     """
     exps = [e for s in (germ.U, germ.V) for e in s.support()]
     g = math.gcd(*exps)
@@ -801,5 +647,11 @@ def self_intersection(germ: CurveGerm) -> int:
         )
     if germ.multiplicity() == 1:
         return 0
-    beta0, betas = characteristic_exponents(germ)
-    return _delta_from_characteristic(beta0, betas)
+    u, v = germ.U, germ.V
+    if u.num and v.num:
+        a, b = min(u.num), min(v.num)
+        if math.gcd(a, b) == 1:
+            return (a - 1) * (b - 1) // 2
+    from .jets import _delta_from_characteristic, characteristic_exponents
+
+    return _delta_from_characteristic(*characteristic_exponents(germ))

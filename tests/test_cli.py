@@ -1369,6 +1369,7 @@ MODULE_SETS = [
     (["chains", "betti", str(CONFIGS / "teardrop_7.json")], _BASE | {"orbicurves.chains"}),
     (["chains", "validate", str(CONFIGS / "teardrop_7.json")], _BASE | {"orbicurves.chains"}),
     (["adjunction", str(CONFIGS / "nodal_cubic.json")], _BASE | _GERM),
+    (["adjunction", str(CONFIGS / "cuspidal_cubic.json")], _BASE | _GERM),
     (["intersect", str(CONFIGS / "line.json"), str(CONFIGS / "conic_tangent.json")], _BASE | _GERM),
     (["wps", "report", "5", "2", "2"], _BASE | _WPS),
     (["sweep", "--p-max", "3"], _BASE | _WPS),
@@ -1454,6 +1455,19 @@ class TestImportGraph:
     def test_argparse_loads_only_for_help(self, argv, modules):
         watched = {"argparse", "gettext"} & set(_fresh_run(tuple(argv))[2])
         assert watched == ({"argparse", "gettext"} if argv == ["--help"] else set())
+
+    def test_orders_with_a_common_factor_load_the_jet_kernel(self, tmp_path):
+        # the cusp of configs/cuspidal_cubic.json made (t^4, t^6 + t^7): its
+        # orders share 2, so only the jet kernel gives its delta; every
+        # command of MODULE_SETS is settled by leading terms and loads no jets
+        data = json.loads((CONFIGS / "cuspidal_cubic.json").read_text(encoding="utf-8"))
+        germ = data["stations"][0]["points"][0]["germ"]
+        germ["U"]["terms"] = [[4, {"re": "1"}]]
+        germ["V"]["terms"] = [[6, {"re": "1"}], [7, {"re": "1"}]]
+        path = tmp_path / "quartic_cusp.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, modules, _ = _fresh_run(("adjunction", str(path)))
+        assert (code, modules) == (0, sorted(_BASE | _GERM | {"orbicurves.jets"}))
 
     def test_argument_error_loads_argparse(self):
         code, modules, watched = _fresh_run(("lens", "classify", "7"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-import orbicurves.germ as germ_module
+import orbicurves.jets as jets_module
 from orbicurves.errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -25,20 +25,22 @@ from orbicurves.exact import GR_ONE, GaussianRational
 from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
-    _normalized_second_coordinate,
     _rotated,
-    _delta_from_characteristic,
-    _series_det,
     _stabilizing_twist,
-    characteristic_exponents,
     check_stabilizer,
     germ_from_polynomials,
     intersection_multiplicity,
     self_intersection,
 )
+from orbicurves.jets import (
+    _delta_from_characteristic,
+    _normalized_second_coordinate,
+    _series_det,
+    characteristic_exponents,
+)
 from orbicurves.lens import SingularityType
 
-from corpus import MINUS_ONE, ONE, branch, gaussian_terms, germ_pairs
+from corpus import I_UNIT, MINUS_ONE, ONE, branch, gaussian_terms, germ_pairs
 from oracles import oracle_delta, oracle_intersection
 
 I = GaussianRational.of(0, 1)
@@ -645,37 +647,70 @@ def _raw(terms: dict) -> dict:
 
 
 @st.composite
-def _branch(draw, tangent, depth):
+def _branch(draw, tangent):
     """Terms (n, U, V) of a branch of multiplicity n = 1..4 with tangent
-    (U_n, V_n) = tangent, nonzero, and terms at n + 1, ..., n + depth;
-    one of the t^(n+1) terms is nonzero, so the exponents are coprime.
-    The sympy oracle takes about 0.1 s at depth 1 and 0.4 s at depth 2."""
+    (U_n, V_n) = tangent, nonzero, and terms at n + 1; one of them is
+    nonzero, so the exponents are coprime.  The sympy oracle takes about
+    0.1 s on such a pair."""
     n = draw(st.integers(1, 4))
-    u = {n: tangent[0], **{n + j: draw(_GAUSSIAN) for j in range(1, depth + 1)}}
-    v = {n: tangent[1], **{n + j: draw(_GAUSSIAN) for j in range(1, depth + 1)}}
+    u = {n: tangent[0], n + 1: draw(_GAUSSIAN)}
+    v = {n: tangent[1], n + 1: draw(_GAUSSIAN)}
     assume(u[n + 1] != (0, 0) or v[n + 1] != (0, 0))
     return n, u, v
 
 
 @st.composite
-def _branch_pair(draw, tangent_shared):
+def _branch_pair(draw):
     """Two branches in a chart of type (1, 0) or (4, b) and a translate k
-    of the second: the tangent of g1 and that of mu^k g2 are distinct,
-    or proportional when tangent_shared, and then the branches run two
-    terms past the tangent, so that they may meet to a higher order."""
+    of the second, with tangents drawn independently."""
     a, b = draw(st.sampled_from([(1, 0), (4, 0), (4, 1), (4, 3)]))
     k = draw(st.integers(0, a - 1))
-    t1 = (draw(_GAUSSIAN), draw(_GAUSSIAN))
-    assume(t1 != ((0, 0), (0, 0)))
-    if tangent_shared:  # mu^k t2 = c t1: t2 = (i^-k c U, i^-kb c V)
+    t1, t2 = ((draw(_GAUSSIAN), draw(_GAUSSIAN)) for _ in range(2))
+    assume(((0, 0), (0, 0)) not in (t1, t2))
+    return SingularityType(a, b), k, draw(_branch(t1)), draw(_branch(t2))
+
+
+def _power(c, e):
+    """A Gaussian integer (re, im) to the power e >= 0."""
+    out = (1, 0)
+    for _ in range(e):
+        out = _times(out, c)
+    return out
+
+
+@st.composite
+def _leading_pair(draw):
+    """Two branches (U, U's truncation, V, V's truncation) in a chart of
+    type (1, 0), (2, 1) or (4, b), and a translate k of the second.  Each
+    coordinate has an order 1..4, a nonzero lead and one more term, and is
+    stored below 32.  In half the draws the second branch takes the
+    first's orders and leads times c^order, rotated back by mu^-k, so
+    that its translate has the first's Newton edge and edge coefficient.
+    One coordinate of a branch may instead be zero to precision below a
+    truncation 1..6."""
+    a, b = draw(st.sampled_from([(1, 0), (2, 1), (4, 0), (4, 1), (4, 3)]))
+    k = draw(st.integers(0, a - 1))
+    q = 4 * k // a
+    orders, leads = (draw(st.integers(1, 4)), draw(st.integers(1, 4))), (draw(_NONZERO), draw(_NONZERO))
+    if draw(st.booleans()):
         c = draw(_NONZERO)
-        t2 = (_times(_POWERS_OF_I[-k % 4], _times(c, t1[0])),
-              _times(_POWERS_OF_I[-k * b % 4], _times(c, t1[1])))
+        leads2 = tuple(_times(_POWERS_OF_I[-q * w % 4], _times(_power(c, o), lead))
+                       for o, lead, w in zip(orders, leads, (1, b)))
+        shapes = ((orders, leads), (orders, leads2))
     else:
-        t2 = (draw(_GAUSSIAN), draw(_GAUSSIAN))
-        assume(t2 != ((0, 0), (0, 0)))
-    depth = 2 if tangent_shared else 1
-    return SingularityType(a, b), k, draw(_branch(t1, depth)), draw(_branch(t2, depth))
+        orders2 = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        shapes = ((orders, leads), (orders2, (draw(_NONZERO), draw(_NONZERO))))
+    branches = []
+    for (ou, ov), (lu, lv) in shapes:
+        u, v = {ou: lu, ou + 1: draw(_GAUSSIAN)}, {ov: lv, ov + 1: draw(_GAUSSIAN)}
+        tu = tv = 32
+        cut = draw(st.sampled_from(["", "", "U", "V"]))
+        if cut == "U":
+            u, tu = {}, draw(st.integers(1, 6))
+        elif cut == "V":
+            v, tv = {}, draw(st.integers(1, 6))
+        branches.append((u, tu, v, tv))
+    return SingularityType(a, b), k, *branches
 
 
 def _rotated_terms(terms: dict, q: int) -> dict:
@@ -689,18 +724,69 @@ def _as_germ(u, v, group, trunc=32):
     )
 
 
+def _leading_value(first, second):
+    """(value, shared) from the leading terms of two branches given as
+    (U, U's truncation, V, V's truncation), computed over Q(i) by
+    GaussianRational: value min(a1*b2, a2*b1) when the data fix it, or
+    a1*b2 with shared True when both edges and edge coefficients agree;
+    (None, False) when the data leave the count open."""
+    (a1, x1), (b1, y1), (a2, x2), (b2, y2) = (
+        (min(_raw(s)), True) if _raw(s) else (trunc, False)
+        for u, tu, v, tv in (first, second) for s, trunc in ((u, tu), (v, tv))
+    )
+    x, y = a1 * b2, a2 * b1
+    if x1 and y2 and x < y:
+        return x, False
+    if x2 and y1 and y < x:
+        return y, False
+    if x1 and y1 and x2 and y2:
+        g = math.gcd(a1, b1)
+
+        def lead(terms):
+            raw = _raw(terms)
+            return GaussianRational.of(*raw[min(raw)])
+
+        def edge(u, v):
+            return lead(v) ** (a1 // g) / lead(u) ** (b1 // g)
+
+        return x, edge(first[0], first[2]) == edge(second[0], second[2])
+    return None, False
+
+
+def _completed(branch):
+    """Polynomial data of one completion: a coordinate zero to precision
+    below T is taken as t^T."""
+    u, tu, v, tv = branch
+    return _raw(u) or {tu: ("1", "0")}, _raw(v) or {tv: ("1", "0")}
+
+
+def _local_oracle(first, second):
+    """oracle_intersection on the two branches, in the order in which the
+    second curve passes through the origin only at t = 0."""
+    for one, other in ((first, second), (second, first)):
+        try:
+            return oracle_intersection(*one, *other)
+        except ValueError as exc:
+            if "away from t = 0" not in str(exc):
+                raise
+    assume(False)
+
+
 _UNRESOLVED = (PrecisionExhausted, "resultant vanishes to the available truncation; "
                "check that the branches are distinct")
+_SHORT_JET = (PrecisionExhausted, "truncation too small to renormalize the first coordinate")
 
 
-class TestTransverseBranches:
-    """Branches whose stored jets fix distinct tangent lines meet n1*n2
-    times, read off the tangents with no series determinant; tangent
-    branches and jets that do not fix a tangent take the determinant."""
+class TestLeadingTerms:
+    """Two branches meet min(a1*b2, a2*b1) times, a = ord U and b = ord V,
+    when the products differ or the edge coefficients do: read off the
+    leading terms with no series determinant.  Branches sharing their
+    Newton edge and its coefficient, and data that bound an order only
+    from below, take the determinant."""
 
     @staticmethod
     def _counted(*args):
-        with mock.patch.object(germ_module, "_series_det", wraps=_series_det) as det:
+        with mock.patch.object(jets_module, "_series_det", wraps=_series_det) as det:
             try:
                 got = intersection_multiplicity(*args)
             except (ArithmeticError, ValueError) as exc:
@@ -708,7 +794,7 @@ class TestTransverseBranches:
         return got, det.call_count
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_branch_pair(tangent_shared=False))
+    @given(_branch_pair())
     def test_distinct_tangents_meet_n1_n2_times(self, case):
         group, k, (n1, u1, v1), (n2, u2, v2) = case
         q = 4 * k // group.a
@@ -723,30 +809,59 @@ class TestTransverseBranches:
         assert self._counted(g1, g2, k) == (want, 0)
         assert self._counted(g2, g1, -k) == (want, 0)
 
-    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_branch_pair(tangent_shared=True))
-    def test_shared_tangents_take_the_determinant(self, case):
-        group, k, (n1, u1, v1), (n2, u2, v2) = case
-        got, dets = self._counted(_as_germ(u1, v1, group), _as_germ(u2, v2, group), k)
-        assert dets >= 1
-        if isinstance(got, int):
-            q = 4 * k // group.a
-            ru2, rv2 = _rotated_terms(u2, q), _rotated_terms(v2, q * group.b)
-            assert got == oracle_intersection(_raw(u1), _raw(v1), _raw(ru2), _raw(rv2))
-            assert got > n1 * n2
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_leading_pair())
+    def test_leading_terms_match_the_oracle(self, case):
+        group, k, first, second = case
+        g1, g2 = (CurveGerm(PowerSeries(gaussian_terms(_raw(u)), tu),
+                            PowerSeries(gaussian_terms(_raw(v)), tv), group=group)
+                  for u, tu, v, tv in (first, second))
+        got, dets = self._counted(g1, g2, k)
+        assume(not isinstance(got, tuple) or got[0] is not DistinctBranchesRequired)
+        q = 4 * k // group.a
+        u2, tu2, v2, tv2 = second
+        rotated = (_rotated_terms(u2, q), tu2, _rotated_terms(v2, q * group.b), tv2)
+        value, shared = _leading_value(first, rotated)
+        if value is not None and not shared:
+            assert (got, dets) == (value, 0)
+            assert self._counted(g2, g1, -k) == (value, 0)
+        if shared:
+            assert dets >= 1
+        # the kernel's value is checked where every coordinate stores a
+        # term: with one zero to precision it can miss the lost precision
+        # (test_kernel_value_on_a_coordinate_zero_to_precision)
+        stored = all(_raw(s) for s in (*first[::2], *second[::2]))
+        if isinstance(got, int) and (dets == 0 or stored):
+            assert got == _local_oracle(_completed(first), _completed(rotated))
+            assert not shared or got > value
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "_series_det skips an entry zero to precision as if it were exactly "
+        "zero, so its truncation never reaches the determinant"))
+    def test_kernel_value_on_a_coordinate_zero_to_precision(self):
+        # (O(t^2), i t^2) against (i t^3, i t^2): the completion U = t^2 + t^3
+        # meets the second branch 4 times and U = t^3 meets it 6 times, so
+        # the data fix no count; the kernel answers 6 in this order
+        g1 = CurveGerm(series({}, 2), PowerSeries({2: I}, 32))
+        g2 = CurveGerm(PowerSeries({3: I}, 32), PowerSeries({2: I}, 32))
+        completions = ({2: ONE, 3: ONE}, {3: ONE})
+        assert [oracle_intersection(u, {2: I_UNIT}, {3: I_UNIT}, {2: I_UNIT}) for u in completions] == [4, 6]
+        with pytest.raises(PrecisionExhausted):
+            intersection_multiplicity(g2, g1)
+        got, _ = self._counted(g1, g2)
+        assert got == _UNRESOLVED
 
     # germs given as (U, U's truncation, V, V's truncation); in each pair
-    # one germ stores V only below its multiplicity n, so V_n and its
-    # tangent are unknown; the value or error is the one the determinant
-    # path gave before the shortcut, and dets counts its determinants
+    # one germ stores V only below its multiplicity n, so b = ord V is
+    # only bounded below; the count is read off the leading terms when
+    # that bound decides it, and dets counts the determinants otherwise
     @pytest.mark.parametrize("first, second, want, dets", [
         (({2: 1, 3: 1}, 8, {}, 2), ({1: 1}, 8, {1: 1}, 8), _UNRESOLVED, 1),
-        (({2: 1, 3: 1}, 8, {}, 2), ({}, 8, {1: 1}, 8), 2, 1),
-        (({2: 1}, 8, {}, 2), ({}, 8, {2: 1, 3: 1}, 8), 4, 1),
+        (({2: 1, 3: 1}, 8, {}, 2), ({}, 8, {1: 1}, 8), 2, 0),
+        (({2: 1}, 8, {}, 2), ({}, 8, {2: 1, 3: 1}, 8), 4, 0),
         (({3: 1, 4: 1}, 8, {}, 3), ({1: 1}, 8, {1: 2}, 8), _UNRESOLVED, 1),
-        (({1: 1}, 8, {}, 1), ({1: 1}, 8, {1: 1}, 8), _UNRESOLVED, 3),
-        (({1: 1}, 8, {1: 1}, 8), ({1: 1}, 8, {}, 1),
-         (PrecisionExhausted, "truncation too small to renormalize the first coordinate"), 0),
+        (({1: 1}, 8, {}, 1), ({1: 1}, 8, {1: 1}, 8), _SHORT_JET, 0),
+        (({1: 1}, 8, {1: 1}, 8), ({1: 1}, 8, {}, 1), _SHORT_JET, 0),
     ])
     def test_a_tangent_the_jets_do_not_fix_takes_the_determinant(self, first, second, want, dets):
         g1, g2 = (CurveGerm(series(u, tu), series(v, tv)) for u, tu, v, tv in (first, second))
@@ -816,25 +931,50 @@ class TestLocality:
 
 
 class TestDepthOnDemand:
-    """The normal form is built only as deep as each invariant needs, so
-    a large stored truncation costs little.  Each case took seconds when
-    W was built to the full truncation."""
+    """A large stored truncation costs little: the leading terms settle
+    what they can with no normal form, and the normal form is built only
+    as deep as each invariant needs.  Each kernel case took seconds when
+    W was built to the full truncation; each case bounds its count of
+    normal forms and determinants next to its time."""
 
-    def test_cusp_delta_at_truncation_250(self):
-        g = germ_from_polynomials({2: 1, 3: 1}, {3: 1}, trunc=250)
-        start = time.perf_counter()
-        assert self_intersection(g) == 1
-        assert time.perf_counter() - start < 0.5
+    @staticmethod
+    def _work(fn, *args):
+        """fn(*args), its wall time, and the normal forms and series
+        determinants it built."""
+        with mock.patch.object(jets_module, "_normalized_second_coordinate",
+                               wraps=_normalized_second_coordinate) as forms, \
+                mock.patch.object(jets_module, "_series_det", wraps=_series_det) as dets:
+            start = time.perf_counter()
+            got = fn(*args)
+            elapsed = time.perf_counter() - start
+        return got, elapsed, forms.call_count, dets.call_count
 
-    def test_degree_eight_pair_at_truncation_250(self):
-        u1, v1 = {8: ONE, 9: ONE}, {10: ONE, 13: ("2", "0")}
-        u2, v2 = {8: ONE, 11: MINUS_ONE}, {9: ONE, 15: ONE}
-        g1 = germ_from_polynomials(gaussian_terms(u1), gaussian_terms(v1), trunc=250)
-        g2 = germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2), trunc=250)
-        start = time.perf_counter()
-        got = (intersection_multiplicity(g1, g2), intersection_multiplicity(g2, g1))
-        assert time.perf_counter() - start < 0.5
-        assert got == (72, 72) == (oracle_intersection(u1, v1, u2, v2),) * 2
+    @pytest.mark.parametrize("u, v, want, forms", [
+        ({2: ONE, 3: ONE}, {3: ONE}, 1, 0),  # coprime orders (2, 3)
+        ({4: ONE, 5: ONE}, {6: ONE, 7: ONE}, 8, 1),  # orders (4, 6) share 2
+    ])
+    def test_delta_at_truncation_250(self, u, v, want, forms):
+        g = germ_from_polynomials(gaussian_terms(u), gaussian_terms(v), trunc=250)
+        got, elapsed, built, dets = self._work(self_intersection, g)
+        assert got == want == oracle_delta(u, v)
+        assert elapsed < 0.5
+        assert built <= forms and dets == 0
+
+    @pytest.mark.parametrize("first, second, want, forms, dets", [
+        # orders (8, 10) and (8, 9): 72 = min(8*9, 8*10)
+        (({8: ONE, 9: ONE}, {10: ONE, 13: ("2", "0")}), ({8: ONE, 11: MINUS_ONE}, {9: ONE, 15: ONE}),
+         72, 0, 0),
+        # one edge of direction (2, 3), lambda = 1 on both: the kernel
+        (({4: ONE, 5: ONE}, {6: ONE, 9: ONE}), ({4: ONE}, {6: ONE, 7: MINUS_ONE}), 26, 2, 2),
+    ])
+    def test_pair_at_truncation_250(self, first, second, want, forms, dets):
+        g1, g2 = (germ_from_polynomials(*map(gaussian_terms, b), trunc=250) for b in (first, second))
+        for pair in ((g1, g2), (g2, g1)):
+            got, elapsed, built, made = self._work(intersection_multiplicity, *pair)
+            assert got == want
+            assert elapsed < 0.5
+            assert built <= forms and made <= dets
+        assert want == oracle_intersection(*first, *second)
 
 
 class TestNormalFormPrecision:
@@ -895,6 +1035,22 @@ class TestBranchInvariants:
         g = germ_from_polynomials({2: lead}, {3: 1})
         assert characteristic_exponents(g) == (2, [3])
         assert self_intersection(g) == 1
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        orders=st.tuples(st.integers(2, 5), st.integers(2, 5)).filter(lambda ab: math.gcd(*ab) == 1),
+        leads=st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool)),
+        tails=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    def test_coprime_orders_give_delta_without_the_kernel(self, orders, leads, tails):
+        # real coefficients: the sympy oracle takes seconds on Gaussian ones
+        (a, b), (lead_u, lead_v), (tail_u, tail_v) = orders, leads, tails
+        u, v = {a: (lead_u, 0), a + 1: (tail_u, 0)}, {b: (lead_v, 0), b + 1: (tail_v, 0)}
+        g = germ_from_polynomials(gaussian_terms(_raw(u)), gaussian_terms(_raw(v)))
+        with mock.patch.object(jets_module, "characteristic_exponents") as kernel:
+            got = self_intersection(g)
+        assert kernel.call_count == 0
+        assert got == (a - 1) * (b - 1) // 2 == oracle_delta(_raw(u), _raw(v), window=a * b + a + b)
 
     def test_multiple_cover_rejected(self):
         g = germ_from_polynomials({2: 1}, {4: 1})

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import cli, germ, wps
+from orbicurves import cli, germ, jets, wps
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -333,7 +333,7 @@ class TestWorkCount:
     1,029 after on CPython 3.10 and 3.11 (3.12 makes fewer Fractions in
     arithmetic).  C0 and C0' meet along the two coordinate axes, so every
     one of the 475 intersections is between transverse smooth branches
-    and is read off the tangents: no series determinant (475 before).
+    and is read off the leading terms: no series determinant (475 before).
     The axis germs are built on two shared series, so no row calls
     germ_from_polynomials (1,029 calls before).  A regression shows as a
     count, not as a time."""
@@ -341,7 +341,7 @@ class TestWorkCount:
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
         counts = {"fractions": 0, "germs": 0, "determinants": 0, "polynomial_germs": 0}
         new, init = Fraction.__new__, germ.CurveGerm.__init__
-        det, from_polynomials = germ._series_det, germ.germ_from_polynomials
+        det, from_polynomials = jets._series_det, germ.germ_from_polynomials
 
         def counted_new(cls, *args, **kwargs):
             counts["fractions"] += 1
@@ -361,7 +361,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(Fraction, "__new__", counted_new)
         monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
-        monkeypatch.setattr(germ, "_series_det", counted_det)
+        monkeypatch.setattr(jets, "_series_det", counted_det)
         for module in (germ, wps):
             monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
                                 raising=False)
