@@ -11,8 +11,8 @@ coefficients (Halphen's formula; Wall, Singular Points of Plane Curves,
 2004): a branch with coprime a and b has delta (a-1)(b-1)/2, and two
 branches whose Newton edges differ in slope or in edge coefficient meet
 min(a1*b2, a2*b1) times.  The germs those do not settle, and only
-those, import the jet kernel (jets), which builds branch normal forms
-and Laurent determinants.
+those, import the jet kernel (jets), which blows up the origin until
+these rules settle the strict transforms (Noether's formulas).
 
 Exactness policy: truncation orders are tracked through every
 operation, including the precision cost of divisions; any answer whose
@@ -210,10 +210,11 @@ class PowerSeries:
     def invert_unit(self) -> "PowerSeries":
         """Inverse of a unit (nonzero constant term).
 
-        Starts from 1/c = den * conj(c) / |c|^2 for c = num[0] and runs
-        Newton's step g -> g * (2 - self * g), which doubles the orders
-        known.  Every product is reduced by its content, so the integers
-        stay the size of the reduced inverse; a recurrence over the common
+        Starts from 1/c = den * conj(c) / |c|^2 for c = num[0], which is
+        the whole inverse of a constant, and runs Newton's step
+        g -> g * (2 - self * g), which doubles the orders known.  Every
+        product is reduced by its content, so the integers stay the size
+        of the reduced inverse; a recurrence over the common
         denominator c^(k+1) carries integers growing like c^k, far larger
         when c is large.
         """
@@ -223,7 +224,7 @@ class PowerSeries:
             # the inverse of a nonconstant polynomial is an infinite series
             raise InvalidInput("truncate exact series before inverting")
         cr, ci = self.num[0]
-        known = None if self.trunc is None else 1
+        known = self.trunc if len(self.num) == 1 else 1
         inv = _series({0: (self.den * cr, -self.den * ci)}, cr * cr + ci * ci, known)
         while known is not None and known < self.trunc:
             known = min(2 * known, self.trunc)
@@ -246,7 +247,8 @@ class PowerSeries:
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Exact division in the Laurent sense: requires ord(self) >=
-        ord(other).  Costs ord(other) orders of truncation."""
+        ord(other).  Keeps relative precision: for v = ord(other) the
+        quotient q is known below min(T_self - v, T_other - v + ord q)."""
         v = other.order()  # raises ZeroToPrecision for 0-to-precision divisor
         if self.num and self.order() < v:
             raise InvalidInput("division would produce negative exponents")
@@ -260,13 +262,12 @@ class PowerSeries:
                 )
             return _series({}, 1, self.trunc - v)
         num = self.shift(-v) if v else self
-        if trunc is not None:
-            num = num.with_truncation(trunc - v)
         return num * other._unit_inverse(v, None if trunc is None else trunc - v)
 
     def nth_root_of_unit_series(self, n: int) -> "PowerSeries":
         """(1 + h)^(1/n) for a series with constant term exactly 1, as the
-        binomial series sum_k binom(1/n, k) h^k."""
+        binomial series sum_k binom(1/n, k) h^k.  No code of the package
+        calls it; it stays for the benchmark's tracer (bench/tracer.py)."""
         if self.num.get(0) != (self.den, 0):
             raise InvalidInput("series must have constant term 1")
         h = self - _ONE_EXACT
@@ -591,26 +592,18 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     Newton edges differ in slope, or share it with distinct edge
     coefficients, meet min(a1*b2, a2*b1) times, a = ord U and b = ord V;
     two distinct tangent lines are one such case.  Only the pairs left
-    over load the jet kernel, jets.intersection_number, which reads the
-    count off a Laurent determinant (Halphen's formula).
+    over load the jet kernel, jets.intersection_number, which sums
+    m1*m2 over the points the branches share (Noether's formula),
+    blowing up both until the leading terms decide.
 
-    For the kernel the branch of larger multiplicity n is the one put in
-    normal form (on a tie, g2).  Its local equation has n factors
-    Y - W(zeta s), one per root of s^n = X, whose orders in t add up to
-    the count, so the larger n gives factors of lower order, which the
-    substituted branch's stored truncation covers; on a swap the
-    translate moves to the other germ, as I(g1, mu^k g2) =
-    I(g2, mu^-k g1).  Identical data, compared after the rotation and at
-    equal stored truncations, raise DistinctBranchesRequired, so one
-    orbit given twice exits 2.  Germs that agree below the smaller stored
-    truncation are not identical data: their determinant vanishes to
-    precision, and the call raises PrecisionExhausted (exit 1).
+    Identical data, compared after the rotation and at equal stored
+    truncations, raise DistinctBranchesRequired, so one orbit given
+    twice exits 2.  Germs that agree below the smaller stored truncation
+    are not identical data: the blow-ups spend the truncation without
+    separating them, and the call raises PrecisionExhausted (exit 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
-    n1, n2 = g1.multiplicity(), g2.multiplicity()
-    if n1 > n2:
-        g1, g2, k = g2, g1, -k
     u1, v1 = g1.U, g1.V
     u2, v2 = _rotated(g2, k)
     if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
@@ -628,14 +621,27 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     return intersection_number(u1, v1, u2, v2)
 
 
+def _leading_delta(u: PowerSeries, v: PowerSeries) -> int | None:
+    """delta of the branch (u, v) read off the leading terms, or None
+    where they do not fix it: 0 at multiplicity 1, and (a-1)(b-1)/2 for
+    exact coprime orders a = ord U and b = ord V, the one characteristic
+    pair being (min, max) of the two."""
+    if 1 in u.num or 1 in v.num:
+        return 0
+    if u.num and v.num:
+        a, b = min(u.num), min(v.num)
+        if math.gcd(a, b) == 1:
+            return (a - 1) * (b - 1) // 2
+    return None
+
+
 def self_intersection(germ: CurveGerm) -> int:
     """Local self-intersection (delta invariant) of one branch: the
     number of double points concentrated at the singularity.
 
-    A branch with coprime a = ord U and b = ord V has delta
-    (a-1)(b-1)/2, its one characteristic pair being (min, max) of the
-    two.  Any other branch loads the jet kernel, which reads the
-    characteristic exponents off the normalized parametrization.  A group
+    The leading terms decide first (_leading_delta).  Any other branch
+    loads the jet kernel, jets.delta, which sums m(m-1)/2 over the
+    infinitely near points of the branch (Noether's formula).  A group
     translate scales the coordinates by units, so every branch of an
     orbit has the same delta.
     """
@@ -645,13 +651,9 @@ def self_intersection(germ: CurveGerm) -> int:
         raise MultiplyCovered(
             f"parameter exponents share a factor {g}; not an irreducible branch"
         )
-    if germ.multiplicity() == 1:
-        return 0
-    u, v = germ.U, germ.V
-    if u.num and v.num:
-        a, b = min(u.num), min(v.num)
-        if math.gcd(a, b) == 1:
-            return (a - 1) * (b - 1) // 2
-    from .jets import _delta_from_characteristic, characteristic_exponents
+    value = _leading_delta(germ.U, germ.V)
+    if value is not None:
+        return value
+    from .jets import delta
 
-    return _delta_from_characteristic(*characteristic_exponents(germ))
+    return delta(germ.U, germ.V)

@@ -357,7 +357,7 @@ class TestPrecisionRetry:
     def test_last_rung_names_the_cap(self, tmp_path, monkeypatch, capsys):
         # (t, t^2) and (2t, 4t^2), one parabola given twice at one
         # station, which no truncation resolves: one attempt on the
-        # stored series, and the one error line is the resultant's own
+        # stored series, and the one error line is the blow-up kernel's
         seen = self.record_attempts(monkeypatch)
         for trunc in (8, 32, 64, MAX_PRECISION):
             seen.clear()
@@ -386,8 +386,8 @@ class TestPrecisionRetry:
         return seen
 
     def test_shallow_data_takes_one_attempt(self, monkeypatch, capsys):
-        # (t^6, t^7) stored at 8: W is known below ord W + u.trunc - n = 9,
-        # so the stored data fix delta
+        # (t^6, t^7) stored at 8: both orders are stored, and coprime, so
+        # the stored data fix delta
         seen = self.record_attempts(monkeypatch)
         assert main(["adjunction", str(DATA / "deep_singularity.json")]) == 0
         assert len(seen) == 1
@@ -417,7 +417,7 @@ class TestPrecisionRetry:
                     assert _pair_values(got[1]) == [value] and got[2] == ""
 
 
-UNRESOLVED = ("error: resultant vanishes to the available truncation; check that the "
+UNRESOLVED = ("error: the stored jets do not fix the intersection number; check that the "
               "branches are distinct\n")
 
 
@@ -543,8 +543,8 @@ class TestDeepTruncation:
     def test_cusp_given_twice_exits_at_once(self, tmp_path, monkeypatch):
         # (t^2 - t^3, -t^3) is (t^2 + t^3, t^3) at -t: one branch given
         # twice, which no truncation resolves.  Its one attempt reads the
-        # series only below the stored truncation 32; built to 256, W
-        # alone takes seconds.
+        # series only below the stored truncation 32; stored at 256, its
+        # blow-ups take over a second.
         path = _station_file(tmp_path, "cusp_twice", ("a", {2: "1", 3: "1"}, {3: "1"}, 32),
                              ("b", {2: "1", 3: "-1"}, {3: "-1"}, 32))
         seen = TestPrecisionRetry.record_attempts(monkeypatch)

@@ -333,15 +333,16 @@ class TestWorkCount:
     1,029 after on CPython 3.10 and 3.11 (3.12 makes fewer Fractions in
     arithmetic).  C0 and C0' meet along the two coordinate axes, so every
     one of the 475 intersections is between transverse smooth branches
-    and is read off the leading terms: no series determinant (475 before).
+    and is read off the leading terms: no blow-up (475 series
+    determinants before).
     The axis germs are built on two shared series, so no row calls
     germ_from_polynomials (1,029 calls before).  A regression shows as a
     count, not as a time."""
 
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
-        counts = {"fractions": 0, "germs": 0, "determinants": 0, "polynomial_germs": 0}
+        counts = {"fractions": 0, "germs": 0, "blow_ups": 0, "polynomial_germs": 0}
         new, init = Fraction.__new__, germ.CurveGerm.__init__
-        det, from_polynomials = jets._series_det, germ.germ_from_polynomials
+        blow_up, from_polynomials = jets._blow_up, germ.germ_from_polynomials
 
         def counted_new(cls, *args, **kwargs):
             counts["fractions"] += 1
@@ -351,9 +352,9 @@ class TestWorkCount:
             counts["germs"] += 1
             init(self, *args, **kwargs)
 
-        def counted_det(matrix):
-            counts["determinants"] += 1
-            return det(matrix)
+        def counted_blow_up(*args):
+            counts["blow_ups"] += 1
+            return blow_up(*args)
 
         def counted_from_polynomials(*args, **kwargs):
             counts["polynomial_germs"] += 1
@@ -361,7 +362,7 @@ class TestWorkCount:
 
         monkeypatch.setattr(Fraction, "__new__", counted_new)
         monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
-        monkeypatch.setattr(jets, "_series_det", counted_det)
+        monkeypatch.setattr(jets, "_blow_up", counted_blow_up)
         for module in (germ, wps):
             monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
                                 raising=False)
@@ -371,7 +372,7 @@ class TestWorkCount:
         assert len(rows) == 277 and all(r["holds"] for r in rows)
         assert counts["fractions"] <= 13_000, counts
         assert counts["germs"] <= 1_030, counts
-        assert counts["determinants"] == 0, counts
+        assert counts["blow_ups"] == 0, counts
         assert counts["polynomial_germs"] == 0, counts
 
     def test_wps_report_evaluates_the_congruence_once(self, monkeypatch, capsys):
