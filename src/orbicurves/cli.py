@@ -41,7 +41,7 @@ from .decode import (SCHEMA_VERSION, check_schema, format_rational, int_, list_,
                      rational)
 from .errors import InvalidInput
 
-# sweep --p-max 250: about 4.5-6 s with its rows dealt to two CPUs, 7-9.5 s
+# sweep --p-max 250: about 3 s with its rows dealt to two CPUs, 5-6.5 s
 # on one (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB

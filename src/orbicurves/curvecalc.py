@@ -15,7 +15,6 @@ returns the report's own dict, whose rational values are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     AdjunctionViolated,
@@ -38,16 +37,6 @@ def _fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _rational_sum(terms) -> tuple[int, int]:
-    """The sum of integer fractions (num, den > 0) as one numerator over
-    the lcm of the denominators."""
-    num, den = 0, 1
-    for n, d in terms:
-        common = lcm(den, d)
-        num, den = num * (common // den) + n * (common // d), common
-    return num, den
-
-
 class AmbientModel:
     """Ambient 4-orbifold data: an H_2 basis of given rank, the
     intersection pairing on it, the value of c1 of the tangent bundle on
@@ -63,8 +52,8 @@ class AmbientModel:
 
     def __init__(self, h2_rank: int, pairing, c1_vector, singular_points=()):
         self.h2_rank = h2_rank
-        self.pairing = tuple(tuple(_fraction(x) for x in row) for row in pairing)
-        self.c1_vector = tuple(_fraction(x) for x in c1_vector)
+        self.pairing = tuple(tuple(map(_fraction, row)) for row in pairing)
+        self.c1_vector = tuple(map(_fraction, c1_vector))
         self.singular_points = tuple(singular_points)
         n = h2_rank
         if n < 1:
@@ -141,7 +130,7 @@ class CurveClass:
     __slots__ = ("coords", "multiplicity")
 
     def __init__(self, coords, multiplicity: int = 1):
-        self.coords = tuple(_fraction(x) for x in coords)
+        self.coords = tuple(map(_fraction, coords))
         if not any(self.coords):
             raise InvalidInput("curve class must be nonzero")
         if multiplicity < 1:
@@ -255,6 +244,7 @@ class CurveConfig:
                 f"curve multiplicity {self.curve_class.multiplicity} must equal "
                 f"the domain surface multiplicity {self.domain.m_sigma}"
             )
+        have, labels = [], []  # the orders of the orbifold points, every label
         for s in self.stations:
             stype = self.ambient.point_type(s.ambient_point)
             if s.isotropy_order != stype.order:
@@ -268,25 +258,23 @@ class CurveConfig:
                         f"germ at {p.label!r} lives in chart {p.germ.group.to_json()}, "
                         f"ambient point {s.ambient_point!r} has type {stype.to_json()}"
                     )
+                if p.germ.m > 1:
+                    have.append(p.germ.m)
+                labels.append(p.label)
         for d in self.regular_double_points:
             if len(d.points) != 2 or d.isotropy_order != 1:
                 raise InvalidInput(
                     "a regular double point is a station of two points at "
                     f"isotropy 1, got {len(d.points)} at isotropy {d.isotropy_order}"
                 )
+            labels += [p.label for p in d.points]
         # the domain's orbifold points must be covered exactly once
-        need = sorted(self.domain.orders)
-        have = sorted(
-            p.germ.m for s in self.stations for p in s.points if p.germ.m > 1
-        )
+        need, have = sorted(self.domain.orders), sorted(have)
         if need != have:
             raise InvalidInput(
                 f"station points of orders {have} do not match the domain "
                 f"orbifold points {need}"
             )
-        labels = [
-            p.label for s in self.stations + self.regular_double_points for p in s.points
-        ]
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"domain point labels must be unique: {labels}")
 
@@ -357,21 +345,24 @@ def load_config(path: str) -> CurveConfig:
 
 def _class_pairing(c1: CurveConfig, c2: CurveConfig) -> tuple[int, int]:
     """(m_C m_C')^{-1} [C]^T P [C'] as an integer numerator and denominator."""
-    num, den = _rational_sum(
-        (a.numerator * b.numerator * x.numerator, a.denominator * b.denominator * x.denominator)
-        for a, row in zip(c1.curve_class.coords, c1.ambient.pairing)
-        for b, x in zip(c2.curve_class.coords, row)
-    )
+    right = [b.as_integer_ratio() for b in c2.curve_class.coords]
+    num, den = 0, 1
+    for a, row in zip(c1.curve_class.coords, c1.ambient.pairing):
+        an, ad = a.as_integer_ratio()
+        for (bn, bd), x in zip(right, row):
+            xn, xd = x.as_integer_ratio()
+            d = ad * bd * xd
+            num, den = num * d + an * bn * xn * den, den * d
     return num, den * c1.curve_class.multiplicity * c2.curve_class.multiplicity
 
 
 def _c_value(c: CurveConfig) -> tuple[int, int]:
     """-c1(TX).[C] / m_C as an integer numerator and denominator."""
-    num, den = _rational_sum(
-        (x.numerator * a.numerator, x.denominator * a.denominator)
-        for x, a in zip(c.ambient.c1_vector, c.curve_class.coords)
-    )
-    return -num, den * c.curve_class.multiplicity
+    num, den = 0, 1
+    for x, a in zip(c.ambient.c1_vector, c.curve_class.coords):
+        (xn, xd), (an, ad) = x.as_integer_ratio(), a.as_integer_ratio()
+        num, den = num * xd * ad - xn * an * den, den * xd * ad
+    return num, den * c.curve_class.multiplicity
 
 
 def algebraic_intersection(c1: CurveConfig, c2: CurveConfig) -> Fraction:
@@ -396,9 +387,14 @@ def virtual_genus(c: CurveConfig) -> Fraction:
     return Fraction((n1 * d2 + n2 * d1) * m + 2 * d1 * d2, 2 * d1 * d2 * m)
 
 
-def _sum(values) -> Fraction:
-    """The sum of rationals, made as one Fraction."""
-    return Fraction(*_rational_sum((v.numerator, v.denominator) for v in values))
+def _sum(values: list) -> Fraction:
+    """The sum of rationals, made as one Fraction from one integer
+    numerator over the product of the denominators."""
+    num, den = 0, 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
@@ -406,7 +402,9 @@ def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
     branch of g1's orbit with every branch of g2's (distinct germs
     assumed).  The group acts by biholomorphisms, so I(mu^j g1, mu^k g2)
     = I(g1, mu^(k-j) g2) and each translate of g1 meets g2's orbit alike."""
-    total = sum(intersection_multiplicity(g1, g2, k) for k in range(g2.orbit_size))
+    total = 0
+    for k in range(g2.orbit_size):
+        total += intersection_multiplicity(g1, g2, k)
     return Fraction(g1.orbit_size * total, g1.group.a)
 
 
@@ -431,12 +429,15 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     base) = I(base, mu^(n-d) base), so d <= n/2 are summed, each twice
     but the middle one.
     """
-    base = s.point(z).germ
-    size = base.orbit_size
-    delta = self_intersection(base)
-    cross = size * sum(intersection_multiplicity(base, base, d) * (1 if 2 * d == size else 2)
-                       for d in range(1, size // 2 + 1))
-    return Fraction(2 * size * delta + cross, 2 * s.isotropy_order)
+    return _point_term(s.point(z).germ, s.isotropy_order)
+
+
+def _point_term(base: CurveGerm, isotropy_order: int) -> Fraction:
+    """local_point_contribution of the point whose germ is base."""
+    size, delta, cross = base.orbit_size, self_intersection(base), 0
+    for d in range(1, size // 2 + 1):
+        cross += intersection_multiplicity(base, base, d) * (1 if 2 * d == size else 2)
+    return Fraction(size * (2 * delta + cross), 2 * isotropy_order)
 
 
 def _item(kind: str, station: str, labels: list, value: Fraction) -> dict:
@@ -451,20 +452,18 @@ def adjunction_report(c: CurveConfig) -> dict:
     orbifold genus."""
     items = [_item("domain_genus", "", [], orbifold_genus(c.domain))]
     for s in c.stations:
-        labels = [p.label for p in s.points]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                items.append(_item("pair", s.ambient_point, [labels[i], labels[j]],
-                                   local_pair_contribution(s, labels[i], labels[j])))
-        for lab in labels:
-            items.append(_item("point", s.ambient_point, [lab],
-                               local_point_contribution(s, lab)))
+        at, points = s.ambient_point, s.points
+        for i, p1 in enumerate(points):
+            for p2 in points[i + 1:]:
+                items.append(_item("pair", at, [p1.label, p2.label], _pair_term(p1.germ, p2.germ)))
+        for p in points:
+            items.append(_item("point", at, [p.label], _point_term(p.germ, s.isotropy_order)))
     for d in c.regular_double_points:
         p1, p2 = d.points
         g1, g2 = p1.germ, p2.germ
         value = _pair_term(g1, g2) + self_intersection(g1) + self_intersection(g2)
         items.append(_item("double_point", d.ambient_point, [p1.label, p2.label], value))
-    rhs = _sum(it["value"] for it in items)
+    rhs = _sum([it["value"] for it in items])
     lhs = virtual_genus(c)
     return {"schema": SCHEMA_VERSION, "lhs": lhs, "rhs": rhs, "holds": lhs == rhs,
             "contributions": items}
@@ -473,12 +472,8 @@ def adjunction_report(c: CurveConfig) -> dict:
 def infer_meetings(c1: CurveConfig, c2: CurveConfig) -> list[tuple[int, int]]:
     """Station index pairs whose ambient ids coincide (where the two
     curves can meet)."""
-    out = []
-    for i, s1 in enumerate(c1.stations):
-        for j, s2 in enumerate(c2.stations):
-            if s1.ambient_point == s2.ambient_point:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, s1 in enumerate(c1.stations) for j, s2 in enumerate(c2.stations)
+            if s1.ambient_point == s2.ambient_point]
 
 
 def intersection_report(c1: CurveConfig, c2: CurveConfig) -> dict:
@@ -493,8 +488,8 @@ def intersection_report(c1: CurveConfig, c2: CurveConfig) -> dict:
             for p2 in s2.points:
                 value = _pair_term(p1.germ, p2.germ)
                 items.append(_item("pair", s1.ambient_point, [p1.label, p2.label], value))
-    local_sum = _sum(it["value"] for it in items)
-    algebraic = algebraic_intersection(c1, c2)
+    local_sum = _sum([it["value"] for it in items])
+    algebraic = Fraction(*_class_pairing(c1, c2))
     return {"schema": SCHEMA_VERSION, "algebraic": algebraic, "local_sum": local_sum,
             "holds": algebraic == local_sum, "contributions": items}
 
@@ -509,10 +504,11 @@ def embeddedness_verdict(report: dict) -> dict:
             f"adjunction fails on this configuration: lhs {report['lhs']} != "
             f"rhs {report['rhs']}; the input data is inconsistent"
         )
-    defect = report["rhs"] - report["contributions"][0]["value"]
-    if defect < 0:
+    rn, rd = report["rhs"].as_integer_ratio()
+    gn, gd = report["contributions"][0]["value"].as_integer_ratio()
+    num = rn * gd - gn * rd  # rhs - g_Sigma over the denominator rd * gd > 0
+    defect = Fraction(num, rd * gd)
+    if num < 0:
         raise AdjunctionViolated(
-            f"negative local contribution total {defect}; the input data is "
-            "inconsistent"
-        )
-    return {"verdict": "Singular" if defect else "EmbeddedSuborbifold", "defect": defect}
+            f"negative local contribution total {defect}; the input data is inconsistent")
+    return {"verdict": "Singular" if num else "EmbeddedSuborbifold", "defect": defect}

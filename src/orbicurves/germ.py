@@ -444,13 +444,6 @@ class CurveGerm:
         (mu_a^k U, mu_a^{kb} V) for 0 <= k < orbit_size."""
         return self.group.a // self.m
 
-    def multiplicity(self) -> int:
-        orders = []
-        for s in (self.U, self.V):
-            if not s.is_zero_to_precision():
-                orders.append(s.order())
-        return min(orders)
-
     @staticmethod
     def from_json(data, where: str = "germ") -> "CurveGerm":
         obj(data, where, "U", "V", optional=("group", "m"))

@@ -95,22 +95,27 @@ def _axis_germ(first: bool, a: int, b: int, m: int) -> CurveGerm:
     """The germ t -> (t, 0) (first) or (0, t) in a chart of type (a, b),
     with stabilizer order m, on the shared series _T and _ZERO.  Series
     and germs are immutable (a series only memoises its inverse), so
-    configs share them: within one sweep row, the C0 configs of both q'
-    hold one germ at x, and so do the C0' configs."""
+    configs share them: the C0 configs of a sweep row hold one germ at x."""
     u, v = (_T, _ZERO) if first else (_ZERO, _T)
     return CurveGerm(u, v, group=SingularityType(a, b), m=m)
+
+
+@lru_cache(maxsize=4)
+def _c0prime_parts(p: int, q: int) -> tuple:
+    """The q'-free parts of C0' for (p, q), immutable like the germs:
+    the domain S^2(p+q, p), the class 1/p and the station at x, which
+    the C0' configs of both q' in a sweep row share."""
+    return (OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)), CurveClass((Fraction(1, p),)),
+            station(POINT_X, p + q, [("w0", _axis_germ(False, p + q, p, p + q))]))
 
 
 def c0_config(m: WpsModel) -> CurveConfig:
     """The generating curve: a sphere with one cone point of order p+q,
     passing only through x along the first coordinate axis."""
-    p, q = m.p, m.q
-    return CurveConfig(
-        ambient=m.ambient,
-        domain=OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q,)),
-        curve_class=CurveClass((1,)),
-        stations=(station(POINT_X, p + q, [("z0", _axis_germ(True, p + q, p, p + q))]),),
-    )
+    n = m.p + m.q
+    at_x = station(POINT_X, n, [("z0", _axis_germ(True, n, m.p, n))])
+    return CurveConfig(m.ambient, OrbifoldSurface(m_sigma=1, genus=0, orders=(n,)),
+                       CurveClass((1,)), (at_x,))
 
 
 def c0prime_cases(m: WpsModel) -> list[str]:
@@ -143,26 +148,21 @@ def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
             f"case {case} fails the integrality congruence for "
             f"(p, q, q') = ({m.p}, {m.q}, {m.qprime}); passing cases: {cases}"
         )
-    p, q = m.p, m.q
-    return CurveConfig(
-        ambient=m.ambient,
-        domain=OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)),
-        curve_class=CurveClass((Fraction(1, p),)),
-        stations=(
-            station(POINT_X, p + q, [("w0", _axis_germ(False, p + q, p, p + q))]),
-            station(POINT_X_PRIME, p, [("w1", _axis_germ(case == "B", p, m.qprime, p))]),
-        ),
-    )
+    domain, curve_class, at_x = _c0prime_parts(m.p, m.q)
+    at_x_prime = station(POINT_X_PRIME, m.p, [("w1", _axis_germ(case == "B", m.p, m.qprime, m.p))])
+    return CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
 
 
 def genus_bound(m: WpsModel, r) -> Fraction:
     """g(r) = ((p/(p+q)) r^2 - ((2p+q+1)/(p+q)) r) / 2 + 1, the virtual
     genus of a class r[C0] as a function of the fraction r."""
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
-    a, b, p, q = r.numerator, r.denominator, m.p, m.q
+    return Fraction(*_genus_ratio(m.p, m.q, *Fraction(r).as_integer_ratio()))
+
+
+def _genus_ratio(p: int, q: int, a: int, b: int) -> tuple[int, int]:
+    """g(a/b) as an integer numerator over the denominator 2(p+q)b^2."""
     den = 2 * (p + q) * b * b
-    return Fraction(p * a * a - (2 * p + q + 1) * a * b + den, den)
+    return p * a * a - (2 * p + q + 1) * a * b + den, den
 
 
 def genus_bound_profile(m: WpsModel, samples) -> dict:
@@ -171,36 +171,37 @@ def genus_bound_profile(m: WpsModel, samples) -> dict:
     strictly over (0, 1] and that its value at r = 1/p equals
     (1 - 1/(p+q))/2 + (1 - 1/p)/2."""
     rs = [r if isinstance(r, Fraction) else Fraction(r) for r in samples]
-    if any(not 0 < r <= 1 for r in rs):
+    # the checks run on integer numerators: a/b < c/d is a*d < c*b (b, d > 0)
+    ratios = [r.as_integer_ratio() for r in rs]
+    if any(not 0 < a <= b for a, b in ratios):
         raise InvalidInput("samples must lie in (0, 1]")
-    if any(a >= b for a, b in zip(rs, rs[1:])):
+    if any(a * d >= c * b for (a, b), (c, d) in zip(ratios, ratios[1:])):
         raise InvalidInput("samples must be strictly ascending")
-    rows = [[r, genus_bound(m, r)] for r in rs]
-    decreasing = all(ga > gb for (_, ga), (_, gb) in zip(rows, rows[1:]))
     p, q = m.p, m.q
-    at_peak = genus_bound(m, Fraction(1, p))
-    # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
-    displayed = Fraction((p + q - 1) * p + (p - 1) * (p + q), 2 * p * (p + q))
+    gs = [_genus_ratio(p, q, a, b) for a, b in ratios]
+    num, den = _genus_ratio(p, q, 1, p)
     return {
         "schema": SCHEMA_VERSION,
-        "rows": rows,
-        "strictly_decreasing": decreasing,
-        "value_at_inverse_p": at_peak,
-        "peak_identity": at_peak == displayed,
+        "rows": [[r, Fraction(*g)] for r, g in zip(rs, gs)],
+        "strictly_decreasing": all(a * d > c * b for (a, b), (c, d) in zip(gs, gs[1:])),
+        "value_at_inverse_p": Fraction(num, den),
+        # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
+        "peak_identity": num * 2 * p * (p + q) == ((p + q - 1) * p + (p - 1) * (p + q)) * den,
     }
+
+
+_HALF_AND_ONE = (Fraction(1, 2), Fraction(1))
 
 
 def _samples(p: int) -> list[Fraction]:
     """The ascending samples {1/p, 1/2, 1}: two of them when p = 2."""
-    head = [Fraction(1, p)] if p > 2 else []
-    return head + [Fraction(1, 2), Fraction(1)]
+    return [Fraction(1, p), *_HALF_AND_ONE] if p > 2 else [*_HALF_AND_ONE]
 
 
 def uniqueness_inequality(m: WpsModel) -> bool:
     """The self-pairing of the fraction class stays below the cost of a
-    second component: 1/(p(p+q)) < 1/(p+q) + 1/p."""
-    p, q = m.p, m.q
-    return Fraction(1, p * (p + q)) < Fraction(1, p + q) + Fraction(1, p)
+    second component: 1/(p(p+q)) < 1/(p+q) + 1/p, or 1 < 2p + q over p(p+q)."""
+    return 1 < 2 * m.p + m.q
 
 
 def seifert_euler(m: WpsModel) -> Fraction:
@@ -214,9 +215,7 @@ def c0_index(m: WpsModel, c0: CurveConfig) -> dict:
     pairing with [C0], a genus-0 domain, and the isotropy weights of
     the distinguished germ at x, read from c0 = c0_config(m)."""
     germ = c0.stations[0].points[0].germ
-    return kawasaki_index(
-        c1_pair=m.c1_value, genus=0, points=[(m.p + m.q, germ.weights())]
-    )
+    return kawasaki_index(c1_pair=m.c1_value, genus=0, points=[(m.p + m.q, germ.weights())])
 
 
 def _verdict_text(report: dict) -> str:
@@ -309,7 +308,7 @@ def sweep_row(p: int, q: int) -> dict:
             holds
             and partner_report["holds"]
             and meeting["holds"]
-            and meeting["algebraic"] == Fraction(1, p + q)
+            and meeting["algebraic"].as_integer_ratio() == (1, p + q)
             and embeddedness_verdict(partner_report)["verdict"] == "EmbeddedSuborbifold"
         )
     # the rows hold text: they cross the fork boundary as one marshal

@@ -90,7 +90,7 @@ def _truncated_product(a: list, b: list, window: int) -> list:
                 break
             if cb != 0:
                 out[i + j] += ca * cb
-    return [sympy.simplify(c) for c in out]
+    return [sympy.expand_complex(c) for c in out]
 
 
 def _coeff_vector(terms: dict, window: int) -> list:
@@ -110,7 +110,7 @@ def oracle_delta(u_terms: dict, v_terms: dict, window: int = 48) -> int:
 
     def order_of(vec):
         for i, c in enumerate(vec):
-            if sympy.simplify(c) != 0:
+            if sympy.expand_complex(c) != 0:
                 return i
         return None
 
@@ -150,9 +150,9 @@ def oracle_delta(u_terms: dict, v_terms: dict, window: int = 48) -> int:
                 pivots[o] = vec
                 break
             lead = pivots[o][o]
-            factor = sympy.simplify(vec[o] / lead)
+            factor = sympy.expand_complex(vec[o] / lead)
             vec = [
-                sympy.simplify(a - factor * b) for a, b in zip(vec, pivots[o])
+                sympy.expand_complex(a - factor * b) for a, b in zip(vec, pivots[o])
             ]
     attained = sorted(pivots)
     run = 0

@@ -25,6 +25,7 @@ from orbicurves.chern_index import (
     index_integrality_scan,
 )
 from orbicurves.curvecalc import (
+    CurveConfig,
     adjunction_report,
     embeddedness_verdict,
     intersection_report,
@@ -32,6 +33,7 @@ from orbicurves.curvecalc import (
     station,
 )
 from orbicurves.germ import (
+    CurveGerm,
     germ_from_polynomials,
     intersection_multiplicity,
     self_intersection,
@@ -74,10 +76,27 @@ def coprime_pairs(p_max: int):
                 yield p, q
 
 
-def test_acceptance_1_weighted_model_invariants():
+def _count_constructions(monkeypatch, *classes) -> dict:
+    """The number of instances of each class built while the test runs,
+    by class name."""
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_acceptance_1_weighted_model_invariants(monkeypatch):
     """The five scalar invariants of the generating curve, exactly,
-    for every coprime (p, q) with p <= 30, in under five seconds."""
+    for every coprime (p, q) with p <= 30, in under five seconds and
+    from two configurations (C0 and C0') and at most three germs (at x
+    on both, at x' on C0') a dossier, so that a regression shows as a
+    count."""
     with criterion(1, "weighted-model-invariants"):
+        built = _count_constructions(monkeypatch, CurveGerm, CurveConfig)
         start = time.perf_counter()
         checked = 0
         for p, q in coprime_pairs(30):
@@ -94,6 +113,8 @@ def test_acceptance_1_weighted_model_invariants():
         elapsed = time.perf_counter() - start
         assert checked == 277
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
+        # configs are never shared between dossiers; germs may come from a cache
+        assert built["CurveConfig"] == 2 * 277 and built["CurveGerm"] <= 3 * 277, built
 
 
 def test_acceptance_2_adjunction_end_to_end():
@@ -275,7 +296,9 @@ def test_acceptance_6_germ_oracle_equivalence():
         for (n1, u1, v1), (n2, u2, v2) in pairs:
             g1 = germ_from_polynomials(gaussian_terms(u1), gaussian_terms(v1))
             g2 = germ_from_polynomials(gaussian_terms(u2), gaussian_terms(v2))
-            assert g1.multiplicity() <= 6 and g2.multiplicity() <= 6
+            # polynomial data: the least stored order of a coordinate is the multiplicity
+            assert all(min(s.order() for s in (g.U, g.V) if not s.is_zero_to_precision()) <= 6
+                       for g in (g1, g2))
             got = intersection_multiplicity(g1, g2)
             assert got == oracle_intersection(u1, v1, u2, v2), (n1, n2)
         for name, u, v in BRANCHES:

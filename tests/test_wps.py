@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import cli, germ, jets, wps
+from orbicurves import cli, curvecalc, germ, jets, wps
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -329,19 +329,25 @@ class TestSweepRowOracle:
 class TestWorkCount:
     """Work counts of the serial sweep over p <= 30 (277 rows): 40,367
     Fraction constructions and 1,425 germs before the report layer moved
-    to integer numerators and each row shared its axis germs; 12,742 and
-    1,029 after on CPython 3.10 and 3.11 (3.12 makes fewer Fractions in
-    arithmetic).  C0 and C0' meet along the two coordinate axes, so every
-    one of the 475 intersections is between transverse smooth branches
-    and is read off the leading terms: no blow-up (475 series
-    determinants before).
-    The axis germs are built on two shared series, so no row calls
-    germ_from_polynomials (1,029 calls before).  A regression shows as a
-    count, not as a time."""
+    to integer numerators and each row shared its axis germs; 12,544 and
+    1,029 after.  Since the row's checks (the profile's order checks, the
+    uniqueness inequality, the verdict's sign and the meeting value) and
+    the sums of the pairings run on integer numerators, 9,655 Fractions
+    on CPython 3.10 and 3.11 (9,378 on 3.12 and 3.13, whose arithmetic
+    makes fewer).  The two C0' configs of a row share one domain, class
+    and station at x, so the sweep builds 950 configs and 1,029 stations
+    (1,227 before).  C0 and C0' meet along the two coordinate axes, so
+    every one of the 475 intersections is between transverse smooth
+    branches and is read off the leading terms: no blow-up (475 series
+    determinants before).  The axis germs are built on two shared
+    series, so no row calls germ_from_polynomials (1,029 calls before).
+    A regression shows as a count, not as a time."""
 
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
-        counts = {"fractions": 0, "germs": 0, "blow_ups": 0, "polynomial_germs": 0}
+        counts = {"fractions": 0, "germs": 0, "blow_ups": 0, "polynomial_germs": 0,
+                  "configs": 0, "stations": 0}
         new, init = Fraction.__new__, germ.CurveGerm.__init__
+        config_init, station_init = curvecalc.CurveConfig.__init__, curvecalc.Station.__init__
         blow_up, from_polynomials = jets._blow_up, germ.germ_from_polynomials
 
         def counted_new(cls, *args, **kwargs):
@@ -351,6 +357,14 @@ class TestWorkCount:
         def counted_init(self, *args, **kwargs):
             counts["germs"] += 1
             init(self, *args, **kwargs)
+
+        def counted_config(self, *args, **kwargs):
+            counts["configs"] += 1
+            config_init(self, *args, **kwargs)
+
+        def counted_station(self, *args, **kwargs):
+            counts["stations"] += 1
+            station_init(self, *args, **kwargs)
 
         def counted_blow_up(*args):
             counts["blow_ups"] += 1
@@ -362,16 +376,21 @@ class TestWorkCount:
 
         monkeypatch.setattr(Fraction, "__new__", counted_new)
         monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
+        monkeypatch.setattr(curvecalc.CurveConfig, "__init__", counted_config)
+        monkeypatch.setattr(curvecalc.Station, "__init__", counted_station)
         monkeypatch.setattr(jets, "_blow_up", counted_blow_up)
         for module in (germ, wps):
             monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
                                 raising=False)
-        wps._axis_germ.cache_clear()
+        for cached in (wps._axis_germ, wps._c0prime_parts):
+            cached.cache_clear()
         rows = [sweep_row(p, q) for p, q in _coprime_pairs(30)]
         monkeypatch.undo()
         assert len(rows) == 277 and all(r["holds"] for r in rows)
-        assert counts["fractions"] <= 13_000, counts
+        assert counts["fractions"] <= 9_655, counts
         assert counts["germs"] <= 1_030, counts
+        assert counts["configs"] <= 950, counts
+        assert counts["stations"] <= 1_029, counts
         assert counts["blow_ups"] == 0, counts
         assert counts["polynomial_germs"] == 0, counts
 
