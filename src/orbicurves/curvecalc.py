@@ -22,7 +22,7 @@ from .errors import (
     InvalidInput,
 )
 from .decode import SCHEMA_VERSION, check_schema, int_, list_, load, obj, rational, str_
-from .germ import CurveGerm, check_stabilizer, intersection_multiplicity, self_intersection
+from .germ import CurveGerm, intersection_multiplicity, self_intersection
 from .lens import SingularityType
 from .surface import OrbifoldSurface, orbifold_genus
 
@@ -175,7 +175,7 @@ class StationPoint:
 class Station:
     """All domain points of one curve lying over a single ambient point,
     with the isotropy order of that point.  Each point's stated
-    stabilizer is checked here, once."""
+    stabilizer was checked once, when its germ was built."""
 
     __slots__ = ("ambient_point", "isotropy_order", "points")
 
@@ -196,7 +196,6 @@ class Station:
                     f"orbit at {p.label!r} lives in a group of order "
                     f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
-            check_stabilizer(p.germ)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Station):

@@ -26,12 +26,13 @@ A group translate is not a germ of its own: intersection_multiplicity
 (g1, g2, k) rotates one germ's numerators by a power of mu_a, which it
 can do only when mu_a^k lies in {1, i, -1, -i}.
 
-Set-level comparisons between translates (orbit distinctness, same
-branch detection) use linear reparametrizations z -> c z with c a root
-of unity, solved exactly as congruences on support exponents.  This is
-complete for germs whose setwise symmetries are linear, which covers
-every germ shape appearing here; germs engineered with nonlinear
-symmetries could fool the distinctness check and are out of scope.
+A germ's stated stabilizer order m is checked once, when it is built:
+the translates equal to it as a set through a linear reparametrization
+z -> c z, c a root of unity, must be the subgroup of order m, which one
+closed form over the support exponents decides.  This is complete for
+germs whose setwise symmetries are linear, which covers every germ
+shape appearing here; germs engineered with nonlinear symmetries could
+fool the check and are out of scope.
 """
 
 from __future__ import annotations
@@ -337,26 +338,52 @@ _ONE_EXACT = PowerSeries({0: GR_ONE}, None)
 _TWO_EXACT = _series({0: (2, 0)}, 1, None)
 
 
-def _solve_congruences(constraints, modulus):
-    """Solve a system c*y = r (mod modulus) over the integers.
+def _stabilizer_exponent(U: PowerSeries, V: PowerSeries, group: SingularityType, m: int) -> int:
+    """The exponent s = k*u, k = a/m and u the least unit mod m, with
+    U(mu_m z) = mu_a^s U(z) and V(mu_m z) = mu_a^(sb) V(z); raises
+    EquivarianceViolated unless the translates fixing the germ as a set
+    form the subgroup of order m.
 
-    Returns (y0, step) describing all solutions y = y0 (mod step), or
-    None when the system is inconsistent.
+    A translate by d is fixed, through a reparametrization z -> c z with
+    c a root of unity, iff c^j = mu_a^(d*w_j) for every support exponent
+    j, with w_j = 1 on U's exponents and b on V's.  For G = gcd(supp) =
+    sum l_j j such a c has c^G = mu_a^(d*tau), tau = sum l_j w_j, so
+    c^j = mu_a^(d*tau*j/G); and a c with c^G = mu_a^(d*tau) passes every
+    test once d*(tau*j/G - w_j) = 0 (mod a).  So the fixing translates
+    are the multiples of the least one, an lcm over the exponents, and s
+    is a fixing translate whose c is mu_m = mu_a^k: tau*s = G*k (mod a).
+    No loop runs over Z_a.
     """
-    y0, step = 0, 1
-    for c, r in constraints:
-        # substitute y = y0 + step*t:  c*step*t = r - c*y0 (mod modulus)
-        a = (c * step) % modulus
-        rhs = (r - c * y0) % modulus
-        g = math.gcd(a, modulus)
-        if rhs % g:
-            return None
-        mm = modulus // g
-        t0 = (rhs // g) * pow(a // g, -1, mm) % mm
-        y0 = y0 + step * t0
-        step = step * mm
-        y0 %= step
-    return y0 % step, step
+    a, b = group.a, group.b
+    k = a // m
+    exps = [(j, 1) for j in U.num] + [(j, b) for j in V.num]
+    g = tau = 0  # invariants g = sum l_j j and tau = sum l_j w_j over the exponents so far
+    for j, w in exps:
+        h = math.gcd(g, j)
+        x = pow(g // h, -1, j // h)  # x*g = h (mod j), so h = x*g + y*j with integer y
+        g, tau = h, (x * tau + (h - x * g) // j * w) % a
+    d = math.lcm(*(a // math.gcd(a, tau * (j // g) - w) for j, w in exps))
+    if g * k % math.gcd(tau * d, a):  # no multiple s of d has tau*s = G*k (mod a)
+        raise EquivarianceViolated(
+            f"germ is not equivariant for group {group.to_json()} with m={m}"
+        )
+    # s = k*u is a multiple of d for a unit u iff d | k; then tau*u = G (mod m)
+    # is solvable iff h = gcd(tau, m) divides G, on u = u0 (mod step), and
+    # that class holds a unit iff gcd(u0, step) = 1
+    h = math.gcd(tau, m)
+    step = m // h
+    u = g // h * pow(tau // h, -1, step) % step
+    if k % d or g % h or math.gcd(u, step) != 1:
+        raise EquivarianceViolated(
+            f"no injective order-{m} action is compatible with the germ supports"
+        )
+    if d < k:
+        raise EquivarianceViolated(
+            f"translate by {d} fixes the germ; stated stabilizer order {m} is too small"
+        )
+    while math.gcd(u, m) != 1:  # ends below m: step divides m
+        u += step
+    return k * u
 
 
 class CurveGerm:
@@ -364,9 +391,11 @@ class CurveGerm:
 
     U, V: coordinate series (zero constant term, not both zero).
     group: the chart action type (a, b); a = 1 means a regular point.
-    m: order of the stabilizer of the image (divides a); the germ must
-       be equivariant for an injective Z_m -> Z_a, which is checked
-       symbolically on support exponents.
+    m: order of the stabilizer of the image (divides a).  The
+       constructor checks it once, in closed form on the support
+       exponents (_stabilizer_exponent): the germ must be equivariant
+       for an injective Z_m -> Z_a, and no translate by fewer than a/m
+       steps may fix it.
     """
 
     __slots__ = ("U", "V", "group", "m", "_rho_exponent")
@@ -387,7 +416,7 @@ class CurveGerm:
         self.V = V
         self.group = group
         self.m = m
-        self._rho_exponent = self._solve_equivariance()
+        self._rho_exponent = _stabilizer_exponent(U, V, group, m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurveGerm):
@@ -399,42 +428,9 @@ class CurveGerm:
             and self.m == other.m
         )
 
-    def _solve_equivariance(self) -> int:
-        """Exponent s with U(mu_m z) = mu_a^s U(z), V(mu_m z) = mu_a^{sb} V(z)
-        and <mu_a^s> of order exactly m; raises EquivarianceViolated.
-
-        Such an s is k*u for k = a/m and u a unit mod m, and the
-        congruences c*s = j*k (mod a) read c*u = j (mod m).  The system
-        in s is solved first only to tell a germ with no s at all apart
-        from one whose every s has the wrong order."""
-        a, b, m = self.group.a, self.group.b, self.m
-        if a == 1:
-            if m != 1:
-                raise EquivarianceViolated("trivial group admits only m = 1")
-            return 0
-        k = a // m
-        exps = [(1, j) for j in self.U.support()] + [(b, j) for j in self.V.support()]
-        sol = _solve_congruences([(c, (j * k) % a) for c, j in exps], a)
-        if sol is None:
-            raise EquivarianceViolated(
-                f"germ is not equivariant for group {self.group.to_json()} with m={m}"
-            )
-        if k != 1:  # for m = a the two systems are one
-            sol = _solve_congruences([(c, j % m) for c, j in exps], m)
-        if sol is not None and math.gcd(*sol, m) == 1:
-            u, step = sol
-            while math.gcd(u, m) != 1:  # ends below m: step divides m
-                u += step
-            return k * u
-        raise EquivarianceViolated(
-            f"no injective order-{m} action is compatible with the germ supports"
-        )
-
     def weights(self) -> tuple[int, int]:
         """Weights (w1, w2) of rho(mu_m) on the chart coordinates,
         reduced mod m: rho(mu_m) acts by (mu_m^{w1} z1, mu_m^{w2} z2)."""
-        if self.group.a == 1:
-            return (0, 0)
         sigma = self._rho_exponent // (self.group.a // self.m)
         return (sigma % self.m, (sigma * self.group.b) % self.m)
 
@@ -475,38 +471,6 @@ def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
         return _series(*_numerators(parts), trunc)
 
     return CurveGerm(U=conv(u_terms), V=conv(v_terms), group=group, m=m)
-
-
-def _stabilizing_twist(germ: CurveGerm) -> int:
-    """Least d > 0 whose translate equals the germ as a set, testing
-    linear reparametrizations z -> c z with c a root of unity.
-
-    The translate by d is fixed iff c^j = mu_a^(d*w_j) for every support
-    exponent j, with w_j = 1 on U's exponents and b on V's.  For G =
-    gcd(supp) = sum l_j j any such c has c^G = mu_a^(d*tau) with tau =
-    sum l_j w_j, so c^j = mu_a^(d*tau*j/G); and a c with c^G =
-    mu_a^(d*tau) passes every test once d*(tau*j/G - w_j) = 0 (mod a).
-    The fixing d are the multiples of one lcm over the exponents.
-    """
-    a, b = germ.group.a, germ.group.b
-    exps = [(j, 1) for j in germ.U.support()] + [(j, b) for j in germ.V.support()]
-    g = tau = 0  # invariants g = sum l_j j and tau = sum l_j w_j over the exponents so far
-    for j, w in exps:
-        h = math.gcd(g, j)
-        x = pow(g // h, -1, j // h)  # x*g = h (mod j), so h = x*g + y*j with integer y
-        g, tau = h, (x * tau + (h - x * g) // j * w) % a
-    return math.lcm(*(a // math.gcd(a, tau * (j // g) - w) for j, w in exps))
-
-
-def check_stabilizer(germ: CurveGerm) -> None:
-    """Raise EquivarianceViolated if a translate by fewer than a/m steps
-    fixes the germ, i.e. the stated stabilizer order m is too small."""
-    size = germ.orbit_size
-    if size > 1 and (d := _stabilizing_twist(germ)) < size:
-        raise EquivarianceViolated(
-            f"translate by {d} fixes the germ; stated stabilizer order "
-            f"{germ.m} is too small"
-        )
 
 
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q for q mod 4, as (re, im)

@@ -1026,6 +1026,38 @@ class TestDoublePointInput:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _terms(*exponents):
+    """Series terms with coefficient 1 at each exponent, as the JSON stores them."""
+    return [[e, {"re": "1", "im": "0"}] for e in exponents]
+
+
+class TestStatedStabilizer:
+    """The Z_3 germ of unrepresentable.json, type (3, 1), with one fault
+    in its stated stabilizer order m: the constructor's three messages,
+    one stderr line each, exit 2."""
+
+    @pytest.mark.parametrize(
+        "u, v, m, message",
+        [
+            ((3,), (), 1, "translate by 1 fixes the germ; stated stabilizer order 1 is too small"),
+            ((1,), (2,), 3, "germ is not equivariant for group [3, 1] with m=3"),
+            ((3,), (), 3, "no injective order-3 action is compatible with the germ supports"),
+        ],
+        ids=["understated", "not_equivariant", "not_injective"],
+    )
+    def test_stated_stabilizer_fault_exits_2(self, tmp_path, capsys, u, v, m, message):
+        point = ("stations", 0, "points", 0)
+        path = _mutated(tmp_path, DATA / "unrepresentable.json", {
+            point + ("germ", "U", "terms"): _terms(*u),
+            point + ("germ", "V", "terms"): _terms(*v),
+            point + ("germ", "m"): m,
+            point + ("order",): m,
+        })
+        code, out = run_command(["adjunction", path])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestLargeGroupOrders:
     """No germ computation walks the chart group Z_a."""
 

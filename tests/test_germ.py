@@ -1,5 +1,6 @@
 """Power series arithmetic, equivariant branch germs, and local invariants."""
 
+import itertools
 import math
 import random
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import orbicurves.germ as germ_module
 import orbicurves.jets as jets_module
 from orbicurves.errors import (
     DistinctBranchesRequired,
@@ -26,8 +28,6 @@ from orbicurves.germ import (
     CurveGerm,
     PowerSeries,
     _rotated,
-    _stabilizing_twist,
-    check_stabilizer,
     germ_from_polynomials,
     intersection_multiplicity,
     self_intersection,
@@ -376,14 +376,12 @@ class TestGermBoundary:
 class TestOrbits:
     def test_orbit_size_and_base(self):
         g = germ_from_polynomials({1: 1, 2: 1}, {1: 1}, group=SingularityType(3, 1))
-        check_stabilizer(g)
         assert g.orbit_size == 3
 
     def test_orbit_rejects_understated_stabilizer(self):
         # z^3 is fixed by the full Z_3 translate action, so m = 1 is wrong
-        g = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
-        with pytest.raises(EquivarianceViolated):
-            check_stabilizer(g)
+        with pytest.raises(EquivarianceViolated, match="translate by 1 fixes the germ"):
+            germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
 
     def test_materialize_fourth_roots(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(4, 1), m=4)
@@ -395,32 +393,41 @@ class TestOrbits:
             _rotated(g, 1)
 
 
-def _weighted_exponents(a, b, u_exps, v_exps):
-    return [(j, 1) for j in u_exps] + [(j, b) for j in v_exps]
+def _verdict(a, b, m, u_exps, v_exps):
+    """What the constructor must do with the germ of supports u_exps and
+    v_exps at type (a, b) and stated stabilizer order m, by trying every
+    exponent and every twist: its weights, or the message it raises.
 
-
-def _least_fixing_twist(a, b, u_exps, v_exps):
-    """Least d in 1..a for which some x in Z_N solves j*x = d*t_j (mod N),
-    t_j = N/a on U's exponents and b*N/a on V's, by trying every pair."""
-    exps = _weighted_exponents(a, b, u_exps, v_exps)
-    n = a * math.lcm(*(j for j, _ in exps))
-    for d in range(1, a + 1):
-        for x in range(n):
-            if all((j * x - d * w * (n // a)) % n == 0 for j, w in exps):
-                return d
-
-
-def _least_rho_exponent(a, b, m, u_exps, v_exps):
-    """(s, reason) by trying every s in [0, a): the least s with
-    gcd(s, a) = a/m and j*(a/m) = s*w (mod a) on every weighted exponent;
-    reason names the failure when there is none."""
+    An exponent s in [0, a) is equivariant when j*k = s*w (mod a) on
+    every weighted exponent, k = a/m and w = 1 on U's exponents and b on
+    V's, and injective when gcd(s, a) = k.  A twist d in 1..a fixes the
+    germ when some x in Z_N solves j*x = d*w*N/a (mod N), N = a*lcm(supp):
+    the reparametrization z -> mu_N^x z carries it onto its translate."""
     k = a // m
-    exps = _weighted_exponents(a, b, u_exps, v_exps)
+    exps = [(j, 1) for j in u_exps] + [(j, b) for j in v_exps]
     solves = [s for s in range(a) if all((w * s - j * k) % a == 0 for j, w in exps)]
+    if not solves:
+        return f"germ is not equivariant for group [{a}, {b}] with m={m}"
     valid = [s for s in solves if math.gcd(s, a) == k]
-    if valid:
-        return valid[0], None
-    return None, "no injective" if solves else "not equivariant"
+    if not valid:
+        return f"no injective order-{m} action is compatible with the germ supports"
+    n = a * math.lcm(*(j for j, _ in exps))
+    d = next(d for d in range(1, a + 1)
+             if any(all((j * x - d * w * (n // a)) % n == 0 for j, w in exps) for x in range(n)))
+    if d < k:
+        return f"translate by {d} fixes the germ; stated stabilizer order {m} is too small"
+    u = valid[0] // k
+    return (u % m, u * b % m)
+
+
+def _outcome(a, b, m, u_exps, v_exps):
+    """The constructor's weights, or the message it raises."""
+    try:
+        return germ_from_polynomials(
+            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b), m=m
+        ).weights()
+    except EquivarianceViolated as exc:
+        return str(exc)
 
 
 _chart_types = st.integers(2, 12).flatmap(
@@ -432,6 +439,19 @@ _exponent_sets = st.sets(st.integers(1, 5), max_size=3)
 
 
 class TestImplicitOrbits:
+    def test_constructor_matches_the_verdict_oracle_on_a_grid(self):
+        # a <= 8, every b, every m | a, supports within {1..4} of size <= 2:
+        # each germ is accepted with the oracle's weights or rejected with
+        # its message, the least fixing twist included
+        charts = [(a, b, m) for a in range(1, 9)
+                  for b in range(a) if b == 0 or math.gcd(a, b) == 1
+                  for m in range(1, a + 1) if a % m == 0]
+        supports = [set(c) for r in range(3) for c in itertools.combinations(range(1, 5), r)]
+        germs = [(*chart, u, v) for chart in charts for u in supports for v in supports if u or v]
+        assert len(germs) == 9120
+        for germ in germs:
+            assert _outcome(*germ) == _verdict(*germ), germ
+
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chart=_chart_types, u_exps=_exponent_sets, v_exps=_exponent_sets)
     @example(chart=(6, 1), u_exps={1}, v_exps={3})
@@ -439,17 +459,15 @@ class TestImplicitOrbits:
     def test_closed_form_stabilizer_matches_search(self, chart, u_exps, v_exps):
         assume(u_exps or v_exps)
         a, b = chart
-        # m = 1 is equivariant for any supports, so every germ constructs
-        g = germ_from_polynomials(
-            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b)
-        )
-        d = _least_fixing_twist(a, b, u_exps, v_exps)
-        assert _stabilizing_twist(g) == d
-        if d < a:
-            with pytest.raises(EquivarianceViolated, match=f"translate by {d} fixes"):
-                check_stabilizer(g)
-        else:
-            check_stabilizer(g)
+        # m = 1 is equivariant and injective for any supports, so the
+        # constructor rejects it only when a twist d < a fixes the germ
+        want = _verdict(a, b, 1, u_exps, v_exps)
+        assert want == (0, 0) or want.startswith("translate by ")
+        assert _outcome(a, b, 1, u_exps, v_exps) == want
+        if want == (0, 0):
+            g = germ_from_polynomials(
+                {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b)
+            )
             assert g.orbit_size == a
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -460,39 +478,42 @@ class TestImplicitOrbits:
         a, b = chart
         divisors = [m for m in range(1, a + 1) if a % m == 0]
         m = divisors[m_pick % len(divisors)]
-        s, reason = _least_rho_exponent(a, b, m, u_exps, v_exps)
+        assert _outcome(a, b, m, u_exps, v_exps) == _verdict(a, b, m, u_exps, v_exps)
 
-        def build():
-            return germ_from_polynomials(
-                {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b), m=m
-            )
-
-        if s is None:
-            with pytest.raises(EquivarianceViolated, match=reason):
-                build()
-        else:
-            u = s // (a // m)
-            assert build().weights() == (u % m, u * b % m)
-
-    def test_equivariance_solve_does_not_walk_the_group(self):
+    def test_equivariance_solve_does_not_walk_the_group(self, monkeypatch):
+        # (t, 0) at type (10^40, 1) is fixed by the whole group, so m = a;
+        # one modular inverse per support exponent and one for the exponent
+        # equation, not a walk over Z_a, decide the stated m
+        a = 10**40
+        inverses = _counted_inverses(monkeypatch)
         start = time.perf_counter()
-        g = germ_from_polynomials({}, {2: 1}, group=SingularityType(10**40, 0), m=2)
-        assert g.weights() == (1, 0)
+        g = germ_from_polynomials({1: 1}, {}, group=SingularityType(a, 1), m=a)
         assert time.perf_counter() - start < 1
+        assert len(inverses) <= len(g.U.num) + len(g.V.num) + 1
+        assert g.weights() == (1, 1)
 
-    def test_orbit_larger_than_an_index(self):
+    def test_orbit_larger_than_an_index(self, monkeypatch):
         a = 10**40 + 1
-        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(a, 1))
+        inverses = _counted_inverses(monkeypatch)
         start = time.perf_counter()
-        check_stabilizer(g)
+        g = germ_from_polynomials({1: 1}, {2: 1}, group=SingularityType(a, 1))
         assert time.perf_counter() - start < 1
+        assert len(inverses) <= len(g.U.num) + len(g.V.num) + 1
         assert g.orbit_size == a
 
-    def test_fixed_orbit_skips_the_stabilizer(self, monkeypatch):
-        g = germ_from_polynomials({1: 1}, {}, group=SingularityType(7, 5), m=7)
-        monkeypatch.setattr("orbicurves.germ._stabilizing_twist", None)
-        check_stabilizer(g)
-        assert g.orbit_size == 1
+
+def _counted_inverses(monkeypatch):
+    """The list of moduli of the pow(x, -1, n) calls that germ makes from
+    now on, through a pow shadowed in its globals."""
+    moduli = []
+
+    def counted(x, e, n=None):
+        if e == -1:
+            moduli.append(n)
+        return pow(x, e, n)
+
+    monkeypatch.setitem(vars(germ_module), "pow", counted)
+    return moduli
 
 
 class TestIntersection:
@@ -667,10 +688,22 @@ def _rotated_terms(terms: dict, q: int) -> dict:
     return {e: _times(_POWERS_OF_I[q % 4], c) for e, c in terms.items()}
 
 
+def _at_true_order(u: PowerSeries, v: PowerSeries, group) -> CurveGerm:
+    """The germ (u, v) at the one stabilizer order m | a that the
+    constructor accepts, the order of the translates fixing it; a draw
+    that no m fits, as an axis fixed pointwise by the group, is skipped."""
+    for m in range(1, group.a + 1):
+        if group.a % m == 0:
+            try:
+                return CurveGerm(u, v, group=group, m=m)
+            except EquivarianceViolated:
+                pass
+    assume(False)
+
+
 def _as_germ(u, v, group, trunc=32):
-    return germ_from_polynomials(
-        gaussian_terms(_raw(u)), gaussian_terms(_raw(v)), group=group, trunc=trunc
-    )
+    return _at_true_order(PowerSeries(gaussian_terms(_raw(u)), trunc),
+                          PowerSeries(gaussian_terms(_raw(v)), trunc), group)
 
 
 def _leading_value(first, second):
@@ -762,8 +795,8 @@ class TestLeadingTerms:
     @given(_leading_pair())
     def test_leading_terms_match_the_oracle(self, case):
         group, k, first, second = case
-        g1, g2 = (CurveGerm(PowerSeries(gaussian_terms(_raw(u)), tu),
-                            PowerSeries(gaussian_terms(_raw(v)), tv), group=group)
+        g1, g2 = (_at_true_order(PowerSeries(gaussian_terms(_raw(u)), tu),
+                                 PowerSeries(gaussian_terms(_raw(v)), tv), group)
                   for u, tu, v, tv in (first, second))
         got, blown = _blow_ups(intersection_multiplicity, g1, g2, k)
         assume(not isinstance(got, tuple) or got[0] is not DistinctBranchesRequired)
@@ -941,13 +974,15 @@ class TestBlowUpLaws:
                   for t, n in zip((u1, v1, u2, v2), truncs)]
         assume(not (stored[0].is_zero_to_precision() and stored[1].is_zero_to_precision()))
         assume(not (stored[2].is_zero_to_precision() and stored[3].is_zero_to_precision()))
-        got, _ = _blow_ups(intersection_multiplicity, CurveGerm(*stored[:2], group),
-                           CurveGerm(*stored[2:], group), k)
+        # the stored data and each completion may have different stabilizers:
+        # each is built at its own
+        got, _ = _blow_ups(intersection_multiplicity, _at_true_order(*stored[:2], group),
+                           _at_true_order(*stored[2:], group), k)
         assume(isinstance(got, int))
         rng = random.Random(seed)
         for _ in range(3):
             done = [_completion(t, n, rng, n + 8) for t, n in zip((u1, v1, u2, v2), truncs)]
-            g1, g2 = CurveGerm(*done[:2], group), CurveGerm(*done[2:], group)
+            g1, g2 = _at_true_order(*done[:2], group), _at_true_order(*done[2:], group)
             assert intersection_multiplicity(g1, g2, k) == got
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
