@@ -1,18 +1,21 @@
 """Exact scalar arithmetic: Gaussian rationals.
 
-Only germ and wps import this module: a GaussianRational is a germ
-series coefficient at the API and JSON boundary (PowerSeries.coeff, the
-terms handed to PowerSeries and germ_from_polynomials), and wps builds
-its axis germs' shared series t from GR_ONE.  Series arithmetic, group
-translates included, runs on integers in germ and jets, and the report
-values are stdlib Fractions, so no report is built on these scalars.  No floating point
-appears anywhere; a Gaussian rational is a pair of Fractions.  The "a/b"
-text of a rational lives in decode, next to its parser.
+Only germ imports this module: a GaussianRational is a germ series
+coefficient at the API boundary (PowerSeries.coeff, and the terms handed
+to PowerSeries, whose real values GaussianRational.of reads).  Series
+arithmetic, group translates included, runs on integers in germ and
+jets, and the report values are stdlib Fractions, so no report is built
+on these scalars.  No floating point appears anywhere: a Gaussian
+rational is a pair of Fractions, and of rejects a float or a bool part.
+The "a/b" text of a rational lives in decode, next to its parser.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .decode import parse_rational
+from .errors import InvalidInput
 
 
 class GaussianRational:
@@ -35,7 +38,9 @@ class GaussianRational:
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        """re + im*i from parts that are ints, Fractions or "a/b" strings:
+        a float or a bool part, or any other, is InvalidInput."""
+        return GaussianRational(_rational(re), _rational(im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -80,6 +85,15 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+def _rational(x) -> Fraction:
+    """x as an exact rational: no binary expansion, no truth value."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InvalidInput(f'a coefficient is an int, a Fraction or an "a/b" string, got {x!r}')
 
 
 GR_ZERO = GaussianRational.of(0)

@@ -14,10 +14,12 @@ min(a1*b2, a2*b1) times.  The germs those do not settle, and only
 those, import the jet kernel (jets), which blows up the origin until
 these rules settle the strict transforms (Noether's formulas).
 
-Exactness policy: truncation orders are tracked through every
-operation, including the precision cost of divisions; any answer whose
-value is not pinned down below the tracked truncation raises
-PrecisionExhausted instead of guessing.  An order is exact only where a
+Exactness policy: a series is a jet, known only below an integer
+truncation >= 1, and truncation orders are tracked through every
+operation, including the precision cost of divisions; a constant enters
+at the truncation of the series it meets.  Any answer whose value is
+not pinned down below the tracked truncation raises PrecisionExhausted
+instead of guessing.  An order is exact only where a
 series stores a term; a series zero to precision bounds it below by its
 truncation.  Coefficients never leave Q(i):
 a series stores them as Gaussian-integer numerators over one positive
@@ -32,7 +34,10 @@ z -> c z, c a root of unity, must be the subgroup of order m, which one
 closed form over the support exponents decides.  This is complete for
 germs whose setwise symmetries are linear, which covers every germ
 shape appearing here; germs engineered with nonlinear symmetries could
-fool the check and are out of scope.
+fool the check and are out of scope.  The check reads the stored terms
+as the whole germ, the one place the exactness policy does not reach:
+(t + O(t^2), t + O(t^2)) at type (4, 1) builds only with m = 4, though
+its completion (t + t^2, t) has m = 1.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .decode import MAX_PRECISION, int_, list_, obj, parse_rational, rational
+from .decode import MAX_PRECISION, int_, list_, obj, rational
 from .errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -49,46 +54,40 @@ from .errors import (
     UnrepresentableCoefficients,
     ZeroToPrecision,
 )
-from .exact import GR_ONE, GR_ZERO, GaussianRational
+from .exact import GR_ZERO, GaussianRational
 from .lens import SingularityType
 
 DEFAULT_TRUNCATION = 32
 
 
-def _tmin(*truncs):
-    """Minimum of truncation orders, None meaning exact (infinite)."""
-    finite = [t for t in truncs if t is not None]
-    return min(finite) if finite else None
-
-
 class PowerSeries:
-    """Univariate power series over Q(i), either exact polynomial data
-    (trunc None) or known only below a finite truncation order.
+    """Univariate power series over Q(i) known only below an integer
+    truncation trunc >= 1: the stored terms plus O(z^trunc), a jet.
 
     Coefficients are Gaussian-integer numerators num[e] = (re, im) over
     one positive integer denominator den, with the gcd of den and every
     numerator part divided out; GaussianRational appears only at the
-    boundary (constructor, coeff, JSON, str).  Equality compares
-    coefficients below the smaller truncation, which is the only
-    comparison the data supports.
+    boundary (coeff, JSON, str), and the constructor reads each term
+    through _coefficient.  Equality compares coefficients below the
+    smaller truncation, which is the only comparison the data supports.
     """
 
     __slots__ = ("num", "den", "trunc", "_inverse")
 
     def __init__(self, terms, trunc=DEFAULT_TRUNCATION):
-        self._set(*_numerators({e: (c.re, c.im) for e, c in dict(terms).items()}), trunc)
+        self._set(*_numerators({e: _coefficient(c) for e, c in dict(terms).items()}), trunc)
 
-    def _set(self, num: dict, den: int, trunc) -> None:
+    def _set(self, num: dict, den: int, trunc: int) -> None:
         """Store num/den below trunc: zero terms and terms at or above
         trunc are dropped and the content gcd is divided out."""
-        if trunc is not None and trunc < 1:
-            raise InvalidInput(f"truncation must be >= 1, got {trunc}")
+        if type(trunc) is not int or trunc < 1:
+            raise InvalidInput(f"truncation must be >= 1, got {trunc!r}")
         clean = {}
         g = den
         for e, c in num.items():
             if e < 0:
                 raise InvalidInput(f"negative exponent {e}")
-            if (trunc is None or e < trunc) and (c[0] or c[1]):
+            if e < trunc and (c[0] or c[1]):
                 clean[e] = c
                 if g != 1:
                     g = math.gcd(g, c[0], c[1])
@@ -115,25 +114,22 @@ class PowerSeries:
 
     def order(self) -> int:
         if not self.num:
-            raise ZeroToPrecision(
-                "series is identically zero"
-                if self.trunc is None
-                else f"series vanishes below truncation {self.trunc}"
-            )
+            raise ZeroToPrecision(f"series vanishes below truncation {self.trunc}")
         return min(self.num)
 
-    def with_truncation(self, trunc) -> "PowerSeries":
-        """Re-truncate.  Raising the truncation asserts the stored terms
-        are exact polynomial data (the caller's responsibility)."""
+    def with_truncation(self, trunc: int) -> "PowerSeries":
+        """The stored terms below trunc, known below trunc.  Raising the
+        truncation asserts that every term between the old and the new
+        truncation is zero (the caller's responsibility)."""
         return _series(self.num, self.den, trunc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        cut = _tmin(self.trunc, other.trunc)
+        cut = min(self.trunc, other.trunc)
         da, db = self.den, other.den
-        a = {e: (r * db, i * db) for e, (r, i) in self.num.items() if cut is None or e < cut}
-        b = {e: (r * da, i * da) for e, (r, i) in other.num.items() if cut is None or e < cut}
+        a = {e: (r * db, i * db) for e, (r, i) in self.num.items() if e < cut}
+        b = {e: (r * da, i * da) for e, (r, i) in other.num.items() if e < cut}
         return a == b
 
     __hash__ = None
@@ -149,7 +145,7 @@ class PowerSeries:
                 out[e] = (r0 + r * fb, i0 + i * fb)
             else:
                 out[e] = (r * fb, i * fb)
-        return _series(out, self.den * fa, _tmin(self.trunc, other.trunc))
+        return _series(out, self.den * fa, min(self.trunc, other.trunc))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         return self._combine(other, 1)
@@ -160,29 +156,18 @@ class PowerSeries:
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self._combine(other, -1)
 
-    def _value_floor(self):
+    def _value_floor(self) -> int:
         """A lower bound for the order of the full (unknown) series."""
-        if self.num:
-            return min(self.num)
-        return self.trunc  # None = exactly zero, order infinite
+        return min(self.num) if self.num else self.trunc
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if (self.trunc is None and not self.num) or (
-            other.trunc is None and not other.num
-        ):
-            return _series({}, 1, None)
         va, vb = self._value_floor(), other._value_floor()
         # error terms: O(t^Na)*g = O(t^(Na+vb)) and f*O(t^Nb) = O(t^(Nb+va))
-        trunc = _tmin(
-            None if self.trunc is None else self.trunc + vb,
-            None if other.trunc is None else other.trunc + va,
-        )
+        trunc = min(self.trunc + vb, other.trunc + va)
         if not self.num or not other.num:
             return _series({}, 1, trunc)
         a, b = sorted(self.num.items()), sorted(other.num.items())
-        size = a[-1][0] + b[-1][0] + 1
-        if trunc is not None:
-            size = min(size, trunc)
+        size = min(a[-1][0] + b[-1][0] + 1, trunc)
         acc_re, acc_im = [0] * size, [0] * size
         for e1, (r1, i1) in a:
             for e2, (r2, i2) in b:
@@ -199,14 +184,14 @@ class PowerSeries:
         out = {e: (r * re - i * im, r * im + i * re) for e, (r, i) in self.num.items()}
         return _series(out, self.den * d, self.trunc)
 
-    def scale(self, c: GaussianRational) -> "PowerSeries":
-        k = PowerSeries({0: c}, None)
-        return self._scaled(*k.num.get(0, (0, 0)), k.den)
+    def scale(self, c) -> "PowerSeries":
+        """self * c, for a coefficient c read as the constructor reads one."""
+        num, den = _numerators({0: _coefficient(c)})
+        return self._scaled(*num[0], den)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by z^k (k may be negative if all exponents allow)."""
-        trunc = None if self.trunc is None else self.trunc + k
-        return _series({e + k: c for e, c in self.num.items()}, self.den, trunc)
+        return _series({e + k: c for e, c in self.num.items()}, self.den, self.trunc + k)
 
     def invert_unit(self) -> "PowerSeries":
         """Inverse of a unit (nonzero constant term).
@@ -221,30 +206,21 @@ class PowerSeries:
         """
         if 0 not in self.num:
             raise InvalidInput("only units (nonzero constant term) invert")
-        if self.trunc is None and len(self.num) > 1:
-            # the inverse of a nonconstant polynomial is an infinite series
-            raise InvalidInput("truncate exact series before inverting")
         cr, ci = self.num[0]
         known = self.trunc if len(self.num) == 1 else 1
         inv = _series({0: (self.den * cr, -self.den * ci)}, cr * cr + ci * ci, known)
-        while known is not None and known < self.trunc:
+        while known < self.trunc:
             known = min(2 * known, self.trunc)
             inv = inv.with_truncation(known)
-            inv = inv * (_TWO_EXACT - self * inv)
+            inv = inv * (_series({0: (2, 0)}, 1, known) - self * inv)
         return inv
 
-    def _unit_inverse(self, v: int, trunc) -> "PowerSeries":
-        """Inverse of self / z^v known at least below trunc (None: exactly),
-        memoised at the largest truncation asked for.  A numerator known
-        below trunc reads only the coefficients below trunc, so its product
-        with this inverse equals its product with the inverse cut to trunc."""
-        inv = self._inverse
-        if inv is None or (inv.trunc is not None and (trunc is None or inv.trunc < trunc)):
-            unit = self.shift(-v) if v else self
-            if unit.trunc is None and trunc is not None and len(unit.num) > 1:
-                unit = unit.with_truncation(trunc)
-            inv = self._inverse = unit.invert_unit()
-        return inv
+    def _unit_inverse(self, v: int) -> "PowerSeries":
+        """Inverse of self / z^v, known below self.trunc - v and memoised.
+        A quotient by self reads its coefficients only below that."""
+        if self._inverse is None:
+            self._inverse = (self.shift(-v) if v else self).invert_unit()
+        return self._inverse
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Exact division in the Laurent sense: requires ord(self) >=
@@ -253,17 +229,12 @@ class PowerSeries:
         v = other.order()  # raises ZeroToPrecision for 0-to-precision divisor
         if self.num and self.order() < v:
             raise InvalidInput("division would produce negative exponents")
-        trunc = _tmin(self.trunc, other.trunc)
         if not self.num:
-            if self.trunc is None:
-                return _series({}, 1, None)
             if self.trunc - v < 1:
-                raise ZeroToPrecision(
-                    "quotient is zero to no significant precision"
-                )
+                raise ZeroToPrecision("quotient is zero to no significant precision")
             return _series({}, 1, self.trunc - v)
         num = self.shift(-v) if v else self
-        return num * other._unit_inverse(v, None if trunc is None else trunc - v)
+        return num * other._unit_inverse(v)
 
     def nth_root_of_unit_series(self, n: int) -> "PowerSeries":
         """(1 + h)^(1/n) for a series with constant term exactly 1, as the
@@ -271,12 +242,8 @@ class PowerSeries:
         calls it; it stays for the benchmark's tracer (bench/tracer.py)."""
         if self.num.get(0) != (self.den, 0):
             raise InvalidInput("series must have constant term 1")
-        h = self - _ONE_EXACT
-        if self.trunc is None:
-            if not h.num:
-                return _ONE_EXACT
-            raise InvalidInput("truncate exact series before taking roots")
-        out = power = _ONE_EXACT.with_truncation(self.trunc)
+        out = power = _series({0: (1, 0)}, 1, self.trunc)
+        h = self - out
         top, bottom = 1, 1  # binom(1/n, k) = top / bottom
         for k in range(1, self.trunc):
             top *= 1 - (k - 1) * n
@@ -290,12 +257,8 @@ class PowerSeries:
         return out
 
     def __str__(self) -> str:
-        if not self.num:
-            body = "0"
-        else:
-            body = " + ".join(f"({self.coeff(e)})*z^{e}" for e in self.support())
-        tail = "" if self.trunc is None else f" + O(z^{self.trunc})"
-        return body + tail
+        body = " + ".join(f"({self.coeff(e)})*z^{e}" for e in self.support()) or "0"
+        return f"{body} + O(z^{self.trunc})"
 
     __repr__ = __str__
 
@@ -319,6 +282,13 @@ class PowerSeries:
         return _series(*_numerators(parts), trunc)
 
 
+def _coefficient(c) -> tuple:
+    """The (re, im) parts of a GaussianRational, or of a real value that
+    GaussianRational.of reads: an int, a Fraction or an "a/b" string."""
+    c = c if isinstance(c, GaussianRational) else GaussianRational.of(c)
+    return c.re, c.im
+
+
 def _numerators(parts: dict) -> tuple[dict, int]:
     """{e: (re, im)} with int or Fraction parts -> Gaussian-integer
     numerators over the lcm of the parts' denominators."""
@@ -332,10 +302,6 @@ def _series(num: dict, den: int, trunc) -> PowerSeries:
     s = object.__new__(PowerSeries)
     s._set(num, den, trunc)
     return s
-
-
-_ONE_EXACT = PowerSeries({0: GR_ONE}, None)
-_TWO_EXACT = _series({0: (2, 0)}, 1, None)
 
 
 def _stabilizer_exponent(U: PowerSeries, V: PowerSeries, group: SingularityType, m: int) -> int:
@@ -407,8 +373,6 @@ class CurveGerm:
         for s in (U, V):
             if 0 in s.num:
                 raise InvalidInput("germ must pass through the origin")
-            if s.trunc is None:
-                raise InvalidInput("germ series carry a finite truncation")
         a = group.a
         if a < 1 or m < 1 or a % m != 0:
             raise EquivarianceViolated(f"stabilizer order {m} must divide the group order {a}")
@@ -453,24 +417,10 @@ class CurveGerm:
 
 def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
                           trunc=DEFAULT_TRUNCATION) -> CurveGerm:
-    """Convenience constructor from {exp: coeff} dicts whose values may
-    be ints, Fractions, strings, or GaussianRationals.  An int is its own
-    numerator over 1."""
-
-    def conv(d):
-        parts = {}
-        for e, c in d.items():
-            if isinstance(c, GaussianRational):
-                parts[e] = (c.re, c.im)
-            elif isinstance(c, str):
-                parts[e] = (parse_rational(c), 0)
-            elif isinstance(c, int):
-                parts[e] = (c, 0)
-            else:
-                parts[e] = (Fraction(c), 0)
-        return _series(*_numerators(parts), trunc)
-
-    return CurveGerm(U=conv(u_terms), V=conv(v_terms), group=group, m=m)
+    """The germ of the {exp: coeff} dicts u_terms and v_terms, each a
+    PowerSeries known below trunc, so each coefficient is read as the
+    PowerSeries constructor reads one."""
+    return CurveGerm(PowerSeries(u_terms, trunc), PowerSeries(v_terms, trunc), group, m)
 
 
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q for q mod 4, as (re, im)

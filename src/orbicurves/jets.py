@@ -53,7 +53,8 @@ def _blow_up(u: PowerSeries, v: PowerSeries, tangent: tuple) -> tuple[PowerSerie
     re, im, d = tangent
     if not d:
         return u.divide(v), v
-    return u, v.divide(u) - _series({0: (re, im)}, d, None)
+    q = v.divide(u)
+    return u, q - _series({0: (re, im)}, d, q.trunc)
 
 
 def _multiplicity(u: PowerSeries, v: PowerSeries) -> int:

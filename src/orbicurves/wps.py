@@ -29,7 +29,6 @@ from .curvecalc import (
 )
 from .decode import SCHEMA_VERSION, format_rational
 from .errors import Disallowed, InvalidInput
-from .exact import GR_ONE
 from .germ import CurveGerm, PowerSeries
 from .lens import (
     SingularityType,
@@ -41,7 +40,7 @@ from .surface import OrbifoldSurface
 
 POINT_X = "x"
 POINT_X_PRIME = "x_prime"
-_T, _ZERO = PowerSeries({1: GR_ONE}), PowerSeries.zero()  # the axis series t and 0
+_T, _ZERO = PowerSeries({1: 1}), PowerSeries.zero()  # the axis series t and 0
 
 
 class WpsModel:

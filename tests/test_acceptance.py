@@ -12,7 +12,9 @@ import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
+from orbicurves import jets
 from orbicurves.chains import (
     boundary_matrices,
     boundary_squared_is_zero,
@@ -288,8 +290,11 @@ def test_acceptance_6_germ_oracle_equivalence():
     """Resultant-based intersection multiplicities match an independent
     substitution/elimination oracle on the whole pair corpus, and the
     characteristic-exponent delta matches the semigroup-gap oracle on
-    every corpus branch, in under thirty seconds."""
-    with criterion(6, "germ-oracle-equivalence"):
+    every corpus branch, in under thirty seconds and at most 36
+    blow-ups, so that a regression shows as a count."""
+    with criterion(6, "germ-oracle-equivalence"), mock.patch.object(
+        jets, "_blow_up", wraps=jets._blow_up
+    ) as blow_up:
         start = time.perf_counter()
         pairs = germ_pairs()
         assert len(pairs) >= 50
@@ -310,6 +315,7 @@ def test_acceptance_6_germ_oracle_equivalence():
             assert self_intersection(g) == delta, name
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
+        assert blow_up.call_count <= 36, blow_up.call_count
 
 
 def test_acceptance_7_weighted_chain_homology():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbicurves import cli, wps
+from orbicurves import chern_index, cli, jets, wps
 from orbicurves.argparser import build_parser
 from orbicurves.cli import (
     MAX_SCAN_P,
@@ -549,9 +549,11 @@ class TestDeepTruncation:
                              ("b", {2: "1", 3: "-1"}, {3: "-1"}, 32))
         seen = TestPrecisionRetry.record_attempts(monkeypatch)
         start = time.perf_counter()
-        got = _run_main(["adjunction", path])
+        with mock.patch.object(jets, "_blow_up", wraps=jets._blow_up) as blow_up:
+            got = _run_main(["adjunction", path])
         assert time.perf_counter() - start < 0.5
         assert got == (1, "", UNRESOLVED) and len(seen) == 1
+        assert blow_up.call_count <= 62
 
 
 class TestExitCodes:
@@ -724,16 +726,18 @@ class TestGermJsonBoundary:
             ("trunc", True),
             ("trunc", "32"),
             ("trunc", 32.0),
+            ("trunc", None),
             ("m", True),
             ("m", 1.0),
             ("terms", "[[3, 1]]"),
             ("coefficient", 1),
+            ("coefficient", 0.5),
             ("group", [True, False]),
         ],
         ids=[
             "str_exponent", "bool_exponent", "float_exponent", "integral_float_exponent",
-            "bool_trunc", "str_trunc", "float_trunc", "bool_m", "float_m",
-            "str_terms", "int_coefficient", "bool_group",
+            "bool_trunc", "str_trunc", "float_trunc", "null_trunc", "bool_m", "float_m",
+            "str_terms", "int_coefficient", "float_coefficient", "bool_group",
         ],
     )
     def test_rejects_non_integer_fields(self, tmp_path, capsys, field, value):
@@ -829,8 +833,10 @@ class TestSweepLimit:
     @pytest.mark.parametrize("p_max", [1, MAX_SWEEP_P + 1, 10**40])
     def test_out_of_range_exits_at_once(self, capsys, p_max):
         start = time.perf_counter()
-        code, out = run_command(["sweep", "--p-max", str(p_max)])
+        with mock.patch.object(wps, "sweep_rows", wraps=wps.sweep_rows) as rows:
+            code, out = run_command(["sweep", "--p-max", str(p_max)])
         assert time.perf_counter() - start < 1
+        assert rows.call_count == 0
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
@@ -919,8 +925,11 @@ class TestScanLimit:
     @pytest.mark.parametrize("p", [MAX_SCAN_P + 1, 10**40 + 7])
     def test_above_the_bound_exits_at_once(self, capsys, p):
         start = time.perf_counter()
-        code, out = run_command(["index", "scan", str(p), "2"])
+        scan = chern_index.index_integrality_scan
+        with mock.patch.object(chern_index, "index_integrality_scan", wraps=scan) as rows:
+            code, out = run_command(["index", "scan", str(p), "2"])
         assert time.perf_counter() - start < 1
+        assert rows.call_count == 0
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == f"error: index scan p must be <= {MAX_SCAN_P}, got {p}\n"

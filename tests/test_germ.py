@@ -137,12 +137,7 @@ class TestPowerSeries:
 
 
 def _ref(terms, trunc):
-    return ({e: c for e, c in terms.items() if c != (0, 0) and (trunc is None or e < trunc)}, trunc)
-
-
-def _ref_tmin(*truncs):
-    finite = [t for t in truncs if t is not None]
-    return min(finite) if finite else None
+    return ({e: c for e, c in terms.items() if c != (0, 0) and e < trunc}, trunc)
 
 
 def _gmul(a, b):
@@ -157,16 +152,14 @@ def ref_add(x, y, sign=1):
     out = dict(x[0])
     for e, c in y[0].items():
         out[e] = _gadd(out.get(e, (0, 0)), (sign * c[0], sign * c[1]))
-    return _ref(out, _ref_tmin(x[1], y[1]))
+    return _ref(out, min(x[1], y[1]))
 
 
 def ref_mul(x, y):
     (a, ta), (b, tb) = x, y
-    if (ta is None and not a) or (tb is None and not b):
-        return ({}, None)
     va, vb = min(a, default=ta), min(b, default=tb)
     # O(z^ta) * y is O(z^(ta + vb)), and x * O(z^tb) is O(z^(tb + va))
-    trunc = _ref_tmin(None if ta is None else ta + vb, None if tb is None else tb + va)
+    trunc = min(ta + vb, tb + va)
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -179,7 +172,7 @@ def ref_scale(x, c):
 
 
 def ref_shift(x, k):
-    return _ref({e + k: v for e, v in x[0].items()}, None if x[1] is None else x[1] + k)
+    return _ref({e + k: v for e, v in x[0].items()}, x[1] + k)
 
 
 def ref_invert(x):
@@ -187,7 +180,7 @@ def ref_invert(x):
     n = a[0][0] ** 2 + a[0][1] ** 2
     inv0 = (a[0][0] / n, -a[0][1] / n)
     out = {0: inv0}
-    for k in range(1, 1 if trunc is None else trunc):
+    for k in range(1, trunc):
         acc = (0, 0)
         for e in range(1, k + 1):
             acc = _gadd(acc, _gmul(a.get(e, (0, 0)), out[k - e]))
@@ -197,11 +190,7 @@ def ref_invert(x):
 
 def ref_divide(x, y):
     v = min(y[0])
-    trunc = _ref_tmin(x[1], y[1])
-    num, den = ref_shift(x, -v), ref_shift(y, -v)
-    if trunc is not None:
-        den = _ref(den[0], trunc - v)
-    return ref_mul(num, ref_invert(den))
+    return ref_mul(ref_shift(x, -v), ref_invert(ref_shift(y, -v)))
 
 
 def ref_nth_root(x, n):
@@ -210,9 +199,9 @@ def ref_nth_root(x, n):
     f, trunc = x
     y = {0: (Fraction(1), Fraction(0))}
     for k in range(1, trunc):
-        power = ({0: (1, 0)}, None)
+        power = ({0: (1, 0)}, trunc)
         for _ in range(n):
-            power = ref_mul(power, (y, None))
+            power = ref_mul(power, (y, trunc))
         rest = power[0].get(k, (0, 0))
         fk = f.get(k, (0, 0))
         y[k] = (Fraction(fk[0] - rest[0], n), Fraction(fk[1] - rest[1], n))
@@ -231,7 +220,7 @@ _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _nonzero = st.tuples(_fractions, _fractions).filter(lambda c: c != (0, 0))
 _coeffs = st.one_of(st.just((Fraction(0), Fraction(0))), _nonzero)
 _terms = st.dictionaries(st.integers(0, 9), _coeffs, max_size=6)
-_truncs = st.one_of(st.none(), st.integers(1, 10))
+_truncs = st.integers(1, 10)
 
 
 class TestKernelAgainstReference:
@@ -256,7 +245,7 @@ class TestKernelAgainstReference:
         assert as_ref(fa) == a and fa == fa.with_truncation(fa.trunc)
         assert as_ref(fa + fb) == ref_add(a, b)
         assert as_ref(fa - fb) == ref_add(a, b, -1)
-        assert as_ref(-fa) == ref_add(({}, None), a, -1)
+        assert as_ref(-fa) == ref_add(({}, a[1]), a, -1)
         assert as_ref(fa * fb) == ref_mul(a, b)
         assert as_ref(fa.scale(GaussianRational(*s))) == ref_scale(a, s)
         assert as_ref(fa.shift(k)) == ref_shift(a, k)
@@ -271,16 +260,11 @@ class TestKernelAgainstReference:
         # numerators of order >= v divided by one divisor of order v, at
         # several truncations, so the divisor's memoised inverse is cut
         low = min(divisor)
-        y = _ref({e - low + v: d for e, d in divisor.items()}, b[1] if b[1] is None else b[1] + v)
+        y = _ref({e - low + v: d for e, d in divisor.items()}, b[1] + v)
         fy = fast(y)
-        for trunc in (a[1], unit_trunc, None, 10):
+        for trunc in (a[1], unit_trunc, 10):
             x = ref_shift(_ref(a[0], trunc), v)
-            if not x[0]:
-                continue
-            if x[1] is None and y[1] is None and len(y[0]) > 1:
-                with pytest.raises(InvalidInput):
-                    fast(x).divide(fy)
-            else:
+            if x[0]:
                 assert as_ref(fast(x).divide(fy)) == ref_divide(x, y)
 
     def test_degree_eight_pair_at_truncation_64(self):
@@ -305,7 +289,7 @@ class TestCurveGerm:
 
     def test_requires_finite_truncation(self):
         with pytest.raises(InvalidInput):
-            CurveGerm(U=PowerSeries({1: GR_ONE}, None), V=PowerSeries.zero())
+            PowerSeries({1: GR_ONE}, None)
 
     def test_stabilizer_divides_group_order(self):
         with pytest.raises(EquivarianceViolated):
@@ -341,8 +325,26 @@ class TestCurveGerm:
 
 
 class TestGermBoundary:
-    """germ_from_polynomials builds the numerators directly; they must
-    equal the PowerSeries constructor's for every coefficient kind."""
+    """germ_from_polynomials, PowerSeries and GaussianRational.of read a
+    coefficient one way: an int, a Fraction, an "a/b" string or a
+    GaussianRational gives the numerators of its GaussianRational, and
+    no float's binary expansion or bool's truth value is read at all."""
+
+    @pytest.mark.parametrize("bad", [0.1, True, None, 1 + 0j],
+                             ids=["float", "bool", "none", "complex"])
+    @pytest.mark.parametrize("build", [
+        lambda c: PowerSeries({1: c}),
+        lambda c: germ_from_polynomials({1: c}, {}),
+        GaussianRational.of,
+        lambda c: GaussianRational.of(1, c),
+    ], ids=["series", "germ_from_polynomials", "real_part", "imaginary_part"])
+    def test_rejects_a_value_that_is_not_exact(self, build, bad):
+        with pytest.raises(InvalidInput):
+            build(bad)
+
+    def test_an_int_a_string_and_a_gaussian_rational_agree(self):
+        assert PowerSeries({1: 1}) == PowerSeries({1: "1"}) == PowerSeries({1: GR_ONE})
+        assert series({1: 3}).scale(Fraction(1, 3)) == series({1: 3}).scale("1/3") == series({1: 1})
 
     @pytest.mark.parametrize(
         "terms",
@@ -439,6 +441,25 @@ _exponent_sets = st.sets(st.integers(1, 5), max_size=3)
 
 
 class TestImplicitOrbits:
+    def test_stated_m_reads_the_stored_terms_as_the_whole_germ(self):
+        # (t + O(t^2), t + O(t^2)) at type (4, 1): its stored terms (t, t)
+        # are fixed by every translate, so it builds only with m = 4,
+        # though its completion (t + t^2, t) builds only with m = 1
+        chart = SingularityType(4, 1)
+
+        def stated(u, trunc):
+            built = []
+            for m in (1, 2, 4):
+                try:
+                    germ_from_polynomials(u, {1: 1}, group=chart, m=m, trunc=trunc)
+                except EquivarianceViolated:
+                    continue
+                built.append(m)
+            return built
+
+        assert stated({1: 1}, 2) == [4]
+        assert stated({1: 1, 2: 1}, 32) == [1]
+
     def test_constructor_matches_the_verdict_oracle_on_a_grid(self):
         # a <= 8, every b, every m | a, supports within {1..4} of size <= 2:
         # each germ is accepted with the oracle's weights or rejected with
