@@ -3,13 +3,15 @@ deterministic report emission.
 
 Every command prints one report to standard output, newline-terminated,
 with stable key order, so identical inputs produce identical bytes.  A
-handler returns the report's own dict, holding exact values, and
-write_report is the one place that writes a rational, as "a/b" text.  Exit codes: 0 success, 1 computation failure
-on well-formed input (a value that the stored series do not fix, and
-kin) or a report that could not be written (standard output closed or
-full, a value past the digit limit), 2 malformed input (an integer past
-that limit too).  adjunction and intersect run each report once, on the
-series as stored: no attempt reads past a stored truncation.
+handler returns the report's own dict, and write_report writes each
+Fraction in it as "a/b" text; the rows of sweep and index scan hold that
+text already, made in wps and in chern_index.  Exit codes: 0 success,
+1 computation failure on well-formed input (a value that the stored
+series do not fix, and kin) or a report that could not be written
+(standard output closed or full, a value past the digit limit), 2
+malformed input (an integer past that limit too).  adjunction and
+intersect run each report once, on the series as stored: no attempt
+reads past a stored truncation.
 
 A command loads only the modules it runs: this module imports the
 standard library, errors and decode, and each handler imports the rest
@@ -152,8 +154,9 @@ def _write_json_rows(result: dict, out) -> None:
 
 
 def write_report(result: dict, output_format: str, out) -> None:
-    """Write one report deterministically to out: the one place a
-    rational (a Fraction at any depth) becomes its "a/b" text.  JSON is
+    """Write one report deterministically to out, each Fraction at any
+    depth as its "a/b" text (the sweep and scan rows arrive as text,
+    made by wps.sweep_row and chern_index._rational_text).  JSON is
     json.dumps(result, indent=2) + "\n", insertion order kept, with a
     last top-level "rows" iterable of flat records (see _json_row)
     written as it is made; table mode prints aligned "path  value" lines

@@ -478,8 +478,7 @@ def infer_meetings(c1: CurveConfig, c2: CurveConfig) -> list[tuple[int, int]]:
 def intersection_report(c1: CurveConfig, c2: CurveConfig) -> dict:
     """Check C.C' = sum over meeting points of (1/|G|) sum of pairwise
     branch intersection multiplicities."""
-    if c1.ambient != c2.ambient:
-        raise AmbientMismatch("configurations live in different ambient models")
+    algebraic = algebraic_intersection(c1, c2)
     items = []
     for i, j in infer_meetings(c1, c2):
         s1, s2 = c1.stations[i], c2.stations[j]
@@ -488,7 +487,6 @@ def intersection_report(c1: CurveConfig, c2: CurveConfig) -> dict:
                 value = _pair_term(p1.germ, p2.germ)
                 items.append(_item("pair", s1.ambient_point, [p1.label, p2.label], value))
     local_sum = _sum([it["value"] for it in items])
-    algebraic = Fraction(*_class_pairing(c1, c2))
     return {"schema": SCHEMA_VERSION, "algebraic": algebraic, "local_sum": local_sum,
             "holds": algebraic == local_sum, "contributions": items}
 

@@ -3,9 +3,9 @@
 Only germ imports this module: a GaussianRational is a germ series
 coefficient at the API boundary (PowerSeries.coeff, and the terms handed
 to PowerSeries, whose real values GaussianRational.of reads).  Series
-arithmetic, group translates included, runs on integers in germ and
-jets, and the report values are stdlib Fractions, so no report is built
-on these scalars.  No floating point appears anywhere: a Gaussian
+arithmetic, group translates included and the blow-ups of the germ
+invariants, runs on integers in germ, and the report values are stdlib
+Fractions, so no report is built on these scalars.  No floating point appears anywhere: a Gaussian
 rational is a pair of Fractions, and of rejects a float or a bool part.
 The "a/b" text of a rational lives in decode, next to its parser.
 """

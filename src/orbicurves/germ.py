@@ -10,9 +10,17 @@ leading terms first, from a = ord U and b = ord V and the leading
 coefficients (Halphen's formula; Wall, Singular Points of Plane Curves,
 2004): a branch with coprime a and b has delta (a-1)(b-1)/2, and two
 branches whose Newton edges differ in slope or in edge coefficient meet
-min(a1*b2, a2*b1) times.  The germs those do not settle, and only
-those, import the jet kernel (jets), which blows up the origin until
-these rules settle the strict transforms (Noether's formulas).
+min(a1*b2, a2*b1) times.
+
+Both invariants are also sums over infinitely near points by Noether's
+formulas (Casas-Alvero, Singularities of Plane Curves, 2000, ch. 3):
+I = sum m1*m2 over the points two branches share, and delta = sum
+m(m-1)/2 over the points of one branch.  So each invariant is one loop:
+while the leading-term rule does not settle the germ, blow up the
+origin at the tangent, add the point's term and pass to the strict
+transforms.  A tangent that the stored jets do not fix raises
+PrecisionExhausted, and so, in the end, does a pair that the stored
+jets do not separate: every blow-up spends truncation.
 
 Exactness policy: a series is a jet, known only below an integer
 truncation >= 1, and truncation orders are tracked through every
@@ -51,6 +59,7 @@ from .errors import (
     EquivarianceViolated,
     InvalidInput,
     MultiplyCovered,
+    PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
 )
@@ -75,7 +84,8 @@ class PowerSeries:
     __slots__ = ("num", "den", "trunc", "_inverse")
 
     def __init__(self, terms, trunc=DEFAULT_TRUNCATION):
-        self._set(*_numerators({e: _coefficient(c) for e, c in dict(terms).items()}), trunc)
+        parts = {int_(e, "series exponent"): _coefficient(c) for e, c in dict(terms).items()}
+        self._set(*_numerators(parts), trunc)
 
     def _set(self, num: dict, den: int, trunc: int) -> None:
         """Store num/den below trunc: zero terms and terms at or above
@@ -283,9 +293,11 @@ class PowerSeries:
 
 
 def _coefficient(c) -> tuple:
-    """The (re, im) parts of a GaussianRational, or of a real value that
-    GaussianRational.of reads: an int, a Fraction or an "a/b" string."""
-    c = c if isinstance(c, GaussianRational) else GaussianRational.of(c)
+    """The (re, im) parts of a GaussianRational or of a real value, each
+    part read by GaussianRational.of: an int, a Fraction or an "a/b"
+    string."""
+    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+    c = GaussianRational.of(re, im)
     return c.re, c.im
 
 
@@ -491,23 +503,65 @@ def _leading_count(u1: PowerSeries, v1: PowerSeries, u2: PowerSeries, v2: PowerS
     return None
 
 
+_UNFIXED_PAIR = ("the stored jets do not fix the intersection number; "
+                 "check that the branches are distinct")
+_UNFIXED_DELTA = "the stored jets do not fix the delta invariant of the branch"
+
+
+def _tangent(u: PowerSeries, v: PowerSeries) -> tuple | None:
+    """The tangent of the branch (u, v) as a point (re, im, d) of P^1:
+    the slope c = V_lead/U_lead = (re + im*i)/d for d > 0, reduced, so
+    (0, 0, 1) is the z1 axis; (1, 0, 0) is the z2 axis.  None when the
+    stored jets do not fix it.  An order is exact where a term is stored;
+    a series zero to precision bounds it below by its truncation."""
+    a, b = u._value_floor(), v._value_floor()
+    if u.num and a < b:
+        return 0, 0, 1
+    if v.num and b < a:
+        return 1, 0, 0
+    if not (u.num and v.num):
+        return None
+    num, (dr, di) = _edge_coefficient(u, v, 1, 1)  # c = num / (dr + di*i)
+    re, im = _times(num, (dr, -di))
+    d = dr * dr + di * di
+    g = math.gcd(re, im, d)
+    return re // g, im // g, d // g
+
+
+def _blow_up(u: PowerSeries, v: PowerSeries, tangent: tuple) -> tuple[PowerSeries, PowerSeries]:
+    """The strict transform of (u, v) at the point of its tangent on the
+    exceptional divisor: (u, v/u - c), or (u/v, v) for the z2 axis."""
+    re, im, d = tangent
+    if not d:
+        return u.divide(v), v
+    q = v.divide(u)
+    return u, q - _series({0: (re, im)}, d, q.trunc)
+
+
+def _multiplicity(u: PowerSeries, v: PowerSeries) -> int:
+    """Multiplicity of the branch at a point whose tangent is fixed,
+    where the smaller order is exact."""
+    return min(u._value_floor(), v._value_floor())
+
+
 def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     """Local intersection multiplicity I(g1, mu_a^k g2) of g1 and the
     group translate by k of g2, two distinct branches.
 
-    The leading terms decide first (_leading_count): branches whose
-    Newton edges differ in slope, or share it with distinct edge
-    coefficients, meet min(a1*b2, a2*b1) times, a = ord U and b = ord V;
-    two distinct tangent lines are one such case.  Only the pairs left
-    over load the jet kernel, jets.intersection_number, which sums
-    m1*m2 over the points the branches share (Noether's formula),
-    blowing up both until the leading terms decide.
+    One Noether loop: while the leading terms do not fix the count
+    (_leading_count), the branches share their tangent, add m1*m2 and
+    are blown up there.  Branches whose Newton edges differ in slope, or
+    share it with distinct edge coefficients, meet min(a1*b2, a2*b1)
+    times, a = ord U and b = ord V, with no blow-up; two distinct
+    tangent lines are one such case.
 
     Identical data, compared after the rotation and at equal stored
     truncations, raise DistinctBranchesRequired, so one orbit given
     twice exits 2.  Germs that agree below the smaller stored truncation
-    are not identical data: the blow-ups spend the truncation without
-    separating them, and the call raises PrecisionExhausted (exit 1).
+    are not identical data, and neither are two germs of one axis whose
+    other coordinate is zero to precision: the blow-ups spend the
+    truncation without separating them, and the call raises
+    PrecisionExhausted (exit 1).
     """
     if g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
@@ -515,17 +569,15 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     u2, v2 = _rotated(g2, k)
     if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
         raise DistinctBranchesRequired("the two germs carry identical data")
-
-    if u1.is_zero_to_precision() and u2.is_zero_to_precision():
-        raise DistinctBranchesRequired("both germs parametrize the z2 axis")
-    if v1.is_zero_to_precision() and v2.is_zero_to_precision():
-        raise DistinctBranchesRequired("both germs parametrize the z1 axis")
-    count = _leading_count(u1, v1, u2, v2)
-    if count is not None:
-        return count
-    from .jets import intersection_number
-
-    return intersection_number(u1, v1, u2, v2)
+    total = 0
+    while (count := _leading_count(u1, v1, u2, v2)) is None:
+        tangent = _tangent(u1, v1)
+        if tangent is None or tangent != _tangent(u2, v2):
+            raise PrecisionExhausted(_UNFIXED_PAIR)
+        total += _multiplicity(u1, v1) * _multiplicity(u2, v2)
+        u1, v1 = _blow_up(u1, v1, tangent)
+        u2, v2 = _blow_up(u2, v2, tangent)
+    return total + count
 
 
 def _leading_delta(u: PowerSeries, v: PowerSeries) -> int | None:
@@ -546,11 +598,10 @@ def self_intersection(germ: CurveGerm) -> int:
     """Local self-intersection (delta invariant) of one branch: the
     number of double points concentrated at the singularity.
 
-    The leading terms decide first (_leading_delta).  Any other branch
-    loads the jet kernel, jets.delta, which sums m(m-1)/2 over the
-    infinitely near points of the branch (Noether's formula).  A group
-    translate scales the coordinates by units, so every branch of an
-    orbit has the same delta.
+    One Noether loop: while the leading terms do not fix the rest
+    (_leading_delta), add m(m-1)/2 and blow the branch up at its
+    tangent.  A group translate scales the coordinates by units, so
+    every branch of an orbit has the same delta.
     """
     exps = [e for s in (germ.U, germ.V) for e in s.support()]
     g = math.gcd(*exps)
@@ -558,9 +609,13 @@ def self_intersection(germ: CurveGerm) -> int:
         raise MultiplyCovered(
             f"parameter exponents share a factor {g}; not an irreducible branch"
         )
-    value = _leading_delta(germ.U, germ.V)
-    if value is not None:
-        return value
-    from .jets import delta
-
-    return delta(germ.U, germ.V)
+    u, v = germ.U, germ.V
+    total = 0
+    while (rest := _leading_delta(u, v)) is None:
+        tangent = _tangent(u, v)
+        if tangent is None:
+            raise PrecisionExhausted(_UNFIXED_DELTA)
+        m = _multiplicity(u, v)
+        total += m * (m - 1) // 2
+        u, v = _blow_up(u, v, tangent)
+    return total + rest

@@ -14,7 +14,7 @@ from math import gcd
 from pathlib import Path
 from unittest import mock
 
-from orbicurves import jets
+from orbicurves import germ
 from orbicurves.chains import (
     boundary_matrices,
     boundary_squared_is_zero,
@@ -293,7 +293,7 @@ def test_acceptance_6_germ_oracle_equivalence():
     every corpus branch, in under thirty seconds and at most 36
     blow-ups, so that a regression shows as a count."""
     with criterion(6, "germ-oracle-equivalence"), mock.patch.object(
-        jets, "_blow_up", wraps=jets._blow_up
+        germ, "_blow_up", wraps=germ._blow_up
     ) as blow_up:
         start = time.perf_counter()
         pairs = germ_pairs()

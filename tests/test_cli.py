@@ -22,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbicurves import chern_index, cli, jets, wps
+import orbicurves.germ as germ_module
+from orbicurves import chern_index, cli, wps
 from orbicurves.argparser import build_parser
 from orbicurves.cli import (
     MAX_SCAN_P,
@@ -549,7 +550,7 @@ class TestDeepTruncation:
                              ("b", {2: "1", 3: "-1"}, {3: "-1"}, 32))
         seen = TestPrecisionRetry.record_attempts(monkeypatch)
         start = time.perf_counter()
-        with mock.patch.object(jets, "_blow_up", wraps=jets._blow_up) as blow_up:
+        with mock.patch.object(germ_module, "_blow_up", wraps=germ_module._blow_up) as blow_up:
             got = _run_main(["adjunction", path])
         assert time.perf_counter() - start < 0.5
         assert got == (1, "", UNRESOLVED) and len(seen) == 1
@@ -808,9 +809,13 @@ class TestGermJsonBoundary:
         germ["V"]["trunc"] = MAX_PRECISION + 1
         bad = tmp_path / "germ.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
+        series = germ_module.PowerSeries
         start = time.perf_counter()
-        code, out = run_command(["adjunction", str(bad)])
+        with mock.patch.object(series, "from_json", wraps=series.from_json) as read:
+            code, out = run_command(["adjunction", str(bad)])
         assert time.perf_counter() - start < 1
+        # U is read and V fails, so no series past the failing field is read
+        assert read.call_count == 2
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == (
@@ -1078,8 +1083,11 @@ class TestLargeGroupOrders:
             GERM_GROUP: [a, 1],
         })
         start = time.perf_counter()
-        code, out = run_command(["adjunction", path])
+        with mock.patch.object(germ_module, "_rotated", wraps=germ_module._rotated) as rotated:
+            code, out = run_command(["adjunction", path])
         assert time.perf_counter() - start < 1
+        # the first translate raises: the point term forms no other
+        assert rotated.call_count == 1
         assert code == 1 and out == ""
         assert capsys.readouterr().err == (
             f"error: translate by 1 of a Z_{a} action needs a root of unity "
@@ -1098,9 +1106,14 @@ class TestLargeGroupOrders:
     )
     def test_huge_germ_group_exits_at_once(self, tmp_path, capsys, source):
         path = _mutated(tmp_path, source, {GERM_GROUP + (0,): 10**40})
+        solve = germ_module._stabilizer_exponent
         start = time.perf_counter()
-        code, out = run_command(["adjunction", path])
+        with mock.patch.object(germ_module, "_stabilizer_exponent", wraps=solve) as solved, \
+                mock.patch.object(germ_module, "_rotated", wraps=germ_module._rotated) as rotated:
+            code, out = run_command(["adjunction", path])
         assert time.perf_counter() - start < 1
+        # one germ is built, by one closed-form solve, and no translate is formed
+        assert (solved.call_count, rotated.call_count) == (1, 0)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1497,10 +1510,10 @@ class TestImportGraph:
         watched = {"argparse", "gettext"} & set(_fresh_run(tuple(argv))[2])
         assert watched == ({"argparse", "gettext"} if argv == ["--help"] else set())
 
-    def test_orders_with_a_common_factor_load_the_jet_kernel(self, tmp_path):
+    def test_orders_with_a_common_factor_load_the_germ_modules(self, tmp_path):
         # the cusp of configs/cuspidal_cubic.json made (t^4, t^6 + t^7): its
-        # orders share 2, so only the jet kernel gives its delta; every
-        # command of MODULE_SETS is settled by leading terms and loads no jets
+        # orders share 2, so only the blow-ups give its delta, and they
+        # load no module past those of every other germ command
         data = json.loads((CONFIGS / "cuspidal_cubic.json").read_text(encoding="utf-8"))
         germ = data["stations"][0]["points"][0]["germ"]
         germ["U"]["terms"] = [[4, {"re": "1"}]]
@@ -1508,7 +1521,7 @@ class TestImportGraph:
         path = tmp_path / "quartic_cusp.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         code, modules, _ = _fresh_run(("adjunction", str(path)))
-        assert (code, modules) == (0, sorted(_BASE | _GERM | {"orbicurves.jets"}))
+        assert (code, modules) == (0, sorted(_BASE | _GERM))
 
     def test_argument_error_loads_argparse(self):
         code, modules, watched = _fresh_run(("lens", "classify", "7"))

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import orbicurves.germ as germ_module
-import orbicurves.jets as jets_module
 from orbicurves.errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
@@ -25,14 +24,16 @@ from orbicurves.errors import (
 from orbicurves.decode import parse_rational
 from orbicurves.exact import GR_ONE, GaussianRational
 from orbicurves.germ import (
+    _UNFIXED_DELTA,
+    _UNFIXED_PAIR,
     CurveGerm,
     PowerSeries,
+    _blow_up,
     _rotated,
     germ_from_polynomials,
     intersection_multiplicity,
     self_intersection,
 )
-from orbicurves.jets import _UNFIXED_DELTA, _UNFIXED_PAIR, _blow_up
 from orbicurves.lens import SingularityType
 
 from corpus import I_UNIT, MINUS_ONE, ONE, branch, gaussian_terms, germ_pairs
@@ -330,8 +331,11 @@ class TestGermBoundary:
     GaussianRational gives the numerators of its GaussianRational, and
     no float's binary expansion or bool's truth value is read at all."""
 
-    @pytest.mark.parametrize("bad", [0.1, True, None, 1 + 0j],
-                             ids=["float", "bool", "none", "complex"])
+    @pytest.mark.parametrize("bad", [
+        0.1, True, None, 1 + 0j,
+        # a GaussianRational built directly skips of, so its parts are read
+        GaussianRational(0.5, Fraction(0)), GaussianRational(True, Fraction(0)),
+    ], ids=["float", "bool", "none", "complex", "float_part", "bool_part"])
     @pytest.mark.parametrize("build", [
         lambda c: PowerSeries({1: c}),
         lambda c: germ_from_polynomials({1: c}, {}),
@@ -341,6 +345,16 @@ class TestGermBoundary:
     def test_rejects_a_value_that_is_not_exact(self, build, bad):
         with pytest.raises(InvalidInput):
             build(bad)
+
+    @pytest.mark.parametrize("exponent", [True, 1.5, 2.0, "2", None],
+                             ids=["bool", "float", "integral_float", "string", "none"])
+    @pytest.mark.parametrize("build", [
+        lambda e: PowerSeries({e: 1}),
+        lambda e: germ_from_polynomials({1: 1}, {e: 1}),
+    ], ids=["series", "germ_from_polynomials"])
+    def test_rejects_an_exponent_that_is_not_an_int(self, build, exponent):
+        with pytest.raises(InvalidInput, match="series exponent: expected an integer"):
+            build(exponent)
 
     def test_an_int_a_string_and_a_gaussian_rational_agree(self):
         assert PowerSeries({1: 1}) == PowerSeries({1: "1"}) == PowerSeries({1: GR_ONE})
@@ -582,10 +596,19 @@ class TestIntersection:
             intersection_multiplicity(*(pair[::-1] if flip else pair))
 
     def test_shared_axis_rejected(self):
-        g = germ_from_polynomials({}, {1: 1})
-        h = germ_from_polynomials({}, {2: 1, 3: 1})
-        with pytest.raises(DistinctBranchesRequired):
-            intersection_multiplicity(g, h)
+        # a coordinate zero to precision bounds its order below by its
+        # truncation: (O(t^T), t) and (O(t^T), 2t) may be (t^(T+1), t) and
+        # (t^(T+2), 2t), distinct branches, so no value is fixed and the
+        # data are not identical (exit 1, not 2), on either axis
+        pairs = [(germ_from_polynomials({}, {1: 1}), germ_from_polynomials({}, {2: 1, 3: 1}))]
+        for trunc in (8, 32, 256):
+            zero = PowerSeries.zero(trunc)
+            lines = [PowerSeries({1: c}, trunc) for c in (1, 2)]
+            pairs.append(tuple(CurveGerm(zero, line) for line in lines))
+            pairs.append(tuple(CurveGerm(line, zero) for line in lines))
+        for pair in pairs:
+            with pytest.raises(PrecisionExhausted, match="do not fix the intersection number"):
+                intersection_multiplicity(*pair)
 
     def test_chart_mismatch_rejected(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
@@ -780,8 +803,8 @@ _UNRESOLVED = (PrecisionExhausted, _UNFIXED_PAIR)
 
 def _blow_ups(fn, *args):
     """fn(*args), or (type, message) of the error it raises, and the
-    number of strict transforms jets._blow_up made."""
-    with mock.patch.object(jets_module, "_blow_up", wraps=_blow_up) as blow_up:
+    number of strict transforms germ._blow_up made."""
+    with mock.patch.object(germ_module, "_blow_up", wraps=_blow_up) as blow_up:
         try:
             got = fn(*args)
         except (ArithmeticError, ValueError) as exc:

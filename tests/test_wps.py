@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import cli, curvecalc, germ, jets, wps
+from orbicurves import cli, curvecalc, germ, wps
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -348,7 +348,7 @@ class TestWorkCount:
                   "configs": 0, "stations": 0}
         new, init = Fraction.__new__, germ.CurveGerm.__init__
         config_init, station_init = curvecalc.CurveConfig.__init__, curvecalc.Station.__init__
-        blow_up, from_polynomials = jets._blow_up, germ.germ_from_polynomials
+        blow_up, from_polynomials = germ._blow_up, germ.germ_from_polynomials
 
         def counted_new(cls, *args, **kwargs):
             counts["fractions"] += 1
@@ -378,7 +378,7 @@ class TestWorkCount:
         monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
         monkeypatch.setattr(curvecalc.CurveConfig, "__init__", counted_config)
         monkeypatch.setattr(curvecalc.Station, "__init__", counted_station)
-        monkeypatch.setattr(jets, "_blow_up", counted_blow_up)
+        monkeypatch.setattr(germ, "_blow_up", counted_blow_up)
         for module in (germ, wps):
             monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
                                 raising=False)
