@@ -33,11 +33,6 @@ class DistinctBranchesRequired(InvalidInput):
     branch."""
 
 
-class MultiplyCovered(InvalidInput):
-    """The parametrization factors through a power of the parameter, so
-    it does not describe an irreducible branch."""
-
-
 class EquivarianceViolated(InvalidInput):
     """Germ data is not equivariant for its stated local group action,
     or stated stabilizer data is inconsistent with the germ."""

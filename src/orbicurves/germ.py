@@ -36,16 +36,15 @@ A group translate is not a germ of its own: intersection_multiplicity
 (g1, g2, k) rotates one germ's numerators by a power of mu_a, which it
 can do only when mu_a^k lies in {1, i, -1, -i}.
 
-A germ's stated stabilizer order m is checked once, when it is built:
-the translates equal to it as a set through a linear reparametrization
-z -> c z, c a root of unity, must be the subgroup of order m, which one
-closed form over the support exponents decides.  This is complete for
-germs whose setwise symmetries are linear, which covers every germ
-shape appearing here; germs engineered with nonlinear symmetries could
-fool the check and are out of scope.  The check reads the stored terms
-as the whole germ, the one place the exactness policy does not reach:
-(t + O(t^2), t + O(t^2)) at type (4, 1) builds only with m = 4, though
-its completion (t + t^2, t) has m = 1.
+A germ's stated stabilizer order m is, like every value here, a
+question about the jet: the constructor rejects m only when no
+completion of the stored terms has it, that is when the germ is not
+equivariant for an injective Z_m -> Z_a.  A jet that passes, stored
+below T with exponent k*u (k = a/m), has the completion adding z^j +
+z^(j+m) to U, j >= T and j = u (mod m), of stabilizer exactly m.  So
+(t + O(t^2), t + O(t^2)) at type (4, 1) builds with m = 1, 2 and 4,
+and a common factor of the stored exponents, as in (t^2, t^4), is no
+multiple cover: self_intersection raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
     InvalidInput,
-    MultiplyCovered,
     PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
@@ -317,51 +315,28 @@ def _series(num: dict, den: int, trunc) -> PowerSeries:
 
 
 def _stabilizer_exponent(U: PowerSeries, V: PowerSeries, group: SingularityType, m: int) -> int:
-    """The exponent s = k*u, k = a/m and u the least unit mod m, with
-    U(mu_m z) = mu_a^s U(z) and V(mu_m z) = mu_a^(sb) V(z); raises
-    EquivarianceViolated unless the translates fixing the germ as a set
-    form the subgroup of order m.
-
-    A translate by d is fixed, through a reparametrization z -> c z with
-    c a root of unity, iff c^j = mu_a^(d*w_j) for every support exponent
-    j, with w_j = 1 on U's exponents and b on V's.  For G = gcd(supp) =
-    sum l_j j such a c has c^G = mu_a^(d*tau), tau = sum l_j w_j, so
-    c^j = mu_a^(d*tau*j/G); and a c with c^G = mu_a^(d*tau) passes every
-    test once d*(tau*j/G - w_j) = 0 (mod a).  So the fixing translates
-    are the multiples of the least one, an lcm over the exponents, and s
-    is a fixing translate whose c is mu_m = mu_a^k: tau*s = G*k (mod a).
-    No loop runs over Z_a.
-    """
+    """The exponent s in [0, a) with U(mu_m z) = mu_a^s U(z) and
+    V(mu_m z) = mu_a^(sb) V(z), k = a/m: rho(mu_m) scales z^j by
+    mu_a^(kj), so a U exponent j needs kj = s (mod a) and a V exponent
+    kj = s*b.  Raises EquivarianceViolated unless exactly one s remains
+    and gcd(s, a) = k.  When b = 0 only U's exponents fix s, and with
+    none s = k, the least exponent of an injective action."""
     a, b = group.a, group.b
     k = a // m
-    exps = [(j, 1) for j in U.num] + [(j, b) for j in V.num]
-    g = tau = 0  # invariants g = sum l_j j and tau = sum l_j w_j over the exponents so far
-    for j, w in exps:
-        h = math.gcd(g, j)
-        x = pow(g // h, -1, j // h)  # x*g = h (mod j), so h = x*g + y*j with integer y
-        g, tau = h, (x * tau + (h - x * g) // j * w) % a
-    d = math.lcm(*(a // math.gcd(a, tau * (j // g) - w) for j, w in exps))
-    if g * k % math.gcd(tau * d, a):  # no multiple s of d has tau*s = G*k (mod a)
+    shifts = {k * j % a for j in U.num}
+    if b:  # SingularityType makes a nonzero b a unit mod a
+        b_inv = pow(b, -1, a)
+        shifts.update(k * j * b_inv % a for j in V.num)
+    if len(shifts) > 1 or (not b and any(k * j % a for j in V.num)):
         raise EquivarianceViolated(
             f"germ is not equivariant for group {group.to_json()} with m={m}"
         )
-    # s = k*u is a multiple of d for a unit u iff d | k; then tau*u = G (mod m)
-    # is solvable iff h = gcd(tau, m) divides G, on u = u0 (mod step), and
-    # that class holds a unit iff gcd(u0, step) = 1
-    h = math.gcd(tau, m)
-    step = m // h
-    u = g // h * pow(tau // h, -1, step) % step
-    if k % d or g % h or math.gcd(u, step) != 1:
+    s = shifts.pop() if shifts else k % a
+    if math.gcd(s, a) != k:
         raise EquivarianceViolated(
             f"no injective order-{m} action is compatible with the germ supports"
         )
-    if d < k:
-        raise EquivarianceViolated(
-            f"translate by {d} fixes the germ; stated stabilizer order {m} is too small"
-        )
-    while math.gcd(u, m) != 1:  # ends below m: step divides m
-        u += step
-    return k * u
+    return s
 
 
 class CurveGerm:
@@ -370,10 +345,8 @@ class CurveGerm:
     U, V: coordinate series (zero constant term, not both zero).
     group: the chart action type (a, b); a = 1 means a regular point.
     m: order of the stabilizer of the image (divides a).  The
-       constructor checks it once, in closed form on the support
-       exponents (_stabilizer_exponent): the germ must be equivariant
-       for an injective Z_m -> Z_a, and no translate by fewer than a/m
-       steps may fix it.
+       constructor checks once (_stabilizer_exponent) that the germ is
+       equivariant for an injective Z_m -> Z_a, all a stored jet settles.
     """
 
     __slots__ = ("U", "V", "group", "m", "_rho_exponent")
@@ -601,14 +574,9 @@ def self_intersection(germ: CurveGerm) -> int:
     One Noether loop: while the leading terms do not fix the rest
     (_leading_delta), add m(m-1)/2 and blow the branch up at its
     tangent.  A group translate scales the coordinates by units, so
-    every branch of an orbit has the same delta.
+    every branch of an orbit has the same delta.  Stored exponents with
+    a common factor, as (t^2, t^4), end in PrecisionExhausted.
     """
-    exps = [e for s in (germ.U, germ.V) for e in s.support()]
-    g = math.gcd(*exps)
-    if g > 1:
-        raise MultiplyCovered(
-            f"parameter exponents share a factor {g}; not an irreducible branch"
-        )
     u, v = germ.U, germ.V
     total = 0
     while (rest := _leading_delta(u, v)) is None:

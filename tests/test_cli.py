@@ -1046,30 +1046,40 @@ def _terms(*exponents):
 
 
 class TestStatedStabilizer:
-    """The Z_3 germ of unrepresentable.json, type (3, 1), with one fault
-    in its stated stabilizer order m: the constructor's three messages,
-    one stderr line each, exit 2."""
+    """The Z_3 germ of unrepresentable.json, type (3, 1), with its stated
+    stabilizer order m changed: a fault the stored jet certifies is one of
+    the constructor's two messages, one stderr line, exit 2."""
 
-    @pytest.mark.parametrize(
-        "u, v, m, message",
-        [
-            ((3,), (), 1, "translate by 1 fixes the germ; stated stabilizer order 1 is too small"),
-            ((1,), (2,), 3, "germ is not equivariant for group [3, 1] with m=3"),
-            ((3,), (), 3, "no injective order-3 action is compatible with the germ supports"),
-        ],
-        ids=["understated", "not_equivariant", "not_injective"],
-    )
-    def test_stated_stabilizer_fault_exits_2(self, tmp_path, capsys, u, v, m, message):
+    @staticmethod
+    def _stated(tmp_path, u, v, m):
         point = ("stations", 0, "points", 0)
-        path = _mutated(tmp_path, DATA / "unrepresentable.json", {
+        return _mutated(tmp_path, DATA / "unrepresentable.json", {
             point + ("germ", "U", "terms"): _terms(*u),
             point + ("germ", "V", "terms"): _terms(*v),
             point + ("germ", "m"): m,
             point + ("order",): m,
         })
-        code, out = run_command(["adjunction", path])
+
+    @pytest.mark.parametrize(
+        "u, v, m, message",
+        [
+            ((1,), (2,), 3, "germ is not equivariant for group [3, 1] with m=3"),
+            ((3,), (), 3, "no injective order-3 action is compatible with the germ supports"),
+        ],
+        ids=["not_equivariant", "not_injective"],
+    )
+    def test_stated_stabilizer_fault_exits_2(self, tmp_path, capsys, u, v, m, message):
+        code, out = run_command(["adjunction", self._stated(tmp_path, u, v, m)])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_understated_stabilizer_is_unresolved(self, tmp_path, capsys):
+        # (t^3, 0) stored at 32 builds with m = 1, since its completion
+        # (t^3 + t^32 + t^33, 0) is fixed by no translate; but its V is
+        # zero to precision, so the point term's delta is not fixed
+        code, out = run_command(["adjunction", self._stated(tmp_path, (3,), (), 1)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {germ_module._UNFIXED_DELTA}\n"
 
 
 class TestLargeGroupOrders:

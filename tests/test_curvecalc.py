@@ -156,11 +156,15 @@ class TestStation:
             station("x", 5, [("a", g)])
 
     def test_direct_construction_checks_the_stabilizer(self):
-        # z^3 is fixed by every Z_3 translate, so the stated m = 1 is too
-        # small: the germ cannot be built, so no station can hold it
-        with pytest.raises(EquivarianceViolated, match="translate by 1 fixes the germ"):
+        # z^3 + O(z^32) may continue as z^3 + z^32 + z^33, which no Z_3
+        # translate fixes, so the stated m = 1 builds; z + z^2 admits no
+        # injective Z_3 action, so at m = 3 it cannot be built, and no
+        # station can hold it
+        germ = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
+        assert Station("x", 3, (StationPoint("a", germ),)).point("a").germ.m == 1
+        with pytest.raises(EquivarianceViolated, match=r"not equivariant for group \[3, 1\] with m=3"):
             Station("x", 3, (StationPoint(
-                "a", germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)),))
+                "a", germ_from_polynomials({1: 1, 2: 1}, {}, group=SingularityType(3, 1), m=3)),))
 
 
 class TestRegularDoublePoint:

@@ -16,7 +16,6 @@ from orbicurves.errors import (
     DistinctBranchesRequired,
     EquivarianceViolated,
     InvalidInput,
-    MultiplyCovered,
     PrecisionExhausted,
     UnrepresentableCoefficients,
     ZeroToPrecision,
@@ -26,6 +25,7 @@ from orbicurves.exact import GR_ONE, GaussianRational
 from orbicurves.germ import (
     _UNFIXED_DELTA,
     _UNFIXED_PAIR,
+    DEFAULT_TRUNCATION,
     CurveGerm,
     PowerSeries,
     _blow_up,
@@ -394,10 +394,11 @@ class TestOrbits:
         g = germ_from_polynomials({1: 1, 2: 1}, {1: 1}, group=SingularityType(3, 1))
         assert g.orbit_size == 3
 
-    def test_orbit_rejects_understated_stabilizer(self):
-        # z^3 is fixed by the full Z_3 translate action, so m = 1 is wrong
-        with pytest.raises(EquivarianceViolated, match="translate by 1 fixes the germ"):
-            germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
+    def test_orbit_takes_the_stabilizer_of_a_completion(self):
+        # z^3 + O(z^32) is fixed by every Z_3 translate, but its completion
+        # z^3 + z^32 + z^33 by none, so the stated m = 1 builds
+        g = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
+        assert (g.orbit_size, g.weights()) == (3, (0, 0))
 
     def test_materialize_fourth_roots(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(4, 1), m=4)
@@ -412,13 +413,11 @@ class TestOrbits:
 def _verdict(a, b, m, u_exps, v_exps):
     """What the constructor must do with the germ of supports u_exps and
     v_exps at type (a, b) and stated stabilizer order m, by trying every
-    exponent and every twist: its weights, or the message it raises.
+    exponent: its weights, or the message it raises.
 
     An exponent s in [0, a) is equivariant when j*k = s*w (mod a) on
     every weighted exponent, k = a/m and w = 1 on U's exponents and b on
-    V's, and injective when gcd(s, a) = k.  A twist d in 1..a fixes the
-    germ when some x in Z_N solves j*x = d*w*N/a (mod N), N = a*lcm(supp):
-    the reparametrization z -> mu_N^x z carries it onto its translate."""
+    V's, and injective when gcd(s, a) = k."""
     k = a // m
     exps = [(j, 1) for j in u_exps] + [(j, b) for j in v_exps]
     solves = [s for s in range(a) if all((w * s - j * k) % a == 0 for j, w in exps)]
@@ -427,20 +426,27 @@ def _verdict(a, b, m, u_exps, v_exps):
     valid = [s for s in solves if math.gcd(s, a) == k]
     if not valid:
         return f"no injective order-{m} action is compatible with the germ supports"
-    n = a * math.lcm(*(j for j, _ in exps))
-    d = next(d for d in range(1, a + 1)
-             if any(all((j * x - d * w * (n // a)) % n == 0 for j, w in exps) for x in range(n)))
-    if d < k:
-        return f"translate by {d} fixes the germ; stated stabilizer order {m} is too small"
     u = valid[0] // k
     return (u % m, u * b % m)
 
 
-def _outcome(a, b, m, u_exps, v_exps):
+def _least_fixing_twist(a, b, u_exps, v_exps):
+    """The least d in 1..a whose translate carries the germ of supports
+    u_exps and v_exps at type (a, b) onto itself through some z -> c z,
+    by trying every c = mu_N^x, N = a*gcd(supp): c^j = mu_a^(d*w) on
+    every weighted exponent puts c^gcd(supp) in mu_a, so c in mu_N."""
+    exps = [(j, 1) for j in u_exps] + [(j, b) for j in v_exps]
+    n = a * math.gcd(*(j for j, _ in exps))
+    return next(d for d in range(1, a + 1)
+                if any(all((j * x - d * w * (n // a)) % n == 0 for j, w in exps) for x in range(n)))
+
+
+def _outcome(a, b, m, u_exps, v_exps, trunc=DEFAULT_TRUNCATION):
     """The constructor's weights, or the message it raises."""
     try:
         return germ_from_polynomials(
-            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b), m=m
+            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b), m=m,
+            trunc=trunc,
         ).weights()
     except EquivarianceViolated as exc:
         return str(exc)
@@ -455,10 +461,11 @@ _exponent_sets = st.sets(st.integers(1, 5), max_size=3)
 
 
 class TestImplicitOrbits:
-    def test_stated_m_reads_the_stored_terms_as_the_whole_germ(self):
+    def test_stated_m_reads_the_jet(self):
         # (t + O(t^2), t + O(t^2)) at type (4, 1): its stored terms (t, t)
-        # are fixed by every translate, so it builds only with m = 4,
-        # though its completion (t + t^2, t) builds only with m = 1
+        # are fixed by every translate, but its completions need not be,
+        # so it builds with every m; its completion (t + t^2, t) is
+        # equivariant only for m = 1
         chart = SingularityType(4, 1)
 
         def stated(u, trunc):
@@ -471,21 +478,37 @@ class TestImplicitOrbits:
                 built.append(m)
             return built
 
-        assert stated({1: 1}, 2) == [4]
+        assert stated({1: 1}, 2) == [1, 2, 4]
         assert stated({1: 1, 2: 1}, 32) == [1]
 
     def test_constructor_matches_the_verdict_oracle_on_a_grid(self):
         # a <= 8, every b, every m | a, supports within {1..4} of size <= 2:
         # each germ is accepted with the oracle's weights or rejected with
-        # its message, the least fixing twist included
+        # its message.  Each accepted germ, stored below T = 32 with
+        # weights (u, u*b), has the completion adding U terms z^j and
+        # z^(j+m), j >= T and j = u (mod m): it builds at the same m with
+        # the same weights, its exponents have gcd 1, and its least fixing
+        # twist is a/m, so its stabilizer is exactly m
         charts = [(a, b, m) for a in range(1, 9)
                   for b in range(a) if b == 0 or math.gcd(a, b) == 1
                   for m in range(1, a + 1) if a % m == 0]
         supports = [set(c) for r in range(3) for c in itertools.combinations(range(1, 5), r)]
         germs = [(*chart, u, v) for chart in charts for u in supports for v in supports if u or v]
         assert len(germs) == 9120
+        accepted = 0
         for germ in germs:
-            assert _outcome(*germ) == _verdict(*germ), germ
+            got = _outcome(*germ)
+            assert got == _verdict(*germ), germ
+            if isinstance(got, str):
+                continue
+            accepted += 1
+            a, b, m, u, v = germ
+            j = DEFAULT_TRUNCATION + (got[0] - DEFAULT_TRUNCATION) % m
+            done = u | {j, j + m}
+            assert _outcome(a, b, m, done, v, trunc=j + m + 1) == got, germ
+            assert math.gcd(*done, *v) == 1, germ
+            assert _least_fixing_twist(a, b, done, v) == a // m, germ
+        assert accepted == 3951
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chart=_chart_types, u_exps=_exponent_sets, v_exps=_exponent_sets)
@@ -494,16 +517,13 @@ class TestImplicitOrbits:
     def test_closed_form_stabilizer_matches_search(self, chart, u_exps, v_exps):
         assume(u_exps or v_exps)
         a, b = chart
-        # m = 1 is equivariant and injective for any supports, so the
-        # constructor rejects it only when a twist d < a fixes the germ
-        want = _verdict(a, b, 1, u_exps, v_exps)
-        assert want == (0, 0) or want.startswith("translate by ")
-        assert _outcome(a, b, 1, u_exps, v_exps) == want
-        if want == (0, 0):
-            g = germ_from_polynomials(
-                {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b)
-            )
-            assert g.orbit_size == a
+        # m = 1 is equivariant and injective for any supports: a
+        # completion fixed by no translate has it
+        assert _verdict(a, b, 1, u_exps, v_exps) == _outcome(a, b, 1, u_exps, v_exps) == (0, 0)
+        g = germ_from_polynomials(
+            {j: 1 for j in u_exps}, {j: 1 for j in v_exps}, group=SingularityType(a, b)
+        )
+        assert g.orbit_size == a
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chart=_chart_types, m_pick=st.integers(0, 11),
@@ -732,22 +752,11 @@ def _rotated_terms(terms: dict, q: int) -> dict:
     return {e: _times(_POWERS_OF_I[q % 4], c) for e, c in terms.items()}
 
 
-def _at_true_order(u: PowerSeries, v: PowerSeries, group) -> CurveGerm:
-    """The germ (u, v) at the one stabilizer order m | a that the
-    constructor accepts, the order of the translates fixing it; a draw
-    that no m fits, as an axis fixed pointwise by the group, is skipped."""
-    for m in range(1, group.a + 1):
-        if group.a % m == 0:
-            try:
-                return CurveGerm(u, v, group=group, m=m)
-            except EquivarianceViolated:
-                pass
-    assume(False)
-
-
 def _as_germ(u, v, group, trunc=32):
-    return _at_true_order(PowerSeries(gaussian_terms(_raw(u)), trunc),
-                          PowerSeries(gaussian_terms(_raw(v)), trunc), group)
+    """The germ (u, v) at m = 1, which every jet admits: some completion
+    is fixed by no translate."""
+    return CurveGerm(PowerSeries(gaussian_terms(_raw(u)), trunc),
+                     PowerSeries(gaussian_terms(_raw(v)), trunc), group)
 
 
 def _leading_value(first, second):
@@ -839,8 +848,8 @@ class TestLeadingTerms:
     @given(_leading_pair())
     def test_leading_terms_match_the_oracle(self, case):
         group, k, first, second = case
-        g1, g2 = (_at_true_order(PowerSeries(gaussian_terms(_raw(u)), tu),
-                                 PowerSeries(gaussian_terms(_raw(v)), tv), group)
+        g1, g2 = (CurveGerm(PowerSeries(gaussian_terms(_raw(u)), tu),
+                            PowerSeries(gaussian_terms(_raw(v)), tv), group)
                   for u, tu, v, tv in (first, second))
         got, blown = _blow_ups(intersection_multiplicity, g1, g2, k)
         assume(not isinstance(got, tuple) or got[0] is not DistinctBranchesRequired)
@@ -1018,15 +1027,13 @@ class TestBlowUpLaws:
                   for t, n in zip((u1, v1, u2, v2), truncs)]
         assume(not (stored[0].is_zero_to_precision() and stored[1].is_zero_to_precision()))
         assume(not (stored[2].is_zero_to_precision() and stored[3].is_zero_to_precision()))
-        # the stored data and each completion may have different stabilizers:
-        # each is built at its own
-        got, _ = _blow_ups(intersection_multiplicity, _at_true_order(*stored[:2], group),
-                           _at_true_order(*stored[2:], group), k)
+        got, _ = _blow_ups(intersection_multiplicity, CurveGerm(*stored[:2], group),
+                           CurveGerm(*stored[2:], group), k)
         assume(isinstance(got, int))
         rng = random.Random(seed)
         for _ in range(3):
             done = [_completion(t, n, rng, n + 8) for t, n in zip((u1, v1, u2, v2), truncs)]
-            g1, g2 = _at_true_order(*done[:2], group), _at_true_order(*done[2:], group)
+            g1, g2 = CurveGerm(*done[:2], group), CurveGerm(*done[2:], group)
             assert intersection_multiplicity(g1, g2, k) == got
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1090,7 +1097,7 @@ class TestLocality:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(pair=st.sampled_from(germ_pairs()), flip=st.booleans())
     def test_reparametrized_second_pass_is_not_counted(self, pair, flip):
-        # sigma(s) = s - s^2 fixes the germ at s = 0 and sends s = 1 to 0
+        # sigma(s) = s - s^2 fixes s = 0 and sends s = 1 to 0
         # too, so gamma2 o sigma passes through the origin twice
         (n1, u1, v1), (n2, u2, v2) = pair[::-1] if flip else pair
         try:
@@ -1194,9 +1201,18 @@ class TestBranchInvariants:
         assert got == (a - 1) * (b - 1) // 2 == oracle_delta(_raw(u), _raw(v), window=a * b + a + b)
 
     def test_multiple_cover_rejected(self):
-        g = germ_from_polynomials({2: 1}, {4: 1})
-        with pytest.raises(MultiplyCovered):
-            self_intersection(g)
+        # (t^2, t^4), whose exponents share 2, is no certain double cover:
+        # it may continue as (t^2, t^4 + t^33) or (t^2, t^4 + t^35), of
+        # different delta, so its delta is refused as unresolved.  Each
+        # blow-up spends two orders of V, so the loop ends within T/2 of them
+        for trunc in (8, 32, 256):
+            start = time.perf_counter()
+            got, blown = _blow_ups(self_intersection, germ_from_polynomials({2: 1}, {4: 1}, trunc=trunc))
+            assert time.perf_counter() - start < 1
+            assert got == (PrecisionExhausted, _UNFIXED_DELTA)
+            assert blown < trunc // 2
+        for v, delta in (({4: 1, 33: 1}, 16), ({4: 1, 35: 1}, 17)):
+            assert self_intersection(germ_from_polynomials({2: 1}, v, trunc=64)) == delta
 
     def test_second_coordinate_zero_to_precision_is_unresolved(self):
         # (t^2 + t^3, 0) stored at 32 is no certain multiple cover: its
@@ -1204,9 +1220,8 @@ class TestBranchInvariants:
         with pytest.raises(PrecisionExhausted) as raised:
             self_intersection(germ_from_polynomials({2: 1, 3: 1}, {}, trunc=32))
         assert str(raised.value) == _UNFIXED_DELTA
-        for tail, delta in ((33, 16), (35, 17)):
-            g = germ_from_polynomials({2: 1, 3: 1}, {tail: 1}, trunc=64)
-            assert self_intersection(g) == delta
+        for v, delta in (({33: 1}, 16), ({35: 1}, 17)):
+            assert self_intersection(germ_from_polynomials({2: 1, 3: 1}, v, trunc=64)) == delta
 
     def test_matches_independent_delta_oracle_on_sample(self):
         for name in ["cusp", "e6", "e8", "quint_cusp", "two_pair", "mult6"]:
