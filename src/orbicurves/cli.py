@@ -43,8 +43,10 @@ from .decode import (SCHEMA_VERSION, check_schema, format_rational, int_, list_,
                      rational)
 from .errors import InvalidInput
 
-# sweep --p-max 250: about 3 s with its rows dealt to two CPUs, 5-6.5 s
-# on one (taskset -c 0); Python 3.11, 2-core VM
+# sweep deals its rows to one forked worker per wps.MIN_SHARE (500) rows,
+# at most one per CPU; a smaller sweep runs in this process.  sweep
+# --p-max 250 (19,023 rows): about 2.1 s on two CPUs, 3.6 s on one
+# (taskset -c 0); Python 3.11, 2-core VM
 MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB
 # peak RSS for 18.6 MB of streamed JSON; with --format table, whose rows
@@ -174,7 +176,8 @@ def write_report(result: dict, output_format: str, out) -> None:
 def _with_retries(compute, x):
     """compute(x), once.  This function exists only because
     bench/tracer.py counts report attempts by patching it by name;
-    ROADMAP item 2 deletes it."""
+    step 1 of ROADMAP item 4 deletes it, together with that change to
+    the benchmark."""
     return compute(x)
 
 

@@ -89,12 +89,11 @@ def build_model(p: int, q: int, qprime: int) -> WpsModel:
     return WpsModel(p=p, q=q, qprime=qprime, ambient=ambient)
 
 
-@lru_cache(maxsize=4)
 def _axis_germ(first: bool, a: int, b: int, m: int) -> CurveGerm:
     """The germ t -> (t, 0) (first) or (0, t) in a chart of type (a, b),
     with stabilizer order m, on the shared series _T and _ZERO.  Series
     and germs are immutable (a series only memoises its inverse), so
-    configs share them: the C0 configs of a sweep row hold one germ at x."""
+    configs may share them."""
     u, v = (_T, _ZERO) if first else (_ZERO, _T)
     return CurveGerm(u, v, group=SingularityType(a, b), m=m)
 
@@ -324,19 +323,29 @@ def sweep_row(p: int, q: int) -> dict:
     }
 
 
+# Rows per sweep worker.  A fork costs about 7-10 ms on a busy CPU (copy-on-write
+# faults and a second cold process) and a serial row about 0.2 ms at p <= 30
+# (Python 3.11, 2-core VM), so a share of 500 rows pays at most a tenth of its
+# serial time for its fork; sweep --p-max 30 (277 rows) runs in one process.
+MIN_SHARE = 500
+
+
 def sweep_rows(p_max: int) -> list[dict]:
     """[sweep_row(p, q) for coprime 1 <= q < p <= p_max], in that order.
-    The pairs are dealt round-robin to one worker per CPU this process
-    may run on, which keeps the shares even as a row's cost grows with p.
-    Workers are forked, so they start with every module loaded; the CLI
-    runs no thread that a fork could break.  On one CPU, without fork or sched_getaffinity, or when fork fails,
-    the one worker is this process.  If any share fails, the rows are
-    computed again by this process alone, so a failing row raises what
-    it raises in a serial run."""
+    The pairs are dealt round-robin to one worker per MIN_SHARE rows, at
+    most one per CPU this process may run on, which keeps the shares
+    even as a row's cost grows with p; a sweep of fewer than
+    2 * MIN_SHARE rows runs in this process.  Workers are forked, so
+    they start with every module loaded; the CLI runs no thread that a
+    fork could break.  With one worker, without fork or
+    sched_getaffinity, or when fork fails, the one worker is this
+    process.  If any share fails, the rows are computed again by this
+    process alone, so a failing row raises what it raises in a serial
+    run."""
     pairs = [(p, q) for p in range(2, p_max + 1) for q in range(1, p) if gcd(p, q) == 1]
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(pairs))
+        workers = min(len(os.sched_getaffinity(0)), len(pairs) // MIN_SHARE)
     if workers > 1:
         try:
             return _dealt_rows(pairs, workers)

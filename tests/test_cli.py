@@ -872,20 +872,28 @@ class TestSweepWorkers:
 
     @pytest.mark.parametrize("where", [4, 5], ids=["parent_share", "child_share"])
     def test_failing_row_gives_the_serial_error(self, monkeypatch, capsys, where):
-        pairs = [(p, q) for p in range(2, 13) for q in range(1, p) if math.gcd(p, q) == 1]
-        row = wps.sweep_row
+        # p_max 60 has 1,101 rows, enough for two workers
+        pairs = [(p, q) for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1]
+        row, fork = wps.sweep_row, os.fork
+        forks = []
 
         def failing(p, q):
             if (p, q) == pairs[where]:
                 raise ArithmeticError(f"row ({p}, {q}) failed")
             return row(p, q)
 
+        def counted():
+            forks.append(1)
+            return fork()
+
         monkeypatch.setattr(wps, "sweep_row", failing)
+        monkeypatch.setattr(os, "fork", counted)
         ends = []
         for k in (1, 2):  # with two workers, share 0 holds the even indices
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-            ends.append((run_command(["sweep", "--p-max", "12"]), capsys.readouterr().err))
+            ends.append((run_command(["sweep", "--p-max", "60"]), capsys.readouterr().err))
         assert ends[0] == ends[1] == ((1, ""), f"error: row {pairs[where]} failed\n")
+        assert forks == [1]
 
     @pytest.mark.skipif(
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not Path("/proc").is_dir(),
