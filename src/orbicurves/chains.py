@@ -20,9 +20,10 @@ face omits vertex i and enters the boundary with sign (-1)^i.
 from __future__ import annotations
 
 import math
+import re
 from functools import partial
 
-from .decode import int_, is_int, key_path, keyed, list_, load, obj
+from .decode import SIMPLEX_KEY, int_, is_int, key_path, keyed, list_, load, obj
 from .errors import InvalidInput, MalformedTable
 
 Simplex = tuple[int, ...]
@@ -64,15 +65,17 @@ def _simplex_key(simplex: Simplex) -> str:
 
 def _key_simplex(key, keys: dict, where: str) -> Simplex:
     """The simplex that a key of the map at where names: a simplex key
-    such as "0,1", or a vertex tuple.  keys maps each simplex already
-    named to its key; keys such as "0" and "00", or "0,1" and "1,0",
-    name one simplex, and a second one is rejected rather than silently
-    winning."""
+    such as "0,1", of ASCII digits and commas only, or a vertex tuple.
+    keys maps each simplex already named to its key; keys such as "0"
+    and "00", or "0,1" and "1,0", name one simplex, and a second one is
+    rejected rather than silently winning."""
     if not isinstance(key, str):
         key = _simplex_key(_as_simplex(key))
+    if not re.fullmatch(SIMPLEX_KEY, key):
+        raise InvalidInput(f"bad simplex key {key!r}")
     try:
         s = _as_simplex(int(part) for part in key.split(","))
-    except ValueError as exc:
+    except ValueError as exc:  # a vertex past sys.get_int_max_str_digits()
         raise InvalidInput(f"bad simplex key {key!r}") from exc
     if s in keys:
         raise InvalidInput(

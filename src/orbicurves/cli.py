@@ -43,10 +43,8 @@ from .decode import (SCHEMA_VERSION, check_schema, format_rational, int_, list_,
                      rational)
 from .errors import InvalidInput
 
-# sweep deals its rows to one forked worker per wps.MIN_SHARE (500) rows,
-# at most one per CPU; a smaller sweep runs in this process.  sweep
-# --p-max 250 (19,023 rows): about 2.1 s on two CPUs, 3.6 s on one
-# (taskset -c 0); Python 3.11, 2-core VM
+# sweep makes its rows in this process.  sweep --p-max 250 (19,023 rows):
+# about 5 s (Python 3.11, 2-core VM)
 MAX_SWEEP_P = 250
 # index scan 99991 2 (the largest prime p allowed): about 0.9 s and 15 MB
 # peak RSS for 18.6 MB of streamed JSON; with --format table, whose rows
@@ -458,9 +456,9 @@ def run() -> int:
     installed orbicurves script: gc.freeze(), then main().  The freeze
     moves the objects that start-up built (about 11,800: the
     interpreter's, site's and this module's) into a permanent generation
-    that no collection walks: not those during main, not those of the
-    forked sweep workers, and not the one at interpreter shutdown.  Tests
-    call main, so no test process is frozen."""
+    that no collection walks: not those during main, and not the one at
+    interpreter shutdown.  Tests call main, so no test process is
+    frozen."""
     gc.freeze()
     return main()
 

@@ -24,6 +24,7 @@ from .errors import InvalidInput
 SCHEMA_VERSION = 1
 MAX_PRECISION = 256  # largest truncation a series may store
 MAX_SHOWN = 80  # characters of a wrong value's JSON that an error line shows
+SIMPLEX_KEY = r"[0-9]+(,[0-9]+)*"  # a simplex key such as 0,1: ASCII digits only
 
 
 def format_rational(x) -> str:
@@ -54,7 +55,7 @@ def parse_rational(text: str) -> Fraction:
     """
     from fractions import Fraction  # here, so that --help and chains skip it
 
-    m = re.match(r"^(-?\d+)(?:/(-?\d+))?$", text.strip()) if isinstance(text, str) else None
+    m = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", text.strip()) if isinstance(text, str) else None
     if not m:
         raise InvalidInput(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -161,8 +162,8 @@ def key_path(where: str, key: str) -> str:
     """The path of key in the object at where.  A key other than an
     identifier or a simplex key such as 0,1|0 is JSON-quoted, so a
     newline in it cannot split the one-line error message."""
-    simplex_key = r"[0-9]+([,|][0-9]+)*"
-    shown = key if key.isidentifier() or re.fullmatch(simplex_key, key) else json.dumps(key)
+    table_key = rf"{SIMPLEX_KEY}(\|{SIMPLEX_KEY})*"
+    shown = key if key.isidentifier() or re.fullmatch(table_key, key) else json.dumps(key)
     return f"{where}.{shown}" if where else shown
 
 

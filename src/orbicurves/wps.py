@@ -9,8 +9,6 @@ content and do not appear.
 
 from __future__ import annotations
 
-import marshal
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -309,8 +307,8 @@ def sweep_row(p: int, q: int) -> dict:
             and meeting["algebraic"].as_integer_ratio() == (1, p + q)
             and embeddedness_verdict(partner_report)["verdict"] == "EmbeddedSuborbifold"
         )
-    # the rows hold text: they cross the fork boundary as one marshal
-    # blob, and marshal cannot hold a Fraction
+    # the rationals are text: cli._json_row writes a row's str, int, bool
+    # or None values, and no other type
     return {
         "p": p,
         "q": q,
@@ -323,94 +321,6 @@ def sweep_row(p: int, q: int) -> dict:
     }
 
 
-# Rows per sweep worker.  A fork costs about 7-10 ms on a busy CPU (copy-on-write
-# faults and a second cold process) and a serial row about 0.2 ms at p <= 30
-# (Python 3.11, 2-core VM), so a share of 500 rows pays at most a tenth of its
-# serial time for its fork; sweep --p-max 30 (277 rows) runs in one process.
-MIN_SHARE = 500
-
-
 def sweep_rows(p_max: int) -> list[dict]:
-    """[sweep_row(p, q) for coprime 1 <= q < p <= p_max], in that order.
-    The pairs are dealt round-robin to one worker per MIN_SHARE rows, at
-    most one per CPU this process may run on, which keeps the shares
-    even as a row's cost grows with p; a sweep of fewer than
-    2 * MIN_SHARE rows runs in this process.  Workers are forked, so
-    they start with every module loaded; the CLI runs no thread that a
-    fork could break.  With one worker, without fork or
-    sched_getaffinity, or when fork fails, the one worker is this
-    process.  If any share fails, the rows are computed again by this
-    process alone, so a failing row raises what it raises in a serial
-    run."""
-    pairs = [(p, q) for p in range(2, p_max + 1) for q in range(1, p) if gcd(p, q) == 1]
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(pairs) // MIN_SHARE)
-    if workers > 1:
-        try:
-            return _dealt_rows(pairs, workers)
-        except Exception:
-            pass  # a failing row, a failed fork or a lost worker
-    return _dealt_rows(pairs, 1)
-
-
-def _dealt_rows(pairs: list, k: int) -> list[dict]:
-    """The rows of pairs, with share i = pairs[i::k]: this process
-    computes share 0 and a forked child each other share.  The children
-    are killed, if still running, and reaped before this returns or
-    raises."""
-    parent = os.getpid()
-    pids, pipes = [], []
-    try:
-        for share in range(1, k):
-            pid, read = _fork_share(pairs[share::k], parent)
-            pids.append(pid)
-            pipes.append(open(read, "rb"))
-        rows = [None] * len(pairs)
-        rows[::k] = [sweep_row(p, q) for p, q in pairs[::k]]
-        for share, pipe in enumerate(pipes, 1):
-            # a failed child sends nothing, and b"" does not load
-            rows[share::k] = marshal.loads(pipe.read())
-        return rows
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if pids:
-            from signal import SIGKILL
-
-            for pid in pids:
-                # a child whose rows were read is exiting anyway
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_share(share: list, parent: int) -> tuple[int, int]:
-    """Fork a child that computes the rows of share and writes them to a
-    pipe as one marshal blob: its pid and the pipe's read end.  The child
-    writes nothing else, and it stops, sending nothing, when a row raises
-    or when parent is no longer its parent (a killed parent leaves no
-    worker running)."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        os.close(read)
-        rows = []
-        for p, q in share:
-            if os.getppid() != parent:
-                break
-            rows.append(sweep_row(p, q))
-        else:
-            with open(write, "wb") as out:
-                out.write(marshal.dumps(rows))
-            code = 0
-    finally:
-        os._exit(code)
+    """The sweep's rows, ordered by p and then q."""
+    return [sweep_row(p, q) for p in range(2, p_max + 1) for q in range(1, p) if gcd(p, q) == 1]

@@ -576,6 +576,16 @@ class TestChainsCliInput:
         assert (code, err) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("verb", ["betti", "validate"])
+    @pytest.mark.parametrize(
+        "key", ["1_0", "+1", " 2 ", "\u0661"], ids=["underscore", "plus", "spaces", "arabic_indic"]
+    )
+    def test_order_key_of_ascii_digits_only(self, tmp_path, capsys, verb, key):
+        # int() reads each key as vertex 10, 1, 2 or 1 of the complex
+        data = {"simplices": [[10, 11], [1, 2]], "orders": {key: 2}}
+        code, err = self.run(tmp_path, capsys, verb, data)
+        assert (code, err) == (2, f"error: bad simplex key {key!r}\n")
+
+    @pytest.mark.parametrize("verb", ["betti", "validate"])
     def test_bool_order_rejected(self, tmp_path, capsys, verb):
         data = {"simplices": [[0, 1]], "orders": {"0": True}}
         code, err = self.run(tmp_path, capsys, verb, data)

@@ -9,7 +9,6 @@ import math
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -37,6 +36,7 @@ from orbicurves.decode import MAX_PRECISION, format_rational
 
 from golden_commands import COMMANDS, CONFIGS, GOLDEN_DIR, run_command
 from test_chern_index import scan_oracle_rows
+from test_wps import _force_cpus
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +48,23 @@ def golden_text(name: str) -> str:
 
 def parse_with_argparse(argv):
     return build_parser(argv, cli._COMMANDS, cli._COMMON_FLAGS, cli._emit).parse_args(argv)
+
+
+def _invalid_choice(value: str, choices: list) -> str:
+    """argparse's own text for a value outside choices, as the running
+    interpreter writes it: 3.11.7 and 3.13.0 quote each choice with repr,
+    3.13.13 writes it with str."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("value", choices=choices)
+    try:
+        parser.parse_args([value])
+    except argparse.ArgumentError as exc:
+        return exc.message
+    raise AssertionError(f"{value!r} is one of {choices}")
+
+
+_COMMAND_NAMES = ["lens", "adjunction", "intersect", "index", "chains", "wps", "sweep"]
+_VERBS = ["classify", "allowed"]  # of lens
 
 
 def render(payload: dict, output_format: str = "json") -> str:
@@ -167,8 +184,7 @@ class TestFlagPlacement:
         code, out = run_command(["lens", "--format", "table", "classify", "7", "2", "4"])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == (
-            "error: orbicurves lens: argument verb: invalid choice: 'table' "
-            "(choose from 'classify', 'allowed')\n"
+            f"error: orbicurves lens: argument verb: {_invalid_choice('table', _VERBS)}\n"
         )
 
 
@@ -187,7 +203,7 @@ _NAMES = [name for head, _ in _LEAVES for name in head]
 # files of each kind, a missing one, command names and the empty path
 _PATHS = [str(CONFIGS / "line.json"), str(CONFIGS / "teardrop_7.json"), "missing.json"]
 _PATHS += ["lens", "sweep", ""]
-# small enough that every handler returns at once, sweep's forks included;
+# small enough that every handler returns at once;
 # int() reads "+7", " 7" and the Arabic-Indic digit seven as 7
 _INTS = ["2", "3", "4", "5", "7", "8", "16", "+7", " 7", "\u0667"]
 _HOSTILE = [
@@ -605,10 +621,9 @@ class TestExitCodes:
              "invalid int value: 'x'"),
             (["chains"], "orbicurves chains: the following arguments are required: verb"),
             (["sweep", "--p-max", "8", "--bogus"], "orbicurves: unrecognized arguments: --bogus"),
-            (["frobnicate"], "orbicurves: argument command: invalid choice: 'frobnicate' "
-             "(choose from 'lens', 'adjunction', 'intersect', 'index', 'chains', 'wps', 'sweep')"),
-            (["lens", "frob"], "orbicurves lens: argument verb: invalid choice: 'frob' "
-             "(choose from 'classify', 'allowed')"),
+            (["frobnicate"], "orbicurves: argument command: "
+             + _invalid_choice("frobnicate", _COMMAND_NAMES)),
+            (["lens", "frob"], "orbicurves lens: argument verb: " + _invalid_choice("frob", _VERBS)),
         ],
         ids=["missing", "not_an_int", "no_verb", "unknown_flag", "no_such_command", "no_such_verb"],
     )
@@ -847,91 +862,27 @@ class TestSweepLimit:
         assert err == f"error: --p-max must be in 2..{MAX_SWEEP_P}, got {p_max}\n"
 
 
-def _group_members(pgid: int) -> int:
-    """How many processes are in process group pgid, read from /proc."""
-    count = 0
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-        except (FileNotFoundError, ProcessLookupError):
-            continue  # the process has exited
-        # pid (comm) state ppid pgrp ...; comm may hold spaces and parentheses
-        count += int(stat.rpartition(")")[2].split()[2]) == pgid
-    return count
-
-
 class TestSweepWorkers:
-    """However many workers a sweep uses, a failing row ends as it does
-    serially and no worker outlives the sweep."""
+    """A sweep runs in this process whatever the CPU count, so a failing
+    row ends the command with that row's own error."""
 
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
+    # two positions in the 1,101 rows of p_max 60: the ids name the share
+    # that dealing the rows round-robin to two workers gave each
     @pytest.mark.parametrize("where", [4, 5], ids=["parent_share", "child_share"])
     def test_failing_row_gives_the_serial_error(self, monkeypatch, capsys, where):
-        # p_max 60 has 1,101 rows, enough for two workers
         pairs = [(p, q) for p in range(2, 61) for q in range(1, p) if math.gcd(p, q) == 1]
-        row, fork = wps.sweep_row, os.fork
-        forks = []
+        row = wps.sweep_row
 
         def failing(p, q):
             if (p, q) == pairs[where]:
                 raise ArithmeticError(f"row ({p}, {q}) failed")
             return row(p, q)
 
-        def counted():
-            forks.append(1)
-            return fork()
-
         monkeypatch.setattr(wps, "sweep_row", failing)
-        monkeypatch.setattr(os, "fork", counted)
-        ends = []
-        for k in (1, 2):  # with two workers, share 0 holds the even indices
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-            ends.append((run_command(["sweep", "--p-max", "60"]), capsys.readouterr().err))
-        assert ends[0] == ends[1] == ((1, ""), f"error: row {pairs[where]} failed\n")
-        assert forks == [1]
-
-    @pytest.mark.skipif(
-        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not Path("/proc").is_dir(),
-        reason="needs two CPUs and /proc",
-    )
-    def test_workers_stop_when_the_parent_is_killed(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "orbicurves.cli", "sweep", "--p-max", str(MAX_SWEEP_P)],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            start_new_session=True,
-        )
-        pgid = proc.pid
-        try:
-            deadline = time.monotonic() + 10
-            time.sleep(0.5)
-            while _group_members(pgid) < 2:  # until the workers are forked
-                assert time.monotonic() < deadline, "the sweep forked no worker"
-                time.sleep(0.05)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == -signal.SIGTERM
-            # a worker stops before its next row; the reaper of orphans
-            # may take a second or two, the share would take about 9 s
-            deadline = time.monotonic() + 5
-            while True:
-                try:
-                    os.killpg(pgid, 0)
-                except ProcessLookupError:
-                    break
-                assert time.monotonic() < deadline, "a sweep worker outlived its parent"
-                time.sleep(0.05)
-        finally:
-            try:
-                os.killpg(pgid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+        forks = _force_cpus(monkeypatch, 2)
+        code = run_command(["sweep", "--p-max", "60"])
+        assert (code, capsys.readouterr().err) == ((1, ""), f"error: row {pairs[where]} failed\n")
+        assert forks == []
 
 
 class TestScanLimit:

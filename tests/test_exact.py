@@ -24,7 +24,8 @@ class TestRationalText:
     def test_parse_normalizes(self):
         assert parse_rational("4/6") == Fraction(2, 3)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5", "1/2/3"])
+    # int() reads the Arabic-Indic digits three and four as 3 and 4
+    @pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5", "1/2/3", "\u0663/4", "3/\u0664"])
     def test_parse_rejects(self, bad):
         with pytest.raises((InvalidInput, ZeroDivisionError)):
             parse_rational(bad)

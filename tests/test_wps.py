@@ -413,82 +413,27 @@ def _serial_rows(p_max: int) -> list:
 
 
 def _force_cpus(monkeypatch, k: int) -> list:
-    """Make sched_getaffinity report k CPUs; the list records each fork."""
+    """Make sched_getaffinity report k CPUs; the list records each fork
+    attempt, which fails, so no process is started."""
     forks = []
-    fork = os.fork
 
     def counted():
         forks.append(1)
-        return fork()
+        raise OSError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "fork", counted, raising=False)
     return forks
 
 
 class TestSweepRows:
-    """sweep_rows is the serial comprehension over sweep_row whatever the
-    worker count, and it leaves no child behind."""
+    """sweep_rows is the serial comprehension over sweep_row, made in
+    this process whatever the CPU count."""
 
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    # p_max 60 has 1,101 rows, two shares of MIN_SHARE; p_max 30 has 277
+    # p_max 60 has 1,101 rows, p_max 30 has 277
     @pytest.mark.parametrize("p_max", [2, 3, 8, 30, 60])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_any_worker_count_gives_the_serial_rows(self, monkeypatch, k, p_max):
         forks = _force_cpus(monkeypatch, k)
         assert sweep_rows(p_max) == _serial_rows(p_max)
-        workers = max(1, min(k, len(_serial_rows(p_max)) // wps.MIN_SHARE))
-        assert len(forks) == workers - 1
-
-    def test_failed_fork_runs_serially(self, monkeypatch):
-        _force_cpus(monkeypatch, 2)
-
-        def fail():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fail)
-        assert sweep_rows(60) == _serial_rows(60)
-
-    def test_second_fork_failing_reaps_the_first_child(self, monkeypatch):
-        forks = _force_cpus(monkeypatch, 3)
-        fork = os.fork  # the counting wrapper
-
-        def second_fails():
-            if forks:
-                raise OSError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fails)
-        assert len(_serial_rows(80)) // wps.MIN_SHARE >= 3
-        assert sweep_rows(80) == _serial_rows(80)
-        assert forks == [1]
-
-    def test_many_cpus_fork_one_worker_per_share(self, monkeypatch):
-        """With 64 CPUs reported, the workers follow the rows.  Every fork
-        attempt fails, so no process is started."""
-        _force_cpus(monkeypatch, 64)
-        attempts, dealt = [], []
-        dealt_rows = wps._dealt_rows
-
-        def fail():
-            attempts.append(1)
-            raise OSError(11, "Resource temporarily unavailable")
-
-        def recorded(pairs, k):
-            dealt.append(k)
-            return dealt_rows(pairs, k)
-
-        monkeypatch.setattr(os, "fork", fail)
-        monkeypatch.setattr(wps, "_dealt_rows", recorded)
-        assert sweep_rows(30) == _serial_rows(30)
-        assert attempts == [] and dealt == [1]
-        # the worker count, not the rows: 19,023 pairs at p_max 250
-        monkeypatch.setattr(wps, "sweep_row", lambda p, q: [p, q])
-        dealt.clear()
-        assert sweep_rows(250) == [[p, q] for p, q in _coprime_pairs(250)]
-        assert attempts == [1] and dealt == [19_023 // wps.MIN_SHARE, 1]
+        assert forks == []
