@@ -246,13 +246,14 @@ class CurveConfig:
         have, labels = [], []  # the orders of the orbifold points, every label
         for s in self.stations:
             stype = self.ambient.point_type(s.ambient_point)
-            if s.isotropy_order != stype.order:
+            if s.isotropy_order != stype.a:
                 raise InvalidInput(
                     f"station at {s.ambient_point!r} declares isotropy "
-                    f"{s.isotropy_order}, ambient point has order {stype.order}"
+                    f"{s.isotropy_order}, ambient point has order {stype.a}"
                 )
             for p in s.points:
-                if p.germ.group != stype:
+                # a germ built on the ambient's own type is that object
+                if p.germ.group is not stype and p.germ.group != stype:
                     raise InvalidInput(
                         f"germ at {p.label!r} lives in chart {p.germ.group.to_json()}, "
                         f"ambient point {s.ambient_point!r} has type {stype.to_json()}"

@@ -408,6 +408,27 @@ def germ_from_polynomials(u_terms, v_terms, group=SingularityType(1, 0), m=1,
     return CurveGerm(PowerSeries(u_terms, trunc), PowerSeries(v_terms, trunc), group, m)
 
 
+_AXIS = _series({1: (1, 0)}, 1, DEFAULT_TRUNCATION), PowerSeries.zero()  # t and 0
+
+
+def axis_germ(first: bool, group: SingularityType) -> CurveGerm:
+    """The germ (t, 0) (first) or (0, t) in a chart of type group = (a,
+    b), fixed by the whole group (m = a), on series t and 0 that every
+    axis germ shares.  Its stabilizer exponent is the one that
+    _stabilizer_exponent solves for, in closed form: 1 mod a, or the
+    inverse of b mod a, which exists unless b = 0 and a > 1."""
+    a = group.a
+    try:
+        s = 1 % a if first else pow(group.b, -1, a)
+    except ValueError:
+        raise EquivarianceViolated(
+            f"germ is not equivariant for group {group.to_json()} with m={a}") from None
+    germ = object.__new__(CurveGerm)
+    germ.U, germ.V = _AXIS if first else _AXIS[::-1]
+    germ.group, germ.m, germ._rho_exponent = group, a, s
+    return germ
+
+
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q for q mod 4, as (re, im)
 
 
@@ -418,6 +439,8 @@ def _rotated(germ: CurveGerm, k: int) -> tuple[PowerSeries, PowerSeries]:
     checked again."""
     a, b = germ.group.a, germ.group.b
     k %= a
+    if not k:
+        return germ.U, germ.V
     if 4 * k % a:
         raise UnrepresentableCoefficients(
             f"translate by {k} of a Z_{a} action needs a root of "
@@ -528,28 +551,31 @@ def intersection_multiplicity(g1: CurveGerm, g2: CurveGerm, k: int = 0) -> int:
     times, a = ord U and b = ord V, with no blow-up; two distinct
     tangent lines are one such case.
 
-    Identical data, compared after the rotation and at equal stored
-    truncations, raise DistinctBranchesRequired, so one orbit given
-    twice exits 2.  Germs that agree below the smaller stored truncation
-    are not identical data, and neither are two germs of one axis whose
-    other coordinate is zero to precision: the blow-ups spend the
-    truncation without separating them, and the call raises
-    PrecisionExhausted (exit 1).
+    Identical data, which the leading terms never settle, are compared
+    only after them, after the rotation and at equal stored truncations:
+    they raise DistinctBranchesRequired, so one orbit given twice exits
+    2.  Germs that agree below the smaller stored truncation are not
+    identical data, and neither are two germs of one axis whose other
+    coordinate is zero to precision: the blow-ups spend the truncation
+    without separating them, and the call raises PrecisionExhausted
+    (exit 1).
     """
-    if g1.group != g2.group:
+    if g1.group is not g2.group and g1.group != g2.group:
         raise InvalidInput("germs live in different charts")
     u1, v1 = g1.U, g1.V
     u2, v2 = _rotated(g2, k)
-    if (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
+    count = _leading_count(u1, v1, u2, v2)
+    if count is None and (u1.trunc, v1.trunc) == (u2.trunc, v2.trunc) and u1 == u2 and v1 == v2:
         raise DistinctBranchesRequired("the two germs carry identical data")
     total = 0
-    while (count := _leading_count(u1, v1, u2, v2)) is None:
+    while count is None:
         tangent = _tangent(u1, v1)
         if tangent is None or tangent != _tangent(u2, v2):
             raise PrecisionExhausted(_UNFIXED_PAIR)
         total += _multiplicity(u1, v1) * _multiplicity(u2, v2)
         u1, v1 = _blow_up(u1, v1, tangent)
         u2, v2 = _blow_up(u2, v2, tangent)
+        count = _leading_count(u1, v1, u2, v2)
     return total + count
 
 

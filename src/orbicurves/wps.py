@@ -10,7 +10,6 @@ content and do not appear.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .chern_index import kawasaki_index
@@ -27,7 +26,7 @@ from .curvecalc import (
 )
 from .decode import SCHEMA_VERSION, format_rational
 from .errors import Disallowed, InvalidInput
-from .germ import CurveGerm, PowerSeries
+from .germ import axis_germ
 from .lens import (
     SingularityType,
     _check_lens_params,
@@ -38,7 +37,7 @@ from .surface import OrbifoldSurface
 
 POINT_X = "x"
 POINT_X_PRIME = "x_prime"
-_T, _ZERO = PowerSeries({1: 1}), PowerSeries.zero()  # the axis series t and 0
+_C0_CLASS = CurveClass((1,))  # [C0], the generator of H_2
 
 
 class WpsModel:
@@ -46,7 +45,7 @@ class WpsModel:
     self-pairing p/(p+q), c1 value (2p+q+1)/(p+q), and singular points
     x of type (p+q, p) and x' of type (p, q')."""
 
-    __slots__ = ("p", "q", "qprime", "ambient", "_congruence")
+    __slots__ = ("p", "q", "qprime", "ambient", "_congruence", "_c0prime_parts")
 
     def __init__(self, p: int, q: int, qprime: int, ambient: AmbientModel):
         self.p = p
@@ -54,6 +53,7 @@ class WpsModel:
         self.qprime = qprime
         self.ambient = ambient
         self._congruence = None
+        self._c0prime_parts = None
 
     @property
     def pairing(self) -> Fraction:
@@ -68,6 +68,19 @@ class WpsModel:
         if self._congruence is None:
             self._congruence = cobordism_congruence(self.p, self.q, self.qprime)
         return self._congruence
+
+    def c0prime_parts(self) -> tuple:
+        """The q'-free parts of C0', made on first use: the domain
+        S^2(p+q, p), the class 1/p and the station at x.  Like the
+        germs they are immutable, so the C0' configs of every q' of a
+        sweep row share them (_sibling)."""
+        if self._c0prime_parts is None:
+            n, x = self.p + self.q, self.ambient.point_type(POINT_X)
+            self._c0prime_parts = (
+                OrbifoldSurface(m_sigma=1, genus=0, orders=(n, self.p)),
+                CurveClass((Fraction(1, self.p),)),
+                station(POINT_X, n, [("w0", axis_germ(False, x))]))
+        return self._c0prime_parts
 
 
 def build_model(p: int, q: int, qprime: int) -> WpsModel:
@@ -87,31 +100,26 @@ def build_model(p: int, q: int, qprime: int) -> WpsModel:
     return WpsModel(p=p, q=q, qprime=qprime, ambient=ambient)
 
 
-def _axis_germ(first: bool, a: int, b: int, m: int) -> CurveGerm:
-    """The germ t -> (t, 0) (first) or (0, t) in a chart of type (a, b),
-    with stabilizer order m, on the shared series _T and _ZERO.  Series
-    and germs are immutable (a series only memoises its inverse), so
-    configs may share them."""
-    u, v = (_T, _ZERO) if first else (_ZERO, _T)
-    return CurveGerm(u, v, group=SingularityType(a, b), m=m)
-
-
-@lru_cache(maxsize=4)
-def _c0prime_parts(p: int, q: int) -> tuple:
-    """The q'-free parts of C0' for (p, q), immutable like the germs:
-    the domain S^2(p+q, p), the class 1/p and the station at x, which
-    the C0' configs of both q' in a sweep row share."""
-    return (OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)), CurveClass((Fraction(1, p),)),
-            station(POINT_X, p + q, [("w0", _axis_germ(False, p + q, p, p + q))]))
+def _sibling(m: WpsModel, qprime: int) -> WpsModel:
+    """The model of (p, q, q') for an allowed q' of m's sweep row.  Its
+    ambient shares m's pairing, c1 values and point x, and it shares
+    m's C0' parts; only x' is new.  q' comes from allowed_q_set, so the
+    lens checks of build_model have nothing left to reject."""
+    ambient = m.ambient
+    x = ambient.singular_points[0]
+    sibling = WpsModel(m.p, m.q, qprime, AmbientModel(
+        1, ambient.pairing, ambient.c1_vector, (x, (POINT_X_PRIME, SingularityType(m.p, qprime)))))
+    sibling._c0prime_parts = m.c0prime_parts()
+    return sibling
 
 
 def c0_config(m: WpsModel) -> CurveConfig:
     """The generating curve: a sphere with one cone point of order p+q,
     passing only through x along the first coordinate axis."""
     n = m.p + m.q
-    at_x = station(POINT_X, n, [("z0", _axis_germ(True, n, m.p, n))])
+    at_x = station(POINT_X, n, [("z0", axis_germ(True, m.ambient.point_type(POINT_X)))])
     return CurveConfig(m.ambient, OrbifoldSurface(m_sigma=1, genus=0, orders=(n,)),
-                       CurveClass((1,)), (at_x,))
+                       _C0_CLASS, (at_x,))
 
 
 def c0prime_cases(m: WpsModel) -> list[str]:
@@ -144,8 +152,9 @@ def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
             f"case {case} fails the integrality congruence for "
             f"(p, q, q') = ({m.p}, {m.q}, {m.qprime}); passing cases: {cases}"
         )
-    domain, curve_class, at_x = _c0prime_parts(m.p, m.q)
-    at_x_prime = station(POINT_X_PRIME, m.p, [("w1", _axis_germ(case == "B", m.p, m.qprime, m.p))])
+    domain, curve_class, at_x = m.c0prime_parts()
+    at_x_prime = station(POINT_X_PRIME, m.p,
+                         [("w1", axis_germ(case == "B", m.ambient.point_type(POINT_X_PRIME)))])
     return CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
 
 
@@ -161,6 +170,19 @@ def _genus_ratio(p: int, q: int, a: int, b: int) -> tuple[int, int]:
     return p * a * a - (2 * p + q + 1) * a * b + den, den
 
 
+def _genus_checks(p: int, q: int, ratios: list) -> tuple:
+    """The integer core of genus_bound_profile, on samples a/b given as
+    ascending integer pairs: the values g(a/b) and g(1/p) as (numerator,
+    denominator) pairs, whether the values decrease strictly, and the
+    peak identity g(1/p) = (1 - 1/(p+q))/2 + (1 - 1/p)/2."""
+    gs = [_genus_ratio(p, q, a, b) for a, b in ratios]
+    num, den = peak = _genus_ratio(p, q, 1, p)
+    decreasing = all(a * d > c * b for (a, b), (c, d) in zip(gs, gs[1:]))
+    # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
+    identity = num * 2 * p * (p + q) == ((p + q - 1) * p + (p - 1) * (p + q)) * den
+    return gs, peak, decreasing, identity
+
+
 def genus_bound_profile(m: WpsModel, samples) -> dict:
     """Evaluate the genus bound on ascending samples in (0, 1]: the
     [r, g(r)] rows plus the two exact checks, that the bound decreases
@@ -173,25 +195,20 @@ def genus_bound_profile(m: WpsModel, samples) -> dict:
         raise InvalidInput("samples must lie in (0, 1]")
     if any(a * d >= c * b for (a, b), (c, d) in zip(ratios, ratios[1:])):
         raise InvalidInput("samples must be strictly ascending")
-    p, q = m.p, m.q
-    gs = [_genus_ratio(p, q, a, b) for a, b in ratios]
-    num, den = _genus_ratio(p, q, 1, p)
+    gs, peak, decreasing, identity = _genus_checks(m.p, m.q, ratios)
     return {
         "schema": SCHEMA_VERSION,
         "rows": [[r, Fraction(*g)] for r, g in zip(rs, gs)],
-        "strictly_decreasing": all(a * d > c * b for (a, b), (c, d) in zip(gs, gs[1:])),
-        "value_at_inverse_p": Fraction(num, den),
-        # (1 - 1/(p+q))/2 + (1 - 1/p)/2 over the denominator 2p(p+q)
-        "peak_identity": num * 2 * p * (p + q) == ((p + q - 1) * p + (p - 1) * (p + q)) * den,
+        "strictly_decreasing": decreasing,
+        "value_at_inverse_p": Fraction(*peak),
+        "peak_identity": identity,
     }
 
 
-_HALF_AND_ONE = (Fraction(1, 2), Fraction(1))
-
-
-def _samples(p: int) -> list[Fraction]:
-    """The ascending samples {1/p, 1/2, 1}: two of them when p = 2."""
-    return [Fraction(1, p), *_HALF_AND_ONE] if p > 2 else [*_HALF_AND_ONE]
+def _sample_ratios(p: int) -> list[tuple[int, int]]:
+    """The ascending samples {1/p, 1/2, 1} as integer pairs: two of them
+    when p = 2."""
+    return [(1, p), (1, 2), (1, 1)] if p > 2 else [(1, 2), (1, 1)]
 
 
 def uniqueness_inequality(m: WpsModel) -> bool:
@@ -254,7 +271,7 @@ def dossier(m: WpsModel) -> dict:
             "adjunction": c0_report,
             "verdict": _verdict_text(c0_report),
         },
-        "genus_bound": genus_bound_profile(m, _samples(m.p)),
+        "genus_bound": genus_bound_profile(m, [Fraction(*r) for r in _sample_ratios(m.p)]),
     }
     if cases:
         cp = c0prime_config(m)
@@ -283,17 +300,17 @@ def sweep_row(p: int, q: int) -> dict:
     config = c0_config(model)
     report = adjunction_report(config)
     index = c0_index(model, config)
-    profile = genus_bound_profile(model, _samples(p))
+    _, _, decreasing, identity = _genus_checks(p, q, _sample_ratios(p))
     holds = (
         report["holds"]
         and embeddedness_verdict(report)["verdict"] == "EmbeddedSuborbifold"
         and index["d"] == 3
-        and profile["strictly_decreasing"]
-        and profile["peak_identity"]
+        and decreasing
+        and identity
         and uniqueness_inequality(model)
     )
     for qprime in allowed_q_set(p, q):
-        sibling = model if qprime == q else build_model(p, q, qprime)
+        sibling = model if qprime == q else _sibling(model, qprime)
         # C0 for q' differs from config only in its ambient, which x' is part of
         c0 = config if qprime == q else CurveConfig(
             sibling.ambient, config.domain, config.curve_class, config.stations)

@@ -203,12 +203,14 @@ _NAMES = [name for head, _ in _LEAVES for name in head]
 # files of each kind, a missing one, command names and the empty path
 _PATHS = [str(CONFIGS / "line.json"), str(CONFIGS / "teardrop_7.json"), "missing.json"]
 _PATHS += ["lens", "sweep", ""]
-# small enough that every handler returns at once;
-# int() reads "+7", " 7" and the Arabic-Indic digit seven as 7
-_INTS = ["2", "3", "4", "5", "7", "8", "16", "+7", " 7", "\u0667"]
+# small enough that every handler returns at once
+_INTS = ["2", "3", "4", "5", "7", "8", "16"]
+# int() reads these four as 7 or 70; an integer argument is ASCII digits
+# after an optional minus sign, so each is an argument error
+_NOT_INTS = ["+7", " 7", "\u0667", "7_0"]
 _HOSTILE = [
-    "--form", "--format=table", "--p-max=5", "--", "-h", "--help", "-5", "7_0", "x", "xml",
-    "--bogus", "-",
+    "--form", "--format=table", "--p-max=5", "--", "-h", "--help", "-5", "x", "xml",
+    "--bogus", "-", *_NOT_INTS,
 ]
 _TOKENS = sorted(set(_NAMES + _PATHS + _INTS + _HOSTILE + [
     "--format", "--precision", "--p-max", "json", "table",
@@ -218,7 +220,7 @@ _TOKENS = sorted(set(_NAMES + _PATHS + _INTS + _HOSTILE + [
 def _plain_value(kwargs: dict):
     if kwargs.get("choices"):
         return st.sampled_from(kwargs["choices"])
-    return st.sampled_from(_INTS if kwargs.get("type") is int else _PATHS)
+    return st.sampled_from(_INTS if kwargs.get("type") is cli._INT["type"] else _PATHS)
 
 
 @st.composite
@@ -631,6 +633,22 @@ class TestExitCodes:
         code, out = run_command(argv)
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("token", _NOT_INTS, ids=["plus", "space", "arabic_indic", "underscore"])
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (["lens", "allowed", "T", "3"], "lens allowed: argument p"),
+            (["wps", "report", "5", "2", "T"], "wps report: argument qprime"),
+            (["index", "scan", "T", "3"], "index scan: argument p"),
+            (["sweep", "--p-max", "T"], "sweep: argument --p-max"),
+        ],
+        ids=["lens", "wps_report", "index_scan", "sweep"],
+    )
+    def test_integer_arguments_are_ascii_digits(self, capsys, argv, where, token):
+        code, out = run_command([token if a == "T" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: orbicurves {where}: invalid int value: {token!r}\n"
 
     def test_no_command(self):
         code, _ = run_command([])

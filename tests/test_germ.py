@@ -314,6 +314,27 @@ class TestCurveGerm:
     def test_trivial_chart_weights(self):
         assert germ_from_polynomials({1: 1}, {2: 1}).weights() == (0, 0)
 
+    def test_axis_germ_is_the_constructed_germ(self):
+        # the closed form against the constructor's own solve, on every
+        # chart type up to order 40, the weight 0 included
+        for a in range(1, 41):
+            for b in range(a):
+                if a > 1 and b and math.gcd(a, b) != 1:
+                    continue
+                group = SingularityType(a, b)
+                for first in (True, False):
+                    u, v = ({1: 1}, {}) if first else ({}, {1: 1})
+                    try:
+                        want = germ_from_polynomials(u, v, group=group, m=a)
+                    except EquivarianceViolated:
+                        with pytest.raises(EquivarianceViolated):
+                            germ_module.axis_germ(first, group)
+                        continue
+                    got = germ_module.axis_germ(first, group)
+                    assert got == want and got.group is group, (a, b, first)
+                    assert got.weights() == want.weights(), (a, b, first)
+                    assert (got.U.trunc, got.V.trunc) == (want.U.trunc, want.V.trunc)
+
     def test_json_round_trip(self):
         g = germ_from_polynomials({1: "1/2"}, {}, group=SingularityType(7, 5), m=7)
         back = CurveGerm.from_json({

@@ -17,7 +17,12 @@ from orbicurves.curvecalc import (
     intersection_report,
     virtual_genus,
 )
-from orbicurves.errors import Disallowed, InvalidInput, InvalidParameters
+from orbicurves.errors import (
+    Disallowed,
+    DistinctBranchesRequired,
+    InvalidInput,
+    InvalidParameters,
+)
 from orbicurves.decode import format_rational
 from orbicurves.lens import SingularityType, allowed_q_set
 from orbicurves.wps import (
@@ -292,11 +297,19 @@ def _changed_meeting(**changed):
     return report
 
 
-def _changed_profile(**changed):
-    def profile(m, samples):
-        return {**genus_bound_profile(m, samples), **changed}
+_GENUS_CHECKS = wps._genus_checks
 
-    return profile
+
+def _failing_genus_check(position: int):
+    """wps._genus_checks with the check at position (2: strictly
+    decreasing, 3: the peak identity) made False."""
+
+    def checks(p, q, ratios):
+        out = list(_GENUS_CHECKS(p, q, ratios))
+        out[position] = False
+        return tuple(out)
+
+    return checks
 
 
 class TestSweepRowOracle:
@@ -314,8 +327,8 @@ class TestSweepRowOracle:
             ("adjunction_report", _failing_adjunction(True)),
             ("intersection_report", _changed_meeting(holds=False)),
             ("intersection_report", _changed_meeting(algebraic=Fraction(1))),
-            ("genus_bound_profile", _changed_profile(strictly_decreasing=False)),
-            ("genus_bound_profile", _changed_profile(peak_identity=False)),
+            ("_genus_checks", _failing_genus_check(2)),
+            ("_genus_checks", _failing_genus_check(3)),
         ],
         ids=["adjunction", "adjunction_C0_prime", "meeting", "meeting_value",
              "profile_decreasing", "profile_peak"],
@@ -326,6 +339,18 @@ class TestSweepRowOracle:
             assert sweep_row(p, q)["holds"] is False, (p, q)
 
 
+def _count_calls(monkeypatch, counts: dict, key: str, owner, attr: str) -> None:
+    """Replace owner.attr by a wrapper that adds 1 to counts[key] per call."""
+    original = getattr(owner, attr)
+    counts.setdefault(key, 0)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
 class TestWorkCount:
     """Work counts of the serial sweep over p <= 30 (277 rows): 40,367
     Fraction constructions and 1,425 germs before the report layer moved
@@ -334,64 +359,61 @@ class TestWorkCount:
     uniqueness inequality, the verdict's sign and the meeting value) and
     the sums of the pairings run on integer numerators, 9,655 Fractions
     on CPython 3.10 and 3.11 (9,378 on 3.12 and 3.13, whose arithmetic
-    makes fewer).  The two C0' configs of a row share one domain, class
-    and station at x, so the sweep builds 950 configs and 1,029 stations
-    (1,227 before).  C0 and C0' meet along the two coordinate axes, so
+    makes fewer); since C0's class is a constant, the second q' of a row
+    shares the model's pairing and c1 values, and the row reads the
+    genus-bound checks from their integer core, 7,599 (7,322).  The two
+    C0' configs of a row share one domain, class and station at x, so
+    the sweep builds 950 configs and 1,029 stations (1,227 before).
+    The axis germs take the model's own singularity types, and the
+    second q' shares the type at x, so the sweep builds 752 of them
+    (1,979 before).  C0 and C0' meet along the two coordinate axes, so
     every one of the 475 intersections is between transverse smooth
     branches and is read off the leading terms: no blow-up (475 series
-    determinants before).  The axis germs are built on two shared
-    series, so no row calls germ_from_polynomials (1,029 calls before).
-    A regression shows as a count, not as a time."""
+    determinants before), and no series comparison (475 before, when
+    the identical-data check came first).  The axis germs are built on
+    two shared series, so no row calls germ_from_polynomials (1,029
+    calls before).  A regression shows as a count, not as a time."""
 
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
-        counts = {"fractions": 0, "germs": 0, "blow_ups": 0, "polynomial_germs": 0,
-                  "configs": 0, "stations": 0}
-        new, init = Fraction.__new__, germ.CurveGerm.__init__
-        config_init, station_init = curvecalc.CurveConfig.__init__, curvecalc.Station.__init__
-        blow_up, from_polynomials = germ._blow_up, germ.germ_from_polynomials
-
-        def counted_new(cls, *args, **kwargs):
-            counts["fractions"] += 1
-            return new(cls, *args, **kwargs)
-
-        def counted_init(self, *args, **kwargs):
-            counts["germs"] += 1
-            init(self, *args, **kwargs)
-
-        def counted_config(self, *args, **kwargs):
-            counts["configs"] += 1
-            config_init(self, *args, **kwargs)
-
-        def counted_station(self, *args, **kwargs):
-            counts["stations"] += 1
-            station_init(self, *args, **kwargs)
-
-        def counted_blow_up(*args):
-            counts["blow_ups"] += 1
-            return blow_up(*args)
-
-        def counted_from_polynomials(*args, **kwargs):
-            counts["polynomial_germs"] += 1
-            return from_polynomials(*args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted_new)
-        monkeypatch.setattr(germ.CurveGerm, "__init__", counted_init)
-        monkeypatch.setattr(curvecalc.CurveConfig, "__init__", counted_config)
-        monkeypatch.setattr(curvecalc.Station, "__init__", counted_station)
-        monkeypatch.setattr(germ, "_blow_up", counted_blow_up)
-        for module in (germ, wps):
-            monkeypatch.setattr(module, "germ_from_polynomials", counted_from_polynomials,
-                                raising=False)
-        wps._c0prime_parts.cache_clear()
+        counts = {}
+        for key, owner, attr in [
+            ("fractions", Fraction, "__new__"),
+            ("germs", germ.CurveGerm, "__init__"),
+            ("germs", wps, "axis_germ"),
+            ("configs", curvecalc.CurveConfig, "__init__"),
+            ("stations", curvecalc.Station, "__init__"),
+            ("singularity_types", SingularityType, "__init__"),
+            ("series_comparisons", germ.PowerSeries, "__eq__"),
+            ("blow_ups", germ, "_blow_up"),
+            ("polynomial_germs", germ, "germ_from_polynomials"),
+        ]:
+            _count_calls(monkeypatch, counts, key, owner, attr)
         rows = [sweep_row(p, q) for p, q in _coprime_pairs(30)]
         monkeypatch.undo()
         assert len(rows) == 277 and all(r["holds"] for r in rows)
-        assert counts["fractions"] <= 9_655, counts
-        assert counts["germs"] <= 1_030, counts
+        assert counts["fractions"] <= 7_599, counts
+        assert counts["germs"] <= 1_029, counts
         assert counts["configs"] <= 950, counts
         assert counts["stations"] <= 1_029, counts
+        assert counts["singularity_types"] <= 752, counts
+        assert counts["series_comparisons"] == 0, counts
         assert counts["blow_ups"] == 0, counts
         assert counts["polynomial_germs"] == 0, counts
+
+    def test_a_transverse_meeting_compares_no_series(self, monkeypatch):
+        """The leading terms settle (t, 0) against (0, t) before any
+        identical-data comparison; (t^2, t^3) against itself still
+        reaches the comparison and raises."""
+        counts = {}
+        _count_calls(monkeypatch, counts, "series_comparisons", germ.PowerSeries, "__eq__")
+        chart = SingularityType(7, 3)
+        first, second = germ.axis_germ(True, chart), germ.axis_germ(False, chart)
+        assert germ.intersection_multiplicity(first, second) == 1
+        assert counts["series_comparisons"] == 0
+        cusp = germ.germ_from_polynomials({2: 1}, {3: 1})
+        with pytest.raises(DistinctBranchesRequired, match="identical data"):
+            germ.intersection_multiplicity(cusp, cusp)
+        assert counts["series_comparisons"] == 2
 
     def test_wps_report_evaluates_the_congruence_once(self, monkeypatch, capsys):
         calls = []
