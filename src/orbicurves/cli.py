@@ -226,7 +226,7 @@ def _cmd_intersect(args) -> dict:
 
 def _index_point(value, where: str) -> tuple[int, list[int]]:
     m, weights = list_(value, where, length=2)
-    return int_(m, f"{where}[0]"), list_(weights, f"{where}[1]", item=int_)
+    return int_(m, f"{where}[0]"), list_(weights, f"{where}[1]", item=int_, length=2)
 
 
 def _cmd_index_eval(args) -> dict:

@@ -11,8 +11,8 @@ singular symplectic filling machinery connect L(p, q) to L(p, q')?  The
 answer is an integrality test on a rational index d (chern_index
 evaluates it).  With r = (1 - l*p)/(p+q), so that r = q^{-1} (mod p),
 the two cases give d_A = 2 + (r - l')/p and d_B = 2 + (r - q')/p, hence
-case A holds iff q' = q and case B iff q*q' = 1 (mod p).  This module
-uses that closed form; chern_index.index_integrality_scan is its oracle.
+case A holds iff q' = q and case B iff q*q' = 1 (mod p).  _cases holds
+that closed form, and chern_index.index_integrality_scan is its oracle.
 cobordism_congruence returns its record as the report's own dict.
 """
 
@@ -118,6 +118,13 @@ def lens_equivalent(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> boo
     return qp % p in candidates
 
 
+def _cases(p: int, q: int, qprime: int) -> tuple[bool, bool]:
+    """Whether case A and case B of cobordism_congruence are integral,
+    for lens parameters (p, q) and (p, q') the caller has checked: A is
+    q' = q, B is q*q' = 1 (mod p)."""
+    return qprime == q, (q * qprime) % p == 1
+
+
 def cobordism_congruence(p: int, q: int, qprime: int) -> dict:
     """Integrality obstruction for connecting L(p, q) to L(p, q'), as
     the report's congruence record: a dict with keys p, q, qprime, l, r,
@@ -139,8 +146,7 @@ def cobordism_congruence(p: int, q: int, qprime: int) -> dict:
     if num % (p + q) != 0:
         raise ArithmeticError("1 - l*p must be divisible by p+q")
     r = num // (p + q)
-    case_a = qprime == q
-    case_b = (q * qprime) % p == 1
+    case_a, case_b = _cases(p, q, qprime)
     return {
         "p": p,
         "q": q,

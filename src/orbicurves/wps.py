@@ -29,6 +29,7 @@ from .errors import Disallowed, InvalidInput
 from .germ import axis_germ
 from .lens import (
     SingularityType,
+    _cases,
     _check_lens_params,
     allowed_q_set,
     cobordism_congruence,
@@ -43,17 +44,18 @@ _C0_CLASS = CurveClass((1,))  # [C0], the generator of H_2
 class WpsModel:
     """The cap for parameters (p, q, q'): one generator of H_2 with
     self-pairing p/(p+q), c1 value (2p+q+1)/(p+q), and singular points
-    x of type (p+q, p) and x' of type (p, q')."""
+    x of type (p+q, p) and x' of type (p, q').  c0prime_parts holds the
+    q'-free parts of C0': the domain S^2(p+q, p), the class 1/p and the
+    station at x."""
 
-    __slots__ = ("p", "q", "qprime", "ambient", "_congruence", "_c0prime_parts")
+    __slots__ = ("p", "q", "qprime", "ambient", "c0prime_parts")
 
-    def __init__(self, p: int, q: int, qprime: int, ambient: AmbientModel):
+    def __init__(self, p: int, q: int, qprime: int, ambient: AmbientModel, c0prime_parts: tuple):
         self.p = p
         self.q = q
         self.qprime = qprime
         self.ambient = ambient
-        self._congruence = None
-        self._c0prime_parts = None
+        self.c0prime_parts = c0prime_parts
 
     @property
     def pairing(self) -> Fraction:
@@ -63,54 +65,40 @@ class WpsModel:
     def c1_value(self) -> Fraction:
         return self.ambient.c1_vector[0]
 
-    def congruence(self) -> dict:
-        """The congruence record of (p, q, q'), evaluated on first use."""
-        if self._congruence is None:
-            self._congruence = cobordism_congruence(self.p, self.q, self.qprime)
-        return self._congruence
-
-    def c0prime_parts(self) -> tuple:
-        """The q'-free parts of C0', made on first use: the domain
-        S^2(p+q, p), the class 1/p and the station at x.  Like the
-        germs they are immutable, so the C0' configs of every q' of a
-        sweep row share them (_sibling)."""
-        if self._c0prime_parts is None:
-            n, x = self.p + self.q, self.ambient.point_type(POINT_X)
-            self._c0prime_parts = (
-                OrbifoldSurface(m_sigma=1, genus=0, orders=(n, self.p)),
-                CurveClass((Fraction(1, self.p),)),
-                station(POINT_X, n, [("w0", axis_germ(False, x))]))
-        return self._c0prime_parts
-
 
 def build_model(p: int, q: int, qprime: int) -> WpsModel:
-    """Assemble the cap model; the congruence is not consulted here, so
-    disallowed q' still produce a model (only c0prime_config objects)."""
+    """Check the lens parameters and assemble the cap model with the
+    q'-free parts of C0'.  The congruence is not consulted here, so a
+    disallowed q' still produces a model (only c0prime_config objects)."""
     _check_lens_params(p, q)
     _check_lens_params(p, qprime, name="q'")
+    x = SingularityType(p + q, p)
     ambient = AmbientModel(
         h2_rank=1,
         pairing=((Fraction(p, p + q),),),
         c1_vector=(Fraction(2 * p + q + 1, p + q),),
         singular_points=(
-            (POINT_X, SingularityType(p + q, p)),
+            (POINT_X, x),
             (POINT_X_PRIME, SingularityType(p, qprime)),
         ),
     )
-    return WpsModel(p=p, q=q, qprime=qprime, ambient=ambient)
+    parts = (OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)),
+             CurveClass((Fraction(1, p),)),
+             station(POINT_X, p + q, [("w0", axis_germ(False, x))]))
+    return WpsModel(p, q, qprime, ambient, parts)
 
 
 def _sibling(m: WpsModel, qprime: int) -> WpsModel:
     """The model of (p, q, q') for an allowed q' of m's sweep row.  Its
     ambient shares m's pairing, c1 values and point x, and it shares
-    m's C0' parts; only x' is new.  q' comes from allowed_q_set, so the
-    lens checks of build_model have nothing left to reject."""
+    m's C0' parts, which like the germs are immutable; only x' is new.
+    q' comes from allowed_q_set, so the lens checks of build_model have
+    nothing left to reject."""
     ambient = m.ambient
     x = ambient.singular_points[0]
-    sibling = WpsModel(m.p, m.q, qprime, AmbientModel(
-        1, ambient.pairing, ambient.c1_vector, (x, (POINT_X_PRIME, SingularityType(m.p, qprime)))))
-    sibling._c0prime_parts = m.c0prime_parts()
-    return sibling
+    return WpsModel(m.p, m.q, qprime, AmbientModel(
+        1, ambient.pairing, ambient.c1_vector, (x, (POINT_X_PRIME, SingularityType(m.p, qprime)))),
+        m.c0prime_parts)
 
 
 def c0_config(m: WpsModel) -> CurveConfig:
@@ -124,37 +112,27 @@ def c0_config(m: WpsModel) -> CurveConfig:
 
 def c0prime_cases(m: WpsModel) -> list[str]:
     """Which local forms at x' pass the integrality congruence, in
-    preference order."""
-    record = m.congruence()
-    cases = (("A", "caseA_integral"), ("B", "caseB_integral"))
-    return [case for case, key in cases if record[key]]
+    preference order: A when q' = q, B when q*q' = 1 (mod p), read off
+    lens._cases for the parameters build_model checked."""
+    return [case for case, integral in zip("AB", _cases(m.p, m.q, m.qprime)) if integral]
 
 
-def c0prime_config(m: WpsModel, case: str | None = None) -> CurveConfig:
+def c0prime_config(m: WpsModel) -> CurveConfig:
     """The (1/p)-fraction curve: a sphere with cone points of orders
     p+q and p, along the second coordinate axis at x, and at x' along
-    the axis selected by the congruence case (A: second axis, B: first
-    axis).  Case A is preferred when both pass.
+    the axis of the preferred passing case: A (second axis) when
+    q' = q, else B (first axis).
     """
-    cases = c0prime_cases(m)
-    if not cases:
-        record = m.congruence()
+    case_a, case_b = _cases(m.p, m.q, m.qprime)
+    if not (case_a or case_b):
+        record = cobordism_congruence(m.p, m.q, m.qprime)
         raise Disallowed(
             f"no integral local form at x' for (p, q, q') = "
             f"({m.p}, {m.q}, {m.qprime}); congruence record {record}"
         )
-    if case is None:
-        case = cases[0]
-    if case not in ("A", "B"):
-        raise InvalidInput(f"case must be 'A' or 'B', got {case!r}")
-    if case not in cases:
-        raise Disallowed(
-            f"case {case} fails the integrality congruence for "
-            f"(p, q, q') = ({m.p}, {m.q}, {m.qprime}); passing cases: {cases}"
-        )
-    domain, curve_class, at_x = m.c0prime_parts()
+    domain, curve_class, at_x = m.c0prime_parts
     at_x_prime = station(POINT_X_PRIME, m.p,
-                         [("w1", axis_germ(case == "B", m.ambient.point_type(POINT_X_PRIME)))])
+                         [("w1", axis_germ(not case_a, m.ambient.point_type(POINT_X_PRIME)))])
     return CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
 
 
@@ -244,7 +222,7 @@ def dossier(m: WpsModel) -> dict:
     """Every model quantity in one mapping of exact values with stable
     key order: homology data, congruence record, both curve reports, the
     genus bound profile on {1/p, 1/2, 1}, and the scalar invariants."""
-    record = m.congruence()
+    record = cobordism_congruence(m.p, m.q, m.qprime)
     cases = c0prime_cases(m)
     c0 = c0_config(m)
     c0_report = adjunction_report(c0)

@@ -28,6 +28,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
         "wps_report_5_2_2.table.txt",
         ["wps", "report", "5", "2", "2", "--format", "table"],
     ),
+    # q' = 4 passes neither case; q = q' = 1 passes both, and A is chosen
+    ("wps_report_5_2_4.json", ["wps", "report", "5", "2", "4"]),
+    ("wps_report_5_1_1.json", ["wps", "report", "5", "1", "1"]),
     ("lens_classify_7_2_4.json", ["lens", "classify", "7", "2", "4"]),
     ("lens_allowed_5_2.json", ["lens", "allowed", "5", "2"]),
     ("index_scan_5_2.json", ["index", "scan", "5", "2"]),

@@ -719,6 +719,11 @@ class TestExitCodes:
                 "points[0][1][1]: expected an integer, got false",
             ),
             (
+                # a point's weights are a pair: the path names the list
+                {"c1_pair": "12/35", "genus": 0, "points": [[3, [1, 1, 1]]]},
+                "points[0][1]: expected a list of 2 items, got [1, 1, 1]",
+            ),
+            (
                 {"c1_pair": 0.25, "genus": 0, "points": [[7, [3, 1]]]},
                 'c1_pair: expected a rational string "a/b", got 0.25',
             ),
@@ -729,7 +734,7 @@ class TestExitCodes:
         ],
         ids=[
             "float_genus", "bool_genus", "float_order", "bool_order",
-            "float_weight", "bool_weight", "float_c1", "list_c1",
+            "float_weight", "bool_weight", "three_weights", "float_c1", "list_c1",
         ],
     )
     def test_index_eval_rejects_non_integer_fields(self, tmp_path, capsys, data, message):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicurves import cli, curvecalc, germ, wps
+from orbicurves import cli, curvecalc, germ, lens, wps
 from orbicurves.curvecalc import (
     adjunction_report,
     algebraic_intersection,
@@ -24,7 +24,7 @@ from orbicurves.errors import (
     InvalidParameters,
 )
 from orbicurves.decode import format_rational
-from orbicurves.lens import SingularityType, allowed_q_set
+from orbicurves.lens import SingularityType, allowed_q_set, cobordism_congruence
 from orbicurves.wps import (
     build_model,
     c0_config,
@@ -71,7 +71,8 @@ class TestModel:
 
     def test_disallowed_qprime_still_models(self):
         m = build_model(5, 2, 4)
-        assert not m.congruence()["allowed"]
+        assert m.ambient.point_type("x_prime") == SingularityType(5, 4)
+        assert not cobordism_congruence(5, 2, 4)["allowed"]
 
 
 class TestGeneratingCurve:
@@ -109,19 +110,20 @@ class TestFractionCurve:
         assert c0prime_cases(build_model(5, 1, 1)) == ["A", "B"]
 
     def test_configs_for_both_cases(self):
+        # c0prime_config takes the preferred case A; case B's local form
+        # at x', the first axis, is built here from the model's parts
         m = build_model(5, 1, 1)
-        for case in ("A", "B"):
-            cfg = c0prime_config(m, case=case)
+        domain, curve_class, at_x = m.c0prime_parts
+        at_x_prime = curvecalc.station(
+            "x_prime", 5, [("w1", germ.axis_germ(True, m.ambient.point_type("x_prime")))])
+        case_b = curvecalc.CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
+        for cfg in (c0prime_config(m), case_b):
             assert adjunction_report(cfg)["holds"]
             assert embeddedness_verdict(adjunction_report(cfg))["verdict"] == EMBEDDED
 
     def test_disallowed_raises(self):
         with pytest.raises(Disallowed):
             c0prime_config(build_model(5, 2, 4))
-        with pytest.raises(Disallowed):
-            c0prime_config(build_model(5, 2, 2), case="B")
-        with pytest.raises(InvalidInput):
-            c0prime_config(build_model(5, 2, 2), case="C")
 
     def test_self_pairing_and_meeting(self):
         for p, q in [(5, 2), (7, 3), (8, 3)]:
@@ -263,9 +265,9 @@ class TestSweepRow:
     def test_checks_every_allowed_qprime(self, monkeypatch):
         seen = []
 
-        def spy(m, case=None):
+        def spy(m):
             seen.append(m.qprime)
-            return c0prime_config(m, case)
+            return c0prime_config(m)
 
         monkeypatch.setattr(wps, "c0prime_config", spy)
         for p, q in [(5, 2), (7, 3), (8, 3), (12, 5)]:
@@ -372,7 +374,10 @@ class TestWorkCount:
     determinants before), and no series comparison (475 before, when
     the identical-data check came first).  The axis germs are built on
     two shared series, so no row calls germ_from_polynomials (1,029
-    calls before).  A regression shows as a count, not as a time."""
+    calls before).  The local form of C0' at x' is read off the closed
+    form of the congruence, so the sweep builds no congruence record
+    and checks lens parameters 831 times (475 records and 1,781 checks
+    before).  A regression shows as a count, not as a time."""
 
     def test_fractions_and_germs_per_sweep(self, monkeypatch):
         counts = {}
@@ -399,6 +404,26 @@ class TestWorkCount:
         assert counts["series_comparisons"] == 0, counts
         assert counts["blow_ups"] == 0, counts
         assert counts["polynomial_germs"] == 0, counts
+
+    def test_lens_checks_and_congruence_records_per_sweep(self, monkeypatch):
+        """Each of the 277 rows checks (p, q) and (p, q') in build_model
+        and (p, q) in allowed_q_set, 831 lens-parameter checks in all;
+        the C0' case is read off the closed form, so no congruence
+        record is built (1,781 checks and 475 records when each allowed
+        q' built its record)."""
+        counts = {}
+        for key, owner, attr in [
+            ("lens_checks", lens, "_check_lens_params"),
+            ("lens_checks", wps, "_check_lens_params"),
+            ("congruence_records", lens, "cobordism_congruence"),
+            ("congruence_records", wps, "cobordism_congruence"),
+        ]:
+            _count_calls(monkeypatch, counts, key, owner, attr)
+        rows = [sweep_row(p, q) for p, q in _coprime_pairs(30)]
+        monkeypatch.undo()
+        assert len(rows) == 277 and all(r["holds"] for r in rows)
+        assert counts["lens_checks"] <= 831, counts
+        assert counts["congruence_records"] == 0, counts
 
     def test_a_transverse_meeting_compares_no_series(self, monkeypatch):
         """The leading terms settle (t, 0) against (0, t) before any
