@@ -140,10 +140,6 @@ class WeightedComplex:
     def of_dimension(self, r: int) -> list[Simplex]:
         return [s for s in self.simplices if len(s) == r + 1]
 
-    def underlying(self) -> "WeightedComplex":
-        """The same complex with all orders 1."""
-        return WeightedComplex(self.simplices)
-
     @staticmethod
     def from_json(data) -> "WeightedComplex":
         """A complex file; the constructor checks the orders' values.  Of
@@ -244,15 +240,6 @@ def homology_betti(w: WeightedComplex, matrices: list[list[dict[int, int]]]) -> 
     return [
         len(w.of_dimension(r)) - ranks[r] - ranks[r + 1] for r in range(w.dimension() + 1)
     ]
-
-
-def teardrop_complex(p: int) -> WeightedComplex:
-    """The boundary of the tetrahedron on vertices 0..3 with one cone
-    point of order p at vertex 0: a triangulated p-teardrop sphere."""
-    if p < 1:
-        raise InvalidInput(f"cone order must be >= 1, got {p}")
-    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    return WeightedComplex(triangles, {(0,): p})
 
 
 class FiniteGroup:

@@ -182,6 +182,8 @@ def _with_retries(compute, x):
 def _cmd_lens_classify(args) -> dict:
     from .lens import LensSpace, cobordism_congruence, lens_equivalent
 
+    # the congruence checks q' under its own name, so it runs first
+    congruence = cobordism_congruence(args.p, args.q, args.qprime)
     first = LensSpace(args.p, args.q)
     second = LensSpace(args.p, args.qprime)
     return {
@@ -191,7 +193,7 @@ def _cmd_lens_classify(args) -> dict:
         "q_prime": args.qprime,
         "equivalent_unoriented": lens_equivalent(first, second),
         "equivalent_oriented": lens_equivalent(first, second, oriented=True),
-        "congruence": cobordism_congruence(args.p, args.q, args.qprime),
+        "congruence": congruence,
     }
 
 

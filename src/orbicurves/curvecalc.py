@@ -137,15 +137,6 @@ class CurveClass:
             raise InvalidInput(f"multiplicity must be >= 1, got {multiplicity}")
         self.multiplicity = multiplicity
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return self.coords == other.coords and self.multiplicity == other.multiplicity
-
-    @property
-    def is_type_one(self) -> bool:
-        return self.multiplicity == 1
-
     @staticmethod
     def from_json(data, where: str = "class") -> "CurveClass":
         obj(data, where, "coords", optional=("multiplicity",))
@@ -165,11 +156,6 @@ class StationPoint:
     def __init__(self, label: str, germ: CurveGerm):
         self.label = label
         self.germ = germ
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StationPoint):
-            return NotImplemented
-        return self.label == other.label and self.germ == other.germ
 
 
 class Station:
@@ -196,21 +182,6 @@ class Station:
                     f"orbit at {p.label!r} lives in a group of order "
                     f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Station):
-            return NotImplemented
-        return (
-            self.ambient_point == other.ambient_point
-            and self.isotropy_order == other.isotropy_order
-            and self.points == other.points
-        )
-
-    def point(self, label: str) -> StationPoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise InvalidInput(f"no point labeled {label!r} in station {self.ambient_point!r}")
 
 
 def station(ambient_point: str, isotropy_order: int, points) -> Station:
@@ -277,17 +248,6 @@ class CurveConfig:
             )
         if len(set(labels)) != len(labels):
             raise InvalidInput(f"domain point labels must be unique: {labels}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurveConfig):
-            return NotImplemented
-        return (
-            self.ambient == other.ambient
-            and self.domain == other.domain
-            and self.curve_class == other.curve_class
-            and self.stations == other.stations
-            and self.regular_double_points == other.regular_double_points
-        )
 
     @staticmethod
     def from_json(data) -> "CurveConfig":
@@ -408,19 +368,10 @@ def _pair_term(g1: CurveGerm, g2: CurveGerm) -> Fraction:
     return Fraction(g1.orbit_size * total, g1.group.a)
 
 
-def local_pair_contribution(s: Station, z: str, zprime: str) -> Fraction:
-    """k for an unordered pair of distinct domain points over one
-    ambient point: (1/|G|) sum over both orbits of pairwise
-    intersection multiplicities."""
-    if z == zprime:
-        raise InvalidInput("pair contribution needs two distinct labels")
-    return _pair_term(s.point(z).germ, s.point(zprime).germ)
-
-
-def local_point_contribution(s: Station, z: str) -> Fraction:
-    """k for a single domain point z over an ambient point:
-    (1/2|G|) (sum of branch deltas + sum over ordered branch pairs),
-    where the pair sum's diagonal term is the branch's delta.
+def _point_term(base: CurveGerm, isotropy_order: int) -> Fraction:
+    """The term of one domain point whose germ is base, over an ambient
+    point of the given isotropy order: (1/2|G|) (sum of branch deltas +
+    sum over ordered pairs of distinct branches of the orbit).
 
     With n the orbit size this is (1/2|G|)(2 n delta + cross), since
     every branch of the orbit has the base's delta; as in _pair_term the
@@ -429,11 +380,6 @@ def local_point_contribution(s: Station, z: str) -> Fraction:
     base) = I(base, mu^(n-d) base), so d <= n/2 are summed, each twice
     but the middle one.
     """
-    return _point_term(s.point(z).germ, s.isotropy_order)
-
-
-def _point_term(base: CurveGerm, isotropy_order: int) -> Fraction:
-    """local_point_contribution of the point whose germ is base."""
     size, delta, cross = base.orbit_size, self_intersection(base), 0
     for d in range(1, size // 2 + 1):
         cross += intersection_multiplicity(base, base, d) * (1 if 2 * d == size else 2)

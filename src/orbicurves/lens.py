@@ -99,9 +99,6 @@ class LensSpace:
         self.p = p
         self.q = q
 
-    def cone_type(self) -> SingularityType:
-        return SingularityType(self.p, self.q)
-
 
 def lens_equivalent(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
     """Diffeomorphism classification of lens spaces.

@@ -37,18 +37,6 @@ class OrbifoldSurface:
                     f"cone order {m} must be a multiple of the surface multiplicity {m_sigma}"
                 )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbifoldSurface):
-            return NotImplemented
-        return (
-            self.m_sigma == other.m_sigma
-            and self.genus == other.genus
-            and self.orders == other.orders
-        )
-
-    def is_reduced(self) -> bool:
-        return self.m_sigma == 1
-
     @staticmethod
     def from_json(data, where: str = "domain") -> "OrbifoldSurface":
         obj(data, where, "genus", optional=("m_sigma", "orders"))

