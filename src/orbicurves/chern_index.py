@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .decode import int_
+from .decode import int_, rational
 from .errors import InvalidParameters, WeightOutOfRange
 from .lens import _check_lens_params, mod_inverse
 
@@ -47,7 +47,7 @@ class EquivariantTrivialization:
     __slots__ = ("rank", "relative_c1", "points")
 
     def __init__(self, rank: int, relative_c1: int, points):
-        if rank < 1:
+        if int_(rank, "rank") < 1:
             raise InvalidParameters(f"rank must be >= 1, got {rank}")
         self.rank = rank
         self.relative_c1 = int_(relative_c1, "relative_c1")
@@ -70,15 +70,16 @@ def kawasaki_index(c1_pair, genus: int, points) -> dict:
     count and index = 2d is the real-operator index, meaningful when d
     is an integer.
 
-    c1_pair: pairing of ambient c_1 with the image class (rational).
+    c1_pair: pairing of ambient c_1 with the image class: an int, a
+    Fraction or an "a/b" string; a float or a bool is InvalidInput.
     genus: genus of the underlying domain surface.
     points: iterable of (m_i, (w1, w2)) orbifold point data; weights are
     reduced into [0, m_i).
     """
     if int_(genus, "genus") < 0:
         raise InvalidParameters(f"genus must be >= 0, got {genus}")
-    if not isinstance(c1_pair, (int, Fraction)):
-        c1_pair = Fraction(c1_pair)
+    if isinstance(c1_pair, bool) or not isinstance(c1_pair, (int, Fraction)):
+        c1_pair = rational(c1_pair, "c1_pair")
     # d = num/den, over the lcm of c1_pair's denominator and the orders so far
     num, den = c1_pair.numerator + (2 - 2 * genus) * c1_pair.denominator, c1_pair.denominator
     for m, ws in points:

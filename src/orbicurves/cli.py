@@ -180,19 +180,18 @@ def _with_retries(compute, x):
 
 
 def _cmd_lens_classify(args) -> dict:
-    from .lens import LensSpace, cobordism_congruence, lens_equivalent
+    from .lens import cobordism_congruence, lens_equivalent
 
-    # the congruence checks q' under its own name, so it runs first
-    congruence = cobordism_congruence(args.p, args.q, args.qprime)
-    first = LensSpace(args.p, args.q)
-    second = LensSpace(args.p, args.qprime)
+    # the congruence checks (p, q) and (p, q'), q' under its own name
+    p, q, qprime = args.p, args.q, args.qprime
+    congruence = cobordism_congruence(p, q, qprime)
     return {
         "schema": SCHEMA_VERSION,
-        "p": args.p,
-        "q": args.q,
-        "q_prime": args.qprime,
-        "equivalent_unoriented": lens_equivalent(first, second),
-        "equivalent_oriented": lens_equivalent(first, second, oriented=True),
+        "p": p,
+        "q": q,
+        "q_prime": qprime,
+        "equivalent_unoriented": lens_equivalent(p, q, qprime),
+        "equivalent_oriented": lens_equivalent(p, q, qprime, oriented=True),
         "congruence": congruence,
     }
 

@@ -73,7 +73,7 @@ class AmbientModel:
             seen.add(pid)
             if not isinstance(stype, SingularityType):
                 raise InvalidInput(f"singular point {pid!r} needs a SingularityType")
-            if _is_regular_marker(pid) and not stype.is_trivial():
+            if _is_regular_marker(pid) and stype.a != 1:
                 raise InvalidInput(
                     f"id {pid!r} is reserved for trivial isotropy markers"
                 )
@@ -160,15 +160,16 @@ class StationPoint:
 
 class Station:
     """All domain points of one curve lying over a single ambient point,
-    with the isotropy order of that point.  Each point's stated
-    stabilizer was checked once, when its germ was built."""
+    with the isotropy order of that point, built from (label, germ)
+    pairs.  Each point's stated stabilizer was checked once, when its
+    germ was built."""
 
     __slots__ = ("ambient_point", "isotropy_order", "points")
 
     def __init__(self, ambient_point: str, isotropy_order: int, points):
         self.ambient_point = ambient_point
         self.isotropy_order = isotropy_order
-        self.points = tuple(points)
+        self.points = tuple(StationPoint(label, germ) for label, germ in points)
         if isotropy_order < 1:
             raise InvalidInput(f"isotropy order must be >= 1, got {isotropy_order}")
         if not self.points:
@@ -182,12 +183,6 @@ class Station:
                     f"orbit at {p.label!r} lives in a group of order "
                     f"{p.germ.group.a}, station isotropy is {self.isotropy_order}"
                 )
-
-
-def station(ambient_point: str, isotropy_order: int, points) -> Station:
-    """Build a station from (label, germ) pairs."""
-    built = tuple(StationPoint(label, germ) for label, germ in points)
-    return Station(ambient_point=ambient_point, isotropy_order=isotropy_order, points=built)
 
 
 class CurveConfig:
@@ -277,7 +272,7 @@ def _read_station(data, where: str) -> Station:
         label = str_(p["label"], f"{at}.label")
         points.append((label, CurveGerm.from_json(p["germ"], f"{at}.germ")))
         declared.append(int_(p["order"], f"{at}.order") if "order" in p else None)
-    st = station(
+    st = Station(
         str_(data["ambient_point"], f"{where}.ambient_point"),
         int_(data["isotropy_order"], f"{where}.isotropy_order"),
         points,
@@ -296,7 +291,7 @@ def _read_double_point(data, where: str) -> Station:
     obj(data, where, "labels", "germs")
     labels = list_(data["labels"], f"{where}.labels", item=str_, length=2)
     germs = list_(data["germs"], f"{where}.germs", item=CurveGerm.from_json, length=2)
-    return station("", 1, zip(labels, germs))
+    return Station("", 1, zip(labels, germs))
 
 
 def load_config(path: str) -> CurveConfig:

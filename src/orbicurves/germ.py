@@ -79,7 +79,7 @@ class PowerSeries:
     smaller truncation, which is the only comparison the data supports.
     """
 
-    __slots__ = ("num", "den", "trunc", "_inverse")
+    __slots__ = ("num", "den", "trunc")
 
     def __init__(self, terms, trunc=DEFAULT_TRUNCATION):
         parts = {int_(e, "series exponent"): _coefficient(c) for e, c in dict(terms).items()}
@@ -102,7 +102,7 @@ class PowerSeries:
         if g != 1:  # an empty series ends with den = g // g = 1
             den //= g
             clean = {e: (r // g, i // g) for e, (r, i) in clean.items()}
-        self.num, self.den, self.trunc, self._inverse = clean, den, trunc, None
+        self.num, self.den, self.trunc = clean, den, trunc
 
     @staticmethod
     def zero(trunc=DEFAULT_TRUNCATION) -> "PowerSeries":
@@ -139,8 +139,6 @@ class PowerSeries:
         a = {e: (r * db, i * db) for e, (r, i) in self.num.items() if e < cut}
         b = {e: (r * da, i * da) for e, (r, i) in other.num.items() if e < cut}
         return a == b
-
-    __hash__ = None
 
     def _combine(self, other: "PowerSeries", sign: int) -> "PowerSeries":
         """self + sign * other over the lcm of the denominators."""
@@ -223,17 +221,12 @@ class PowerSeries:
             inv = inv * (_series({0: (2, 0)}, 1, known) - self * inv)
         return inv
 
-    def _unit_inverse(self, v: int) -> "PowerSeries":
-        """Inverse of self / z^v, known below self.trunc - v and memoised.
-        A quotient by self reads its coefficients only below that."""
-        if self._inverse is None:
-            self._inverse = (self.shift(-v) if v else self).invert_unit()
-        return self._inverse
-
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Exact division in the Laurent sense: requires ord(self) >=
-        ord(other).  Keeps relative precision: for v = ord(other) the
-        quotient q is known below min(T_self - v, T_other - v + ord q)."""
+        ord(other).  For v = ord(other), self / z^v is multiplied by the
+        inverse of the unit other / z^v, which each call computes
+        afresh.  Keeps relative precision: the quotient q is known below
+        min(T_self - v, T_other - v + ord q)."""
         v = other.order()  # raises ZeroToPrecision for 0-to-precision divisor
         if self.num and self.order() < v:
             raise InvalidInput("division would produce negative exponents")
@@ -241,8 +234,7 @@ class PowerSeries:
             if self.trunc - v < 1:
                 raise ZeroToPrecision("quotient is zero to no significant precision")
             return _series({}, 1, self.trunc - v)
-        num = self.shift(-v) if v else self
-        return num * other._unit_inverse(v)
+        return self.shift(-v) * other.shift(-v).invert_unit()
 
     def nth_root_of_unit_series(self, n: int) -> "PowerSeries":
         """(1 + h)^(1/n) for a series with constant term exactly 1, as the

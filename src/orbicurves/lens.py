@@ -65,13 +65,6 @@ class SingularityType:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    @property
-    def order(self) -> int:
-        return self.a
-
-    def is_trivial(self) -> bool:
-        return self.a == 1
-
     def to_json(self):
         return [self.a, self.b]
 
@@ -89,30 +82,17 @@ def _check_lens_params(p: int, q: int, name: str = "q") -> None:
         raise InvalidParameters(f"p and {name} must be coprime, got ({p}, {q})")
 
 
-class LensSpace:
-    """L(p, q) with the canonical parameter range 0 < q < p, gcd(p,q)=1."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int):
-        _check_lens_params(p, q)
-        self.p = p
-        self.q = q
-
-
-def lens_equivalent(l1: LensSpace, l2: LensSpace, oriented: bool = False) -> bool:
-    """Diffeomorphism classification of lens spaces.
+def lens_equivalent(p: int, q: int, qprime: int, oriented: bool = False) -> bool:
+    """Diffeomorphism classification of L(p, q) and L(p, q'), for lens
+    parameters the caller has checked (as cobordism_congruence does).
 
     Unoriented: L(p, q) ~ L(p, q') iff q' = +-q^{+-1} (mod p).
     Oriented (orientation-preserving): only q' = q^{+-1} (mod p).
     """
-    if l1.p != l2.p:
-        return False
-    p, q, qp = l1.p, l1.q, l2.q
-    candidates = {q % p, mod_inverse(q, p)}
-    if not oriented:
-        candidates |= {(-q) % p, (-mod_inverse(q, p)) % p}
-    return qp % p in candidates
+    inverse = mod_inverse(q, p)
+    if oriented:
+        return qprime in (q, inverse)
+    return qprime in (q, inverse, p - q, p - inverse)
 
 
 def _cases(p: int, q: int, qprime: int) -> tuple[bool, bool]:

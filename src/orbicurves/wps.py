@@ -17,12 +17,12 @@ from .curvecalc import (
     AmbientModel,
     CurveClass,
     CurveConfig,
+    Station,
     adjunction_report,
     algebraic_intersection,
     c_pairing,
     embeddedness_verdict,
     intersection_report,
-    station,
 )
 from .decode import SCHEMA_VERSION, format_rational
 from .errors import Disallowed, InvalidInput
@@ -84,7 +84,7 @@ def build_model(p: int, q: int, qprime: int) -> WpsModel:
     )
     parts = (OrbifoldSurface(m_sigma=1, genus=0, orders=(p + q, p)),
              CurveClass((Fraction(1, p),)),
-             station(POINT_X, p + q, [("w0", axis_germ(False, x))]))
+             Station(POINT_X, p + q, [("w0", axis_germ(False, x))]))
     return WpsModel(p, q, qprime, ambient, parts)
 
 
@@ -105,7 +105,7 @@ def c0_config(m: WpsModel) -> CurveConfig:
     """The generating curve: a sphere with one cone point of order p+q,
     passing only through x along the first coordinate axis."""
     n = m.p + m.q
-    at_x = station(POINT_X, n, [("z0", axis_germ(True, m.ambient.point_type(POINT_X)))])
+    at_x = Station(POINT_X, n, [("z0", axis_germ(True, m.ambient.point_type(POINT_X)))])
     return CurveConfig(m.ambient, OrbifoldSurface(m_sigma=1, genus=0, orders=(n,)),
                        _C0_CLASS, (at_x,))
 
@@ -131,7 +131,7 @@ def c0prime_config(m: WpsModel) -> CurveConfig:
             f"({m.p}, {m.q}, {m.qprime}); congruence record {record}"
         )
     domain, curve_class, at_x = m.c0prime_parts
-    at_x_prime = station(POINT_X_PRIME, m.p,
+    at_x_prime = Station(POINT_X_PRIME, m.p,
                          [("w1", axis_germ(not case_a, m.ambient.point_type(POINT_X_PRIME)))])
     return CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
 

@@ -28,11 +28,11 @@ from orbicurves.chern_index import (
 )
 from orbicurves.curvecalc import (
     CurveConfig,
+    Station,
     adjunction_report,
     embeddedness_verdict,
     intersection_report,
     load_config,
-    station,
 )
 from orbicurves.germ import (
     CurveGerm,
@@ -138,11 +138,11 @@ def test_acceptance_2_adjunction_end_to_end():
                 assert embeddedness_verdict(adjunction_report(prime))["verdict"] == EMBEDDED
 
         def cusp_at(tag, label):
-            return station(
+            return Station(
                 f"regular:{tag}", 1, [(label, germ_from_polynomials({2: 1}, {3: 1}))]
             )
 
-        tacnode = station(
+        tacnode = Station(
             "",
             1,
             [
@@ -191,10 +191,10 @@ def test_acceptance_3_intersection_formula():
         line = plane_curve(
             1,
             stations=[
-                station(
+                Station(
                     "regular:node", 1, [("l1", germ_from_polynomials({1: 1}, {1: 1}))]
                 ),
-                station(
+                Station(
                     "regular:extra", 1, [("l2", germ_from_polynomials({1: 1}, {}))]
                 ),
             ],
@@ -202,7 +202,7 @@ def test_acceptance_3_intersection_formula():
         cubic = plane_curve(
             3,
             stations=[
-                station(
+                Station(
                     "regular:node",
                     1,
                     [
@@ -210,7 +210,7 @@ def test_acceptance_3_intersection_formula():
                         ("n2", germ_from_polynomials({}, {1: 1})),
                     ],
                 ),
-                station(
+                Station(
                     "regular:extra", 1, [("e1", germ_from_polynomials({}, {1: 1}))]
                 ),
             ],
@@ -225,7 +225,7 @@ def test_acceptance_3_intersection_formula():
             return plane_curve(
                 1,
                 stations=[
-                    station("regular:origin", 1, [(label, germ_from_polynomials(u, v))])
+                    Station("regular:origin", 1, [(label, germ_from_polynomials(u, v))])
                 ],
             )
 

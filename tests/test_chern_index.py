@@ -46,6 +46,12 @@ class TestTrivialization:
         with pytest.raises(InvalidInput, match="expected an integer"):
             EquivariantTrivialization(rank=1, relative_c1=relative_c1, points=points)
 
+    @pytest.mark.parametrize("rank", [True, 2.0, "2"])
+    def test_rejects_non_integer_rank(self, rank):
+        # True would be read as rank 1 and 2.0 as rank 2
+        with pytest.raises(InvalidInput, match="rank: expected an integer"):
+            EquivariantTrivialization(rank=rank, relative_c1=0, points=[])
+
 
 class TestChernSplit:
     def test_sphere_three_points(self):
@@ -109,6 +115,8 @@ class TestKawasaki:
             (Fraction(10**40, 7), False),
             (Fraction(8, 4), True),
             (Fraction(1, 2), False),
+            ("6/2", True),
+            ("-1/2", False),
         ],
     )
     def test_integral_ints_negatives_and_large_values(self, x, integral):
@@ -146,6 +154,12 @@ class TestKawasaki:
     def test_rejects_bool_genus(self):
         with pytest.raises(InvalidInput, match="genus: expected an integer, got true"):
             kawasaki_index("13/7", True, [(7, (1, 5))])
+
+    @pytest.mark.parametrize("c1_pair", [0.5, 1e300, True, False])
+    def test_rejects_float_and_bool_c1_pair(self, c1_pair):
+        # Fraction(0.5) is 1/2, 1e300 a 301-digit integer, True gives d = 3
+        with pytest.raises(InvalidInput, match="c1_pair: expected a rational"):
+            kawasaki_index(c1_pair, 0, [])
 
     def test_rejects_float_order(self):
         with pytest.raises(InvalidInput, match="point order: expected an integer, got 7.0"):

@@ -12,7 +12,6 @@ from orbicurves.curvecalc import (
     CurveClass,
     CurveConfig,
     Station,
-    StationPoint,
     _pair_term,
     _point_term,
     adjunction_report,
@@ -22,7 +21,6 @@ from orbicurves.curvecalc import (
     infer_meetings,
     intersection_report,
     load_config,
-    station,
     virtual_genus,
 )
 from orbicurves.errors import (
@@ -62,7 +60,7 @@ def plane_curve(degree, genus=0, stations=(), doubles=()) -> CurveConfig:
 
 
 def node() -> Station:
-    return station(
+    return Station(
         "",
         1,
         [
@@ -73,7 +71,7 @@ def node() -> Station:
 
 
 def cusp_station() -> Station:
-    return station("regular:cusp", 1, [("c", germ_from_polynomials({2: 1}, {3: 1}))])
+    return Station("regular:cusp", 1, [("c", germ_from_polynomials({2: 1}, {3: 1}))])
 
 
 class TestAmbientModel:
@@ -102,8 +100,8 @@ class TestAmbientModel:
     def test_point_type_resolution(self):
         m = AmbientModel(1, ((1,),), (3,), (("x", SingularityType(5, 2)),))
         assert m.point_type("x") == SingularityType(5, 2)
-        assert m.point_type("regular").is_trivial()
-        assert m.point_type("regular:node").is_trivial()
+        assert m.point_type("regular") == SingularityType(1, 0)
+        assert m.point_type("regular:node") == SingularityType(1, 0)
         with pytest.raises(InvalidInput):
             m.point_type("y")
 
@@ -142,12 +140,12 @@ class TestStation:
         g = germ_from_polynomials({1: 1}, {})
         h = germ_from_polynomials({}, {1: 1})
         with pytest.raises(InvalidInput):
-            station("regular", 1, [("a", g), ("a", h)])
+            Station("regular", 1, [("a", g), ("a", h)])
 
     def test_rejects_isotropy_orbit_mismatch(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
         with pytest.raises(InvalidInput):
-            station("x", 5, [("a", g)])
+            Station("x", 5, [("a", g)])
 
     def test_direct_construction_checks_the_stabilizer(self):
         # z^3 + O(z^32) may continue as z^3 + z^32 + z^33, which no Z_3
@@ -155,34 +153,34 @@ class TestStation:
         # injective Z_3 action, so at m = 3 it cannot be built, and no
         # station can hold it
         germ = germ_from_polynomials({3: 1}, {}, group=SingularityType(3, 1), m=1)
-        assert Station("x", 3, (StationPoint("a", germ),)).points[0].germ.m == 1
+        assert Station("x", 3, [("a", germ)]).points[0].germ.m == 1
         with pytest.raises(EquivarianceViolated, match=r"not equivariant for group \[3, 1\] with m=3"):
-            Station("x", 3, (StationPoint(
-                "a", germ_from_polynomials({1: 1, 2: 1}, {}, group=SingularityType(3, 1), m=3)),))
+            Station("x", 3, [
+                ("a", germ_from_polynomials({1: 1, 2: 1}, {}, group=SingularityType(3, 1), m=3))])
 
 
 class TestRegularDoublePoint:
     def test_rejects_equal_labels(self):
         g = germ_from_polynomials({1: 1}, {})
         with pytest.raises(InvalidInput):
-            station("", 1, [("a", g), ("a", g)])
+            Station("", 1, [("a", g), ("a", g)])
 
     def test_rejects_nontrivial_chart(self):
         g = germ_from_polynomials({1: 1}, {}, group=SingularityType(3, 1), m=3)
         h = germ_from_polynomials({}, {1: 1})
         with pytest.raises(InvalidInput):
-            station("", 1, [("a", g), ("b", h)])
+            Station("", 1, [("a", g), ("b", h)])
 
     @pytest.mark.parametrize(
         "double",
         [
-            station("", 1, [("a", germ_from_polynomials({1: 1}, {}))]),
-            station(
+            Station("", 1, [("a", germ_from_polynomials({1: 1}, {}))]),
+            Station(
                 "",
                 1,
                 [(lab, germ_from_polynomials({1: 1}, {k: 1})) for k, lab in enumerate("abc", 2)],
             ),
-            station(
+            Station(
                 "x",
                 3,
                 [
@@ -223,7 +221,7 @@ class TestConfigValidation:
                 ambient=amb,
                 domain=OrbifoldSurface(1, 0, (3,)),
                 curve_class=CurveClass((1,)),
-                stations=(station("x", 3, [("a", g)]),),
+                stations=(Station("x", 3, [("a", g)]),),
             )
 
     def test_germ_chart_must_match_ambient_type(self):
@@ -234,7 +232,7 @@ class TestConfigValidation:
                 ambient=amb,
                 domain=OrbifoldSurface(1, 0, (5,)),
                 curve_class=CurveClass((1,)),
-                stations=(station("x", 5, [("a", g)]),),
+                stations=(Station("x", 5, [("a", g)]),),
             )
 
     def test_domain_orders_must_be_covered(self):
@@ -246,7 +244,7 @@ class TestConfigValidation:
             )
 
     def test_labels_unique_across_stations_and_doubles(self):
-        d = station(
+        d = Station(
             "",
             1,
             [("c", germ_from_polynomials({1: 1}, {})), ("d", germ_from_polynomials({}, {1: 1}))],
@@ -254,7 +252,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             plane_curve(3, stations=[cusp_station()], doubles=[d, node()])
         # relabeled copy is fine
-        ok = station(
+        ok = Station(
             "",
             1,
             [("d1", germ_from_polynomials({1: 1}, {})), ("d2", germ_from_polynomials({}, {1: 1}))],
@@ -377,8 +375,8 @@ class TestLocalContributions:
     def test_node_station_matches_double_point(self, germs, pair, degree, genus):
         # a double point counts delta(g1) + delta(g2) + I(g1, g2), as the
         # same two points do as a station: one pair term, two point terms
-        st = station("regular:node", 1, [("n1", germs[0]), ("n2", germs[1])])
-        double = station("", 1, [("n1", germs[0]), ("n2", germs[1])])
+        st = Station("regular:node", 1, [("n1", germs[0]), ("n2", germs[1])])
+        double = Station("", 1, [("n1", germs[0]), ("n2", germs[1])])
         via_station = plane_curve(degree, genus, stations=[st])
         via_double = plane_curve(degree, genus, doubles=[double])
         assert _pair_term(*germs) == pair
@@ -452,7 +450,7 @@ def _z2_z4_germ(draw, a, b):
 def _z2_z4_station(draw):
     a, b = draw(st.sampled_from([(2, 0), (2, 1), (4, 0), (4, 1), (4, 3)]))
     germs = [draw(_z2_z4_germ(a, b)), draw(_z2_z4_germ(a, b))]
-    return station("z", a, [("p", germs[0]), ("q", germs[1])])
+    return Station("z", a, [("p", germs[0]), ("q", germs[1])])
 
 
 class TestOrbitSums:

@@ -259,7 +259,7 @@ class TestKernelAgainstReference:
         assert as_ref(fast(root_input).nth_root_of_unit_series(n)) == ref_nth_root(root_input, n)
 
         # numerators of order >= v divided by one divisor of order v, at
-        # several truncations, so the divisor's memoised inverse is cut
+        # truncations below, at and above the divisor's
         low = min(divisor)
         y = _ref({e - low + v: d for e, d in divisor.items()}, b[1] + v)
         fy = fast(y)

@@ -7,7 +7,6 @@ import pytest
 from orbicurves import lens
 from orbicurves.errors import InvalidParameters
 from orbicurves.lens import (
-    LensSpace,
     SingularityType,
     allowed_q_set,
     cobordism_congruence,
@@ -16,11 +15,6 @@ from orbicurves.lens import (
 
 
 class TestSingularityType:
-    def test_order_and_triviality(self):
-        t = SingularityType(7, 5)
-        assert t.order == 7 and not t.is_trivial()
-        assert SingularityType(1, 0).is_trivial()
-
     def test_json_round_trip(self):
         t = SingularityType(5, 2)
         assert SingularityType.from_json(t.to_json()) == t
@@ -32,38 +26,36 @@ class TestSingularityType:
             SingularityType(a, b)
 
 
-class TestLensSpace:
-    def test_parameter_range(self):
-        with pytest.raises(InvalidParameters):
-            LensSpace(1, 1)
-        with pytest.raises(InvalidParameters):
-            LensSpace(4, 2)
-        with pytest.raises(InvalidParameters):
-            LensSpace(5, 5)
-
-
 class TestEquivalence:
     def test_classical_non_equivalence(self):
         # the classical distinct pair of the same fundamental group
-        assert not lens_equivalent(LensSpace(7, 1), LensSpace(7, 2))
+        assert not lens_equivalent(7, 1, 2)
 
     def test_inverse_is_oriented_equivalence(self):
         # 2 * 4 = 8 = 1 mod 7
-        assert lens_equivalent(LensSpace(7, 2), LensSpace(7, 4), oriented=True)
+        assert lens_equivalent(7, 2, 4, oriented=True)
 
     def test_negation_is_unoriented_only(self):
-        assert lens_equivalent(LensSpace(5, 1), LensSpace(5, 4))
-        assert not lens_equivalent(LensSpace(5, 1), LensSpace(5, 4), oriented=True)
-
-    def test_different_groups_never_equivalent(self):
-        assert not lens_equivalent(LensSpace(5, 2), LensSpace(7, 2))
+        assert lens_equivalent(5, 1, 4)
+        assert not lens_equivalent(5, 1, 4, oriented=True)
 
     def test_reflexive_and_symmetric(self):
         for p, q in [(5, 2), (7, 3), (11, 4)]:
-            assert lens_equivalent(LensSpace(p, q), LensSpace(p, q), oriented=True)
-        assert lens_equivalent(LensSpace(7, 2), LensSpace(7, 4)) == lens_equivalent(
-            LensSpace(7, 4), LensSpace(7, 2)
-        )
+            assert lens_equivalent(p, q, q, oriented=True)
+        assert lens_equivalent(7, 2, 4) == lens_equivalent(7, 4, 2)
+
+    def test_classification_on_every_small_triple(self):
+        # L(p, q) ~ L(p, q') iff q' = q^{+-1}, or q' = +-q^{+-1} unoriented,
+        # with q^{-1} found by search
+        for p in range(2, 41):
+            units = [q for q in range(1, p) if math.gcd(p, q) == 1]
+            for q in units:
+                inverse = next(r for r in units if q * r % p == 1)
+                oriented = {q, inverse}
+                unoriented = oriented | {p - q, p - inverse}
+                for qprime in units:
+                    assert lens_equivalent(p, q, qprime, oriented=True) == (qprime in oriented)
+                    assert lens_equivalent(p, q, qprime) == (qprime in unoriented)
 
 
 class TestCongruence:
@@ -160,6 +152,12 @@ class TestAllowedSet:
                 if math.gcd(p, qp) != 1:
                     continue
                 assert (qp in members) == cobordism_congruence(p, q, qp)["allowed"]
+
+    def test_rejects_bad_parameters(self):
+        # p < 2, gcd(p, q) > 1 and q outside (0, p)
+        for p, q in [(1, 1), (4, 2), (5, 5)]:
+            with pytest.raises(InvalidParameters):
+                allowed_q_set(p, q)
 
     def test_q_eq_one_gives_only_one(self):
         # q = 1: q' = 1 satisfies both clauses, nothing else does

@@ -113,7 +113,7 @@ class TestFractionCurve:
         # at x', the first axis, is built here from the model's parts
         m = build_model(5, 1, 1)
         domain, curve_class, at_x = m.c0prime_parts
-        at_x_prime = curvecalc.station(
+        at_x_prime = curvecalc.Station(
             "x_prime", 5, [("w1", germ.axis_germ(True, m.ambient.point_type("x_prime")))])
         case_b = curvecalc.CurveConfig(m.ambient, domain, curve_class, (at_x, at_x_prime))
         for cfg in (c0prime_config(m), case_b):
